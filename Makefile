@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-json bench-diff serve-smoke obs-smoke part-smoke cluster-smoke check clean
+.PHONY: all build vet test race bench-smoke bench-json bench-diff benchmark benchmark-smoke serve-smoke obs-smoke part-smoke cluster-smoke check clean
 
 all: check
 
@@ -38,6 +38,17 @@ bench-json:
 bench-diff:
 	$(GO) run ./cmd/benchrunner -diff BENCH_PR10.json -baseline BENCH_PR10_BASELINE.json
 
+# benchmark runs the repository's end-to-end benchmark (benchmark/README.md):
+# four workloads, seven metrics each, about 24 s per workload, on an
+# otherwise idle machine. benchmark-smoke drives every workload's code
+# path on a tiny database with an in-process server and measures nothing;
+# it only has to exit 0.
+benchmark:
+	$(GO) run ./benchmark
+
+benchmark-smoke:
+	$(GO) run ./benchmark -smoke -seconds 2
+
 # serve-smoke boots partserved on an ephemeral port, exercises every HTTP
 # endpoint with curl, and checks the answers (see scripts/serve_smoke.sh).
 serve-smoke:
@@ -66,7 +77,7 @@ part-smoke:
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 
-check: build vet race bench-smoke bench-diff serve-smoke obs-smoke part-smoke cluster-smoke
+check: build vet race bench-smoke bench-diff benchmark-smoke serve-smoke obs-smoke part-smoke cluster-smoke
 
 clean:
 	$(GO) clean ./...

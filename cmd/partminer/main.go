@@ -54,7 +54,7 @@ func main() {
 	criteria := flag.String("criteria", "partition3", "partitioning strategy: "+strings.Join(partition.Names(), ", "))
 	miner := flag.String("miner", "partminer", "algorithm: partminer, gspan, gaston, freetree, fsg, adimine")
 	updatedPath := flag.String("updated", "", "updated database for incremental mining")
-	changed := flag.String("changed", "", "comma-separated ids of updated graphs (with -updated)")
+	changed := flag.String("changed", "", "comma-separated ids of updated graphs (with -updated; derived by comparison when empty, and an updated graph missing from the list is an error)")
 	showAll := flag.Bool("patterns", false, "print every pattern, not just the summary")
 	savePath := flag.String("save", "", "save the mining result for later incremental runs")
 	resumePath := flag.String("resume", "", "resume from a saved result instead of mining from scratch")

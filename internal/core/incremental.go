@@ -9,6 +9,7 @@ import (
 	"partminer/internal/exec"
 	"partminer/internal/graph"
 	"partminer/internal/index"
+	"partminer/internal/mergejoin"
 	"partminer/internal/obs"
 	"partminer/internal/partition"
 	"partminer/internal/pattern"
@@ -33,15 +34,30 @@ type IncResult struct {
 // IncPartMiner incrementally mines the updated database newDB given the
 // previous run prev over the pre-update database (Fig. 12). updatedTIDs
 // lists the indexes of the graphs that were modified; newDB must have the
-// same length and graph order as the database prev was mined from.
+// same length and graph order as the database prev was mined from, and
+// every graph not listed must equal its predecessor. That is checked
+// (pointer-equal graphs for free): an unlisted change is an error, not a
+// stale answer.
 //
-// The algorithm re-partitions newDB with the same bisector, re-mines only
-// the units whose pieces changed (updates isolated by the partitioning
-// criteria keep this set small), and replays the merge-join chain with
-// the incremental optimization: supporters of previously frequent
-// patterns among unchanged graphs carry over without isomorphism tests,
-// so frequency checking concentrates on the potential IF patterns — the
-// source of the paper's "tremendous savings".
+// The algorithm rebuilds the partition tree from prev.Tree, bisecting
+// only the updated graphs, re-mines only the units whose pieces changed
+// (updates isolated by the partitioning criteria keep this set small),
+// and replays the merge-join chain incrementally: supporters of
+// previously frequent patterns among unchanged graphs carry over without
+// isomorphism tests, and candidates the previous merges rejected are
+// pruned again from prev.Borders while their entries still hold, so
+// frequency checking concentrates on the potential IF patterns. Measured
+// on D1kT20N20L200I5 at 4 % support, K=2, 10 % of the graphs updated (the
+// benchmark's `mine` workload, medians of ten runs): a fold takes 105 ms
+// against 185 ms for mining from scratch. Before the tree was rebuilt
+// from the previous one and the border existed it took 178 ms against
+// 183 ms. What remains is re-mining the changed units (about half the
+// fold) and generating the candidates the border then rejects.
+//
+// prev is only read, with the one exception it always had: prev.Index is
+// patched in place to describe newDB and becomes the new result's index.
+// A caller that folds one prev several times passes a shallow copy with
+// a cloned index.
 func IncPartMiner(newDB graph.Database, updatedTIDs []int, prev *Result) (*IncResult, error) {
 	return IncMineContext(context.Background(), newDB, updatedTIDs, prev)
 }
@@ -75,11 +91,22 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 		updated.Add(tid)
 	}
 
-	// Re-partition. Unchanged graphs split deterministically into the
-	// same pieces, so piece comparison below isolates the changed units.
+	// The unchanged graphs' pieces, carried supporters and border bounds
+	// are all reused on the strength of updatedTIDs, so it is checked, not
+	// trusted: pointer-equal graphs (a copy-on-write database) cost
+	// nothing, the rest one structural comparison each.
+	for tid, g := range newDB {
+		if old := prev.Tree.Root.DB[tid]; g != old && !updated.Contains(tid) && !g.Equal(old) {
+			return nil, fmt.Errorf("core: graph %d differs from the previous run's but is not listed as updated", tid)
+		}
+	}
+
+	// Re-partition: unchanged graphs keep their pieces, updated graphs
+	// are bisected again, so piece comparison below isolates the changed
+	// units.
 	start := time.Now()
 	_, endStage := obs.Phase(ctx, o, "partition")
-	tree, err := partition.DBPartition(newDB, opts.K, opts.Bisector)
+	tree, err := partition.Rebuild(prev.Tree, newDB, updatedTIDs, opts.Bisector)
 	endStage()
 	if err != nil {
 		return nil, err
@@ -90,12 +117,10 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 	exec.ReportQuality(o, tree.Quality)
 
 	// Decide which units changed: a unit must be re-mined iff any updated
-	// graph's piece in it differs from the pre-update piece.
+	// graph's piece in it differs from the pre-update piece. (The rebuilt
+	// tree has the previous tree's shape, so the leaves pair up.)
 	newLeaves := tree.Leaves()
 	oldLeaves := prev.Tree.Leaves()
-	if len(newLeaves) != len(oldLeaves) {
-		return nil, fmt.Errorf("core: partition shape changed (%d vs %d units)", len(newLeaves), len(oldLeaves))
-	}
 	needRemine := make([]bool, len(newLeaves))
 	for i := range newLeaves {
 		for _, tid := range updatedTIDs {
@@ -190,7 +215,9 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 	}
 	mctx, endStage := obs.Phase(ctx, o, "merge")
 	res.NodeSets = make(map[string]pattern.Set)
-	res.Patterns, err = solve(mctx, tree.Root, "", res.UnitPatterns, opts, res.NodeSets, prev.NodeSets, updated, &res.MergeStats, pool, res.Index)
+	res.Borders = make(map[string]mergejoin.Border)
+	chain := &mergeChain{res: &res.Result, opts: opts, pool: pool, prev: prev, updated: updated}
+	res.Patterns, err = chain.solve(mctx, tree.Root, "")
 	endStage()
 	if err != nil {
 		return nil, err

@@ -276,6 +276,13 @@ type Result struct {
 	// children, and so on). IncPartMiner reuses them to skip frequency
 	// checks on unchanged transactions.
 	NodeSets map[string]pattern.Set
+	// Borders holds, beside NodeSets and under the same keys, the negative
+	// border each merge recorded: why every candidate it rejected is
+	// infrequent. IncPartMiner consults it to prune those candidates again
+	// without redoing the work. Like Index it lives in memory only — it is
+	// neither persisted nor shipped to replicas; a loaded Result carries
+	// none and its first fold verifies every candidate in full.
+	Borders map[string]mergejoin.Border
 	// Index is the full database's feature index, built once per run and
 	// shared by the root merge-join; IncPartMiner patches it in place for
 	// updated transactions instead of rebuilding. It is not persisted —
@@ -462,7 +469,8 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (*Result,
 	}
 	mctx, endStage := obs.Phase(ctx, o, "merge")
 	res.NodeSets = make(map[string]pattern.Set)
-	res.Patterns, err = solve(mctx, tree.Root, "", res.UnitPatterns, opts, res.NodeSets, nil, nil, &res.MergeStats, pool, res.Index)
+	res.Borders = make(map[string]mergejoin.Border)
+	res.Patterns, err = (&mergeChain{res: res, opts: opts, pool: pool}).solve(mctx, tree.Root, "")
 	endStage()
 	if err != nil {
 		return nil, err
@@ -505,52 +513,67 @@ func mineLarge(ctx context.Context, res *Result, opts Options) error {
 	return nil
 }
 
+// mergeChain is one run's walk up the partition tree: res supplies the
+// unit results and the root's feature index and receives NodeSets,
+// Borders and MergeStats. prev and updated are set in incremental mode
+// and only read.
+type mergeChain struct {
+	res     *Result
+	opts    Options
+	pool    *exec.Pool
+	prev    *Result
+	updated *pattern.TIDSet
+}
+
 // solve recovers the frequent set of a partition-tree node from its
 // children (Fig. 11 lines 9-17): leaves return the unit results; internal
 // nodes merge-join their children at support ⌈sup/2^level⌉. Merged sets
-// are recorded in nodeSets by tree path. When oldSets and updated are
-// non-nil (incremental mode), merges reuse the pre-update node sets to
-// limit frequency checks to updated transactions. Every merge runs on
-// the shared pool and observes ctx.
-func solve(ctx context.Context, n *partition.Node, path string, units []pattern.Set, opts Options,
-	nodeSets map[string]pattern.Set, oldSets map[string]pattern.Set, updated *pattern.TIDSet,
-	stats *mergejoin.Stats, pool *exec.Pool, rootIx *index.FeatureIndex) (pattern.Set, error) {
+// and negative borders are recorded by tree path. In incremental mode
+// merges reuse the pre-update node sets to limit frequency checks to
+// updated transactions, and the pre-update borders to prune candidates
+// that are still provably infrequent. Every merge runs on the shared pool
+// and observes ctx.
+func (m *mergeChain) solve(ctx context.Context, n *partition.Node, path string) (pattern.Set, error) {
 	if n.IsLeaf() {
-		return units[n.UnitIndex], nil
+		return m.res.UnitPatterns[n.UnitIndex], nil
 	}
-	left, err := solve(ctx, n.Left, path+"0", units, opts, nodeSets, oldSets, updated, stats, pool, rootIx)
+	left, err := m.solve(ctx, n.Left, path+"0")
 	if err != nil {
 		return nil, err
 	}
-	right, err := solve(ctx, n.Right, path+"1", units, opts, nodeSets, oldSets, updated, stats, pool, rootIx)
+	right, err := m.solve(ctx, n.Right, path+"1")
 	if err != nil {
 		return nil, err
 	}
+	border := make(mergejoin.Border)
 	cfg := mergejoin.Config{
-		MinSupport:  ceilDiv(opts.MinSupport, 1<<uint(n.Level)),
-		MaxEdges:    opts.classicMaxEdges(),
-		StrictPaper: opts.StrictPaperJoin,
-		Stats:       stats,
-		Pool:        pool,
-		Observer:    opts.Observer,
+		MinSupport:  ceilDiv(m.opts.MinSupport, 1<<uint(n.Level)),
+		MaxEdges:    m.opts.classicMaxEdges(),
+		StrictPaper: m.opts.StrictPaperJoin,
+		Border:      border,
+		Stats:       &m.res.MergeStats,
+		Pool:        m.pool,
+		Observer:    m.opts.Observer,
 	}
 	if path == "" {
 		// The root node's database is the full database, so the run's
 		// shared feature index applies; inner nodes let MergeContext
 		// build one for their sub-database.
-		cfg.Index = rootIx
+		cfg.Index = m.res.Index
 	}
-	if oldSets != nil && updated != nil {
-		cfg.Old = oldSets[path]
-		cfg.Updated = updated
+	if m.prev != nil {
+		cfg.Old = m.prev.NodeSets[path]
+		cfg.OldBorder = m.prev.Borders[path]
+		cfg.Updated = m.updated
 	}
-	nctx, endStage := obs.Phase(ctx, opts.Observer, "merge."+nodePathLabel(path))
+	nctx, endStage := obs.Phase(ctx, m.opts.Observer, "merge."+nodePathLabel(path))
 	set, err := mergejoin.MergeContext(nctx, n.DB, left, right, cfg)
 	endStage()
 	if err != nil {
 		return nil, err
 	}
-	nodeSets[path] = set
+	m.res.NodeSets[path] = set
+	m.res.Borders[path] = border
 	return set, nil
 }
 

@@ -145,10 +145,11 @@ func NewDecomposer(mined pattern.Set, pieceMax int) *Decomposer {
 // Cover greedily covers every edge of g with connected pieces of at most
 // pieceMax edges, canonicalizes each piece, and returns the mined TID
 // set of every piece (pieces mined without TIDs contribute only their
-// presence). ok=false means some piece is absent from the mined set:
-// given completeness, that piece — and therefore g — is infrequent, and
-// the caller should prune g outright. npieces is the cover size.
-func (d *Decomposer) Cover(g *graph.Graph) (tids []*pattern.TIDSet, npieces int, ok bool) {
+// presence). A non-empty missing is the canonical key of a piece absent
+// from the mined set: given completeness, that piece — and therefore g —
+// is infrequent, and the caller should prune g outright. npieces is the
+// cover size.
+func (d *Decomposer) Cover(g *graph.Graph) (tids []*pattern.TIDSet, npieces int, missing string) {
 	n := g.VertexCount()
 	covered := make(map[[2]int]bool, g.EdgeCount())
 	edgeKey := func(u, v int) [2]int {
@@ -166,7 +167,7 @@ func (d *Decomposer) Cover(g *graph.Graph) (tids []*pattern.TIDSet, npieces int,
 			key := dfscode.MinCode(piece).Key()
 			p, found := d.mined[key]
 			if !found {
-				return nil, npieces + 1, false
+				return nil, npieces + 1, key
 			}
 			npieces++
 			if p.TIDs != nil {
@@ -174,7 +175,7 @@ func (d *Decomposer) Cover(g *graph.Graph) (tids []*pattern.TIDSet, npieces int,
 			}
 		}
 	}
-	return tids, npieces, true
+	return tids, npieces, ""
 }
 
 // growPiece grows one connected piece from seed edge (su, sv): a BFS
@@ -400,9 +401,9 @@ func checkCandidate(fx *index.FeatureIndex, dec *Decomposer, cg *graph.Graph, co
 	}
 	// (2) Cover by mined pieces: a missing piece is infrequent, so the
 	// candidate cannot be frequent.
-	pieces, np, ok := dec.Cover(cg)
+	pieces, np, missing := dec.Cover(cg)
 	st.Pieces += int64(np)
-	if !ok {
+	if missing != "" {
 		st.CoverPruned++
 		return nil, nil
 	}

@@ -101,11 +101,13 @@ func edgeTriples(set pattern.Set) tripleIndex {
 	return ti
 }
 
-// extCandidate is one extension: the grown graph plus the endpoints of
-// the edge that was added (in the grown graph's vertex numbering).
+// extCandidate is one extension: the grown graph, the endpoints of the
+// edge that was added (in the grown graph's vertex numbering), and the
+// supporting transactions of the added edge's label triple.
 type extCandidate struct {
 	g    *graph.Graph
 	u, v int
+	tids *pattern.TIDSet
 }
 
 // extensions returns every graph obtained from g by adding one edge whose
@@ -149,7 +151,7 @@ func extensions(g *graph.Graph, ti tripleIndex, qTIDs *pattern.TIDSet, minSup in
 				}
 				ng := g.Clone()
 				ng.MustAddEdge(u, v, t.le)
-				out = append(out, extCandidate{g: ng, u: u, v: v})
+				out = append(out, extCandidate{g: ng, u: u, v: v, tids: t.tids})
 			}
 		}
 	}
@@ -161,7 +163,7 @@ func extensions(g *graph.Graph, ti tripleIndex, qTIDs *pattern.TIDSet, minSup in
 			ng := g.Clone()
 			nv := ng.AddVertex(t.other)
 			ng.MustAddEdge(u, nv, t.le)
-			out = append(out, extCandidate{g: ng, u: u, v: nv})
+			out = append(out, extCandidate{g: ng, u: u, v: nv, tids: t.tids})
 		}
 	}
 	return out

@@ -18,6 +18,12 @@
 // occurrences (a pattern contained in a partition piece is contained in
 // the original graph), so isomorphism tests run only on the residual
 // transactions in the candidates' Apriori TID intersection.
+//
+// Every merge also records its negative border (Border, the paper's prune
+// set P): for each rejected candidate, the infrequent subpattern or the
+// sub-threshold TID bound that rejected it. An incremental merge
+// (Config.Old/Updated/OldBorder) rejects such a candidate again from its
+// entry alone while the entry still holds against the update.
 package mergejoin
 
 import (
@@ -30,7 +36,6 @@ import (
 	"partminer/internal/exec"
 	"partminer/internal/graph"
 	"partminer/internal/index"
-	"partminer/internal/isomorph"
 	"partminer/internal/obs"
 	"partminer/internal/pattern"
 )
@@ -54,6 +59,17 @@ type Config struct {
 	// verified in full.
 	Old     pattern.Set
 	Updated *pattern.TIDSet
+	// OldBorder is the negative border the previous merge of this dataset
+	// recorded (nil when none survives, e.g. after a snapshot restore).
+	// In IncMergeJoin mode a candidate found in it and not in Old is
+	// pruned ahead of the filter chain when its entry still holds against
+	// the updated database; otherwise it is verified in full. Read-only.
+	OldBorder Border
+
+	// Border, when non-nil, is filled with this merge's negative border:
+	// one entry per rejected candidate, plus — in IncMergeJoin mode — the
+	// OldBorder entries no candidate met.
+	Border Border
 
 	// Index, when non-nil, is the feature index of the dataset S being
 	// merged against (it must have been built over the same database).
@@ -104,6 +120,10 @@ type Stats struct {
 	SigPruned int64
 	// IsoTests counts subgraph-isomorphism invocations.
 	IsoTests int64
+	// BorderPruned counts candidates eliminated because their entry in the
+	// previous merge's negative border still held (a subset of Pruned,
+	// incremental mode), ahead of every other filter.
+	BorderPruned int64
 	// CarriedTIDs counts supporters accepted from pre-update results
 	// without re-testing (incremental mode).
 	CarriedTIDs int64
@@ -122,6 +142,7 @@ func (s *Stats) Counters() map[string]int64 {
 		"merge.pruned":        s.Pruned,
 		"merge.triple_pruned": s.TriplePruned,
 		"merge.decomp_pruned": s.DecompPruned,
+		"merge.border_pruned": s.BorderPruned,
 		"merge.sig_pruned":    s.SigPruned,
 		"merge.iso_tests":     s.IsoTests,
 		"merge.carried_tids":  s.CarriedTIDs,
@@ -135,6 +156,7 @@ func (s *Stats) add(o *Stats) {
 	s.Pruned += o.Pruned
 	s.TriplePruned += o.TriplePruned
 	s.DecompPruned += o.DecompPruned
+	s.BorderPruned += o.BorderPruned
 	s.SigPruned += o.SigPruned
 	s.IsoTests += o.IsoTests
 	s.CarriedTIDs += o.CarriedTIDs
@@ -168,7 +190,7 @@ func Merge(s graph.Database, p0, p1 pattern.Set, cfg Config) pattern.Set {
 // generation and verification check ctx (amortized) and abort promptly
 // once it is cancelled, returning ctx.Err(). Only a nil error
 // guarantees a complete recovery; on cancellation the returned set is
-// nil.
+// nil and cfg.Border holds a meaningless part of the border.
 func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg Config) (pattern.Set, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -182,6 +204,10 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 	tick := exec.NewTicker(ctx)
 	minSup := cfg.minSup()
 	result := make(pattern.Set)
+	incremental := cfg.Old != nil && cfg.Updated != nil
+	if cfg.Border == nil {
+		cfg.Border = make(Border)
+	}
 
 	// The feature index fronts every frequency decision of the merge;
 	// build it here (in parallel on the pool) when the caller did not
@@ -194,7 +220,7 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 		cfg.Index = ix
 	}
 
-	by0, by1 := p0.BySize(), p1.BySize()
+	by0, by1, byOld := p0.BySize(), p1.BySize(), cfg.Old.BySize()
 	sized := func(by [][]*pattern.Pattern, k int) []*pattern.Pattern {
 		if k < len(by) {
 			return by[k]
@@ -262,7 +288,6 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 				joinSets(cands, fs, fs) // C3
 			}
 		} else {
-			incremental := cfg.Old != nil && cfg.Updated != nil
 			triples := edgeTriples(result)
 			for _, q := range cur {
 				if tick.Hit() {
@@ -274,14 +299,14 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 				}
 				qKey := q.Code.Key()
 				for _, ext := range extensions(q.Code.Graph(), triples, q.TIDs, minSup, qUpd) {
-					addExtensionCandidate(cands, ext, qKey, tick)
+					addExtensionCandidate(cands, ext, qKey, qUpd, tick)
 				}
 			}
 			if incremental {
 				// The updated-overlap filter above only finds patterns that
 				// could newly become frequent; previously frequent patterns
 				// are re-verified through the cheap carry-over path.
-				for _, p := range oldBySize(cfg.Old, k+1) {
+				for _, p := range sized(byOld, k+1) {
 					seedOldCandidate(cands, p)
 				}
 			}
@@ -307,7 +332,8 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 		if k+1 >= decompMinEdges {
 			dec = decomp.NewDecomposer(result, decomp.DefaultPieceMax)
 		}
-		verified, err := verifyAll(ctx, s, cands, cur, minSup, cfg, dec, tick)
+		lv := &level{s: s, cur: cur, result: result, minSup: minSup, cfg: cfg, dec: dec, tick: tick}
+		verified, err := lv.verifyAll(ctx, cands)
 		if err != nil {
 			return nil, err
 		}
@@ -324,14 +350,31 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 	if err := tick.Err(); err != nil {
 		return nil, err
 	}
+	if incremental {
+		cfg.Border.carry(cfg.OldBorder, result, cfg.Updated, minSup)
+	}
 	return result, nil
+}
+
+// level is the state every candidate check of one merge level shares.
+// All of it is read-only while the level verifies, except cfg.Border,
+// which only verifyAll writes.
+type level struct {
+	s      graph.Database
+	cur    pattern.Set // the frequent k-edge patterns
+	result pattern.Set // every frequent pattern of up to k edges
+	minSup int
+	cfg    Config
+	dec    *decomp.Decomposer
+	tick   *exec.Ticker
 }
 
 // verifyAll checks every candidate against S — on cfg.Pool when one is
 // provided, serially otherwise — and returns the frequent ones. A
 // cancellation observed through tick aborts verification and returns
 // the context error.
-func verifyAll(ctx context.Context, s graph.Database, cands map[string]*candidate, cur pattern.Set, minSup int, cfg Config, dec *decomp.Decomposer, tick *exec.Ticker) (pattern.Set, error) {
+func (lv *level) verifyAll(ctx context.Context, cands map[string]*candidate) (pattern.Set, error) {
+	cfg, tick := lv.cfg, lv.tick
 	type item struct {
 		key string
 		c   *candidate
@@ -361,13 +404,15 @@ func verifyAll(ctx context.Context, s graph.Database, cands map[string]*candidat
 			if o != nil {
 				t0 = time.Now()
 			}
-			p := checkCandidate(s, it.key, it.c, cur, minSup, cfg, dec, &total, tick)
+			p, why := lv.check(it.key, it.c, &total)
 			if o != nil {
 				o.StageEnd("merge.verify", time.Since(t0))
 			}
 			if p != nil {
 				out[it.key] = p
 				total.Frequent++
+			} else {
+				cfg.Border[it.key] = why
 			}
 		}
 	} else {
@@ -379,7 +424,7 @@ func verifyAll(ctx context.Context, s graph.Database, cands map[string]*candidat
 			if o != nil {
 				t0 = time.Now()
 			}
-			p := checkCandidate(s, it.key, it.c, cur, minSup, cfg, dec, &st, tick)
+			p, why := lv.check(it.key, it.c, &st)
 			if o != nil {
 				o.StageEnd("merge.verify", time.Since(t0))
 			}
@@ -389,6 +434,8 @@ func verifyAll(ctx context.Context, s graph.Database, cands map[string]*candidat
 			mu.Lock()
 			if p != nil {
 				out[it.key] = p
+			} else {
+				cfg.Border[it.key] = why
 			}
 			total.add(&st)
 			mu.Unlock()
@@ -429,6 +476,12 @@ type candidate struct {
 	// Apriori check.
 	parentKey      string
 	addedU, addedV int
+	// updSide is set for extension candidates generated in incremental
+	// mode: the parent's supporters among the updated transactions and the
+	// added triple's supporters. A supporter of the candidate that is an
+	// updated transaction lies in their intersection, which is the
+	// updated-side bound a negative-border entry is rechecked with.
+	updSide [2]*pattern.TIDSet
 }
 
 func addUnitCandidate(cands map[string]*candidate, p *pattern.Pattern, n int) {
@@ -442,19 +495,6 @@ func addUnitCandidate(cands map[string]*candidate, p *pattern.Pattern, n int) {
 	if p.TIDs != nil {
 		c.guaranteed = c.guaranteed.Union(p.TIDs)
 	}
-}
-
-// oldBySize returns the k-edge patterns of the pre-update set. The
-// grouping is recomputed per call; Old sets are small relative to the
-// candidate work this seeds.
-func oldBySize(old pattern.Set, k int) []*pattern.Pattern {
-	var out []*pattern.Pattern
-	for _, p := range old {
-		if p.Size() == k {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // seedOldCandidate enters a previously frequent pattern into the candidate
@@ -485,13 +525,13 @@ func addCandidate(cands map[string]*candidate, g *graph.Graph, tids *pattern.TID
 // into ext, so the parent pattern and the added-edge endpoints travel with
 // the candidate to cheapen its Apriori check. The candidate keeps ext's
 // own vertex numbering (an isomorphic relabeling of the canonical form).
-func addExtensionCandidate(cands map[string]*candidate, ext extCandidate, parentKey string, tick *exec.Ticker) {
+func addExtensionCandidate(cands map[string]*candidate, ext extCandidate, parentKey string, parentUpd *pattern.TIDSet, tick *exec.Ticker) {
 	code := dfscode.MinCodeTick(ext.g, tick)
 	key := code.Key()
 	if _, ok := cands[key]; ok {
 		return // first arrival wins; extension candidates carry no TIDs
 	}
-	cands[key] = &candidate{
+	c := &candidate{
 		g:          ext.g,
 		code:       code,
 		guaranteed: pattern.NewTIDSet(0),
@@ -499,9 +539,13 @@ func addExtensionCandidate(cands map[string]*candidate, ext extCandidate, parent
 		addedU:     ext.u,
 		addedV:     ext.v,
 	}
+	if parentUpd != nil && ext.tids != nil {
+		c.updSide = [2]*pattern.TIDSet{parentUpd, ext.tids}
+	}
+	cands[key] = c
 }
 
-// checkCandidate verifies one candidate with a filter chain ordered by
+// check verifies one candidate with a filter chain ordered by
 // cost: (1) the candidate's own label/triple TID bitsets from the feature
 // index bound its support before any subpattern canonicalization; (2)
 // Apriori pruning (every connected one-edge-removed subpattern must be
@@ -509,22 +553,39 @@ func addExtensionCandidate(cands map[string]*candidate, ext extCandidate, parent
 // signature domination must hold before an exact (posted, rarest-root)
 // VF2 test runs. In incremental mode (cfg.Old/cfg.Updated set) the
 // supporters of a previously frequent pattern among unchanged
-// transactions carry over without testing. It returns nil for infrequent
-// or pruned candidates.
-func checkCandidate(s graph.Database, key string, c *candidate, cur pattern.Set, minSup int, cfg Config, dec *decomp.Decomposer, st *Stats, tick *exec.Ticker) *pattern.Pattern {
-	ix := cfg.Index
-	var inter *pattern.TIDSet
-	if ix != nil {
-		// Supporters of the candidate contain each of its vertex labels
-		// and edge triples, so the inverted-index intersection bounds the
-		// support from above — cheap enough to run before the Apriori
-		// check, sparing its subpattern canonicalizations when it fails.
-		inter = ix.NarrowByFeatures(c.g, nil)
-		if inter == nil || inter.Count() < minSup {
-			st.TriplePruned++
-			st.Pruned++
-			return nil
+// transactions carry over without testing, and (0) a candidate that is
+// not previously frequent but sits in the previous merge's negative
+// border is pruned ahead of the whole chain while its entry still holds.
+// It returns the verified pattern, or nil and the border entry saying why
+// the candidate is infrequent.
+func (lv *level) check(key string, c *candidate, st *Stats) (*pattern.Pattern, BorderEntry) {
+	s, cur, minSup, cfg, dec, tick := lv.s, lv.cur, lv.minSup, lv.cfg, lv.dec, lv.tick
+	var old *pattern.Pattern
+	if cfg.Old != nil && cfg.Updated != nil {
+		old = cfg.Old[key]
+		if e, ok := cfg.OldBorder[key]; ok && old == nil {
+			updSide := c.updSide[:]
+			if updSide[0] == nil {
+				updSide = []*pattern.TIDSet{cfg.Updated}
+			}
+			if e, holds := e.recheck(lv.result, cfg.Updated, updSide, minSup); holds {
+				st.BorderPruned++
+				st.Pruned++
+				return nil, e
+			}
 		}
+	}
+	// Supporters of the candidate contain each of its vertex labels and
+	// edge triples, so the inverted-index intersection bounds the support
+	// from above — cheap enough to run before the Apriori check, sparing
+	// its subpattern canonicalizations when it fails. (MergeContext
+	// guarantees the index.)
+	ix := cfg.Index
+	inter := ix.CandidateTIDs(c.g)
+	if inter.Count() < minSup {
+		st.TriplePruned++
+		st.Pruned++
+		return nil, BorderEntry{Bound: inter}
 	}
 	if dec != nil {
 		// Decomposition pruner for large candidates: cover the candidate
@@ -533,28 +594,25 @@ func checkCandidate(s graph.Database, key string, c *candidate, cur pattern.Set,
 		// otherwise the fused k-way intersect+popcount over the pieces'
 		// exact TID sets (plus the feature narrowing above) bounds the
 		// support in one pass over the bitset words.
-		pieces, _, ok := dec.Cover(c.g)
-		if !ok {
+		pieces, _, missing := dec.Cover(c.g)
+		if missing != "" {
 			st.DecompPruned++
 			st.Pruned++
-			return nil
+			return nil, BorderEntry{Blocker: missing}
 		}
 		if len(pieces) > 0 {
-			if inter != nil {
-				pieces = append(pieces, inter)
+			pruned := pattern.IntersectCountMulti(append(pieces, inter)) < minSup
+			// Materialize the intersection: every piece TID set is a
+			// superset of the candidate's supporters, so narrowing here
+			// spares isomorphism tests below — or is the bound the
+			// candidate is rejected on.
+			for _, pt := range pieces {
+				inter.IntersectWith(pt)
 			}
-			if pattern.IntersectCountMulti(pieces) < minSup {
+			if pruned {
 				st.DecompPruned++
 				st.Pruned++
-				return nil
-			}
-			if inter != nil {
-				// Materialize the surviving intersection: every piece
-				// TID set is a superset of the candidate's supporters,
-				// so narrowing here spares isomorphism tests below.
-				for _, pt := range pieces[:len(pieces)-1] {
-					inter.IntersectWith(pt)
-				}
+				return nil, BorderEntry{Bound: inter}
 			}
 		}
 	}
@@ -565,18 +623,14 @@ func checkCandidate(s graph.Database, key string, c *candidate, cur pattern.Set,
 			return false // a connected subpattern is infrequent: prune
 		}
 		if parent.TIDs != nil {
-			if inter == nil {
-				inter = parent.TIDs.Clone()
-			} else {
-				inter.IntersectWith(parent.TIDs)
-			}
+			inter.IntersectWith(parent.TIDs)
 		}
 		return true
 	}
 	if keys, ok := cachedSubKeys(key); ok {
 		for _, sk := range keys {
 			if !narrow(sk) {
-				return nil
+				return nil, BorderEntry{Blocker: sk}
 			}
 		}
 	} else {
@@ -604,7 +658,7 @@ func checkCandidate(s graph.Database, key string, c *candidate, cur pattern.Set,
 				}
 				collected = append(collected, sk)
 				if !narrow(sk) {
-					return nil
+					return nil, BorderEntry{Blocker: sk}
 				}
 			}
 		}
@@ -614,86 +668,55 @@ func checkCandidate(s graph.Database, key string, c *candidate, cur pattern.Set,
 			storeSubKeys(key, collected)
 		}
 	}
-	if inter == nil {
-		// No TID information: fall back to scanning every transaction.
-		inter = pattern.NewTIDSet(len(s))
-		for i := range s {
-			inter.Add(i)
-		}
-	}
 	if inter.Count() < minSup {
 		// Supporters of the candidate support every subpattern, so the
 		// intersection bounds the support from above.
 		st.Pruned++
-		return nil
+		return nil, BorderEntry{Bound: inter}
 	}
 
 	tids := pattern.NewTIDSet(len(s))
 	support := 0
+	if old != nil && old.TIDs != nil {
+		// Unchanged supporters of the old pattern still support it;
+		// only updated transactions can gain or lose the pattern.
+		tids = old.TIDs.Minus(cfg.Updated)
+		support = tids.Count()
+		st.CarriedTIDs += int64(support)
+		inter.IntersectWith(cfg.Updated)
+	}
 	// One matcher per candidate: the match order is computed once and the
-	// scratch state is reused across every transaction tested below. With
-	// an index the matcher roots at the globally rarest label and draws
-	// its root candidates from the transaction's posting lists.
-	var matcher *isomorph.Matcher
-	var psig *index.Signature
-	if ix != nil {
-		matcher = ix.NewMatcher(c.g)
-		psig = index.SigOf(c.g)
-	} else {
-		matcher = isomorph.NewMatcher(c.g)
-	}
-	count := func(candidateTIDs *pattern.TIDSet) {
-		// Allocation-free walk of the candidate TID words; a fired
-		// ticker stops it early (the partial count is discarded
-		// upstream).
-		candidateTIDs.ForEachUntil(func(tid int) bool {
-			if tick.Hit() {
-				return false
-			}
-			if c.guaranteed.Contains(tid) {
-				tids.Add(tid)
-				support++
-				return true
-			}
-			if ix != nil {
-				if !ix.SigDominates(tid, psig) {
-					st.SigPruned++
-					return true
-				}
-				st.IsoTests++
-				if matcher.ContainsPostedTick(s[tid], ix.Lister(tid), tick) {
-					tids.Add(tid)
-					support++
-				}
-				return true
-			}
-			st.IsoTests++
-			if matcher.ContainsTick(s[tid], tick) {
-				tids.Add(tid)
-				support++
-			}
-			return true
-		})
-	}
-	if cfg.Old != nil && cfg.Updated != nil {
-		if old, ok := cfg.Old[key]; ok && old.TIDs != nil {
-			// Unchanged supporters of the old pattern still support it;
-			// only updated transactions can gain or lose the pattern.
-			tids = old.TIDs.Minus(cfg.Updated)
-			support = tids.Count()
-			st.CarriedTIDs += int64(support)
-			count(inter.IntersectWith(cfg.Updated))
-			if support < minSup {
-				return nil
-			}
-			return &pattern.Pattern{Code: c.code, Support: support, TIDs: tids}
+	// scratch state is reused across every transaction tested below. The
+	// matcher roots at the globally rarest label and draws its root
+	// candidates from the transaction's posting lists.
+	matcher := ix.NewMatcher(c.g)
+	psig := index.SigOf(c.g)
+	// Allocation-free walk of the candidate TID words; a fired ticker
+	// stops it early (the partial count is discarded upstream).
+	inter.ForEachUntil(func(tid int) bool {
+		if tick.Hit() {
+			return false
 		}
-	}
-	count(inter)
+		if c.guaranteed.Contains(tid) {
+			tids.Add(tid)
+			support++
+			return true
+		}
+		if !ix.SigDominates(tid, psig) {
+			st.SigPruned++
+			return true
+		}
+		st.IsoTests++
+		if matcher.ContainsPostedTick(s[tid], ix.Lister(tid), tick) {
+			tids.Add(tid)
+			support++
+		}
+		return true
+	})
 	if support < minSup {
-		return nil
+		return nil, BorderEntry{Bound: tids}
 	}
-	return &pattern.Pattern{Code: c.code, Support: support, TIDs: tids}
+	return &pattern.Pattern{Code: c.code, Support: support, TIDs: tids}, BorderEntry{}
 }
 
 // frequentEdges scans s for frequent 1-edge patterns with exact supports

@@ -319,7 +319,7 @@ func TestMergeStatsAccumulate(t *testing.T) {
 // same numbers surfaced through two doors.
 func TestStatsCountersMatchObserver(t *testing.T) {
 	st := &Stats{Candidates: 9, UnitSeeded: 2, Pruned: 5, TriplePruned: 3,
-		DecompPruned: 2, SigPruned: 4, IsoTests: 17, CarriedTIDs: 6, Frequent: 1}
+		DecompPruned: 2, BorderPruned: 1, SigPruned: 4, IsoTests: 17, CarriedTIDs: 6, Frequent: 1}
 	c := &exec.Collector{}
 	reportStats(c, st)
 	got := c.Counters()

@@ -115,3 +115,41 @@ func (t *Tree) Leaves() []*Node {
 	walk(t.Root)
 	return out
 }
+
+// Rebuild returns the partition tree of db given the tree prev of a
+// database that differs from db only at the updated tids: at every node
+// the unchanged graphs' pieces are shared with prev by pointer and only
+// the updated graphs are bisected again. Bisection is deterministic per
+// graph, so the result equals DBPartition(db, prev.K, b) piece for piece
+// at a cost proportional to the update; prev is not modified. b must be
+// the bisector prev was built with.
+func Rebuild(prev *Tree, db graph.Database, updated []int, b Bisector) (*Tree, error) {
+	if len(db) != len(prev.Root.DB) {
+		return nil, fmt.Errorf("partition: rebuild over %d graphs; previous tree has %d", len(db), len(prev.Root.DB))
+	}
+	for _, tid := range updated {
+		if tid < 0 || tid >= len(db) {
+			return nil, fmt.Errorf("partition: updated tid %d out of range [0,%d)", tid, len(db))
+		}
+	}
+	t := &Tree{K: prev.K}
+	var walk func(old *Node, db graph.Database) *Node
+	walk = func(old *Node, db graph.Database) *Node {
+		n := &Node{DB: db, UnitIndex: old.UnitIndex, Level: old.Level}
+		if old.IsLeaf() {
+			t.Units = append(t.Units, db)
+			return n
+		}
+		d0 := append(graph.Database(nil), old.Left.DB...)
+		d1 := append(graph.Database(nil), old.Right.DB...)
+		for _, tid := range updated {
+			p0, p1 := GraphPart2(db[tid], b)
+			d0[tid], d1[tid] = p0.G, p1.G
+		}
+		n.Left, n.Right = walk(old.Left, d0), walk(old.Right, d1)
+		return n
+	}
+	t.Root = walk(prev.Root, db)
+	t.Quality = measureQuality(t, b)
+	return t, nil
+}

@@ -664,9 +664,9 @@ func (s *Server) mine(ctx context.Context, cur *Snapshot, db graph.Database, upd
 			s.recordUnitCosts(inc.UnitTimes)
 			return &inc.Result, false, inc.ReminedUnits, nil
 		}
-		// The incremental path can legitimately refuse (e.g. the update
-		// pattern changed the partition shape); fall through to a full
-		// run rather than failing the batch.
+		// The incremental path can legitimately refuse (e.g. the staged
+		// database differs from the published one outside updatedTIDs);
+		// fall through to a full run rather than failing the batch.
 	}
 	opts := s.opts
 	opts.UnitCosts = costs

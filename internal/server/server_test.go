@@ -280,3 +280,35 @@ func TestRestoreWarmStart(t *testing.T) {
 	}
 	requireFreshEqual(t, s2.Snapshot(), cfg.Mine)
 }
+
+// TestMineFallsBackOnUnlistedChange: core refuses an incremental fold
+// whose database differs from the previous one outside the listed graphs;
+// the server answers with a full re-mine rather than failing the batch or
+// publishing stale carried TIDs.
+func TestMineFallsBackOnUnlistedChange(t *testing.T) {
+	db := testDB(9, 10)
+	cfg := testConfig()
+	s := mustStart(t, db, cfg)
+	cur := s.Snapshot()
+
+	staged := append(graph.Database(nil), cur.DB...)
+	for _, tid := range []int{2, 6} {
+		staged[tid] = staged[tid].Clone()
+		staged[tid].Labels[0] = (staged[tid].Labels[0] + 1) % 3
+	}
+	res, full, remined, err := s.mine(context.Background(), cur, staged, map[int]bool{2: true}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !full || remined != nil {
+		t.Fatalf("an understated changed set was folded incrementally (full=%t remined=%v)", full, remined)
+	}
+	requireFreshEqual(t, &Snapshot{DB: staged, Res: res}, cfg.Mine)
+
+	// With graph 6 listed the same database folds incrementally.
+	res, full, _, err = s.mine(context.Background(), cur, staged, map[int]bool{2: true, 6: true}, false)
+	if err != nil || full {
+		t.Fatalf("a fully listed change did not fold incrementally (full=%t err=%v)", full, err)
+	}
+	requireFreshEqual(t, &Snapshot{DB: staged, Res: res}, cfg.Mine)
+}
