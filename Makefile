@@ -22,7 +22,7 @@ race:
 # iteration — it catches benchmarks broken by refactors without paying for
 # a real measurement run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkGSpanMine|BenchmarkGastonMine|BenchmarkSubgraphIsomorphism|BenchmarkMinDFSCode|BenchmarkPartMinerK2|BenchmarkIndexedSupport|BenchmarkPlannedContains|BenchmarkGenericContains|BenchmarkPlannedFind|BenchmarkBatchedContains|BenchmarkServeUpdateBatch|BenchmarkClusterMine|BenchmarkTraceOverhead|BenchmarkDistTraceOverhead|BenchmarkPartitionStrategies|BenchmarkScheduleCostFirst|BenchmarkScheduleIndexOrder|BenchmarkTIDKernels|BenchmarkDecompMine' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkGSpanMine|BenchmarkGastonMine|BenchmarkSubgraphIsomorphism|BenchmarkMinDFSCode|BenchmarkPartMinerK2|BenchmarkIndexedSupport|BenchmarkPlannedContains|BenchmarkGenericContains|BenchmarkPlannedFind|BenchmarkBatchedContains|BenchmarkServeUpdateBatch|BenchmarkClusterMine|BenchmarkTraceOverhead|BenchmarkDistTraceOverhead|BenchmarkPartitionStrategies|BenchmarkScheduleCostFirst|BenchmarkScheduleIndexOrder|BenchmarkTIDKernels|BenchmarkDecompMine|BenchmarkIncPartMiner' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkInitial|BenchmarkExtensions' -benchtime 1x ./internal/extend/
 
 # bench-json regenerates the current benchmark-trajectory snapshot

@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"partminer/internal/datagen"
+	"partminer/internal/dfscode"
 	"partminer/internal/graph"
 	"partminer/internal/gspan"
+	"partminer/internal/isomorph"
 	"partminer/internal/pattern"
 )
 
@@ -251,4 +253,95 @@ func TestIncPartMinerRejectsUnlistedChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffSets(t, 2, "over-listed", gspan.Mine(shared, gspan.Options{MinSupport: 3, MaxEdges: 3}), inc.Patterns)
+}
+
+// codeOfKey parses a canonical key (dfscode.Code.Key) back into its code.
+func codeOfKey(t *testing.T, key string) dfscode.Code {
+	t.Helper()
+	var code dfscode.Code
+	for _, part := range strings.Split(strings.TrimSuffix(key, ";"), ";") {
+		var e dfscode.EdgeCode
+		if _, err := fmt.Sscanf(part, "%d %d %d %d %d", &e.I, &e.J, &e.LI, &e.LE, &e.LJ); err != nil {
+			t.Fatalf("key %q: %v", key, err)
+		}
+		code = append(code, e)
+	}
+	return code
+}
+
+// TestBorderEntriesSoundPastDecompSize mines to six edges — past the size
+// where merge-join engages the decomposition cover, which for an
+// extension candidate is the one piece grown from its added edge on top
+// of a bound started from its parent's supporters — and holds every
+// border entry of every tree node to a brute-force count over that node's
+// database: the rejected candidate is infrequent there, a bound holds
+// every exact supporter, and a blocker is an infrequent sub-pattern of the
+// candidate. K=2 and K=4 (inner nodes merge at reduced thresholds), serial
+// and pooled.
+func TestBorderEntriesSoundPastDecompSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("brute-force recount of every border entry; skipped with -short")
+	}
+	const minSup, maxEdges = 3, 6
+	for seed := 0; seed < 6; seed++ {
+		db := datagen.Generate(datagen.Config{D: 20, T: 9, N: 4, L: 10, I: 4, Seed: int64(seed)})
+		want := gspan.Mine(db, gspan.Options{MinSupport: minSup, MaxEdges: maxEdges})
+		for _, k := range []int{2, 4} {
+			for _, parallel := range []bool{false, true} {
+				name := fmt.Sprintf("k=%d parallel=%t", k, parallel)
+				res, err := PartMiner(db, Options{MinSupport: minSup, K: k, MaxEdges: maxEdges, Parallel: parallel, Workers: 3})
+				if err != nil {
+					t.Fatalf("seed %d %s: %v", seed, name, err)
+				}
+				diffSets(t, seed, name, want, res.Patterns)
+				if res.MergeStats.DecompPruned == 0 {
+					t.Errorf("seed %d %s: the decomposition cover pruned nothing", seed, name)
+				}
+				for path, border := range res.Borders {
+					node := res.Tree.Root
+					for _, side := range path {
+						if side == '0' {
+							node = node.Left
+						} else {
+							node = node.Right
+						}
+					}
+					nodeSup := ceilDiv(minSup, 1<<uint(node.Level))
+					counted := make(map[string]*pattern.TIDSet)
+					supporters := func(key string, g *graph.Graph) *pattern.TIDSet {
+						if ts, ok := counted[key]; ok {
+							return ts
+						}
+						ts := pattern.NewTIDSet(len(node.DB))
+						for tid, tx := range node.DB {
+							if isomorph.Contains(tx, g) {
+								ts.Add(tid)
+							}
+						}
+						counted[key] = ts
+						return ts
+					}
+					for key, e := range border {
+						cand := codeOfKey(t, key).Graph()
+						tids := supporters(key, cand)
+						if tids.Count() >= nodeSup {
+							t.Fatalf("seed %d %s node %q: rejected %s has support %d >= %d", seed, name, path, key, tids.Count(), nodeSup)
+						}
+						if e.Bound != nil && tids.AndNotCount(e.Bound) != 0 {
+							t.Fatalf("seed %d %s node %q: bound %v of %s misses supporters %v", seed, name, path, e.Bound, key, tids)
+						}
+						if e.Blocker != "" {
+							piece := codeOfKey(t, e.Blocker).Graph()
+							if !isomorph.Contains(cand, piece) {
+								t.Fatalf("seed %d %s node %q: blocker %s is not inside %s", seed, name, path, e.Blocker, key)
+							}
+							if n := supporters(e.Blocker, piece).Count(); n >= nodeSup {
+								t.Fatalf("seed %d %s node %q: blocker %s of %s has support %d >= %d", seed, name, path, e.Blocker, key, n, nodeSup)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"partminer/internal/datagen"
 	"partminer/internal/graph"
 	"partminer/internal/gspan"
 )
@@ -64,5 +65,40 @@ func TestIncPartMinerReusesIndex(t *testing.T) {
 	want := gspan.Mine(newDB, gspan.Options{MinSupport: 3, MaxEdges: 4})
 	if !inc.Patterns.Equal(want) {
 		t.Fatalf("incremental indexed run diverges from gSpan: %v", inc.Patterns.Diff(want))
+	}
+}
+
+// TestMergeCountersAtBenchmarkConfig pins the root merge's work at the
+// benchmark's configuration (D1kT20N20L200I5, seed 7, 4 %, K=2): which
+// candidates are generated, how many survive and how many isomorphism
+// tests they cost do not depend on where a candidate's bound or cover
+// starts. The feature narrowing prunes only candidates without a parent —
+// here the unit-seeded ones — since an extension candidate's bound was
+// held to the threshold when it was generated.
+func TestMergeCountersAtBenchmarkConfig(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mines the 1000-graph benchmark database; skipped with -short")
+	}
+	db := datagen.Generate(datagen.Config{D: 1000, T: 20, N: 20, L: 200, I: 5, Seed: 7})
+	sup := AbsoluteSupport(db, 0.04)
+	res, err := PartMiner(db, Options{MinSupport: sup, K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.MergeStats
+	if len(res.Patterns) != 447 || st.Candidates != 4938 || st.Frequent != 357 || st.IsoTests != 9253 || st.UnitSeeded != 482 {
+		t.Errorf("patterns %d, candidates %d, frequent %d, iso tests %d, unit-seeded %d; want 447, 4938, 357, 9253, 482",
+			len(res.Patterns), st.Candidates, st.Frequent, st.IsoTests, st.UnitSeeded)
+	}
+	narrowedOut := make(map[string]bool)
+	for _, unit := range res.UnitPatterns {
+		for key, p := range unit {
+			if p.Size() > 1 && res.Index.CandidateTIDs(p.Code.Graph()).Count() < sup {
+				narrowedOut[key] = true
+			}
+		}
+	}
+	if st.TriplePruned != int64(len(narrowedOut)) || st.TriplePruned == 0 {
+		t.Errorf("triple_pruned = %d; the feature narrowing rejects %d unit patterns", st.TriplePruned, len(narrowedOut))
 	}
 }

@@ -152,24 +152,16 @@ func NewDecomposer(mined pattern.Set, pieceMax int) *Decomposer {
 func (d *Decomposer) Cover(g *graph.Graph) (tids []*pattern.TIDSet, npieces int, missing string) {
 	n := g.VertexCount()
 	covered := make(map[[2]int]bool, g.EdgeCount())
-	edgeKey := func(u, v int) [2]int {
-		if u > v {
-			u, v = v, u
-		}
-		return [2]int{u, v}
-	}
 	for u := 0; u < n; u++ {
 		for _, e := range g.Adj[u] {
 			if u > e.To || covered[edgeKey(u, e.To)] {
 				continue
 			}
-			piece := d.growPiece(g, u, e.To, covered, edgeKey)
-			key := dfscode.MinCode(piece).Key()
-			p, found := d.mined[key]
-			if !found {
-				return nil, npieces + 1, key
-			}
 			npieces++
+			p, key := d.piece(g, u, e.To, covered)
+			if p == nil {
+				return nil, npieces, key
+			}
 			if p.TIDs != nil {
 				tids = append(tids, p.TIDs)
 			}
@@ -178,12 +170,48 @@ func (d *Decomposer) Cover(g *graph.Graph) (tids []*pattern.TIDSet, npieces int,
 	return tids, npieces, ""
 }
 
+// CoverEdge is Cover cut down to the one piece grown from edge (u, v) of
+// g, for a g that is a known-frequent pattern plus that edge: a piece
+// avoiding the edge lies inside the frequent pattern, so it is mined and
+// its TID set holds every supporter of that pattern — it can neither be
+// missing nor tighten a bound that already starts from those supporters.
+// tids is empty when the piece was mined without TIDs.
+func (d *Decomposer) CoverEdge(g *graph.Graph, u, v int) (tids []*pattern.TIDSet, missing string) {
+	p, key := d.piece(g, u, v, make(map[[2]int]bool, d.pieceMax))
+	if p == nil {
+		return nil, key
+	}
+	if p.TIDs != nil {
+		tids = append(tids, p.TIDs)
+	}
+	return tids, ""
+}
+
+// piece grows the cover piece seeded at edge (u, v) and resolves it in
+// the mined set: the mined pattern, or nil and the piece's canonical key
+// when it is absent.
+func (d *Decomposer) piece(g *graph.Graph, u, v int, covered map[[2]int]bool) (*pattern.Pattern, string) {
+	key := dfscode.MinCode(d.growPiece(g, u, v, covered)).Key()
+	if p, found := d.mined[key]; found {
+		return p, ""
+	}
+	return nil, key
+}
+
+// edgeKey identifies the undirected edge (u, v) in a covered-edge map.
+func edgeKey(u, v int) [2]int {
+	if u > v {
+		u, v = v, u
+	}
+	return [2]int{u, v}
+}
+
 // growPiece grows one connected piece from seed edge (su, sv): a BFS
 // over edges incident to the piece's vertex set, preferring edges not
 // yet covered by an earlier piece so the cover stays small, up to
 // pieceMax edges. Every edge absorbed is marked covered. The returned
 // graph is the piece re-numbered to its own compact vertex space.
-func (d *Decomposer) growPiece(g *graph.Graph, su, sv int, covered map[[2]int]bool, edgeKey func(u, v int) [2]int) *graph.Graph {
+func (d *Decomposer) growPiece(g *graph.Graph, su, sv int, covered map[[2]int]bool) *graph.Graph {
 	type edge struct{ u, v, label int }
 	inPiece := map[int]bool{su: true, sv: true}
 	order := []int{su, sv}
@@ -394,10 +422,7 @@ func checkCandidate(fx *index.FeatureIndex, dec *Decomposer, cg *graph.Graph, co
 	// candidate's own features — cheapest filter first.
 	narrowed := fx.NarrowByFeatures(cg, nil)
 	if narrowed == nil {
-		narrowed = pattern.NewTIDSet(fx.Len())
-		for i := 0; i < fx.Len(); i++ {
-			narrowed.Add(i)
-		}
+		narrowed = pattern.FullTIDSet(fx.Len())
 	}
 	// (2) Cover by mined pieces: a missing piece is infrequent, so the
 	// candidate cannot be frequent.

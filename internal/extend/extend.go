@@ -205,6 +205,37 @@ type Extender struct {
 	// Epoch stamping makes clearing O(1) per embedding.
 	stamp []uint64
 	epoch uint64
+
+	// alphabet is the run's frequent label-triple alphabet, recorded by
+	// Initial or InitialSeeds: the triples that reached their minSup. A
+	// pattern containing any other triple is infrequent at that threshold,
+	// so Extensions drops such extensions unseen. nil (no seeding call
+	// yet) filters nothing.
+	alphabet map[labelTriple]struct{}
+}
+
+// labelTriple is the label triple of an undirected edge, endpoint labels
+// ordered li <= lj.
+type labelTriple struct{ li, le, lj int }
+
+func makeTriple(la, le, lb int) labelTriple {
+	if la > lb {
+		la, lb = lb, la
+	}
+	return labelTriple{la, le, lb}
+}
+
+// tripleOf returns the label triple of a canonical 1-edge code (LI <= LJ).
+func tripleOf(e dfscode.EdgeCode) labelTriple { return labelTriple{e.LI, e.LE, e.LJ} }
+
+// inAlphabet reports whether an extension by an edge with this label
+// triple can be frequent in the run.
+func (x *Extender) inAlphabet(la, le, lb int) bool {
+	if x.alphabet == nil {
+		return true
+	}
+	_, ok := x.alphabet[makeTriple(la, le, lb)]
+	return ok
 }
 
 // NewExtender returns an empty Extender.
@@ -271,44 +302,84 @@ func (x *Extender) IsUsed(v int) bool { return x.used(v) }
 // Initial returns the frequent 1-edge patterns of src (support >= minSup)
 // as candidates whose Edge is the canonical 1-edge code (0,1,li,le,lj)
 // with li <= lj, sorted ascending. Projections include both orientations
-// of symmetric edges, mirroring how MinCode seeds its embeddings.
+// of symmetric edges, mirroring how MinCode seeds its embeddings. The
+// frequent triples become the Extender's alphabet: later Extensions calls
+// must grow over the same source at the same threshold.
+//
+// Supports are counted in a first scan; only the frequent triples get
+// embeddings, allocated at their exact size, in a second.
 func (x *Extender) Initial(src Source, minSup int) []Candidate {
-	type key struct{ li, le, lj int }
-	projs := make(map[key]Projection)
+	// last is one past the last transaction counted into sup, so the zero
+	// tally has counted none.
+	type tally struct{ sup, occ, last int }
+	tallies := make(map[labelTriple]tally)
+	forEachSeedEdge(src, func(tid, _, _ int, t labelTriple) {
+		c := tallies[t]
+		if c.last != tid+1 {
+			c.sup++
+			c.last = tid + 1
+		}
+		c.occ++
+		tallies[t] = c
+	})
+	var out []Candidate
+	for t, c := range tallies {
+		if c.sup < minSup {
+			continue
+		}
+		n := c.occ
+		if t.li == t.lj {
+			n *= 2
+		}
+		out = append(out, Candidate{
+			Edge: dfscode.EdgeCode{I: 0, J: 1, LI: t.li, LE: t.le, LJ: t.lj},
+			Proj: make(Projection, 0, n),
+		})
+	}
+	sort.Slice(out, func(i, j int) bool { return dfscode.Less(out[i].Edge, out[j].Edge) })
+	slot := make(map[labelTriple]int, len(out))
+	for i, c := range out {
+		slot[tripleOf(c.Edge)] = i
+	}
+	forEachSeedEdge(src, func(tid, u, v int, t labelTriple) {
+		i, ok := slot[t]
+		if !ok {
+			return
+		}
+		out[i].Proj = append(out[i].Proj, x.seed(tid, u, v))
+		if t.li == t.lj {
+			out[i].Proj = append(out[i].Proj, x.seed(tid, v, u))
+		}
+	})
+	x.setAlphabet(out)
+	return out
+}
+
+// forEachSeedEdge visits every undirected edge of src once, in transaction
+// order, oriented from its smaller-label endpoint (from the smaller vertex
+// id when the labels are equal).
+func forEachSeedEdge(src Source, fn func(tid, u, v int, t labelTriple)) {
 	for tid := 0; tid < src.Len(); tid++ {
 		g := src.Graph(tid)
 		for u := 0; u < g.VertexCount(); u++ {
 			for _, e := range g.Adj[u] {
 				lu, lv := g.Labels[u], g.Labels[e.To]
-				if lu > lv {
-					continue // count each undirected edge from its smaller-label side
-				}
-				if lu == lv && u > e.To {
-					// Equal labels: both orientations are embeddings of the
-					// same code; enumerate from both directions but only
-					// via the u < e.To guard below to avoid double-adding.
+				if lu > lv || (lu == lv && u > e.To) {
 					continue
 				}
-				k := key{lu, e.Label, lv}
-				projs[k] = append(projs[k], x.seed(tid, u, e.To))
-				if lu == lv {
-					projs[k] = append(projs[k], x.seed(tid, e.To, u))
-				}
+				fn(tid, u, e.To, labelTriple{lu, e.Label, lv})
 			}
 		}
 	}
-	var out []Candidate
-	for k, proj := range projs {
-		if proj.Support() < minSup {
-			continue
-		}
-		out = append(out, Candidate{
-			Edge: dfscode.EdgeCode{I: 0, J: 1, LI: k.li, LE: k.le, LJ: k.lj},
-			Proj: proj,
-		})
+}
+
+// setAlphabet records the triples of the frequent 1-edge candidates as
+// the run's alphabet.
+func (x *Extender) setAlphabet(frequent []Candidate) {
+	x.alphabet = make(map[labelTriple]struct{}, len(frequent))
+	for _, c := range frequent {
+		x.alphabet[tripleOf(c.Edge)] = struct{}{}
 	}
-	sort.Slice(out, func(i, j int) bool { return dfscode.Less(out[i].Edge, out[j].Edge) })
-	return out
 }
 
 // Initial is the standalone form of Extender.Initial for callers without
@@ -336,11 +407,21 @@ type Seed1 struct {
 // its 1-edge pattern, with both orientations seeded for symmetric
 // triples, exactly as Initial would discover them. Seeds must be sorted
 // by (LI, LE, LJ) with occurrences in nondecreasing TID order; entries
-// below minSup are dropped. Feeding only frequent triples (the index
-// knows their supports) skips allocating infrequent embeddings entirely.
+// below minSup are dropped before any embedding is allocated. Like
+// Initial it records the surviving triples as the Extender's alphabet.
 func (x *Extender) InitialSeeds(seeds []Seed1, minSup int) []Candidate {
 	var out []Candidate
 	for _, s := range seeds {
+		sup, last := 0, -1
+		for _, o := range s.Occ {
+			if o.TID != last {
+				sup++
+				last = o.TID
+			}
+		}
+		if sup < minSup {
+			continue
+		}
 		n := len(s.Occ)
 		if s.LI == s.LJ {
 			n *= 2
@@ -352,15 +433,13 @@ func (x *Extender) InitialSeeds(seeds []Seed1, minSup int) []Candidate {
 				proj = append(proj, x.seed(o.TID, o.V, o.U))
 			}
 		}
-		if proj.Support() < minSup {
-			continue
-		}
 		out = append(out, Candidate{
 			Edge: dfscode.EdgeCode{I: 0, J: 1, LI: s.LI, LE: s.LE, LJ: s.LJ},
 			Proj: proj,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return dfscode.Less(out[i].Edge, out[j].Edge) })
+	x.setAlphabet(out)
 	return out
 }
 
@@ -377,6 +456,11 @@ func (x *Extender) InitialSeeds(seeds []Seed1, minSup int) []Candidate {
 // and its used-vertex set is stamped into the visited bitmap, so the
 // per-neighbor work is O(1); forward extensions allocate a single arena
 // node each.
+//
+// Once Initial or InitialSeeds has run on the Extender, an extension whose
+// label triple is outside the alphabet they recorded is skipped before it
+// is bucketed: the grown pattern contains an infrequent edge, so no miner
+// growing at that threshold would keep it.
 //
 // A non-nil tick aborts the embedding scan on cancellation (projections
 // can run to millions of embeddings on dense inputs) and returns the
@@ -413,6 +497,9 @@ func (x *Extender) Extensions(src Source, code dfscode.Code, proj Projection, fo
 					continue
 				}
 				tl, _ := code.VertexLabel(target)
+				if !x.inAlphabet(rmLabel, le, tl) {
+					continue
+				}
 				ec := dfscode.EdgeCode{I: rightmost, J: target, LI: rmLabel, LE: le, LJ: tl}
 				buckets[ec] = append(buckets[ec], m)
 			}
@@ -424,7 +511,7 @@ func (x *Extender) Extensions(src Source, code dfscode.Code, proj Projection, fo
 			sl, _ := code.VertexLabel(srcIdx)
 			sv := verts[srcIdx]
 			for _, e := range g.Adj[sv] {
-				if x.used(e.To) {
+				if x.used(e.To) || !x.inAlphabet(sl, e.Label, g.Labels[e.To]) {
 					continue
 				}
 				ec := dfscode.EdgeCode{I: srcIdx, J: newIdx, LI: sl, LE: e.Label, LJ: g.Labels[e.To]}

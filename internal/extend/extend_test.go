@@ -1,7 +1,10 @@
 package extend
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"partminer/internal/dfscode"
@@ -160,5 +163,128 @@ func TestDBSource(t *testing.T) {
 	}
 	if src.Graph(1) != db[1] {
 		t.Error("Graph should return the underlying graph")
+	}
+}
+
+// seedsByScan builds InitialSeeds' input the way a feature index would:
+// every triple of db (frequent or not), sorted, occurrences in TID order.
+func seedsByScan(db graph.Database) []Seed1 {
+	occ := make(map[labelTriple][]EdgeOcc)
+	for tid, g := range db {
+		for u := 0; u < g.VertexCount(); u++ {
+			for _, e := range g.Adj[u] {
+				lu, lv := g.Labels[u], g.Labels[e.To]
+				if lu > lv || (lu == lv && u > e.To) {
+					continue
+				}
+				t := labelTriple{lu, e.Label, lv}
+				occ[t] = append(occ[t], EdgeOcc{TID: tid, U: u, V: e.To})
+			}
+		}
+	}
+	var seeds []Seed1
+	for t, o := range occ {
+		seeds = append(seeds, Seed1{LI: t.li, LE: t.le, LJ: t.lj, Occ: o})
+	}
+	sort.Slice(seeds, func(i, j int) bool {
+		a, b := seeds[i], seeds[j]
+		if a.LI != b.LI {
+			return a.LI < b.LI
+		}
+		if a.LE != b.LE {
+			return a.LE < b.LE
+		}
+		return a.LJ < b.LJ
+	})
+	return seeds
+}
+
+func sameCandidates(t *testing.T, what string, got, want []Candidate) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d candidates; want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Edge != want[i].Edge {
+			t.Fatalf("%s: candidate %d is %+v; want %+v", what, i, got[i].Edge, want[i].Edge)
+		}
+		if len(got[i].Proj) != len(want[i].Proj) {
+			t.Fatalf("%s: %+v has %d embeddings; want %d", what, want[i].Edge, len(got[i].Proj), len(want[i].Proj))
+		}
+		for j, m := range want[i].Proj {
+			if g := got[i].Proj[j]; g.TID != m.TID || !reflect.DeepEqual(g.Verts(), m.Verts()) {
+				t.Fatalf("%s: %+v embedding %d is tid %d %v; want tid %d %v", what, want[i].Edge, j, g.TID, g.Verts(), m.TID, m.Verts())
+			}
+		}
+	}
+}
+
+// TestExtensionsFilteredByAlphabet grows patterns on 50 seeded databases
+// with enough labels that some triples are infrequent, and holds an
+// Extender seeded by Initial or InitialSeeds to the unfiltered standalone
+// enumeration: at every grown pattern it must return exactly the
+// candidates whose label triple is frequent by a brute count, embeddings
+// and order included.
+func TestExtensionsFilteredByAlphabet(t *testing.T) {
+	dropped := 0
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db := graph.RandomDatabase(rng, 8+rng.Intn(4), 6, 6+rng.Intn(4), 5, 3)
+		src := DB(db)
+		minSup := 3 + rng.Intn(2)
+
+		sup := make(map[labelTriple]int)
+		for _, g := range db {
+			seen := make(map[labelTriple]bool)
+			for u := 0; u < g.VertexCount(); u++ {
+				for _, e := range g.Adj[u] {
+					seen[makeTriple(g.Labels[u], e.Label, g.Labels[e.To])] = true
+				}
+			}
+			for tr := range seen {
+				sup[tr]++
+			}
+		}
+		frequent := func(e dfscode.EdgeCode) bool { return sup[makeTriple(e.LI, e.LE, e.LJ)] >= minSup }
+
+		scanned := NewExtender()
+		seeded := NewExtender()
+		roots := scanned.Initial(src, minSup)
+		sameCandidates(t, "InitialSeeds vs Initial", seeded.InitialSeeds(seedsByScan(db), minSup), roots)
+		for _, c := range roots {
+			if !frequent(c.Edge) {
+				t.Fatalf("seed %d: Initial kept infrequent %+v", seed, c.Edge)
+			}
+		}
+
+		var grow func(code dfscode.Code, proj Projection)
+		grow = func(code dfscode.Code, proj Projection) {
+			var want []Candidate
+			for _, c := range Extensions(src, code, proj, false, nil) {
+				if frequent(c.Edge) {
+					want = append(want, c)
+				} else {
+					dropped++
+				}
+			}
+			got := scanned.Extensions(src, code, proj, false, nil)
+			sameCandidates(t, fmt.Sprintf("seed %d, %v", seed, code), got, want)
+			sameCandidates(t, fmt.Sprintf("seed %d, %v (seeded)", seed, code), seeded.Extensions(src, code, proj, false, nil), want)
+			if len(code) == 3 {
+				return
+			}
+			for _, c := range got {
+				child := append(code.Clone(), c.Edge)
+				if c.Proj.Support() >= minSup && dfscode.IsCanonical(child) {
+					grow(child, c.Proj)
+				}
+			}
+		}
+		for _, c := range roots {
+			grow(dfscode.Code{c.Edge}, c.Proj)
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no extension had an infrequent triple: the filter was never exercised")
 	}
 }

@@ -468,10 +468,7 @@ func (ix *FeatureIndex) Seeds(minSup int) []extend.Seed1 {
 // g occurs nowhere in the database (empty intersection).
 func (ix *FeatureIndex) NarrowByFeatures(g *graph.Graph, into *pattern.TIDSet) *pattern.TIDSet {
 	if into == nil {
-		into = pattern.NewTIDSet(len(ix.db))
-		for i := range ix.db {
-			into.Add(i)
-		}
+		into = pattern.FullTIDSet(len(ix.db))
 	}
 	for v := 0; v < g.VertexCount(); v++ {
 		ts := ix.labelTIDs[g.Labels[v]]

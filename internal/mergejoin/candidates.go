@@ -77,16 +77,14 @@ type tripleExt struct {
 	tids  *pattern.TIDSet
 }
 
-// edgeTriples builds the index from the 1-edge patterns of set.
-func edgeTriples(set pattern.Set) tripleIndex {
+// edgeTriples builds the index from edges, a merge's frequent 1-edge
+// patterns.
+func edgeTriples(edges pattern.Set) tripleIndex {
 	ti := tripleIndex{
 		connect: make(map[[2]int][]tripleExt),
 		pendant: make(map[int][]tripleExt),
 	}
-	for _, p := range set {
-		if p.Size() != 1 {
-			continue
-		}
+	for _, p := range edges {
 		e := p.Code[0]
 		li, le, lj := e.LI, e.LE, e.LJ
 		if li > lj {

@@ -106,13 +106,18 @@ type Stats struct {
 	Pruned int64
 	// TriplePruned counts candidates eliminated by intersecting their own
 	// label/triple TID bitsets (a subset of Pruned), before any
-	// subpattern canonicalization.
+	// subpattern canonicalization. Only candidates without a parent are
+	// counted: an extension candidate's bound starts from its parent's
+	// supporters ∩ the added triple's, which extension generation already
+	// held to the threshold.
 	TriplePruned int64
 	// DecompPruned counts large candidates eliminated by the
 	// decomposition pruner (a subset of Pruned): an edge cover by
 	// already-recovered sub-patterns either misses a piece (the piece is
 	// infrequent, so the candidate is) or the fused intersection of the
-	// pieces' TID sets falls below the threshold.
+	// pieces' TID sets falls below the threshold. An extension candidate
+	// is covered by the one piece grown from its added edge; a candidate
+	// without a parent by pieces over all its edges.
 	DecompPruned int64
 	// SigPruned counts per-transaction isomorphism tests skipped because
 	// the transaction's invariant signature does not dominate the
@@ -237,6 +242,9 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 	for k, p := range cur {
 		result[k] = p
 	}
+	// The frequent 1-edge patterns are the extension alphabet of every
+	// level.
+	triples := edgeTriples(cur)
 
 	// fset tracks Fᵏ — the joined (spanning) patterns — for the paper's
 	// join bookkeeping. At level 1 it is empty (the paper starts joins at
@@ -288,7 +296,6 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 				joinSets(cands, fs, fs) // C3
 			}
 		} else {
-			triples := edgeTriples(result)
 			for _, q := range cur {
 				if tick.Hit() {
 					break
@@ -299,7 +306,7 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 				}
 				qKey := q.Code.Key()
 				for _, ext := range extensions(q.Code.Graph(), triples, q.TIDs, minSup, qUpd) {
-					addExtensionCandidate(cands, ext, qKey, qUpd, tick)
+					addExtensionCandidate(cands, ext, qKey, q.TIDs, qUpd, tick)
 				}
 			}
 			if incremental {
@@ -388,7 +395,7 @@ func (lv *level) verifyAll(ctx context.Context, cands map[string]*candidate) (pa
 		}
 	}
 
-	out := make(pattern.Set, len(items)/2)
+	out := make(pattern.Set)
 	total := Stats{Candidates: int64(len(items)), UnitSeeded: unitSeeded}
 	// Per-candidate verification timing feeds the "merge.verify"
 	// histogram/span aggregation. Timed inline (no defer closures) and
@@ -476,20 +483,24 @@ type candidate struct {
 	// Apriori check.
 	parentKey      string
 	addedU, addedV int
-	// updSide is set for extension candidates generated in incremental
-	// mode: the parent's supporters among the updated transactions and the
-	// added triple's supporters. A supporter of the candidate that is an
-	// updated transaction lies in their intersection, which is the
-	// updated-side bound a negative-border entry is rechecked with.
-	updSide [2]*pattern.TIDSet
+	// parentTIDs and addedTIDs are the parent's supporters and those of
+	// the added edge's label triple, set for extension candidates whose
+	// parent tracks TIDs. Every supporter of the candidate lies in both,
+	// so their intersection is where its bound starts, and the parent
+	// being frequent leaves only sub-patterns through the added edge to
+	// check.
+	parentTIDs, addedTIDs *pattern.TIDSet
+	// parentUpd, set in incremental mode, is parentTIDs among the updated
+	// transactions: parentUpd ∩ addedTIDs is the updated-side bound a
+	// negative-border entry is rechecked with.
+	parentUpd *pattern.TIDSet
 }
 
 func addUnitCandidate(cands map[string]*candidate, p *pattern.Pattern, n int) {
-	g := p.Code.Graph()
 	key := p.Code.Key()
 	c, ok := cands[key]
 	if !ok {
-		c = &candidate{g: g, code: p.Code.Clone(), guaranteed: pattern.NewTIDSet(n)}
+		c = &candidate{g: p.Code.Graph(), code: p.Code.Clone(), guaranteed: pattern.NewTIDSet(n)}
 		cands[key] = c
 	}
 	if p.TIDs != nil {
@@ -522,10 +533,11 @@ func addCandidate(cands map[string]*candidate, g *graph.Graph, tids *pattern.TID
 
 // addExtensionCandidate registers an extension candidate built by
 // extensions(): the added edge is by construction the last one inserted
-// into ext, so the parent pattern and the added-edge endpoints travel with
-// the candidate to cheapen its Apriori check. The candidate keeps ext's
-// own vertex numbering (an isomorphic relabeling of the canonical form).
-func addExtensionCandidate(cands map[string]*candidate, ext extCandidate, parentKey string, parentUpd *pattern.TIDSet, tick *exec.Ticker) {
+// into ext, so the parent pattern, its supporters and the added-edge
+// endpoints travel with the candidate to cheapen its check. The candidate
+// keeps ext's own vertex numbering (an isomorphic relabeling of the
+// canonical form).
+func addExtensionCandidate(cands map[string]*candidate, ext extCandidate, parentKey string, parentTIDs, parentUpd *pattern.TIDSet, tick *exec.Ticker) {
 	code := dfscode.MinCodeTick(ext.g, tick)
 	key := code.Key()
 	if _, ok := cands[key]; ok {
@@ -539,34 +551,36 @@ func addExtensionCandidate(cands map[string]*candidate, ext extCandidate, parent
 		addedU:     ext.u,
 		addedV:     ext.v,
 	}
-	if parentUpd != nil && ext.tids != nil {
-		c.updSide = [2]*pattern.TIDSet{parentUpd, ext.tids}
+	if parentTIDs != nil && ext.tids != nil {
+		c.parentTIDs, c.addedTIDs, c.parentUpd = parentTIDs, ext.tids, parentUpd
 	}
 	cands[key] = c
 }
 
 // check verifies one candidate with a filter chain ordered by
 // cost: (1) the candidate's own label/triple TID bitsets from the feature
-// index bound its support before any subpattern canonicalization; (2)
-// Apriori pruning (every connected one-edge-removed subpattern must be
-// frequent) narrows the TID intersection further; (3) per transaction,
-// signature domination must hold before an exact (posted, rarest-root)
-// VF2 test runs. In incremental mode (cfg.Old/cfg.Updated set) the
-// supporters of a previously frequent pattern among unchanged
-// transactions carry over without testing, and (0) a candidate that is
-// not previously frequent but sits in the previous merge's negative
-// border is pruned ahead of the whole chain while its entry still holds.
-// It returns the verified pattern, or nil and the border entry saying why
-// the candidate is infrequent.
+// index bound its support before any subpattern canonicalization — an
+// extension candidate starts instead from its parent's supporters ∩ the
+// added triple's, a subset of that narrowing which extension generation
+// already held to the threshold; (2) Apriori pruning (every connected
+// one-edge-removed subpattern must be frequent) narrows the TID
+// intersection further; (3) per transaction, signature domination must
+// hold before an exact (posted, rarest-root) VF2 test runs. In incremental
+// mode (cfg.Old/cfg.Updated set) the supporters of a previously frequent
+// pattern among unchanged transactions carry over without testing, and
+// (0) a candidate that is not previously frequent but sits in the
+// previous merge's negative border is pruned ahead of the whole chain
+// while its entry still holds. It returns the verified pattern, or nil
+// and the border entry saying why the candidate is infrequent.
 func (lv *level) check(key string, c *candidate, st *Stats) (*pattern.Pattern, BorderEntry) {
 	s, cur, minSup, cfg, dec, tick := lv.s, lv.cur, lv.minSup, lv.cfg, lv.dec, lv.tick
 	var old *pattern.Pattern
 	if cfg.Old != nil && cfg.Updated != nil {
 		old = cfg.Old[key]
 		if e, ok := cfg.OldBorder[key]; ok && old == nil {
-			updSide := c.updSide[:]
-			if updSide[0] == nil {
-				updSide = []*pattern.TIDSet{cfg.Updated}
+			updSide := []*pattern.TIDSet{cfg.Updated}
+			if c.parentUpd != nil {
+				updSide = []*pattern.TIDSet{c.parentUpd, c.addedTIDs}
 			}
 			if e, holds := e.recheck(lv.result, cfg.Updated, updSide, minSup); holds {
 				st.BorderPruned++
@@ -575,26 +589,39 @@ func (lv *level) check(key string, c *candidate, st *Stats) (*pattern.Pattern, B
 			}
 		}
 	}
-	// Supporters of the candidate contain each of its vertex labels and
-	// edge triples, so the inverted-index intersection bounds the support
-	// from above — cheap enough to run before the Apriori check, sparing
-	// its subpattern canonicalizations when it fails. (MergeContext
-	// guarantees the index.)
 	ix := cfg.Index
-	inter := ix.CandidateTIDs(c.g)
-	if inter.Count() < minSup {
-		st.TriplePruned++
-		st.Pruned++
-		return nil, BorderEntry{Bound: inter}
+	var inter *pattern.TIDSet
+	if c.parentTIDs != nil {
+		// extensions() held this intersection to minSup.
+		inter = c.parentTIDs.Intersect(c.addedTIDs)
+	} else {
+		// Supporters of the candidate contain each of its vertex labels
+		// and edge triples, so the inverted-index intersection bounds the
+		// support from above — cheap enough to run before the Apriori
+		// check, sparing its subpattern canonicalizations when it fails.
+		// (MergeContext guarantees the index.)
+		inter = ix.CandidateTIDs(c.g)
+		if inter.Count() < minSup {
+			st.TriplePruned++
+			st.Pruned++
+			return nil, BorderEntry{Bound: inter}
+		}
 	}
 	if dec != nil {
 		// Decomposition pruner for large candidates: cover the candidate
 		// with already-recovered pieces. A missing piece proves the
 		// candidate infrequent before any subpattern canonicalization;
 		// otherwise the fused k-way intersect+popcount over the pieces'
-		// exact TID sets (plus the feature narrowing above) bounds the
-		// support in one pass over the bitset words.
-		pieces, _, missing := dec.Cover(c.g)
+		// exact TID sets (plus the bound above) bounds the support in one
+		// pass over the bitset words. With a frequent parent behind the
+		// bound, the piece through the added edge is the whole cover.
+		var pieces []*pattern.TIDSet
+		var missing string
+		if c.parentTIDs != nil {
+			pieces, missing = dec.CoverEdge(c.g, c.addedU, c.addedV)
+		} else {
+			pieces, _, missing = dec.Cover(c.g)
+		}
 		if missing != "" {
 			st.DecompPruned++
 			st.Pruned++

@@ -143,6 +143,18 @@ func NewTIDSet(n int) *TIDSet {
 	return &TIDSet{words: make([]uint64, (n+63)/64)}
 }
 
+// FullTIDSet returns the set {0, …, n-1}, filled a word at a time.
+func FullTIDSet(n int) *TIDSet {
+	t := NewTIDSet(n)
+	for i := range t.words {
+		t.words[i] = ^uint64(0)
+	}
+	if r := n % 64; r != 0 {
+		t.words[len(t.words)-1] = 1<<r - 1
+	}
+	return t
+}
+
 // Add inserts tid.
 func (t *TIDSet) Add(tid int) {
 	w := tid / 64

@@ -101,6 +101,18 @@ func TestTIDSetOps(t *testing.T) {
 	}
 }
 
+func TestFullTIDSet(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 128, 1000} {
+		want := NewTIDSet(n)
+		for i := 0; i < n; i++ {
+			want.Add(i)
+		}
+		if got := FullTIDSet(n); !got.Equal(want) || got.Count() != n {
+			t.Errorf("FullTIDSet(%d) = %v", n, got)
+		}
+	}
+}
+
 func TestTIDSetProperties(t *testing.T) {
 	f := func(xs []uint16) bool {
 		s := NewTIDSet(0)
