@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-json bench-diff benchmark benchmark-smoke serve-smoke obs-smoke part-smoke cluster-smoke check clean
+.PHONY: all build vet test race bench-smoke benchmark benchmark-smoke dist-example serve-smoke obs-smoke part-smoke cluster-smoke check clean
 
 all: check
 
@@ -18,25 +18,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench-smoke compiles and runs every tracked micro-benchmark for a single
-# iteration — it catches benchmarks broken by refactors without paying for
-# a real measurement run.
+# bench-smoke compiles and runs, for a single iteration, the
+# micro-benchmarks that `go run ./benchmark` has no rung for — it catches
+# benchmarks broken by refactors without paying for a measurement run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkGSpanMine|BenchmarkGastonMine|BenchmarkSubgraphIsomorphism|BenchmarkMinDFSCode|BenchmarkPartMinerK2|BenchmarkIndexedSupport|BenchmarkPlannedContains|BenchmarkGenericContains|BenchmarkPlannedFind|BenchmarkBatchedContains|BenchmarkServeUpdateBatch|BenchmarkClusterMine|BenchmarkTraceOverhead|BenchmarkDistTraceOverhead|BenchmarkPartitionStrategies|BenchmarkScheduleCostFirst|BenchmarkScheduleIndexOrder|BenchmarkTIDKernels|BenchmarkDecompMine|BenchmarkIncPartMiner' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkMinDFSCode|BenchmarkTIDKernels|BenchmarkDecompMine|BenchmarkIncPartMiner' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkInitial|BenchmarkExtensions' -benchtime 1x ./internal/extend/
-
-# bench-json regenerates the current benchmark-trajectory snapshot
-# (BENCH_PR10.json) at full benchtime, embedding the recorded pre-change
-# baseline for side-by-side comparison.
-bench-json:
-	$(GO) run ./cmd/benchrunner -benchjson BENCH_PR10.json -label pr10-disttrace -baseline BENCH_PR10_BASELINE.json
-
-# bench-diff gates allocs/op against the recorded baseline without running
-# any benchmarks: it compares the committed BENCH_PR10.json snapshot to
-# BENCH_PR10_BASELINE.json and fails on a >10% regression. Re-record the
-# snapshot with bench-json after intentional changes.
-bench-diff:
-	$(GO) run ./cmd/benchrunner -diff BENCH_PR10.json -baseline BENCH_PR10_BASELINE.json
 
 # benchmark runs the repository's end-to-end benchmark (benchmark/README.md):
 # four workloads, seven metrics each, about 24 s per workload, on an
@@ -48,6 +35,13 @@ benchmark:
 
 benchmark-smoke:
 	$(GO) run ./benchmark -smoke -seconds 2
+
+# dist-example mines through three in-process workers dialed by address
+# (partminer.DialWorkers) and exits non-zero unless the result equals a
+# local run: the only driver of the static-membership fleet outside
+# internal/cluster's tests.
+dist-example:
+	$(GO) run ./examples/distributed
 
 # serve-smoke boots partserved on an ephemeral port, exercises every HTTP
 # endpoint with curl, and checks the answers (see scripts/serve_smoke.sh).
@@ -77,7 +71,7 @@ part-smoke:
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 
-check: build vet race bench-smoke bench-diff benchmark-smoke serve-smoke obs-smoke part-smoke cluster-smoke
+check: build vet race bench-smoke benchmark-smoke dist-example serve-smoke obs-smoke part-smoke cluster-smoke
 
 clean:
 	$(GO) clean ./...

@@ -15,7 +15,6 @@ import (
 	"partminer/internal/fsg"
 	"partminer/internal/gaston"
 	"partminer/internal/graph"
-	"partminer/internal/partition"
 )
 
 // smallScale keeps the per-iteration figure sweeps affordable under
@@ -73,24 +72,15 @@ func BenchmarkAblationUnitMiner(b *testing.B) { benchFigure(b, "ablation-miner")
 
 // ---- substrate micro-benchmarks ----
 //
-// The families recorded in the BENCH_*.json trajectory delegate to the
-// shared bodies in internal/bench so interactive runs and the JSON
-// snapshots measure identical work.
+// Only what the repository's benchmark (go run ./benchmark) has no rung
+// for: canonicalisation, the TID kernels, the growth envelope, the
+// baseline miners, and IncPartMiner at a 40 % round.
 
 func benchDB(n int) graph.Database {
-	if n == 200 {
-		return bench.MicroDB()
-	}
 	return datagen.Generate(datagen.Config{D: n, T: 20, N: 20, L: 200, I: 5, Seed: 7})
 }
 
 func BenchmarkMinDFSCode(b *testing.B) { bench.BenchMinDFSCode(b) }
-
-func BenchmarkSubgraphIsomorphism(b *testing.B) { bench.BenchSubgraphIsomorphism(b) }
-
-func BenchmarkGSpanMine(b *testing.B) { bench.BenchGSpanMine(b) }
-
-func BenchmarkGastonMine(b *testing.B) { bench.BenchGastonMine(b) }
 
 func BenchmarkFSGMine(b *testing.B) {
 	db := benchDB(200)
@@ -120,44 +110,6 @@ func BenchmarkADIMine(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkPartMinerK2(b *testing.B) { bench.BenchPartMinerK2(b) }
-
-func BenchmarkIndexedSupport(b *testing.B) { bench.BenchIndexedSupport(b) }
-
-func BenchmarkPlannedContains(b *testing.B) { bench.BenchPlannedContains(b) }
-
-func BenchmarkGenericContains(b *testing.B) { bench.BenchGenericContains(b) }
-
-func BenchmarkPlannedFind(b *testing.B) { bench.BenchPlannedFind(b) }
-
-func BenchmarkBatchedContains(b *testing.B) { bench.BenchBatchedContains(b) }
-
-func BenchmarkServeUpdateBatch(b *testing.B) { bench.BenchServeUpdateBatch(b) }
-
-func BenchmarkClusterMine(b *testing.B) { bench.BenchClusterMine(b) }
-
-func BenchmarkTraceOverhead(b *testing.B) { bench.BenchTraceOverhead(b) }
-
-// Cluster mining with distributed tracing off vs on: Off must match
-// BenchmarkClusterMine's allocs/op (tracing is free when disabled); On
-// prices remote span capture, serialization, and coordinator grafting.
-func BenchmarkDistTraceOverhead(b *testing.B) {
-	b.Run("Off", bench.BenchDistTraceOverheadOff)
-	b.Run("On", bench.BenchDistTraceOverheadOn)
-}
-
-// One sub-benchmark per registered partition strategy, full PartMiner
-// pipeline on the hub-heavy dataset (identical results, differing cost).
-func BenchmarkPartitionStrategies(b *testing.B) {
-	for _, name := range partition.Names() {
-		b.Run(name, bench.BenchPartitionStrategy(name))
-	}
-}
-
-func BenchmarkScheduleCostFirst(b *testing.B) { bench.BenchScheduleCostFirst(b) }
-
-func BenchmarkScheduleIndexOrder(b *testing.B) { bench.BenchScheduleIndexOrder(b) }
 
 // Fused multi-way TID intersection kernel vs the chained pairwise
 // composition it replaces (clone + IntersectWith chain + Count).

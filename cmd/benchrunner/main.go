@@ -3,24 +3,11 @@
 // on a scaled-down dataset; see DESIGN.md for the experiment index and
 // EXPERIMENTS.md for recorded results.
 //
-// With -benchjson it instead measures the tracked substrate
-// micro-benchmarks (internal/bench.Micros) and writes one point of the
-// benchmark trajectory — a BENCH_*.json snapshot of ns/op, B/op and
-// allocs/op per family — optionally embedding the baseline snapshot it
-// should be compared against.
-//
 // Usage:
 //
 //	benchrunner -fig 14a            # one figure
 //	benchrunner -fig all            # every figure and ablation
 //	benchrunner -fig 16b -d50k 1200 # larger scale
-//	benchrunner -benchjson BENCH_PR3.json -label pr3 -baseline BENCH_PR3_BASELINE.json
-//	benchrunner -diff BENCH_PR3.json -baseline BENCH_PR3_BASELINE.json
-//
-// -diff compares a recorded snapshot against a baseline without running
-// anything, exiting 1 on an allocs/op regression above 10% — the cheap CI
-// gate `make bench-diff` wires into `make check`. When -baseline is
-// omitted the snapshot's embedded baseline is used.
 package main
 
 import (
@@ -38,10 +25,6 @@ func main() {
 	d50k := flag.Int("d50k", bench.DefaultScale.D50k, "graphs standing in for the paper's 50k-graph datasets")
 	d100k := flag.Int("d100k", bench.DefaultScale.D100k, "graphs standing in for the paper's 100k-graph datasets")
 	maxEdges := flag.Int("maxedges", 0, "bound pattern size (0 = unbounded, the paper's setting); set when shrinking the scale far below the defaults")
-	benchJSON := flag.String("benchjson", "", "measure the tracked micro-benchmarks and write a trajectory snapshot to this path (skips figures)")
-	label := flag.String("label", "", "label recorded in the -benchjson snapshot (e.g. the PR name)")
-	baseline := flag.String("baseline", "", "snapshot file whose measurements are embedded as the -benchjson baseline")
-	diff := flag.String("diff", "", "compare this recorded snapshot against -baseline (or its embedded baseline) and exit 1 on >10% allocs/op regression")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -75,22 +58,6 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *diff != "" {
-		if err := diffSnapshots(*diff, *baseline); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchJSON != "" {
-		if err := writeSnapshot(*benchJSON, *label, *baseline); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		return
-	}
-
 	scale := bench.Scale{D50k: *d50k, D100k: *d100k, MaxEdges: *maxEdges}
 	names := []string{*fig}
 	if *fig == "all" {
@@ -104,71 +71,4 @@ func main() {
 		}
 		t.Fprint(os.Stdout)
 	}
-}
-
-// maxAllocsRegression is the bench-diff gate: allocs/op may not grow more
-// than this fraction over the recorded baseline.
-const maxAllocsRegression = 0.10
-
-// diffSnapshots loads a recorded snapshot and its baseline and fails on
-// any allocs/op regression beyond the gate.
-func diffSnapshots(snapPath, baselinePath string) error {
-	snap, err := loadSnapshotFile(snapPath)
-	if err != nil {
-		return err
-	}
-	base := bench.Snapshot{Results: snap.Baseline}
-	if baselinePath != "" {
-		if base, err = loadSnapshotFile(baselinePath); err != nil {
-			return err
-		}
-	}
-	if len(base.Results) == 0 {
-		return fmt.Errorf("benchrunner: %s embeds no baseline and no -baseline file was given", snapPath)
-	}
-	regressions := bench.CompareAllocs(snap, base, maxAllocsRegression)
-	if len(regressions) > 0 {
-		for _, r := range regressions {
-			fmt.Fprintln(os.Stderr, r)
-		}
-		return fmt.Errorf("benchrunner: %d allocs/op regression(s) above %.0f%%", len(regressions), maxAllocsRegression*100)
-	}
-	fmt.Printf("bench-diff: %d families within %.0f%% of baseline\n", len(snap.Results), maxAllocsRegression*100)
-	return nil
-}
-
-func loadSnapshotFile(path string) (bench.Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return bench.Snapshot{}, fmt.Errorf("benchrunner: %w", err)
-	}
-	defer f.Close()
-	return bench.LoadSnapshot(f)
-}
-
-// writeSnapshot measures the tracked families and writes the snapshot,
-// embedding the baseline file's measurements when one is given.
-func writeSnapshot(path, label, baselinePath string) error {
-	snap := bench.RunMicros(label, os.Stderr)
-	if baselinePath != "" {
-		f, err := os.Open(baselinePath)
-		if err != nil {
-			return fmt.Errorf("benchrunner: %w", err)
-		}
-		base, err := bench.LoadSnapshot(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		snap.Baseline = base.Results
-	}
-	out, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("benchrunner: %w", err)
-	}
-	defer out.Close()
-	if err := snap.Write(out); err != nil {
-		return fmt.Errorf("benchrunner: writing %s: %w", path, err)
-	}
-	return nil
 }

@@ -1,18 +1,16 @@
 // Command partworker runs a unit-mining worker for distributed PartMiner.
 //
-// Standalone mode (no -join): serve the legacy internal/remote Miner
-// service; a coordinator using partminer.DialWorkers ships partition
-// units here by explicit address.
+// A worker serves the cluster Shard service (unit mining with a warm
+// cache, snapshot replicas, replica reads) on -listen. That is all a
+// coordinator with a fixed address list (partminer.DialWorkers) needs.
+// With -join the worker also registers with a partserved coordinator and
+// heartbeats until stopped; the -id is its ring identity there, and
+// restarting under the same -id reclaims exactly the units it owned
+// before.
 //
-// Cluster mode (-join): serve the cluster Shard service (unit mining
-// with a warm cache, snapshot replicas, replica reads), register with
-// the coordinator, and heartbeat until stopped. The -id is the worker's
-// ring identity: restarting under the same -id reclaims exactly the
-// units it owned before.
-//
-// In either mode -metrics-addr opens a dedicated observability listener
-// (mirroring partserved -debug-addr) serving /metrics (the worker's
-// partworker_* registry), /healthz, and /debug/pprof.
+// -metrics-addr opens a dedicated observability listener (mirroring
+// partserved -debug-addr) serving /metrics (the worker's partworker_*
+// registry), /healthz, and /debug/pprof.
 //
 // Usage:
 //
@@ -35,16 +33,15 @@ import (
 
 	"partminer/internal/cluster"
 	"partminer/internal/obs"
-	"partminer/internal/remote"
 )
 
 func main() {
 	listen := flag.String("listen", ":4100", "address to listen on (use :0 for an ephemeral port)")
 	portFile := flag.String("portfile", "", "write the bound address to this file once listening (for scripts)")
-	join := flag.String("join", "", "coordinator address to register with (enables cluster mode)")
-	id := flag.String("id", "", "stable ring identity in cluster mode (default: worker-<pid>)")
+	join := flag.String("join", "", "coordinator address to register and heartbeat with (none when empty)")
+	id := flag.String("id", "", "stable ring identity at the coordinator (default: worker-<pid>)")
 	advertise := flag.String("advertise", "", "address advertised to the coordinator (default: the bound listener address)")
-	heartbeat := flag.Duration("heartbeat", 0, "heartbeat period in cluster mode (0 = 2s default)")
+	heartbeat := flag.Duration("heartbeat", 0, "heartbeat period after -join (0 = 2s default)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (off when empty)")
 	metricsPortFile := flag.String("metrics-portfile", "", "write the bound metrics address to this file once listening (for scripts)")
 	flag.Parse()
@@ -67,24 +64,6 @@ func main() {
 		l.Close()
 	}()
 
-	if *join == "" {
-		// Standalone mode has no Worker (and so no shard instruments); the
-		// observability listener still serves healthz/pprof and an empty
-		// registry so probes work uniformly across modes.
-		if err := serveMetrics(ctx, *metricsAddr, *metricsPortFile, obs.NewRegistry()); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "partworker: mining units on %s\n", l.Addr())
-		if err := remote.Serve(l); err != nil {
-			if ctx.Err() != nil {
-				fmt.Fprintln(os.Stderr, "partworker: shutting down")
-				return
-			}
-			fatal(err)
-		}
-		return
-	}
-
 	if *id == "" {
 		*id = fmt.Sprintf("worker-%d", os.Getpid())
 	}
@@ -97,11 +76,14 @@ func main() {
 	if w.Advertise == "" {
 		w.Advertise = l.Addr().String()
 	}
-	if err := w.Join(*join); err != nil {
-		fatal(fmt.Errorf("join %s: %w", *join, err))
+	fmt.Fprintf(os.Stderr, "partworker: %s serving shards on %s\n", *id, l.Addr())
+	if *join != "" {
+		if err := w.Join(*join); err != nil {
+			fatal(fmt.Errorf("join %s: %w", *join, err))
+		}
+		fmt.Fprintf(os.Stderr, "partworker: joined %s\n", *join)
 	}
 	defer w.Close()
-	fmt.Fprintf(os.Stderr, "partworker: %s serving shards on %s, joined %s\n", *id, l.Addr(), *join)
 	if err := w.Serve(l); err != nil {
 		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "partworker: shutting down")

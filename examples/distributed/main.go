@@ -5,7 +5,8 @@
 //
 // This example starts three workers inside the same process (stand-ins
 // for `partworker -listen ...` running on other machines), mines through
-// them, and verifies the distributed result against a local run.
+// them, and verifies the distributed result against a local run. The
+// fleet is a fixed address list: no coordinator listener, no heartbeats.
 //
 //	go run ./examples/distributed
 package main
@@ -17,7 +18,7 @@ import (
 	"time"
 
 	"partminer"
-	"partminer/internal/remote"
+	"partminer/internal/cluster"
 )
 
 func main() {
@@ -30,7 +31,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer l.Close()
-		go remote.Serve(l) //nolint:errcheck
+		go cluster.NewWorker(l.Addr().String()).Serve(l) //nolint:errcheck // returns when the listener closes
 		addrs = append(addrs, l.Addr().String())
 	}
 	fmt.Printf("worker fleet: %v\n\n", addrs)
@@ -48,15 +49,17 @@ func main() {
 
 	t0 := time.Now()
 	dist, err := partminer.Mine(db, partminer.Options{
-		MinSupport: sup,
-		K:          6,
-		Parallel:   true, // units fan out across the fleet concurrently
-		UnitMiner:  pool.MineUnit,
+		MinSupport:       sup,
+		K:                6,
+		Parallel:         true,          // units fan out across the fleet concurrently
+		UnitMinerIndexed: pool.MineUnit, // unit i goes to its ring owner
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	distTime := time.Since(t0)
+	// A worker failure would not have cost exactness — the unit fails over,
+	// at worst to a local mine — so it has to be asked for.
 	if err := pool.Err(); err != nil {
 		log.Fatalf("worker failure: %v", err)
 	}

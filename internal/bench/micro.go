@@ -1,282 +1,24 @@
 package bench
 
-// micro.go hosts the substrate micro-benchmarks as reusable bodies, so the
-// same code backs `go test -bench` (via the root bench_test.go) and the
-// benchmark-trajectory snapshots cmd/benchrunner writes to BENCH_*.json.
-// Keeping one body per benchmark family guarantees the JSON trajectory and
-// the interactive runs measure identical work.
+// micro.go hosts the bodies of the micro-benchmark families the
+// repository's benchmark (go run ./benchmark) has no rung for: no
+// workload isolates canonicalisation or the TID kernels, and none
+// engages the growth envelope. The root bench_test.go runs them under
+// `go test -bench`; `make bench-smoke` runs each for one iteration.
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"math/rand"
-	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
-	"partminer/internal/cluster"
 	"partminer/internal/core"
-	"partminer/internal/datagen"
 	"partminer/internal/dfscode"
 	"partminer/internal/gaston"
 	"partminer/internal/graph"
-	"partminer/internal/gspan"
-	"partminer/internal/index"
-	"partminer/internal/isomorph"
-	"partminer/internal/obs"
-	"partminer/internal/partition"
 	"partminer/internal/pattern"
-	"partminer/internal/plan"
-	"partminer/internal/query"
-	"partminer/internal/server"
 )
-
-// MicroDB returns the shared 200-graph dataset the substrate
-// micro-benchmarks mine (cached across calls).
-func MicroDB() graph.Database {
-	return dataset(datagen.Config{D: 200, T: 20, N: 20, L: 200, I: 5, Seed: 7})
-}
-
-// MicroSupport is the absolute support the mining micro-benchmarks use
-// (the paper's 4% threshold over MicroDB).
-func MicroSupport() int {
-	return core.AbsoluteSupport(MicroDB(), 0.04)
-}
-
-// HubDB returns the hub-heavy dataset (power-law degree skew via the
-// datagen hub knobs) that the partition-strategy and scheduling
-// benchmarks run on: its unit-size skew is the regime strategy choice
-// and cost-first scheduling actually change.
-func HubDB() graph.Database {
-	return dataset(datagen.Config{D: 120, T: 24, N: 12, L: 60, I: 4, Seed: 7, Hubs: 3, DegreeExponent: 2})
-}
-
-// HubSupport is the absolute support for the hub-heavy benchmarks.
-func HubSupport() int {
-	return core.AbsoluteSupport(HubDB(), 0.06)
-}
-
-// SchedDB returns the larger hub-heavy dataset the scheduling A/B runs
-// on. The scheduler can only beat index order when the per-unit cost
-// distribution is skewed AND the heavy unit does not sit at index 0 —
-// at HubDB's low support the hub unit holds ~70% of all unit work and
-// every bisection strategy places it first, so all submission orders
-// tie. At a higher support fraction the hub patterns fall out early,
-// cost mass spreads across the tree, and the heaviest unit lands late
-// in index order: the regime cost-first scheduling exists for.
-func SchedDB() graph.Database {
-	return dataset(datagen.Config{D: 1200, T: 24, N: 12, L: 60, I: 4, Seed: 7, Hubs: 3, DegreeExponent: 2})
-}
-
-// SchedSupport is the absolute support for the scheduling A/B (20% of
-// SchedDB — see SchedDB for why it is much higher than HubSupport).
-func SchedSupport() int {
-	return core.AbsoluteSupport(SchedDB(), 0.2)
-}
-
-// hubMaxEdges caps pattern size for the hub-heavy families. Hub graphs
-// at unit-level support (sup/k) grow patterns without bound, so an
-// uncapped run is not a benchmark — it is a combinatorial explosion.
-// The figure sweeps cap identically (see Scale.MaxEdges).
-const hubMaxEdges = 4
-
-// MicroIndex returns MicroDB's feature index (cached: the index is a
-// once-per-database artifact, so the mining benchmarks measure indexed
-// mining, not index construction).
-func MicroIndex() *index.FeatureIndex {
-	microIxOnce.Do(func() { microIx = index.Build(MicroDB()) })
-	return microIx
-}
-
-var (
-	microIxOnce sync.Once
-	microIx     *index.FeatureIndex
-)
-
-// BenchGSpanMine mines MicroDB with gSpan once per iteration, seeding
-// 1-edge projections from the shared feature index.
-func BenchGSpanMine(b *testing.B) {
-	db, sup, ix := MicroDB(), MicroSupport(), MicroIndex()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gspan.Mine(db, gspan.Options{MinSupport: sup, Index: ix})
-	}
-}
-
-// BenchGastonMine mines MicroDB with Gaston (DFS-code engine), seeding
-// 1-edge projections from the shared feature index.
-func BenchGastonMine(b *testing.B) {
-	db, sup, ix := MicroDB(), MicroSupport(), MicroIndex()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gaston.Mine(db, gaston.Options{MinSupport: sup, Index: ix})
-	}
-}
-
-// BenchIndexedSupport measures the indexed support-counting path — feature
-// narrowing, signature domination, then posted VF2 — over a fixed slice of
-// mined patterns.
-func BenchIndexedSupport(b *testing.B) {
-	db, sup, ix := MicroDB(), MicroSupport(), MicroIndex()
-	set := gspan.Mine(db, gspan.Options{MinSupport: sup, Index: ix})
-	var pats []*graph.Graph
-	for _, key := range set.Keys() {
-		if p := set[key]; p.Size() >= 2 {
-			pats = append(pats, p.Code.Graph())
-		}
-		if len(pats) == 16 {
-			break
-		}
-	}
-	if len(pats) == 0 {
-		b.Fatal("no multi-edge frequent patterns in MicroDB")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ix.Support(pats[i%len(pats)]) < 1 {
-			b.Fatal("frequent pattern reported unsupported")
-		}
-	}
-}
-
-// microQuerySetup lazily builds the shared read-path fixtures: MicroDB's
-// mined pattern set, a plan-enabled and a plan-disabled containment
-// index over it, compiled plans, and the query pools. Cached — the
-// planned/generic containment families must measure query evaluation,
-// not index construction, and must run against identical structures.
-func microQuerySetup() {
-	microQueryOnce.Do(func() {
-		db, sup, ix := MicroDB(), MicroSupport(), MicroIndex()
-		set := gspan.Mine(db, gspan.Options{MinSupport: sup, Index: ix})
-		microPlanIx = query.IndexFromPatterns(db, ix, set, query.IndexOptions{MinSupport: sup})
-		microGenericIx = query.IndexFromPatterns(db, ix, set, query.IndexOptions{MinSupport: sup, PlanMaxEdges: -1, CacheSize: -1})
-		for _, key := range set.Keys() {
-			p := set[key]
-			if p.Size() >= 2 {
-				microQueries = append(microQueries, p.Code.Graph())
-				microPlans = append(microPlans, plan.CompilePattern(p, ix))
-			}
-			if len(microQueries) == 32 {
-				break
-			}
-		}
-		// The batched pool mixes plan-hit queries with ad-hoc near-miss
-		// mutations (a pendant edge grown on a mined pattern), the mix a
-		// batch from real traffic carries.
-		microBatch = append(microBatch, microQueries[:12]...)
-		for i := 0; i < 4; i++ {
-			q := microQueries[i].Clone()
-			v := q.AddVertex(i % 3)
-			q.MustAddEdge(0, v, i%2)
-			microBatch = append(microBatch, q)
-		}
-	})
-}
-
-var (
-	microQueryOnce sync.Once
-	microPlanIx    *query.Index
-	microGenericIx *query.Index
-	microQueries   []*graph.Graph
-	microPlans     []*plan.Plan
-	microBatch     []*graph.Graph
-)
-
-// BenchPlannedContains measures the planned containment hot path — what
-// /v1/contains runs after PR 7 for a query matching a mined pattern:
-// canonicalize, look the compiled plan up, answer from its exact TID
-// set. Compare with BenchGenericContains (the pre-plan path on identical
-// queries) for the headline speedup.
-func BenchPlannedContains(b *testing.B) {
-	microQuerySetup()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := microQueries[i%len(microQueries)]
-		tids, st := microPlanIx.Find(q)
-		if !st.PlanHit {
-			b.Fatal("mined-pattern query missed the plan table")
-		}
-		if len(tids) == 0 {
-			b.Fatal("frequent pattern reported unsupported")
-		}
-	}
-}
-
-// BenchGenericContains measures the generic filter-verify containment
-// path (plans and cache disabled) on the same queries — the pre-PR-7
-// read hot path and BenchPlannedContains's baseline.
-func BenchGenericContains(b *testing.B) {
-	microQuerySetup()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := microQueries[i%len(microQueries)]
-		tids, st := microGenericIx.Find(q)
-		if st.PlanHit || st.CacheHit {
-			b.Fatal("generic index served a plan/cache hit")
-		}
-		if len(tids) == 0 {
-			b.Fatal("frequent pattern reported unsupported")
-		}
-	}
-}
-
-// BenchPlannedFind measures the compiled-plan execution machinery
-// itself: one full SupportTIDs evaluation — bitset narrowing, signature
-// domination, then the planned match (static order + symmetry breaking +
-// posted candidates) per surviving transaction. This is the work a plan
-// does when its TID set is not known in advance (ad-hoc compilation),
-// lower-bounding plan-based matching against the generic VF2 numbers.
-func BenchPlannedFind(b *testing.B) {
-	microQuerySetup()
-	ix := MicroIndex()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pl := microPlans[i%len(microPlans)]
-		if pl.SupportTIDs(ix).Count() == 0 {
-			b.Fatal("frequent pattern reported unsupported")
-		}
-	}
-}
-
-// BenchBatchedContains measures one 16-query ContainsBatch against a
-// snapshot: a dozen plan hits plus four ad-hoc near-misses that settle
-// into the epoch's result cache after the first iteration — the
-// amortized per-batch cost a /v1/contains batch client observes (minus
-// HTTP).
-func BenchBatchedContains(b *testing.B) {
-	microQuerySetup()
-	snap := &server.Snapshot{DB: MicroDB(), Search: microPlanIx}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tids, _ := snap.ContainsBatch(microBatch)
-		if len(tids) != len(microBatch) {
-			b.Fatal("batch answer count mismatch")
-		}
-	}
-}
-
-// BenchSubgraphIsomorphism runs one containment test per iteration.
-func BenchSubgraphIsomorphism(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	target := graph.RandomConnected(rng, 0, 20, 30, 4, 3)
-	pat := graph.RandomConnected(rng, 1, 4, 4, 4, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		isomorph.Contains(target, pat)
-	}
-}
 
 // BenchMinDFSCode canonicalizes a pool of random connected graphs.
 func BenchMinDFSCode(b *testing.B) {
@@ -293,332 +35,6 @@ func BenchMinDFSCode(b *testing.B) {
 		}
 	}
 }
-
-// BenchPartMinerK2 runs the full two-unit PartMiner pipeline.
-func BenchPartMinerK2(b *testing.B) {
-	db, sup := MicroDB(), MicroSupport()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.PartMiner(db, core.Options{MinSupport: sup, K: 2}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchClusterMine runs the full PartMiner pipeline with unit mining
-// sharded over an in-process three-worker cluster (real RPC over
-// loopback): database serialization, consistent-hash routing, remote
-// Gaston mines (warm cache hits after the first iteration — the
-// steady-state fold cost), and the local merge-join. The
-// reassigned-units metric reports how many of the K units a single
-// worker death would move — the consistent-hashing churn bound, which
-// must stay within ceil(K/W)+1.
-func BenchClusterMine(b *testing.B) {
-	db, sup := MicroDB(), MicroSupport()
-	const workers, K = 3, 4
-
-	coord := cluster.NewCoordinator(cluster.Config{HeartbeatInterval: time.Minute})
-	defer coord.Close()
-	cl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	go coord.Serve(cl) //nolint:errcheck // returns when the listener closes
-	ids := make([]string, workers)
-	for i := 0; i < workers; i++ {
-		ids[i] = fmt.Sprintf("bench-worker-%d", i)
-		w := cluster.NewWorker(ids[i])
-		wl, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer wl.Close()
-		w.Advertise = wl.Addr().String()
-		go w.Serve(wl) //nolint:errcheck // returns when the listener closes
-		if err := w.Join(cl.Addr().String()); err != nil {
-			b.Fatal(err)
-		}
-		defer w.Close()
-	}
-
-	opts := core.Options{MinSupport: sup, K: K, UnitMinerIndexed: coord.MineUnit}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.PartMiner(db, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Degraded) > 0 {
-			b.Fatalf("degraded units with a healthy fleet: %v", res.Degraded)
-		}
-	}
-	b.StopTimer()
-	if lm := coord.Counters().LocalMines; lm != 0 {
-		b.Fatalf("%d unit mines fell back locally", lm)
-	}
-
-	// Reassignment churn: rebuild the same membership on a bare ring and
-	// remove one worker; only that worker's units may move, and no more
-	// than the ceil(K/W)+1 balance bound.
-	ring := cluster.NewRing(0)
-	for _, id := range ids {
-		ring.Add(id)
-	}
-	before := make(map[string]string, K)
-	for i := 0; i < K; i++ {
-		before[cluster.UnitKey(i)], _ = ring.Owner(cluster.UnitKey(i))
-	}
-	ring.Remove(ids[0])
-	moved := 0
-	for i := 0; i < K; i++ {
-		key := cluster.UnitKey(i)
-		if after, _ := ring.Owner(key); after != before[key] {
-			if before[key] != ids[0] {
-				b.Fatalf("unit %s moved although its owner %s survived", key, before[key])
-			}
-			moved++
-		}
-	}
-	if bound := (K+workers-1)/workers + 1; moved > bound {
-		b.Fatalf("one death moved %d units; churn bound is %d", moved, bound)
-	}
-	b.ReportMetric(float64(moved), "reassigned-units")
-}
-
-// BenchServeUpdateBatch measures PartServe's update-batch fold end to
-// end: one Apply call per iteration — staging the op onto the
-// copy-on-write database, incremental re-mining against a cloned feature
-// index, rebuilding the containment index, and the atomic snapshot swap.
-// This is the latency a /v1/update client observes (minus HTTP).
-func BenchServeUpdateBatch(b *testing.B) {
-	db, sup := MicroDB().Clone(), MicroSupport()
-	s, err := server.Start(context.Background(), db, server.Config{
-		Mine:        core.Options{MinSupport: sup, K: 2},
-		BatchWindow: -1, // fold each Apply immediately; measure one fold per op
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ops := []server.Op{{Kind: server.OpRelabelVertex, TID: i % len(db), U: 0, Label: i % 4}}
-		if _, err := s.Apply(context.Background(), ops); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchPartitionStrategy returns the benchmark body for one registered
-// partition strategy: the full PartMiner pipeline on the hub-heavy
-// dataset. Comparing families across strategies shows each strategy's
-// whole-run cost (partition time + the unit/merge work its cut shape
-// induces); results are identical across all of them by the differential
-// contract, so cost is the entire difference.
-func BenchPartitionStrategy(name string) func(*testing.B) {
-	return func(b *testing.B) {
-		p, err := partition.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		db, sup := HubDB(), HubSupport()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.PartMiner(db, core.Options{MinSupport: sup, K: 4, MaxEdges: hubMaxEdges, Bisector: p}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// benchSchedule is the scheduling A/B body: a K=16 run over SchedDB,
-// warm-starting the cost profile from one measured serial run so the
-// scheduler has real costs to order by. indexOrder=true measures the
-// pre-cost-profile submission order; false the skew-aware largest-first
-// order.
-//
-// The run is serial and the A/B signal is the two extra metrics, not
-// ns/op. On a single-core runner (this trajectory's usual host) workers
-// time-slice one CPU, so no submission order can change the measured
-// phase wall clock — the makespan effect only exists on parallel
-// hardware. Result.ParallelTime's bounded-worker model (Workers set on a
-// serial run) is the faithful stand-in, exactly as the paper derives its
-// §5.1.3 parallel numbers from serially measured unit times:
-//
-//	sched-overhead-x     modeled unit-phase makespan at 3 workers over
-//	                     the perfect-packing ideal (Σ unit times / 3).
-//	                     1.0 is a perfect schedule. The ratio form
-//	                     cancels the run-to-run noise on the absolute
-//	                     unit times (GC and machine jitter move every
-//	                     unit together), so it is the stable A/B
-//	                     number: cost-first sits near 1.05, index order
-//	                     near 1.2 — it pays for heavy units that start
-//	                     last.
-//	parallel-time-ns/op  full Result.ParallelTime (adds the identical
-//	                     partition + merge phases). Improves under
-//	                     cost-first by the makespan delta, but carries
-//	                     the absolute-time noise.
-//
-// ns/op itself measures the same serial mining work for both families;
-// it is tracked for allocs and as the families' cost floor.
-func benchSchedule(b *testing.B, indexOrder bool) {
-	db, sup := SchedDB(), SchedSupport()
-	// MaxEdges 5, not hubMaxEdges: at SchedSupport's high threshold the
-	// pattern lattice is shallow, and one extra edge of headroom keeps
-	// the per-unit costs large enough to schedule around.
-	const workers = 3
-	opts := core.Options{MinSupport: sup, K: 16, MaxEdges: 5, Workers: workers, ScheduleIndexOrder: indexOrder}
-	// Average the cost profile over three warm runs: a single run's
-	// per-unit times carry enough GC jitter to misrank units, and a
-	// misranked profile is a bad schedule for every timed iteration.
-	// This mirrors production, where partserved feeds the scheduler an
-	// EWMA of measured costs across epochs, not one epoch's raw times.
-	var costs []time.Duration
-	for w := 0; w < 3; w++ {
-		warm, err := core.PartMiner(db, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if costs == nil {
-			costs = make([]time.Duration, len(warm.UnitTimes))
-		}
-		for i, d := range warm.UnitTimes {
-			costs[i] += d / 3
-		}
-	}
-	opts.UnitCosts = costs
-	b.ReportAllocs()
-	b.ResetTimer()
-	var parallel time.Duration
-	var overhead float64
-	for i := 0; i < b.N; i++ {
-		r, err := core.PartMiner(db, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pt := r.ParallelTime()
-		parallel += pt
-		var total time.Duration
-		for _, d := range r.UnitTimes {
-			total += d
-		}
-		makespan := pt - r.PartitionTime - r.MergeTime
-		overhead += float64(makespan) * workers / float64(total)
-	}
-	b.ReportMetric(float64(parallel.Nanoseconds())/float64(b.N), "parallel-time-ns/op")
-	b.ReportMetric(overhead/float64(b.N), "sched-overhead-x")
-}
-
-// BenchScheduleCostFirst measures the skew-aware (largest estimated cost
-// first) unit schedule.
-func BenchScheduleCostFirst(b *testing.B) { benchSchedule(b, false) }
-
-// BenchScheduleIndexOrder measures the naive index-order schedule on the
-// identical configuration.
-func BenchScheduleIndexOrder(b *testing.B) { benchSchedule(b, true) }
-
-// BenchTraceOverhead mines the BenchGastonMine workload through the
-// context-aware entry point with observability disabled — no observer and
-// no ambient span, exactly the hot path production takes when tracing is
-// off. Its ns/op against BenchmarkGastonMine in the same snapshot bounds
-// what the instrumentation seams (ObserverFrom lookups, nil-guard timing
-// branches) cost at rest; the budget is 2%.
-func BenchTraceOverhead(b *testing.B) {
-	db, sup, ix := MicroDB(), MicroSupport(), MicroIndex()
-	ctx := obs.ObserverInContext(context.Background(), nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gaston.MineContext(ctx, db, gaston.Options{MinSupport: sup, Index: ix}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchDistTrace mines over the same in-process three-worker fleet as
-// BenchClusterMine, toggling distributed tracing. Off runs the exact
-// untraced cluster hot path — no tracer, no ambient span, empty TraceID
-// on every RPC — so its allocs/op must match BenchmarkClusterMine in the
-// same snapshot (the zero-cost-when-off guarantee for the trace-context
-// plumbing in the cluster proto). On attaches a Tracer to every mine:
-// each worker runs its own per-RPC tracer and ships the serialized
-// subtree back for grafting, so the delta against Off prices the whole
-// distributed-tracing machinery (remote spans, encode/decode, graft).
-func benchDistTrace(b *testing.B, traced bool) {
-	db, sup := MicroDB(), MicroSupport()
-	const workers, K = 3, 4
-
-	coord := cluster.NewCoordinator(cluster.Config{HeartbeatInterval: time.Minute})
-	defer coord.Close()
-	cl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	go coord.Serve(cl) //nolint:errcheck // returns when the listener closes
-	for i := 0; i < workers; i++ {
-		w := cluster.NewWorker(fmt.Sprintf("trace-worker-%d", i))
-		wl, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer wl.Close()
-		w.Advertise = wl.Addr().String()
-		go w.Serve(wl) //nolint:errcheck // returns when the listener closes
-		if err := w.Join(cl.Addr().String()); err != nil {
-			b.Fatal(err)
-		}
-		defer w.Close()
-	}
-
-	opts := core.Options{MinSupport: sup, K: K, UnitMinerIndexed: coord.MineUnit}
-	var tracer *obs.Tracer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx := context.Background()
-		if traced {
-			tracer = obs.NewTracer("bench.distmine")
-			ctx = obs.ObserverInContext(obs.WithSpan(ctx, tracer.Root()), nil)
-		}
-		if _, err := core.MineContext(ctx, db, opts); err != nil {
-			b.Fatal(err)
-		}
-		if traced {
-			tracer.Finish()
-		}
-	}
-	b.StopTimer()
-	if traced {
-		// The last iteration's trace must carry grafted worker subtrees —
-		// the single-flame acceptance check, priced into the On family.
-		found := false
-		var walk func(n *obs.Node)
-		walk = func(n *obs.Node) {
-			if len(n.Name) >= 7 && n.Name[:7] == "worker." {
-				found = true
-			}
-			for _, c := range n.Children {
-				walk(c)
-			}
-		}
-		walk(tracer.Tree())
-		if !found {
-			b.Fatal("traced cluster mine grafted no worker spans")
-		}
-	}
-}
-
-// BenchDistTraceOverheadOff is the untraced arm of benchDistTrace.
-func BenchDistTraceOverheadOff(b *testing.B) { benchDistTrace(b, false) }
-
-// BenchDistTraceOverheadOn is the traced arm of benchDistTrace.
-func BenchDistTraceOverheadOn(b *testing.B) { benchDistTrace(b, true) }
 
 // tidKernelSetup builds the shared operand sets for the TID-kernel
 // families: eight bitsets over a 64k-transaction universe, mirroring a
@@ -763,144 +179,4 @@ func BenchDecompMineEdgeGrowth(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// Micro is one named micro-benchmark family tracked in the BENCH_*.json
-// trajectory.
-type Micro struct {
-	Name  string
-	Bench func(*testing.B)
-}
-
-// Micros lists the tracked families in reporting order. The
-// partition-strategy families are generated from the registry, so a new
-// registered strategy is tracked automatically.
-func Micros() []Micro {
-	micros := []Micro{
-		{"BenchmarkGSpanMine", BenchGSpanMine},
-		{"BenchmarkGastonMine", BenchGastonMine},
-		{"BenchmarkSubgraphIsomorphism", BenchSubgraphIsomorphism},
-		{"BenchmarkMinDFSCode", BenchMinDFSCode},
-		{"BenchmarkPartMinerK2", BenchPartMinerK2},
-		{"BenchmarkIndexedSupport", BenchIndexedSupport},
-		{"BenchmarkPlannedContains", BenchPlannedContains},
-		{"BenchmarkGenericContains", BenchGenericContains},
-		{"BenchmarkPlannedFind", BenchPlannedFind},
-		{"BenchmarkBatchedContains", BenchBatchedContains},
-		{"BenchmarkServeUpdateBatch", BenchServeUpdateBatch},
-		{"BenchmarkClusterMine", BenchClusterMine},
-		{"BenchmarkTraceOverhead", BenchTraceOverhead},
-		{"BenchmarkDistTraceOverhead/Off", BenchDistTraceOverheadOff},
-		{"BenchmarkDistTraceOverhead/On", BenchDistTraceOverheadOn},
-	}
-	for _, name := range partition.Names() {
-		micros = append(micros, Micro{
-			Name:  "BenchmarkPartitionStrategies/" + name,
-			Bench: BenchPartitionStrategy(name),
-		})
-	}
-	micros = append(micros,
-		Micro{"BenchmarkScheduleCostFirst", BenchScheduleCostFirst},
-		Micro{"BenchmarkScheduleIndexOrder", BenchScheduleIndexOrder},
-		Micro{"BenchmarkTIDKernels/Fused", BenchTIDKernelsFused},
-		Micro{"BenchmarkTIDKernels/Chained", BenchTIDKernelsChained},
-		Micro{"BenchmarkDecompMine/Decomp", BenchDecompMineDecomp},
-		Micro{"BenchmarkDecompMine/EdgeGrowth", BenchDecompMineEdgeGrowth},
-	)
-	return micros
-}
-
-// Measurement is one benchmark family's result in a snapshot. Extra
-// carries any custom metrics the body published with b.ReportMetric
-// (e.g. the scheduling families' units-wall-ns/op).
-type Measurement struct {
-	Name        string             `json:"name"`
-	Iterations  int                `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op"`
-	AllocsPerOp int64              `json:"allocs_per_op"`
-	Extra       map[string]float64 `json:"extra,omitempty"`
-}
-
-// Snapshot is one point of the benchmark trajectory: the tracked micro
-// families measured at one commit, optionally alongside the baseline they
-// are compared against (the pre-change numbers for the same families).
-type Snapshot struct {
-	Label    string        `json:"label"`
-	GoOS     string        `json:"goos"`
-	GoArch   string        `json:"goarch"`
-	Results  []Measurement `json:"benchmarks"`
-	Baseline []Measurement `json:"baseline,omitempty"`
-}
-
-// runFamily measures one family with testing.Benchmark three times and
-// pools the runs. testing.Benchmark sizes b.N for roughly one second of
-// measured work, which for the heavier families is only a handful of
-// iterations — too few for a stable mean on a shared machine. Pooling
-// independent runs triples the sample without reaching into the testing
-// package's global benchtime flag.
-func runFamily(bench func(*testing.B)) testing.BenchmarkResult {
-	var total testing.BenchmarkResult
-	extra := make(map[string]float64)
-	for rep := 0; rep < 3; rep++ {
-		r := testing.Benchmark(bench)
-		total.N += r.N
-		total.T += r.T
-		total.MemAllocs += r.MemAllocs
-		total.MemBytes += r.MemBytes
-		for k, v := range r.Extra {
-			extra[k] += v * float64(r.N) // per-op metric → weight by iterations
-		}
-	}
-	for k := range extra {
-		extra[k] /= float64(total.N)
-	}
-	if len(extra) > 0 {
-		total.Extra = extra
-	}
-	return total
-}
-
-// RunMicros measures every tracked family with runFamily (three pooled
-// testing.Benchmark runs) and returns the snapshot. progress, when
-// non-nil, receives a line per family as it completes.
-func RunMicros(label string, progress io.Writer) Snapshot {
-	snap := Snapshot{Label: label, GoOS: runtime.GOOS, GoArch: runtime.GOARCH}
-	for _, m := range Micros() {
-		r := runFamily(m.Bench)
-		meas := Measurement{
-			Name:        m.Name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-		if len(r.Extra) > 0 {
-			meas.Extra = r.Extra
-		}
-		snap.Results = append(snap.Results, meas)
-		if progress != nil {
-			fmt.Fprintf(progress, "%-30s %12.0f ns/op %12d B/op %10d allocs/op\n",
-				meas.Name, meas.NsPerOp, meas.BytesPerOp, meas.AllocsPerOp)
-		}
-	}
-	return snap
-}
-
-// LoadSnapshot reads a snapshot written by Snapshot.Write (or hand-recorded in
-// the same schema).
-func LoadSnapshot(r io.Reader) (Snapshot, error) {
-	var s Snapshot
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&s); err != nil {
-		return Snapshot{}, fmt.Errorf("bench: decoding snapshot: %w", err)
-	}
-	return s, nil
-}
-
-// Write serializes the snapshot as indented JSON.
-func (s Snapshot) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

@@ -14,11 +14,14 @@ import (
 
 	"partminer/internal/core"
 	"partminer/internal/graph"
+	"partminer/internal/gspan"
+	"partminer/internal/obs"
 	"partminer/internal/pattern"
 	"partminer/internal/query"
 )
 
-// testCluster is a coordinator plus n in-process workers.
+// testCluster is a coordinator plus n in-process workers, either joined
+// (startCluster) or statically dialed (startStatic).
 type testCluster struct {
 	t         *testing.T
 	coord     *Coordinator
@@ -46,7 +49,32 @@ func startCluster(t *testing.T, n int, cfg Config) *testCluster {
 	return tc
 }
 
-func (tc *testCluster) addWorker(id string) *Worker {
+// startStatic boots n workers that join nothing and a coordinator that
+// dials their addresses; the ring identities are the addresses.
+func startStatic(t *testing.T, n int) *testCluster {
+	t.Helper()
+	tc := &testCluster{t: t}
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = tc.serveWorker(fmt.Sprintf("worker-%d", i)).Advertise
+	}
+	coord, err := Dial(addrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	tc.coord = coord
+	return tc
+}
+
+// fleets runs f once over a joined and once over a static n-worker fleet.
+func fleets(t *testing.T, n int, cfg Config, f func(t *testing.T, tc *testCluster)) {
+	t.Run("joined", func(t *testing.T) { f(t, startCluster(t, n, cfg)) })
+	t.Run("static", func(t *testing.T) { f(t, startStatic(t, n)) })
+}
+
+// serveWorker starts a worker's Shard service on a loopback listener.
+func (tc *testCluster) serveWorker(id string) *Worker {
 	tc.t.Helper()
 	w := NewWorker(id)
 	w.Heartbeat = 10 * time.Millisecond
@@ -56,12 +84,18 @@ func (tc *testCluster) addWorker(id string) *Worker {
 	}
 	w.Advertise = l.Addr().String()
 	go w.Serve(l) //nolint:errcheck
-	if err := w.Join(tc.coordAddr); err != nil {
-		tc.t.Fatal(err)
-	}
 	tc.t.Cleanup(func() { w.Close(); l.Close() })
 	tc.workers = append(tc.workers, w)
 	tc.listeners = append(tc.listeners, l)
+	return w
+}
+
+func (tc *testCluster) addWorker(id string) *Worker {
+	tc.t.Helper()
+	w := tc.serveWorker(id)
+	if err := w.Join(tc.coordAddr); err != nil {
+		tc.t.Fatal(err)
+	}
 	return w
 }
 
@@ -73,10 +107,11 @@ func (tc *testCluster) kill(i int) {
 	tc.workers[i].Sever()
 }
 
-// workerIndex maps a worker id back to its slot in the fleet.
+// workerIndex maps a ring identity (the worker id in a joined fleet, its
+// address in a static one) back to its slot in the fleet.
 func (tc *testCluster) workerIndex(id string) int {
 	for i, w := range tc.workers {
-		if w.ID == id {
+		if w.ID == id || w.Advertise == id {
 			return i
 		}
 	}
@@ -124,33 +159,44 @@ func assertBitForBit(t *testing.T, seed int64, got, want *core.Result) {
 // TestClusterMineDifferential50Seeds is the subsystem's exactness
 // anchor: across 50 random databases, mining through the cluster (units
 // sharded over 3 workers by the ring) is bit-for-bit the single-node
-// PartMiner result — keys, supports, TID bitsets, and per-unit sets.
+// PartMiner result — keys, supports, TID bitsets, and per-unit sets —
+// and the gSpan result, whether the workers joined or were dialed.
 func TestClusterMineDifferential50Seeds(t *testing.T) {
-	tc := startCluster(t, 3, Config{})
-	for seed := int64(0); seed < 50; seed++ {
-		db := testDB(seed)
-		base := core.Options{MinSupport: 2, K: 4, MaxEdges: 3}
-		want, err := core.PartMiner(db, base)
-		if err != nil {
-			t.Fatal(err)
+	fleets(t, 3, Config{}, func(t *testing.T, tc *testCluster) {
+		for seed := int64(0); seed < 50; seed++ {
+			db := testDB(seed)
+			base := core.Options{MinSupport: 2, K: 4, MaxEdges: 3}
+			want, err := core.PartMiner(db, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clustered := base
+			clustered.UnitMinerIndexed = tc.coord.MineUnit
+			got, err := core.PartMiner(db, clustered)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Degraded) != 0 {
+				t.Fatalf("seed %d: healthy fleet degraded units %v", seed, got.Degraded)
+			}
+			assertBitForBit(t, seed, got, want)
+			oracle := gspan.Mine(db, gspan.Options{MinSupport: 2, MaxEdges: 3})
+			if !got.Patterns.Equal(oracle) {
+				t.Fatalf("seed %d: diff against gSpan: %v", seed, got.Patterns.Diff(oracle))
+			}
+			for key, p := range oracle {
+				if !p.TIDs.Equal(got.Patterns[key].TIDs) {
+					t.Fatalf("seed %d: pattern %s TIDs differ from gSpan's", seed, key)
+				}
+			}
 		}
-		clustered := base
-		clustered.UnitMinerIndexed = tc.coord.MineUnit
-		got, err := core.PartMiner(db, clustered)
-		if err != nil {
-			t.Fatal(err)
+		if err := tc.coord.Err(); err != nil {
+			t.Fatalf("healthy fleet recorded errors: %v", err)
 		}
-		if len(got.Degraded) != 0 {
-			t.Fatalf("seed %d: healthy fleet degraded units %v", seed, got.Degraded)
+		if tc.coord.Counters().LocalMines != 0 {
+			t.Error("healthy fleet should never fall back to local mining")
 		}
-		assertBitForBit(t, seed, got, want)
-	}
-	if err := tc.coord.Err(); err != nil {
-		t.Fatalf("healthy fleet recorded errors: %v", err)
-	}
-	if tc.coord.Counters().LocalMines != 0 {
-		t.Error("healthy fleet should never fall back to local mining")
-	}
+	})
 }
 
 // TestClusterKillMidMine kills the worker owning unit 0 right before
@@ -158,45 +204,51 @@ func TestClusterMineDifferential50Seeds(t *testing.T) {
 // stays bit-for-bit exact, and the churn is counted as reassignments.
 func TestClusterKillMidMine(t *testing.T) {
 	// Long heartbeat grace: the kill must be discovered by the failing
-	// RPCs (the mid-mine path), not by the monitor.
-	tc := startCluster(t, 3, Config{HeartbeatInterval: time.Minute})
-	const seed = 7
-	db := testDB(seed)
-	base := core.Options{MinSupport: 2, K: 4, MaxEdges: 3, ScheduleIndexOrder: true}
-	want, err := core.PartMiner(db, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	victim := tc.coord.Info(4).Units[UnitKey(0)]
-	if victim == "" {
-		t.Fatal("unit 0 has no live owner")
-	}
-	killed := false
-	clustered := base
-	clustered.UnitMinerIndexed = func(ctx context.Context, unit int, udb graph.Database, minSup, maxEdges int) (pattern.Set, error) {
-		if !killed {
-			killed = true
-			tc.kill(tc.workerIndex(victim))
+	// RPCs (the mid-mine path, a static fleet's only one), not by the
+	// monitor.
+	fleets(t, 3, Config{HeartbeatInterval: time.Minute}, func(t *testing.T, tc *testCluster) {
+		const seed = 7
+		db := testDB(seed)
+		base := core.Options{MinSupport: 2, K: 4, MaxEdges: 3, ScheduleIndexOrder: true}
+		want, err := core.PartMiner(db, base)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return tc.coord.MineUnit(ctx, unit, udb, minSup, maxEdges)
-	}
-	got, err := core.PartMiner(db, clustered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Degraded) != 0 {
-		t.Fatalf("failover should keep units healthy; degraded %v", got.Degraded)
-	}
-	assertBitForBit(t, seed, got, want)
-	if tc.coord.Counters().Reassignments == 0 {
-		t.Error("killing a unit owner mid-mine must count reassignments")
-	}
-	// Successful failover is clean — like remote.Pool, Err() reports only
-	// degradation that reached the result.
-	if err := tc.coord.Err(); err != nil {
-		t.Errorf("recovered failover must not record errors: %v", err)
-	}
+
+		victim := tc.coord.Info(4).Units[UnitKey(0)]
+		if victim == "" {
+			t.Fatal("unit 0 has no live owner")
+		}
+		killed := false
+		clustered := base
+		clustered.UnitMinerIndexed = func(ctx context.Context, unit int, udb graph.Database, minSup, maxEdges int) (pattern.Set, error) {
+			if !killed {
+				killed = true
+				tc.kill(tc.workerIndex(victim))
+			}
+			return tc.coord.MineUnit(ctx, unit, udb, minSup, maxEdges)
+		}
+		got, err := core.PartMiner(db, clustered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Degraded) != 0 {
+			t.Fatalf("failover should keep units healthy; degraded %v", got.Degraded)
+		}
+		assertBitForBit(t, seed, got, want)
+		ctrs := tc.coord.Counters()
+		if ctrs.Reassignments == 0 {
+			t.Error("killing a unit owner mid-mine must count reassignments")
+		}
+		if ctrs.LocalMines != 0 {
+			t.Errorf("local mines = %d with two workers still up", ctrs.LocalMines)
+		}
+		// Successful failover is clean: Err() reports only fleet trouble that
+		// cost a unit its workers.
+		if err := tc.coord.Err(); err != nil {
+			t.Errorf("recovered failover must not record errors: %v", err)
+		}
+	})
 }
 
 // TestClusterHeartbeatDeathRemines: a worker that stops heartbeating is
@@ -209,8 +261,23 @@ func TestClusterHeartbeatDeathRemines(t *testing.T) {
 	db := testDB(11)
 	opts := core.Options{MinSupport: 2, K: K, MaxEdges: 3}
 	opts.UnitMinerIndexed = tc.coord.MineUnit
-	if _, err := core.PartMiner(db, opts); err != nil {
+	// The mine is traced (as a fold under ?trace=1 is): the re-mine of its
+	// units after the death must not be.
+	tracer := obs.NewTracer("fold")
+	ctx := obs.ObserverInContext(obs.WithSpan(context.Background(), tracer.Root()), nil)
+	if _, err := core.MineContext(ctx, db, opts); err != nil {
 		t.Fatal(err)
+	}
+	tracer.Finish()
+	tracedOps := func() (n int64) {
+		for _, w := range tc.workers {
+			n += w.metrics.tracedOps.Value()
+		}
+		return n
+	}
+	tracedBefore := tracedOps()
+	if tracedBefore != K {
+		t.Fatalf("traced ops after a traced mine = %d; want %d", tracedBefore, K)
 	}
 
 	// Pick a victim that owns at least one unit so there is something to
@@ -247,6 +314,9 @@ func TestClusterHeartbeatDeathRemines(t *testing.T) {
 	ctrs := tc.coord.Counters()
 	if ctrs.Deaths == 0 {
 		t.Error("expected a recorded death")
+	}
+	if got := tracedOps(); got != tracedBefore {
+		t.Errorf("the re-mine ran %d traced ops on the workers; nobody reads its trace", got-tracedBefore)
 	}
 	if ctrs.Reassignments < int64(len(owned[victim])) {
 		t.Errorf("reassignments = %d; want >= %d (the dead worker's units)",
@@ -313,45 +383,71 @@ func TestClusterWarmCache(t *testing.T) {
 }
 
 // TestClusterEmptyFleetMinesLocally: a coordinator with no registered
-// workers still answers exactly, counting local fallbacks.
+// workers, or with a dialed fleet that has since died, still answers
+// exactly: every unit is mined locally, none is degraded, and Err()
+// names the workers that did not answer.
 func TestClusterEmptyFleetMinesLocally(t *testing.T) {
-	coord := NewCoordinator(Config{})
-	defer coord.Close()
 	db := testDB(5)
 	base := core.Options{MinSupport: 2, K: 2, MaxEdges: 3}
 	want, err := core.PartMiner(db, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clustered := base
-	clustered.UnitMinerIndexed = coord.MineUnit
-	got, err := core.PartMiner(db, clustered)
-	if err != nil {
-		t.Fatal(err)
+	check := func(t *testing.T, coord *Coordinator) {
+		clustered := base
+		clustered.UnitMinerIndexed = coord.MineUnit
+		got, err := core.PartMiner(db, clustered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Degraded) != 0 {
+			t.Fatalf("local fallback must not degrade: %v", got.Degraded)
+		}
+		assertBitForBit(t, 5, got, want)
+		if coord.Counters().LocalMines != 2 {
+			t.Errorf("local mines = %d; want 2", coord.Counters().LocalMines)
+		}
 	}
-	if len(got.Degraded) != 0 {
-		t.Fatalf("local fallback must not degrade: %v", got.Degraded)
-	}
-	assertBitForBit(t, 5, got, want)
-	if coord.Counters().LocalMines != 2 {
-		t.Errorf("local mines = %d; want 2", coord.Counters().LocalMines)
-	}
+	t.Run("empty fleet", func(t *testing.T) {
+		coord := NewCoordinator(Config{})
+		defer coord.Close()
+		check(t, coord)
+		if err := coord.Err(); err != nil {
+			t.Errorf("no worker was asked, yet Err() = %v", err)
+		}
+	})
+	t.Run("static fleet, all down", func(t *testing.T) {
+		tc := startStatic(t, 2)
+		tc.kill(0)
+		tc.kill(1)
+		check(t, tc.coord)
+		joined := tc.coord.Err()
+		if joined == nil {
+			t.Fatal("a dead fleet must be reported")
+		}
+		for _, w := range tc.workers {
+			if !strings.Contains(joined.Error(), w.Advertise) {
+				t.Errorf("Err() should name dead worker %s: %v", w.Advertise, joined)
+			}
+		}
+	})
 }
 
 // TestClusterMineCancelled: a cancelled context degrades to an empty
 // set with the context error, never hanging on the fleet.
 func TestClusterMineCancelled(t *testing.T) {
-	tc := startCluster(t, 1, Config{})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	db := testDB(1)
-	set, err := tc.coord.MineUnit(ctx, 0, db, 2, 3)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v; want context.Canceled", err)
-	}
-	if set == nil || len(set) != 0 {
-		t.Fatalf("cancelled set = %v; want empty non-nil", set)
-	}
+	fleets(t, 1, Config{}, func(t *testing.T, tc *testCluster) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		db := testDB(1)
+		set, err := tc.coord.MineUnit(ctx, 0, db, 2, 3)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v; want context.Canceled", err)
+		}
+		if set == nil || len(set) != 0 {
+			t.Fatalf("cancelled set = %v; want empty non-nil", set)
+		}
+	})
 }
 
 // TestClusterReplication: published snapshots land on R workers and

@@ -1,14 +1,18 @@
 package cluster
 
 // coordinator.go: the coordinator half of the cluster. The coordinator
-// owns the ring and the membership table, serves the "Coordinator" RPC
-// service (Register/Heartbeat), and acts as a core.IndexedUnitMiner:
-// each unit is shipped to its ring owner, failing over along the ring
-// past dead workers (counted as cluster.reassignments), falling back to
-// a local mine when no worker can answer (cluster.local_mines) so the
-// run degrades instead of failing. A heartbeat monitor marks silent
-// workers dead and eagerly re-mines their units on the new owners, so
-// the next fold finds warm caches where the dead worker's units moved.
+// owns the ring and the membership table and acts as a
+// core.IndexedUnitMiner: each unit is shipped to its ring owner, failing
+// over along the ring past dead or erroring workers (counted as
+// cluster.reassignments), falling back to a local mine when no worker
+// can answer (cluster.local_mines) so the run stays exact instead of
+// failing. Membership comes one of two ways. NewCoordinator + Serve is
+// the joined fleet: workers register over the "Coordinator" RPC service
+// and a heartbeat monitor marks silent ones dead and eagerly re-mines
+// their units on the new owners, so the next fold finds warm caches
+// where the dead worker's units moved. Dial is the static fleet: a fixed
+// address list, no listener and no monitor — liveness is whatever the
+// next RPC finds.
 
 import (
 	"bytes"
@@ -16,14 +20,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/rpc"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"partminer/internal/exec"
-	"partminer/internal/gaston"
 	"partminer/internal/graph"
 	"partminer/internal/obs"
 	"partminer/internal/pattern"
@@ -46,12 +48,6 @@ type Config struct {
 	// MaxMissed is the tolerated consecutive missed intervals; 0
 	// selects 3.
 	MaxMissed int
-	// FreeTreeEngine asks workers (and the local fallback) to use
-	// Gaston's free-tree engine.
-	FreeTreeEngine bool
-	// Vnodes overrides the ring's virtual-node count; 0 selects
-	// DefaultVnodes.
-	Vnodes int
 	// Observer receives cluster.* counters and the cluster.rpc stage;
 	// replaceable later with SetObserver (the server wires its merged
 	// observer in after construction).
@@ -135,7 +131,8 @@ type Info struct {
 type obsBox struct{ o exec.Observer }
 
 // Coordinator runs cluster membership and shards unit mining over the
-// fleet. Create with NewCoordinator, expose with Serve, use MineUnit as
+// fleet. Create with NewCoordinator and expose with Serve (workers join),
+// or with Dial (fixed worker addresses); use MineUnit as
 // core.Options.UnitMinerIndexed, and Replicate published snapshots.
 type Coordinator struct {
 	cfg  Config
@@ -162,22 +159,53 @@ type Coordinator struct {
 	wg       sync.WaitGroup
 }
 
-// NewCoordinator returns a running coordinator (its heartbeat monitor
-// is live); call Close to stop it.
-func NewCoordinator(cfg Config) *Coordinator {
+func newCoordinator(cfg Config) *Coordinator {
 	cfg = cfg.normalize()
 	c := &Coordinator{
 		cfg:      cfg,
-		ring:     NewRing(cfg.Vnodes),
+		ring:     NewRing(0),
 		members:  make(map[string]*member),
 		lastMine: make(map[string]*mineRecord),
 		errs:     exec.NewErrCap(0),
 		stop:     make(chan struct{}),
 	}
 	c.obsv.Store(&obsBox{cfg.Observer})
+	return c
+}
+
+// NewCoordinator returns a running coordinator for a joined fleet (its
+// heartbeat monitor is live); call Close to stop it.
+func NewCoordinator(cfg Config) *Coordinator {
+	c := newCoordinator(cfg)
 	c.wg.Add(1)
 	go c.monitor()
 	return c
+}
+
+// Dial returns a coordinator over a fixed fleet: the workers listening
+// (Worker.Serve, `partworker -listen`) at the given "host:port"
+// addresses, each its own ring identity. Every address is dialed now, so
+// a misconfigured fleet fails fast; a session lost later is redialed on
+// next use. There is no heartbeat monitor and nothing to Serve: a worker
+// that stops answering costs each of its units one failed RPC before the
+// unit fails over along the ring, and comes back by answering again.
+// Install an observer with SetObserver; call Close to release the
+// connections.
+func Dial(addrs ...string) (*Coordinator, error) {
+	if len(addrs) == 0 {
+		return nil, fmt.Errorf("cluster: no worker addresses")
+	}
+	c := newCoordinator(Config{})
+	for _, addr := range addrs {
+		conn, err := remote.DialConn(addr)
+		if err != nil {
+			c.Close()
+			return nil, err
+		}
+		c.members[addr] = &member{id: addr, addr: addr, conn: conn, alive: true, lastBeat: time.Now()}
+		c.ring.Add(addr)
+	}
+	return c, nil
 }
 
 // SetObserver replaces the observer (the server installs its merged
@@ -199,17 +227,7 @@ func (c *Coordinator) count(ctr *atomic.Int64, name string, delta int64) {
 
 // Serve exposes the Coordinator RPC service on l until it closes.
 func (c *Coordinator) Serve(l net.Listener) error {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Coordinator", &coordService{c}); err != nil {
-		return err
-	}
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		go srv.ServeConn(conn)
-	}
+	return new(remote.Server).Serve(l, "Coordinator", &coordService{c})
 }
 
 // Close stops the monitor and releases every worker connection.
@@ -326,7 +344,10 @@ func (c *Coordinator) remineOrphans(orphans []*mineRecord) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*c.cfg.HeartbeatInterval)
 	defer cancel()
 	for _, rec := range orphans {
+		// The record is the request as first sent; this re-mine runs under
+		// its own deadline and nobody reads a trace of it.
 		args := rec.args
+		args.TraceID = ""
 		args.DeadlineUnixMilli = 0
 		if dl, ok := ctx.Deadline(); ok {
 			args.DeadlineUnixMilli = dl.UnixMilli()
@@ -438,16 +459,6 @@ func digestSamples(samples []obs.Sample) map[string]float64 {
 	return out
 }
 
-// localMine is the no-fleet / all-failed fallback: mine the unit here,
-// exactly as a worker would have.
-func (c *Coordinator) localMine(ctx context.Context, db graph.Database, minSup, maxEdges int) (pattern.Set, error) {
-	engine := gaston.EngineDFSCode
-	if c.cfg.FreeTreeEngine {
-		engine = gaston.EngineFreeTree
-	}
-	return gaston.MineContext(ctx, db, gaston.Options{MinSupport: minSup, MaxEdges: maxEdges, Engine: engine})
-}
-
 // MineUnit is the coordinator's core.IndexedUnitMiner: the unit goes to
 // its ring owner, failing over along the ring past dead or erroring
 // workers (cluster.reassignments), and falling back to a local mine
@@ -461,11 +472,10 @@ func (c *Coordinator) MineUnit(ctx context.Context, unit int, db graph.Database,
 		return make(pattern.Set), err
 	}
 	args := MineUnitArgs{
-		UnitKey:        key,
-		DBText:         buf.Bytes(),
-		MinSupport:     minSup,
-		MaxEdges:       maxEdges,
-		FreeTreeEngine: c.cfg.FreeTreeEngine,
+		UnitKey:    key,
+		DBText:     buf.Bytes(),
+		MinSupport: minSup,
+		MaxEdges:   maxEdges,
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		args.DeadlineUnixMilli = dl.UnixMilli()
@@ -506,13 +516,18 @@ func (c *Coordinator) MineUnit(ctx context.Context, unit int, db graph.Database,
 	}
 
 	// No worker could answer (empty fleet, all dead, or all erroring):
-	// mine locally so the run stays exact. Fleet errors are recorded but
-	// not returned — a successful local mine is not a degraded unit.
+	// mine here, exactly as a worker would have, so the run stays exact.
+	// Fleet errors are recorded but not returned — a successful local mine
+	// is not a degraded unit.
 	for _, err := range errs {
 		c.errs.Add(err)
 	}
 	c.count(&c.counters.localMines, "local_mines", 1)
-	set, err := c.localMine(ctx, db, minSup, maxEdges)
+	setText, err := mineUnitText(ctx, &args)
+	var set pattern.Set
+	if err == nil {
+		set, err = pattern.ReadSet(bytes.NewReader(setText), len(db))
+	}
 	if err != nil {
 		errs = append(errs, fmt.Errorf("local fallback: %w", err))
 		joined := errors.Join(errs...)
@@ -695,7 +710,8 @@ func (c *Coordinator) Info(unitCount int) Info {
 }
 
 // Err returns the errors the coordinator absorbed while degrading
-// (failed worker mines, failed replications), capped like remote.Pool.
+// (failed worker mines, failed replications): the first and most recent
+// verbatim, the middle elided with a count (exec.ErrCap).
 func (c *Coordinator) Err() error {
 	return c.errs.Err()
 }

@@ -7,11 +7,12 @@ import "partminer/internal/obs"
 //   - "Coordinator" (exposed by the coordinator, called by workers):
 //     Register, Heartbeat.
 //   - "Shard" (exposed by every worker, called by the coordinator):
-//     MineUnit, StoreSnapshot, TopK, Contains, Status.
+//     MineUnit, StoreSnapshot, TopK, Contains.
 //
-// Like internal/remote, payloads travel in the repository's text
-// formats — gSpan databases, pattern.WriteSet pattern sets, SaveSnapshot
-// snapshots — so every message is inspectable with a pager.
+// Payloads travel in the repository's text formats — gSpan databases,
+// pattern.WriteSet pattern sets, SaveSnapshot snapshots — all already
+// exercised by the persistence layer, so every message is inspectable
+// with a pager.
 //
 // Distributed tracing rides the same messages: work requests carry a
 // TraceID when the coordinator-side call is being traced ("" otherwise,
@@ -65,8 +66,6 @@ type MineUnitArgs struct {
 	// MinSupport and MaxEdges configure the unit mine.
 	MinSupport int
 	MaxEdges   int
-	// FreeTreeEngine selects Gaston's free-tree engine.
-	FreeTreeEngine bool
 	// DeadlineUnixMilli bounds the remote mine (Unix ms; 0 = none).
 	DeadlineUnixMilli int64
 	// TraceID, when non-empty, asks the worker to trace the mine under
@@ -140,15 +139,4 @@ type ContainsReply struct {
 	Support   int
 	TIDs      []int
 	TraceJSON []byte
-}
-
-// StatusArgs requests a worker's self-report.
-type StatusArgs struct{}
-
-// StatusReply is a worker's self-report.
-type StatusReply struct {
-	ID            string
-	Mined         int64
-	WarmHits      int64
-	SnapshotEpoch uint64
 }

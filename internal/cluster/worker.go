@@ -2,9 +2,10 @@ package cluster
 
 // worker.go: the worker half of the cluster. A Worker serves the
 // "Shard" RPC service (unit mining with a warm per-unit cache, snapshot
-// replica storage, replica reads) and runs the client half of the
-// membership protocol: Join registers with the coordinator and sends
-// heartbeats until Close.
+// replica storage, replica reads) — all a statically dialed fleet
+// (Dial) needs of it. Join adds the client half of the membership
+// protocol on top: register with a coordinator and send heartbeats until
+// Close.
 
 import (
 	"bytes"
@@ -12,7 +13,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
-	"net/rpc"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -50,8 +50,8 @@ type replicaState struct {
 }
 
 // Worker mines partition units shipped by the coordinator and holds
-// snapshot replicas. Configure the exported fields, then Serve (RPC) and
-// Join (membership); Close stops the heartbeat loop.
+// snapshot replicas. Configure the exported fields, then Serve (RPC) and,
+// for a joined fleet, Join (membership); Close stops the heartbeat loop.
 type Worker struct {
 	// ID is the worker's stable ring identity. A restarted worker that
 	// keeps its ID reclaims exactly its old units.
@@ -74,8 +74,7 @@ type Worker struct {
 	warm    map[string]warmEntry
 	replica *replicaState
 
-	connMu    sync.Mutex
-	liveConns map[net.Conn]struct{}
+	srv remote.Server
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -86,10 +85,9 @@ type Worker struct {
 // NewWorker returns a worker with the given ring identity.
 func NewWorker(id string) *Worker {
 	w := &Worker{
-		ID:        id,
-		warm:      make(map[string]warmEntry),
-		liveConns: make(map[net.Conn]struct{}),
-		stop:      make(chan struct{}),
+		ID:   id,
+		warm: make(map[string]warmEntry),
+		stop: make(chan struct{}),
 	}
 	w.metrics = newWorkerMetrics(w)
 	return w
@@ -100,38 +98,11 @@ func (w *Worker) Serve(l net.Listener) error {
 	if w.Advertise == "" {
 		w.Advertise = l.Addr().String()
 	}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Shard", &shardService{w}); err != nil {
-		return err
-	}
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		w.connMu.Lock()
-		w.liveConns[conn] = struct{}{}
-		w.connMu.Unlock()
-		go func() {
-			srv.ServeConn(conn)
-			w.connMu.Lock()
-			delete(w.liveConns, conn)
-			w.connMu.Unlock()
-		}()
-	}
+	return w.srv.Serve(l, "Shard", &shardService{w})
 }
 
-// Sever drops every live Shard connection. Combined with closing the
-// listener this is a process kill as the coordinator sees it: in-flight
-// calls fail at the connection level and redials are refused. Tests use
-// it to simulate SIGKILL inside one process.
-func (w *Worker) Sever() {
-	w.connMu.Lock()
-	defer w.connMu.Unlock()
-	for conn := range w.liveConns {
-		conn.Close()
-	}
-}
+// Sever drops every live Shard connection (see remote.Server.Sever).
+func (w *Worker) Sever() { w.srv.Sever() }
 
 // Join registers with the coordinator at coordAddr and starts the
 // heartbeat loop. The connection redials lazily, so a coordinator
@@ -229,8 +200,34 @@ func (w *Worker) traceRPC(ctx context.Context, traceID, op string) (context.Cont
 func unitFingerprint(args *MineUnitArgs) uint64 {
 	h := fnv.New64a()
 	h.Write(args.DBText)
-	fmt.Fprintf(h, "|%d|%d|%t", args.MinSupport, args.MaxEdges, args.FreeTreeEngine)
+	fmt.Fprintf(h, "|%d|%d", args.MinSupport, args.MaxEdges)
 	return h.Sum64()
+}
+
+// mineUnitText mines the unit database a request carries, under the
+// request's shipped deadline, and returns the frequent patterns in the
+// pattern.WriteSet format: the one place the cluster runs a unit miner,
+// for a worker's Shard.MineUnit and the coordinator's local fallback
+// alike.
+func mineUnitText(ctx context.Context, args *MineUnitArgs) ([]byte, error) {
+	db, err := graph.ReadDatabase(bytes.NewReader(args.DBText))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: parse unit database: %w", err)
+	}
+	if args.DeadlineUnixMilli > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, time.UnixMilli(args.DeadlineUnixMilli))
+		defer cancel()
+	}
+	set, err := gaston.MineContext(ctx, db, gaston.Options{MinSupport: args.MinSupport, MaxEdges: args.MaxEdges})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: mine unit: %w", err)
+	}
+	var buf bytes.Buffer
+	if err := pattern.WriteSet(&buf, set); err != nil {
+		return nil, fmt.Errorf("cluster: serialize patterns: %w", err)
+	}
+	return buf.Bytes(), nil
 }
 
 // mineUnit answers one unit mine, from the warm cache when the unit is
@@ -256,35 +253,14 @@ func (w *Worker) mineUnit(args MineUnitArgs, reply *MineUnitReply) error {
 	}
 
 	start := time.Now()
-	db, err := graph.ReadDatabase(bytes.NewReader(args.DBText))
+	setText, err := mineUnitText(ctx, &args)
 	if err != nil {
-		return fmt.Errorf("cluster: parse unit database: %w", err)
+		return err
 	}
-	if args.DeadlineUnixMilli > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, time.UnixMilli(args.DeadlineUnixMilli))
-		defer cancel()
-	}
-	engine := gaston.EngineDFSCode
-	if args.FreeTreeEngine {
-		engine = gaston.EngineFreeTree
-	}
-	set, err := gaston.MineContext(ctx, db, gaston.Options{
-		MinSupport: args.MinSupport,
-		MaxEdges:   args.MaxEdges,
-		Engine:     engine,
-	})
-	if err != nil {
-		return fmt.Errorf("cluster: mine unit: %w", err)
-	}
-	var buf bytes.Buffer
-	if err := pattern.WriteSet(&buf, set); err != nil {
-		return fmt.Errorf("cluster: serialize patterns: %w", err)
-	}
-	reply.SetText = buf.Bytes()
+	reply.SetText = setText
 	if args.UnitKey != "" {
 		w.mu.Lock()
-		w.warm[args.UnitKey] = warmEntry{fingerprint: fp, setText: reply.SetText}
+		w.warm[args.UnitKey] = warmEntry{fingerprint: fp, setText: setText}
 		w.mu.Unlock()
 	}
 	w.Mined.Add(1)
@@ -412,12 +388,4 @@ func (s *shardService) TopK(args TopKArgs, reply *TopKReply) error {
 
 func (s *shardService) Contains(args ContainsArgs, reply *ContainsReply) error {
 	return s.w.contains(args, reply)
-}
-
-func (s *shardService) Status(args StatusArgs, reply *StatusReply) error {
-	reply.ID = s.w.ID
-	reply.Mined = s.w.Mined.Load()
-	reply.WarmHits = s.w.WarmHits.Load()
-	reply.SnapshotEpoch = s.w.SnapshotEpoch()
-	return nil
 }

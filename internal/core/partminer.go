@@ -267,9 +267,9 @@ type Result struct {
 	// Degraded records unit-miner failures, one error per degraded unit
 	// in unit order. A degraded unit contributed an empty (or partial)
 	// accelerator set: the run's Patterns stay exact — the merge-join
-	// re-derives everything from the database — but slower. Callers that
-	// previously had to side-channel remote.Pool.Err can check this
-	// directly.
+	// re-derives everything from the database — but slower. A cluster
+	// coordinator degrades a unit only when its own local fallback fails
+	// too (cancellation, in practice); a dead fleet is in its Err().
 	Degraded []error
 	// NodeSets holds the merged frequent set of every internal partition-
 	// tree node, keyed by tree path ("" is the root, "0"/"1" its

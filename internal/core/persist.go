@@ -15,7 +15,7 @@ import (
 // Portable returns a shallow copy of the result with the
 // non-serializable function options (UnitMiner, UnitMinerIndexed,
 // Observer) stripped, so a result mined through a custom miner — a
-// remote.Pool, a cluster coordinator — can still be saved with
+// cluster coordinator, joined or dialed — can still be saved with
 // SaveResult/SaveSnapshot. The stripped copy loads as if it had been
 // mined with the built-in Gaston miner, which is exactly right: the
 // patterns are identical by the exactness contract, only the route that

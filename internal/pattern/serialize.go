@@ -15,7 +15,7 @@ import (
 //	p <support> <I J LI LE LJ>×size t <tids...>
 //
 // terminated by a "." line. The format is shared by result persistence
-// (internal/core) and the distributed mining protocol (internal/remote).
+// (internal/core) and the distributed mining protocol (internal/cluster).
 func WriteSet(w io.Writer, set Set) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "patterns %d\n", len(set))

@@ -1,107 +1,36 @@
-// Package remote distributes unit mining across worker processes. The
+// Package remote is the net/rpc transport the cluster runs on. The
 // paper emphasizes that "PartMiner is inherently parallel in nature"
 // (§1): after Phase 1 the k units are independent, so they can be mined
 // on different machines and only the (small) frequent-pattern sets travel
-// back for the merge-join. This package provides the worker RPC service
-// and a client-side core.UnitMiner that farms units out over TCP using
-// the standard library's net/rpc.
-//
-// Execution integrates with internal/exec: Pool.MineUnit takes the
-// run's context, derives a per-call deadline from it (shipped to the
-// worker so the remote mine is bounded too), fails a unit over to the
-// next worker once before degrading to the empty set, and reports RPC
-// traffic into an optional exec.Observer.
-//
-// Wire format: unit databases travel in the gSpan text format
-// (internal/graph), pattern sets in the line format of
-// pattern.FormatPattern — both human-readable, both already exercised by
-// the persistence layer.
+// back for the merge-join. What travels, and who mines it, is
+// internal/cluster's business (the Shard and Coordinator services); this
+// package only moves the calls: Conn is the client side — lazy dial,
+// context-bounded calls, one transparent redial of a dropped session —
+// and Server is the accept loop both cluster services listen with.
 package remote
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"net/rpc"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"partminer/internal/exec"
-	"partminer/internal/gaston"
-	"partminer/internal/graph"
-	"partminer/internal/pattern"
 )
 
-// MineUnitArgs is the RPC request: one unit database plus thresholds.
-type MineUnitArgs struct {
-	// DBText is the unit database in the gSpan text format.
-	DBText []byte
-	// MinSupport and MaxEdges configure the unit miner.
-	MinSupport int
-	MaxEdges   int
-	// FreeTreeEngine selects Gaston's free-tree engine on the worker.
-	FreeTreeEngine bool
-	// DeadlineUnixMilli, when non-zero, is the coordinator's context
-	// deadline (Unix milliseconds): the worker mines under the same
-	// deadline so a cancelled coordinator does not leave runaway remote
-	// work behind. Zero means no deadline.
-	DeadlineUnixMilli int64
+// Server is a net/rpc accept loop that remembers its live connections so
+// they can be severed. The zero value is ready to use.
+type Server struct {
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
 }
 
-// MineUnitReply carries the unit's frequent patterns.
-type MineUnitReply struct {
-	// SetText is the pattern set in the pattern.WriteSet format.
-	SetText []byte
-}
-
-// Miner is the RPC service workers expose.
-type Miner struct {
-	// Mined counts the units this worker has processed.
-	Mined atomic.Int64
-}
-
-// MineUnit mines one unit database and returns its frequent patterns.
-func (m *Miner) MineUnit(args MineUnitArgs, reply *MineUnitReply) error {
-	db, err := graph.ReadDatabase(bytes.NewReader(args.DBText))
-	if err != nil {
-		return fmt.Errorf("remote: parse unit database: %w", err)
-	}
-	ctx := context.Background()
-	if args.DeadlineUnixMilli > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, time.UnixMilli(args.DeadlineUnixMilli))
-		defer cancel()
-	}
-	engine := gaston.EngineDFSCode
-	if args.FreeTreeEngine {
-		engine = gaston.EngineFreeTree
-	}
-	set, err := gaston.MineContext(ctx, db, gaston.Options{
-		MinSupport: args.MinSupport,
-		MaxEdges:   args.MaxEdges,
-		Engine:     engine,
-	})
-	if err != nil {
-		return fmt.Errorf("remote: mine unit: %w", err)
-	}
-	var buf bytes.Buffer
-	if err := pattern.WriteSet(&buf, set); err != nil {
-		return fmt.Errorf("remote: serialize patterns: %w", err)
-	}
-	reply.SetText = buf.Bytes()
-	m.Mined.Add(1)
-	return nil
-}
-
-// Serve registers the Miner service and accepts connections until the
-// listener closes. Run it in a worker process (cmd/partworker) or a
-// goroutine (tests).
-func Serve(l net.Listener) error {
+// Serve registers rcvr as the RPC service name and serves every
+// connection l accepts until the listener closes.
+func (s *Server) Serve(l net.Listener, name string, rcvr any) error {
 	srv := rpc.NewServer()
-	if err := srv.RegisterName("Miner", &Miner{}); err != nil {
+	if err := srv.RegisterName(name, rcvr); err != nil {
 		return err
 	}
 	for {
@@ -109,7 +38,30 @@ func Serve(l net.Listener) error {
 		if err != nil {
 			return err
 		}
-		go srv.ServeConn(conn)
+		s.mu.Lock()
+		if s.conns == nil {
+			s.conns = make(map[net.Conn]struct{})
+		}
+		s.conns[conn] = struct{}{}
+		s.mu.Unlock()
+		go func() {
+			srv.ServeConn(conn)
+			s.mu.Lock()
+			delete(s.conns, conn)
+			s.mu.Unlock()
+		}()
+	}
+}
+
+// Sever drops every live connection. Combined with closing the listener
+// this is a process kill as the peer sees it: in-flight calls fail at the
+// connection level and redials are refused. Tests use it to simulate
+// SIGKILL inside one process.
+func (s *Server) Sever() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for conn := range s.conns {
+		conn.Close()
 	}
 }
 
@@ -232,129 +184,4 @@ func (c *Conn) Call(ctx context.Context, method string, args, reply any, o exec.
 		}
 	}
 	return lastErr
-}
-
-// Pool is a client-side set of worker connections that acts as a unit
-// miner: units are assigned to workers round-robin, and with
-// core.Options.Parallel the units run concurrently across the fleet.
-type Pool struct {
-	conns []*Conn
-	next  atomic.Int64
-	// FreeTreeEngine asks workers to use Gaston's free-tree engine.
-	FreeTreeEngine bool
-	// Observer, when non-nil, receives RPC counters ("remote.rpc",
-	// "remote.rpc_errors", "remote.failover", "remote.redial").
-	Observer exec.Observer
-
-	errs *exec.ErrCap
-}
-
-// Dial connects to every worker address ("host:port"). The initial dial
-// is eager — a misconfigured fleet fails fast — but connections lost
-// later are redialed lazily on next use.
-func Dial(addrs ...string) (*Pool, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("remote: no worker addresses")
-	}
-	p := &Pool{errs: exec.NewErrCap(0)}
-	for _, addr := range addrs {
-		c, err := DialConn(addr)
-		if err != nil {
-			p.Close()
-			return nil, err
-		}
-		p.conns = append(p.conns, c)
-	}
-	return p, nil
-}
-
-// Close releases all worker connections.
-func (p *Pool) Close() error {
-	var first error
-	for _, c := range p.conns {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// MineUnit implements the core.UnitMiner contract against the fleet.
-// The unit goes to the next worker round-robin; if that call fails the
-// unit is retried on the following worker (one failover round) before
-// degrading: the error is recorded (see Err), returned for
-// core.Result.Degraded, and an empty pattern set is yielded, which
-// PartMiner's extension-based merge-join tolerates — unit results are
-// accelerators, so the run stays correct, only slower. The context
-// bounds every RPC: its deadline travels to the worker and cancellation
-// abandons the in-flight call.
-func (p *Pool) MineUnit(ctx context.Context, db graph.Database, minSup, maxEdges int) (pattern.Set, error) {
-	var buf bytes.Buffer
-	if err := graph.WriteDatabase(&buf, db); err != nil {
-		p.recordErr(err)
-		return make(pattern.Set), err
-	}
-	args := MineUnitArgs{
-		DBText:         buf.Bytes(),
-		MinSupport:     minSup,
-		MaxEdges:       maxEdges,
-		FreeTreeEngine: p.FreeTreeEngine,
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		args.DeadlineUnixMilli = dl.UnixMilli()
-	}
-
-	first := int(p.next.Add(1)-1) % len(p.conns)
-	attempts := 2 // the chosen worker plus one failover
-	if attempts > len(p.conns) {
-		attempts = len(p.conns)
-	}
-	var errs []error
-	for a := 0; a < attempts; a++ {
-		i := (first + a) % len(p.conns)
-		set, err := p.call(ctx, p.conns[i], args, len(db))
-		if err == nil {
-			if a > 0 {
-				exec.Count(p.Observer, "remote.failover", 1)
-			}
-			return set, nil
-		}
-		errs = append(errs, fmt.Errorf("worker %s: %w", p.conns[i].Addr, err))
-		exec.Count(p.Observer, "remote.rpc_errors", 1)
-		if ctx.Err() != nil {
-			break // cancellation fails every worker; stop the round
-		}
-	}
-	err := errors.Join(errs...)
-	p.recordErr(err)
-	return make(pattern.Set), err
-}
-
-// call runs one MineUnit RPC against a worker connection and parses the
-// reply; Conn.Call handles cancellation, deadline shipping, and redial.
-func (p *Pool) call(ctx context.Context, c *Conn, args MineUnitArgs, dbLen int) (pattern.Set, error) {
-	var reply MineUnitReply
-	if err := c.Call(ctx, "Miner.MineUnit", args, &reply, p.Observer); err != nil {
-		return nil, err
-	}
-	set, err := pattern.ReadSet(bytes.NewReader(reply.SetText), dbLen)
-	if err != nil {
-		return nil, err
-	}
-	return set, nil
-}
-
-func (p *Pool) recordErr(err error) {
-	p.errs.Add(err)
-}
-
-// Err returns the errors unit mining hit, combined with errors.Join, or
-// nil if the run was clean. A long degraded run is summarized rather
-// than accumulated: the first and most recent failures survive verbatim,
-// the middle is elided with a count (exec.ErrCap). Callers check it
-// after a PartMiner run to distinguish "fast path degraded" from "all
-// good"; core.Result.Degraded carries the same information per unit
-// without the side channel.
-func (p *Pool) Err() error {
-	return p.errs.Err()
 }

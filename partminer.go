@@ -35,6 +35,7 @@ import (
 	"context"
 	"io"
 
+	"partminer/internal/cluster"
 	"partminer/internal/core"
 	"partminer/internal/datagen"
 	"partminer/internal/exec"
@@ -42,7 +43,6 @@ import (
 	"partminer/internal/partition"
 	"partminer/internal/pattern"
 	"partminer/internal/query"
-	"partminer/internal/remote"
 )
 
 // Graph is an undirected labeled graph with integer vertex/edge labels and
@@ -207,13 +207,18 @@ func BuildSearchIndexContext(ctx context.Context, db Database, opts SearchIndexO
 // BuildSearchIndex.
 func SearchScan(db Database, q *Graph) []int { return query.Scan(db, q) }
 
-// WorkerPool is a fleet of remote unit-mining workers (cmd/partworker);
-// pass pool.MineUnit as Options.UnitMiner (with Options.Parallel) to
-// distribute Phase 2a across machines. RPC failures fail over to the
-// next worker once, then degrade the unit — visible in Result.Degraded
-// and via pool.Err().
-type WorkerPool = remote.Pool
+// WorkerPool is a fleet of unit-mining workers (cmd/partworker) at
+// fixed addresses: a cluster coordinator with static membership. Pass
+// pool.MineUnit as Options.UnitMinerIndexed (with Options.Parallel) to
+// distribute Phase 2a across machines. Each unit goes to its owner on a
+// consistent-hash ring over the addresses, so a re-mine of an unchanged
+// unit is answered from that worker's warm cache; an RPC failure fails
+// the unit over along the ring, and when no worker answers the unit is
+// mined locally — the result stays exact and Result.Degraded stays
+// empty; pool.Err() says what went wrong and pool.Counters() how often.
+type WorkerPool = cluster.Coordinator
 
 // DialWorkers connects to unit-mining workers at the given "host:port"
-// addresses.
-func DialWorkers(addrs ...string) (*WorkerPool, error) { return remote.Dial(addrs...) }
+// addresses. Every address is dialed before it returns, so a
+// misconfigured fleet fails fast; Close releases the connections.
+func DialWorkers(addrs ...string) (*WorkerPool, error) { return cluster.Dial(addrs...) }

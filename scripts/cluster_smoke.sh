@@ -9,8 +9,10 @@
 # a single-node partserved folding the same update — the cluster is a
 # deployment of PartMiner, never a different algorithm — and the
 # coordinator must report the failover (reassignments, then the death
-# once heartbeats lapse). Run via `make cluster-smoke`; part of
-# `make check`.
+# once heartbeats lapse). First, one partworker started without -join —
+# the worker a fixed-address fleet (partminer.DialWorkers) dials — must
+# serve its probes and metrics and stop cleanly on SIGTERM. Run via
+# `make cluster-smoke`; part of `make check`.
 set -eu
 
 GO="${GO:-go}"
@@ -20,11 +22,12 @@ SOLO_PID=""
 W1_PID=""
 W2_PID=""
 W3_PID=""
+W0_PID=""
 cleanup() {
-    for pid in "$SRV_PID" "$SOLO_PID" "$W1_PID" "$W2_PID" "$W3_PID"; do
+    for pid in "$SRV_PID" "$SOLO_PID" "$W0_PID" "$W1_PID" "$W2_PID" "$W3_PID"; do
         [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
     done
-    for pid in "$SRV_PID" "$SOLO_PID" "$W1_PID" "$W2_PID" "$W3_PID"; do
+    for pid in "$SRV_PID" "$SOLO_PID" "$W0_PID" "$W1_PID" "$W2_PID" "$W3_PID"; do
         [ -n "$pid" ] && wait "$pid" 2>/dev/null || true
     done
     rm -rf "$WORK"
@@ -35,7 +38,7 @@ say() { echo "cluster-smoke: $*"; }
 
 die() {
     echo "cluster-smoke: FAIL: $*" >&2
-    for log in coord.log solo.log w1.log w2.log w3.log; do
+    for log in coord.log solo.log w0.log w1.log w2.log w3.log; do
         if [ -s "$WORK/$log" ]; then
             echo "cluster-smoke: --- $log ---" >&2
             cat "$WORK/$log" >&2
@@ -56,6 +59,28 @@ $GO build -o "$WORK/datagen" ./cmd/datagen
 
 say "generating database"
 "$WORK/datagen" -d 60 -t 10 -n 5 -l 20 -i 3 -seed 11 -o "$WORK/db.txt"
+
+say "partworker without -join: probes, metrics, clean SIGTERM"
+"$WORK/partworker" -listen 127.0.0.1:0 \
+    -metrics-addr 127.0.0.1:0 -metrics-portfile "$WORK/wmet0" \
+    2>"$WORK/w0.log" &
+W0_PID=$!
+for _ in $(seq 1 100); do
+    [ -s "$WORK/wmet0" ] && break
+    kill -0 "$W0_PID" 2>/dev/null || die "no-join worker died during startup"
+    sleep 0.1
+done
+[ -s "$WORK/wmet0" ] || die "no-join worker never wrote its metrics port file"
+W0MET="http://$(cat "$WORK/wmet0")"
+curl -sSf "$W0MET/healthz" | grep -q '"ok"' || die "no-join worker healthz failed"
+curl -sSf "$W0MET/metrics" | grep -q '^partworker_uptime_seconds' \
+    || die "no-join worker serves no partworker_* registry"
+kill -TERM "$W0_PID"
+rc=0
+wait "$W0_PID" || rc=$?
+W0_PID=""
+[ "$rc" = "0" ] || die "no-join worker exited $rc on SIGTERM"
+grep -q 'partworker: shutting down' "$WORK/w0.log" || die "no-join worker did not report a clean shutdown"
 
 say "booting coordinator (waits for 3 workers)"
 "$WORK/partserved" -addr 127.0.0.1:0 -portfile "$WORK/addr" \
