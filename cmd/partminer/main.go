@@ -37,7 +37,6 @@ import (
 	"partminer/internal/gspan"
 	"partminer/internal/obs"
 	"partminer/internal/partition"
-	"partminer/internal/query"
 	"partminer/internal/pattern"
 )
 
@@ -77,19 +76,26 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	var collector *exec.Collector
+	// Both renderings are views of one registry — the accumulator behind
+	// the server's /v1/stats and /metrics — plus the partition quality of
+	// the last mining round, so every consumer reports the same numbers
+	// under the same names.
+	var registry *obs.Registry
+	var quality *partition.Quality
 	if *phases || *statsJSON != "" {
-		collector = &exec.Collector{}
+		registry = obs.NewRegistry("partminer_")
+	}
+	stats := func() obs.View {
+		v := registry.View()
+		v.Partition = quality
+		return v
 	}
 	if *phases {
-		defer func() { fmt.Fprint(os.Stderr, collector.String()) }()
+		defer func() { fmt.Fprint(os.Stderr, stats()) }()
 	}
 	if *statsJSON != "" {
-		// Both renderings come from the same exec.Metrics snapshot the
-		// server's /v1/stats embeds, so every consumer reports the same
-		// numbers under the same names.
 		defer func() {
-			if err := writeStatsJSON(*statsJSON, collector.Metrics()); err != nil {
+			if err := writeStatsJSON(*statsJSON, stats()); err != nil {
 				log.Error("statsjson write failed", "err", err)
 			}
 		}()
@@ -144,10 +150,10 @@ func main() {
 	// Standalone miners (-miner gspan/gaston/freetree) read the ambient
 	// observer off the context; core installs its own per-unit fan-out on
 	// top of this one. The indirection through a plain Observer keeps a
-	// nil *Collector from becoming a non-nil interface.
+	// nil *Registry from becoming a non-nil interface.
 	var runObs exec.Observer
-	if collector != nil {
-		runObs = collector
+	if registry != nil {
+		runObs = registry
 	}
 	ctx = obs.ObserverInContext(ctx, runObs)
 
@@ -203,10 +209,7 @@ func main() {
 		fatal(fmt.Errorf("unknown miner %q", *miner))
 	}
 
-	opts := core.Options{MinSupport: sup, K: *k, MaxEdges: *maxEdges, GrowthEnvelope: *envelope, Parallel: *parallel, Workers: *workers, Bisector: bis}
-	if collector != nil {
-		opts.Observer = collector
-	}
+	opts := core.Options{MinSupport: sup, K: *k, MaxEdges: *maxEdges, GrowthEnvelope: *envelope, Parallel: *parallel, Workers: *workers, Bisector: bis, Observer: runObs}
 	start := time.Now()
 	var res *core.Result
 	if *resumePath != "" {
@@ -229,6 +232,7 @@ func main() {
 		log.Warn("unit degraded", "err", derr)
 	}
 	elapsed := time.Since(start)
+	quality = &res.PartitionQuality
 
 	if *savePath != "" && *updatedPath == "" {
 		f, ferr := os.Create(*savePath)
@@ -245,26 +249,6 @@ func main() {
 	if *updatedPath == "" {
 		report(condenseSet(res.Patterns, *condense), elapsed, *showAll)
 		log.Info("phase times", "partition", res.PartitionTime, "units", fmt.Sprint(res.UnitTimes), "merge", res.MergeTime)
-		if collector != nil && res.Index != nil {
-			// With stats requested, compile the mined patterns into query
-			// plans and exercise the planned read path on a bounded sample,
-			// so -phases/-statsjson carry the plan metrics (plan.compiled,
-			// plan.hit, plan.find) the server reports for the same set.
-			done := exec.StageTimer(collector, "plan.compile")
-			qix := query.IndexFromPatterns(db, res.Index, res.Patterns, query.IndexOptions{MinSupport: sup, Observer: collector})
-			done()
-			probes := 0
-			for _, by := range res.Patterns.BySize() {
-				for _, p := range by {
-					if probes >= 16 {
-						break
-					}
-					qix.Find(p.Code.Graph())
-					probes++
-				}
-			}
-			log.Info("query plans", "compiled", qix.PlanCount(), "probed", probes)
-		}
 		return
 	}
 
@@ -297,6 +281,7 @@ func main() {
 	for _, derr := range inc.Degraded {
 		log.Warn("unit degraded", "err", derr)
 	}
+	quality = &inc.PartitionQuality
 	report(condenseSet(inc.Patterns, *condense), time.Since(start), *showAll)
 	if *savePath != "" {
 		f, ferr := os.Create(*savePath)
@@ -393,9 +378,9 @@ func writeTrace(path string, t *obs.Tracer) error {
 	return t.WriteJSON(f)
 }
 
-// writeStatsJSON renders the run's exec.Metrics to path; "-" means
+// writeStatsJSON renders the run's registry view to path; "-" means
 // stdout.
-func writeStatsJSON(path string, m exec.Metrics) error {
+func writeStatsJSON(path string, m obs.View) error {
 	out, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err

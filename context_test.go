@@ -137,15 +137,16 @@ func TestPhaseCollectorReportsStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	view := col.View()
 	for _, stage := range []string{"partition", "units", "merge"} {
-		if col.StageTotal(stage) <= 0 {
+		if view.Stage(stage).Total <= 0 {
 			t.Errorf("stage %q not reported", stage)
 		}
 	}
-	if col.Counters()["merge.candidates"] == 0 {
+	if view.Counters["merge.candidates"] == 0 {
 		t.Error("merge-join counters not reported")
 	}
-	if col.String() == "" {
+	if view.String() == "" {
 		t.Error("empty collector rendering")
 	}
 }

@@ -14,8 +14,8 @@ import (
 	"testing"
 	"time"
 
-	"partminer/internal/exec"
 	"partminer/internal/graph"
+	"partminer/internal/obs"
 	"partminer/internal/pattern"
 	"partminer/internal/remote"
 )
@@ -94,7 +94,7 @@ func TestStaticRedialsDroppedConnection(t *testing.T) {
 	// must redial transparently inside the same call — no failover, no
 	// local mine, no recorded error — and count remote.redial.
 	tc := startStatic(t, 1)
-	col := &exec.Collector{}
+	col := obs.NewRegistry("")
 	tc.coord.SetObserver(col)
 	tc.workers[0].Sever()
 
@@ -108,13 +108,13 @@ func TestStaticRedialsDroppedConnection(t *testing.T) {
 	if err := tc.coord.Err(); err != nil {
 		t.Errorf("transparent redial must not record errors: %v", err)
 	}
-	if col.Counters()["remote.redial"] == 0 {
+	if col.View().Counters["remote.redial"] == 0 {
 		t.Error("expected remote.redial > 0")
 	}
 	if ctrs := tc.coord.Counters(); ctrs.Reassignments != 0 || ctrs.LocalMines != 0 {
 		t.Errorf("redial must not be counted as failover: %+v", ctrs)
 	}
-	if got := tc.workers[0].Mined.Load(); got != 1 {
+	if got := tc.workers[0].metrics.unitsMined.Value(); got != 1 {
 		t.Errorf("worker mined %d units; want 1", got)
 	}
 }
@@ -165,8 +165,8 @@ func TestWorkerEnforcesShippedDeadline(t *testing.T) {
 	if err := w.mineUnit(garbage, &reply); err == nil {
 		t.Error("garbage database should error")
 	}
-	if w.Mined.Load() != 0 || len(w.warm) != 0 {
-		t.Errorf("refused mines counted (%d) or cached (%d)", w.Mined.Load(), len(w.warm))
+	if mined := w.metrics.unitsMined.Value(); mined != 0 || len(w.warm) != 0 {
+		t.Errorf("refused mines counted (%d) or cached (%d)", mined, len(w.warm))
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"partminer/internal/core"
@@ -62,11 +61,6 @@ type Worker struct {
 	Advertise string
 	// Heartbeat is the beacon period; 0 selects DefaultHeartbeat.
 	Heartbeat time.Duration
-
-	// Mined counts units mined (cache hits excluded); WarmHits counts
-	// cache answers.
-	Mined    atomic.Int64
-	WarmHits atomic.Int64
 
 	metrics *workerMetrics
 
@@ -147,8 +141,8 @@ func (w *Worker) beat() {
 	defer cancel()
 	args := HeartbeatArgs{
 		ID:       w.ID,
-		Mined:    w.Mined.Load(),
-		WarmHits: w.WarmHits.Load(),
+		Mined:    w.metrics.unitsMined.Value(),
+		WarmHits: w.metrics.warmHits.Value(),
 		Metrics:  w.metrics.registry.Gather(),
 	}
 	var reply HeartbeatReply
@@ -244,7 +238,6 @@ func (w *Worker) mineUnit(args MineUnitArgs, reply *MineUnitReply) error {
 			reply.SetText = e.setText
 			reply.Warm = true
 			w.mu.Unlock()
-			w.WarmHits.Add(1)
 			w.metrics.warmHits.Inc()
 			obs.SpanFrom(ctx).Count("warm", 1)
 			return nil
@@ -263,7 +256,6 @@ func (w *Worker) mineUnit(args MineUnitArgs, reply *MineUnitReply) error {
 		w.warm[args.UnitKey] = warmEntry{fingerprint: fp, setText: setText}
 		w.mu.Unlock()
 	}
-	w.Mined.Add(1)
 	w.metrics.unitsMined.Inc()
 	w.metrics.unitMine.ObserveDuration(time.Since(start))
 	return nil

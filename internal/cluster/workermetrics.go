@@ -27,7 +27,7 @@ type workerMetrics struct {
 }
 
 func newWorkerMetrics(w *Worker) *workerMetrics {
-	r := obs.NewRegistry()
+	r := obs.NewRegistry("partworker_")
 	m := &workerMetrics{
 		registry: r,
 		unitMine: r.Histogram("partworker_unit_mine_seconds",
@@ -36,11 +36,11 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 			"Latency of loading and indexing a replicated serving snapshot.", nil),
 		replicaRead: r.HistogramVec("partworker_replica_read_seconds",
 			"Latency of replica reads served by this worker.", "op", nil),
-		unitsMined: r.Counter("partworker_units_mined_total",
+		unitsMined: r.RegisterCounter("partworker_units_mined_total",
 			"Units mined on this worker (warm-cache answers excluded)."),
-		warmHits: r.Counter("partworker_warm_hits_total",
+		warmHits: r.RegisterCounter("partworker_warm_hits_total",
 			"Unit mines answered from the warm per-unit cache."),
-		tracedOps: r.Counter("partworker_traced_ops_total",
+		tracedOps: r.RegisterCounter("partworker_traced_ops_total",
 			"Shard RPCs executed under a propagated distributed trace."),
 	}
 	start := time.Now()

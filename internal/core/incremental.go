@@ -114,7 +114,6 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 	res.Tree = tree
 	res.PartitionTime = time.Since(start)
 	res.PartitionQuality = tree.Quality
-	exec.ReportQuality(o, tree.Quality)
 
 	// Decide which units changed: a unit must be re-mined iff any updated
 	// graph's piece in it differs from the pre-update piece. (The rebuilt
@@ -216,7 +215,7 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 	mctx, endStage := obs.Phase(ctx, o, "merge")
 	res.NodeSets = make(map[string]pattern.Set)
 	res.Borders = make(map[string]mergejoin.Border)
-	chain := &mergeChain{res: &res.Result, opts: opts, pool: pool, prev: prev, updated: updated}
+	chain := &mergeChain{res: &res.Result, opts: opts, pool: pool, subKeys: mergejoin.NewSubKeys(), prev: prev, updated: updated}
 	res.Patterns, err = chain.solve(mctx, tree.Root, "")
 	endStage()
 	if err != nil {

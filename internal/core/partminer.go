@@ -120,8 +120,8 @@ type Options struct {
 	UnitMinerIndexed IndexedUnitMiner
 	// Observer, when non-nil, receives stage timings ("partition",
 	// "unit.<i>", "units", "merge", "merge.<path>") and work counters
-	// from every layer of the run. exec.Collector is a ready-made
-	// aggregating implementation.
+	// from every layer of the run. obs.Registry is the aggregating
+	// implementation.
 	Observer exec.Observer
 }
 
@@ -405,7 +405,6 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (*Result,
 	res.Tree = tree
 	res.PartitionTime = time.Since(start)
 	res.PartitionQuality = tree.Quality
-	exec.ReportQuality(o, tree.Quality)
 
 	// Phase 2a: mine the units at the paper's reduced support ⌈sup/k⌉,
 	// which guarantees that a pattern frequent in the database is frequent
@@ -470,7 +469,8 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (*Result,
 	mctx, endStage := obs.Phase(ctx, o, "merge")
 	res.NodeSets = make(map[string]pattern.Set)
 	res.Borders = make(map[string]mergejoin.Border)
-	res.Patterns, err = (&mergeChain{res: res, opts: opts, pool: pool}).solve(mctx, tree.Root, "")
+	chain := &mergeChain{res: res, opts: opts, pool: pool, subKeys: mergejoin.NewSubKeys()}
+	res.Patterns, err = chain.solve(mctx, tree.Root, "")
 	endStage()
 	if err != nil {
 		return nil, err
@@ -515,12 +515,15 @@ func mineLarge(ctx context.Context, res *Result, opts Options) error {
 
 // mergeChain is one run's walk up the partition tree: res supplies the
 // unit results and the root's feature index and receives NodeSets,
-// Borders and MergeStats. prev and updated are set in incremental mode
-// and only read.
+// Borders and MergeStats. subKeys is the run's sub-pattern key memo:
+// the same patterns recur at every node of the tree, so every merge of
+// the run shares it. prev and updated are set in incremental mode and
+// only read.
 type mergeChain struct {
 	res     *Result
 	opts    Options
 	pool    *exec.Pool
+	subKeys *mergejoin.SubKeys
 	prev    *Result
 	updated *pattern.TIDSet
 }
@@ -553,6 +556,7 @@ func (m *mergeChain) solve(ctx context.Context, n *partition.Node, path string) 
 		Border:      border,
 		Stats:       &m.res.MergeStats,
 		Pool:        m.pool,
+		SubKeys:     m.subKeys,
 		Observer:    m.opts.Observer,
 	}
 	if path == "" {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"partminer/internal/exec"
 	"partminer/internal/graph"
 	"partminer/internal/obs"
 )
@@ -31,10 +30,10 @@ func TestTraceSpanTreeCoversPhases(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := graph.RandomDatabase(rng, 40, 10, 14, 4, 3)
 
-	var c exec.Collector
+	c := obs.NewRegistry("")
 	tr := obs.NewTracer("test-run")
 	ctx := obs.WithSpan(context.Background(), tr.Root())
-	res, err := MineContext(ctx, db, Options{MinSupport: 3, K: 4, MaxEdges: 4, Observer: &c})
+	res, err := MineContext(ctx, db, Options{MinSupport: 3, K: 4, MaxEdges: 4, Observer: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func TestTraceSpanTreeCoversPhases(t *testing.T) {
 
 	// Serial run: mining the units IS the units phase, so the per-unit
 	// spans must account for the phase's stage total within 5%.
-	total := c.StageTotal("units")
+	total := c.View().Stage("units").Total
 	if total <= 0 {
 		t.Fatal("collector recorded no units stage time")
 	}

@@ -1,9 +1,10 @@
 // Package exec is the shared execution substrate of the mining stack:
-// cooperative cancellation, bounded scheduling, and instrumentation.
+// cooperative cancellation, bounded scheduling, and the instrumentation
+// seam. It imports no other package of this module.
 //
 // The paper stresses that "PartMiner is inherently parallel in nature"
 // (§1, §5.1.3); this package turns that observation into one mechanism
-// instead of scattered ad-hoc goroutines. Three pieces:
+// instead of scattered ad-hoc goroutines. The pieces:
 //
 //   - Ticker amortizes context.Context cancellation polling so the
 //     recursive hot loops of the miners (gspan, gaston, mergejoin,
@@ -16,7 +17,11 @@
 //     the previous goroutine-per-unit loop and per-merge worker count
 //     could multiply.
 //   - Observer (observer.go) is the instrumentation hook interface the
-//     layers report stages and counters into.
+//     layers report stages and counters into. The package only carries
+//     events; they are accumulated once, by obs.Registry, which
+//     `partminer -phases`, /v1/stats and /metrics all render.
+//   - ErrCap and Cache (errcap.go, cache.go) bound what a long run keeps:
+//     recorded errors, and memoized values.
 package exec
 
 import (

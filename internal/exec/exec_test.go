@@ -172,72 +172,44 @@ func TestTickerErrDetectsCancelDirectly(t *testing.T) {
 	}
 }
 
-func TestCollectorAggregates(t *testing.T) {
-	var c Collector
-	end := StageTimer(&c, "partition")
-	end()
-	for i := 0; i < 3; i++ {
-		c.StageEnd("merge", 2*time.Millisecond)
-	}
-	Count(&c, "iso", 5)
-	Count(&c, "iso", 7)
-	Count(&c, "zero", 0) // skipped
-
-	stages := c.Stages()
-	if len(stages) != 2 || stages[0].Stage != "partition" || stages[1].Stage != "merge" {
-		t.Fatalf("stages = %+v", stages)
-	}
-	if stages[1].Calls != 3 || stages[1].Total != 6*time.Millisecond {
-		t.Fatalf("merge stat = %+v", stages[1])
-	}
-	if got := c.StageTotal("merge"); got != 6*time.Millisecond {
-		t.Fatalf("StageTotal = %v", got)
-	}
-	counters := c.Counters()
-	if counters["iso"] != 12 {
-		t.Fatalf("iso counter = %d", counters["iso"])
-	}
-	if _, ok := counters["zero"]; ok {
-		t.Fatal("zero-delta counter recorded")
-	}
-	s := c.String()
-	if s == "" {
-		t.Fatal("empty render")
-	}
+// recorder is the tests' Observer: it sums stage time and counters by
+// name. (The module's aggregating observer, obs.Registry, imports this
+// package.)
+type recorder struct {
+	mu       sync.Mutex
+	stages   map[string]time.Duration
+	counters map[string]int64
 }
 
-func TestCollectorConcurrent(t *testing.T) {
-	var c Collector
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				end := StageTimer(&c, "s")
-				c.Counter("n", 1)
-				end()
-			}
-		}()
+func (r *recorder) StageStart(string) {}
+
+func (r *recorder) StageEnd(stage string, d time.Duration) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.stages == nil {
+		r.stages = make(map[string]time.Duration)
 	}
-	wg.Wait()
-	if got := c.Counters()["n"]; got != 800 {
-		t.Fatalf("counter n = %d, want 800", got)
+	r.stages[stage] += d
+}
+
+func (r *recorder) Counter(name string, delta int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.counters == nil {
+		r.counters = make(map[string]int64)
 	}
-	if got := c.Stages()[0].Calls; got != 800 {
-		t.Fatalf("stage calls = %d, want 800", got)
-	}
+	r.counters[name] += delta
 }
 
 func TestMultiObserver(t *testing.T) {
-	var a, b Collector
+	var a, b recorder
 	m := Multi(&a, nil, &b)
 	m.StageStart("s")
 	m.StageEnd("s", time.Millisecond)
 	m.Counter("c", 2)
-	for _, c := range []*Collector{&a, &b} {
-		if c.Counters()["c"] != 2 || c.Stages()[0].Calls != 1 {
-			t.Fatalf("observer missed events: %+v %+v", c.Stages(), c.Counters())
+	for _, r := range []*recorder{&a, &b} {
+		if r.counters["c"] != 2 || r.stages["s"] != time.Millisecond {
+			t.Fatalf("observer missed events: %+v %+v", r.stages, r.counters)
 		}
 	}
 	if Multi(nil, nil) != nil {
@@ -245,37 +217,5 @@ func TestMultiObserver(t *testing.T) {
 	}
 	if Multi(&a) != Observer(&a) {
 		t.Fatal("Multi of one should return it unwrapped")
-	}
-}
-
-func TestCollectorMetrics(t *testing.T) {
-	c := &Collector{}
-	c.StageStart("partition")
-	c.StageEnd("partition", 3*time.Millisecond)
-	c.StageStart("merge")
-	c.StageEnd("merge", 5*time.Millisecond)
-	c.StageEnd("merge", 2*time.Millisecond)
-	c.Counter("merge.candidates", 7)
-	c.Counter("merge.candidates", 4)
-	c.Counter("units.degraded", 1)
-
-	m := c.Metrics()
-	if len(m.Stages) != 2 || m.Stages[0].Stage != "partition" || m.Stages[1].Calls != 2 {
-		t.Fatalf("unexpected stages: %+v", m.Stages)
-	}
-	if m.Stages[1].Total != 7*time.Millisecond {
-		t.Fatalf("merge total = %v, want 7ms", m.Stages[1].Total)
-	}
-	if m.Counters["merge.candidates"] != 11 || m.Counters["units.degraded"] != 1 {
-		t.Fatalf("unexpected counters: %v", m.Counters)
-	}
-	// Metrics is a copy: mutating it must not reach the collector.
-	m.Counters["merge.candidates"] = 0
-	if c.Counters()["merge.candidates"] != 11 {
-		t.Fatal("Metrics aliases the collector's counter map")
-	}
-	// The rendered forms agree (Collector.String delegates to Metrics).
-	if c.String() != c.Metrics().String() {
-		t.Fatal("Collector.String diverges from Metrics.String")
 	}
 }

@@ -2,13 +2,7 @@ package exec
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
 	"time"
-
-	"partminer/internal/partquality"
 )
 
 // Observer receives execution events from the mining layers: stage
@@ -48,22 +42,6 @@ func Count(o Observer, name string, delta int64) {
 	o.Counter(name, delta)
 }
 
-// QualityObserver is the optional extension observers implement to
-// receive the run's partition quality (Phase 1 reports it once per mining
-// round). Collector implements it; Multi fans it out to every member
-// that does.
-type QualityObserver interface {
-	PartitionQuality(q partquality.Quality)
-}
-
-// ReportQuality delivers q to o when o implements QualityObserver;
-// nil-safe.
-func ReportQuality(o Observer, q partquality.Quality) {
-	if qo, ok := o.(QualityObserver); ok {
-		qo.PartitionQuality(q)
-	}
-}
-
 // Multi fans every event out to all non-nil observers.
 func Multi(obs ...Observer) Observer {
 	var live []Observer
@@ -101,12 +79,6 @@ func (m multiObserver) Counter(name string, delta int64) {
 	}
 }
 
-func (m multiObserver) PartitionQuality(q partquality.Quality) {
-	for _, o := range m {
-		ReportQuality(o, q)
-	}
-}
-
 type observerKey struct{}
 
 // WithObserver returns a context carrying o as the ambient observer for
@@ -126,209 +98,4 @@ func ObserverFrom(ctx context.Context) Observer {
 	}
 	o, _ := ctx.Value(observerKey{}).(Observer)
 	return o
-}
-
-// StageStat aggregates every completed run of one stage name.
-type StageStat struct {
-	// Stage is the reported stage name.
-	Stage string `json:"stage"`
-	// Calls counts completed StageStart/StageEnd pairs.
-	Calls int `json:"calls"`
-	// Total is the summed wall-clock duration across calls
-	// (JSON-encoded as nanoseconds).
-	Total time.Duration `json:"total_ns"`
-	// Min and Max bound the individual call durations, exposing skew
-	// across repeated stages (e.g. the per-unit mining times of §5's
-	// Fig. 8). Zero when Calls is zero.
-	Min time.Duration `json:"min_ns"`
-	Max time.Duration `json:"max_ns"`
-}
-
-// Metrics is the export form of a Collector: the per-phase stage
-// breakdown plus every named counter, in one JSON-serializable
-// expvar-style struct. It is the single currency for surfacing execution
-// metrics outside a run — `partminer -phases`/`-statsjson` render it and
-// partserved's /v1/stats embeds it — so every consumer reports the same
-// numbers under the same names.
-type Metrics struct {
-	Stages   []StageStat      `json:"stages,omitempty"`
-	Counters map[string]int64 `json:"counters,omitempty"`
-	// Partition is the partition quality of the most recent mining round
-	// (nil when no partitioning ran under this collector).
-	Partition *partquality.Quality `json:"partition,omitempty"`
-}
-
-// String renders the metrics as the fixed-width per-phase table the
-// paper's §5 reports, followed by the counters sorted by name.
-func (m Metrics) String() string {
-	var b strings.Builder
-	if len(m.Stages) > 0 {
-		width := len("stage")
-		for _, st := range m.Stages {
-			if len(st.Stage) > width {
-				width = len(st.Stage)
-			}
-		}
-		fmt.Fprintf(&b, "%-*s  %6s  %12s  %12s  %12s\n", width, "stage", "calls", "total", "min", "max")
-		for _, st := range m.Stages {
-			fmt.Fprintf(&b, "%-*s  %6d  %12v  %12v  %12v\n", width, st.Stage, st.Calls,
-				st.Total.Round(time.Microsecond), st.Min.Round(time.Microsecond), st.Max.Round(time.Microsecond))
-		}
-	}
-	if len(m.Counters) > 0 {
-		names := make([]string, 0, len(m.Counters))
-		for name := range m.Counters {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(&b, "counter %s = %d\n", name, m.Counters[name])
-		}
-	}
-	if q := m.Partition; q != nil {
-		name := q.Strategy
-		if name == "" {
-			name = "custom"
-		}
-		fmt.Fprintf(&b, "partition %s k=%d edge_cut=%.3f replication=%.3f balance=%.3f\n",
-			name, q.K, q.EdgeCutRatio, q.ReplicationFactor, q.Balance)
-	}
-	return b.String()
-}
-
-// Collector is a ready-made Observer that aggregates stages and
-// counters, rendering the per-phase breakdown the paper's §5 evaluation
-// tables report (partition vs unit mining vs merge time). The zero
-// value is ready to use and safe for concurrent reporting.
-type Collector struct {
-	mu       sync.Mutex
-	stages   map[string]*StageStat
-	order    []string // stage names in first-start order
-	counters map[string]int64
-	quality  *partquality.Quality
-}
-
-// StageStart records the first-seen order of stage names. Like every
-// reporting method, it is safe on a nil receiver, so a nil *Collector
-// smuggled into an Observer interface cannot crash a run.
-func (c *Collector) StageStart(stage string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stage(stage)
-}
-
-// stage returns the stat slot for a name; callers hold c.mu.
-func (c *Collector) stage(name string) *StageStat {
-	if c.stages == nil {
-		c.stages = make(map[string]*StageStat)
-	}
-	st, ok := c.stages[name]
-	if !ok {
-		st = &StageStat{Stage: name}
-		c.stages[name] = st
-		c.order = append(c.order, name)
-	}
-	return st
-}
-
-// StageEnd accumulates one completed stage run.
-func (c *Collector) StageEnd(stage string, d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.stage(stage)
-	if st.Calls == 0 || d < st.Min {
-		st.Min = d
-	}
-	if d > st.Max {
-		st.Max = d
-	}
-	st.Calls++
-	st.Total += d
-}
-
-// Counter accumulates a named counter.
-func (c *Collector) Counter(name string, delta int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.counters == nil {
-		c.counters = make(map[string]int64)
-	}
-	c.counters[name] += delta
-}
-
-// PartitionQuality records the latest mining round's partition quality
-// (implements QualityObserver). Later rounds overwrite earlier ones: the
-// quality of the current partitioning is what operators act on.
-func (c *Collector) PartitionQuality(q partquality.Quality) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.quality = &q
-}
-
-// Quality returns a copy of the recorded partition quality, or nil.
-func (c *Collector) Quality() *partquality.Quality {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.quality == nil {
-		return nil
-	}
-	q := *c.quality
-	return &q
-}
-
-// Stages returns the aggregated stage stats in first-start order.
-func (c *Collector) Stages() []StageStat {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]StageStat, 0, len(c.order))
-	for _, name := range c.order {
-		out = append(out, *c.stages[name])
-	}
-	return out
-}
-
-// StageTotal returns the summed duration recorded for one stage name.
-func (c *Collector) StageTotal(stage string) time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if st, ok := c.stages[stage]; ok {
-		return st.Total
-	}
-	return 0
-}
-
-// Counters returns a copy of the counter map.
-func (c *Collector) Counters() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.counters))
-	for k, v := range c.counters {
-		out[k] = v
-	}
-	return out
-}
-
-// Metrics snapshots the collector's aggregated state into the export
-// struct. The result is a copy — it never aliases the collector's
-// internal maps, so it is safe to hold across further reporting.
-func (c *Collector) Metrics() Metrics {
-	return Metrics{Stages: c.Stages(), Counters: c.Counters(), Partition: c.Quality()}
-}
-
-// String renders the per-phase breakdown as a fixed-width table followed
-// by the counters, sorted by name (the rendering of Metrics).
-func (c *Collector) String() string {
-	return c.Metrics().String()
 }

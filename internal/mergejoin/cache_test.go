@@ -3,50 +3,35 @@ package mergejoin
 import (
 	"fmt"
 	"testing"
+
+	"partminer/internal/exec"
 )
 
 // TestSubKeyCacheSurvivesOverflow verifies the memo's fractional eviction:
 // overflowing the cache must evict only a bounded slice of entries, not
 // reset the whole memo (the pre-eviction behavior this regression-tests).
 func TestSubKeyCacheSurvivesOverflow(t *testing.T) {
-	subKeyCache.Lock()
-	savedMap, savedMax := subKeyCache.m, maxSubKeyEntries
-	subKeyCache.m = make(map[string][]string)
-	subKeyCache.Unlock()
-	maxSubKeyEntries = 64
-	defer func() {
-		subKeyCache.Lock()
-		subKeyCache.m = savedMap
-		subKeyCache.Unlock()
-		maxSubKeyEntries = savedMax
-	}()
-
-	for i := 0; i < maxSubKeyEntries; i++ {
-		storeSubKeys(fmt.Sprintf("key-%d", i), []string{"sub"})
+	const size = 64
+	memo := exec.NewCache[[]string](size)
+	for i := 0; i < size; i++ {
+		memo.Put(fmt.Sprintf("key-%d", i), []string{"sub"})
 	}
-	subKeyCache.Lock()
-	if n := len(subKeyCache.m); n != maxSubKeyEntries {
-		subKeyCache.Unlock()
-		t.Fatalf("cache holds %d entries before overflow, want %d", n, maxSubKeyEntries)
+	if n := memo.Len(); n != size {
+		t.Fatalf("cache holds %d entries before overflow, want %d", n, size)
 	}
-	subKeyCache.Unlock()
-
-	// The overflowing store evicts 1/evictDenominator of the entries and
-	// then inserts, so most of the working set must survive.
-	storeSubKeys("overflow", []string{"sub"})
-	subKeyCache.Lock()
-	n := len(subKeyCache.m)
-	_, overflowKept := subKeyCache.m["overflow"]
-	subKeyCache.Unlock()
-
-	want := maxSubKeyEntries - maxSubKeyEntries/evictDenominator + 1
-	if n != want {
-		t.Errorf("cache holds %d entries after overflow, want %d (evicted 1/%d)", n, want, evictDenominator)
+	// Overwriting a held key is not an overflow.
+	memo.Put("key-0", []string{"other"})
+	if n := memo.Len(); n != size {
+		t.Fatalf("cache holds %d entries after an overwrite, want %d", n, size)
 	}
-	if !overflowKept {
+
+	// The overflowing store evicts a quarter of the entries and then
+	// inserts, so most of the working set must survive.
+	memo.Put("overflow", []string{"sub"})
+	if n, want := memo.Len(), size-size/4+1; n != want {
+		t.Errorf("cache holds %d entries after overflow, want %d (evicted 1/4)", n, want)
+	}
+	if _, ok := memo.Get("overflow"); !ok {
 		t.Error("the overflowing entry itself was not stored")
-	}
-	if n < maxSubKeyEntries/2 {
-		t.Errorf("overflow dropped the cache to %d entries; eviction must be partial", n)
 	}
 }

@@ -1,63 +1,24 @@
 package mergejoin
 
 import (
-	"sync"
-
+	"partminer/internal/exec"
 	"partminer/internal/graph"
 	"partminer/internal/pattern"
 )
 
-// subKeyCache memoizes the canonical keys of a pattern's one-edge-removed
+// SubKeys memoizes the canonical keys of a pattern's one-edge-removed
 // connected subpatterns. The mapping is a pure function of the pattern and
 // dominates candidate-check cost (building the removal graphs and
-// canonicalizing them), and the same patterns recur at every level of the
-// partition tree and across incremental rounds, so the memo is process
-// global. On reaching maxSubKeyEntries a bounded random fraction is
-// evicted so the hot working set survives overflow.
-var subKeyCache = struct {
-	sync.Mutex
-	m map[string][]string
-}{m: make(map[string][]string)}
+// canonicalizing them), and the same patterns recur at every node of the
+// partition tree, so one mining run shares one memo across its merges
+// (Config.SubKeys).
+type SubKeys = exec.Cache[[]string]
 
-// maxSubKeyEntries bounds the memo; a variable so overflow tests can
-// lower it.
-var maxSubKeyEntries = 1 << 20
+// maxSubKeyEntries bounds a memo.
+const maxSubKeyEntries = 1 << 20
 
-// evictDenominator: on overflow, 1/evictDenominator of the entries are
-// evicted.
-const evictDenominator = 4
-
-// cachedSubKeys returns the memoized subpattern keys for a candidate key.
-func cachedSubKeys(key string) ([]string, bool) {
-	subKeyCache.Lock()
-	keys, ok := subKeyCache.m[key]
-	subKeyCache.Unlock()
-	return keys, ok
-}
-
-// storeSubKeys memoizes a candidate's (complete) subpattern key list.
-func storeSubKeys(key string, keys []string) {
-	subKeyCache.Lock()
-	if len(subKeyCache.m) >= maxSubKeyEntries {
-		// Evict a bounded random fraction rather than dropping the whole
-		// memo: Go's randomized map iteration order gives an unbiased
-		// sample for free, and keeping the other entries preserves the
-		// hot working set mid-run.
-		drop := len(subKeyCache.m) / evictDenominator
-		if drop < 1 {
-			drop = 1
-		}
-		for k := range subKeyCache.m {
-			if drop == 0 {
-				break
-			}
-			delete(subKeyCache.m, k)
-			drop--
-		}
-	}
-	subKeyCache.m[key] = keys
-	subKeyCache.Unlock()
-}
+// NewSubKeys returns an empty memo.
+func NewSubKeys() *SubKeys { return exec.NewCache[[]string](maxSubKeyEntries) }
 
 // tripleIndex indexes the frequent 1-edge label triples of a pattern set:
 // connect[(la,lb)] lists frequent la—lb edges (la <= lb normalized) with

@@ -86,6 +86,11 @@ type Config struct {
 	// concurrency budget; nil verifies serially.
 	Pool *exec.Pool
 
+	// SubKeys, when non-nil, is the sub-pattern key memo this merge shares
+	// with the other merges of its mining run; nil gives the merge a
+	// private one.
+	SubKeys *SubKeys
+
 	// Observer, when non-nil, receives the merge's work counters
 	// (candidates, prunes, isomorphism tests, ...).
 	Observer exec.Observer
@@ -138,8 +143,8 @@ type Stats struct {
 
 // Counters exports the stats as observer-style named counters, under the
 // same "merge." names MergeContext reports to its Observer — the single
-// vocabulary exec.Metrics consumers (partminer -phases/-statsjson,
-// partserved /v1/stats) see these numbers through.
+// vocabulary the renderings of obs.Registry (partminer -phases/-statsjson,
+// partserved /v1/stats and /metrics) show these numbers under.
 func (s *Stats) Counters() map[string]int64 {
 	return map[string]int64{
 		"merge.candidates":    s.Candidates,
@@ -212,6 +217,9 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 	incremental := cfg.Old != nil && cfg.Updated != nil
 	if cfg.Border == nil {
 		cfg.Border = make(Border)
+	}
+	if cfg.SubKeys == nil {
+		cfg.SubKeys = NewSubKeys()
 	}
 
 	// The feature index fronts every frequency decision of the merge;
@@ -654,7 +662,7 @@ func (lv *level) check(key string, c *candidate, st *Stats) (*pattern.Pattern, B
 		}
 		return true
 	}
-	if keys, ok := cachedSubKeys(key); ok {
+	if keys, ok := cfg.SubKeys.Get(key); ok {
 		for _, sk := range keys {
 			if !narrow(sk) {
 				return nil, BorderEntry{Blocker: sk}
@@ -692,7 +700,7 @@ func (lv *level) check(key string, c *candidate, st *Stats) (*pattern.Pattern, B
 		if tick.Err() == nil {
 			// Never cache keys computed under a fired ticker: an aborted
 			// MinCodeTick yields garbage that would outlive this run.
-			storeSubKeys(key, collected)
+			cfg.SubKeys.Put(key, collected)
 		}
 	}
 	if inter.Count() < minSup {

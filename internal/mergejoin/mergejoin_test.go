@@ -9,6 +9,7 @@ import (
 	"partminer/internal/exec"
 	"partminer/internal/graph"
 	"partminer/internal/gspan"
+	"partminer/internal/obs"
 	"partminer/internal/partition"
 	"partminer/internal/pattern"
 )
@@ -320,9 +321,9 @@ func TestMergeStatsAccumulate(t *testing.T) {
 func TestStatsCountersMatchObserver(t *testing.T) {
 	st := &Stats{Candidates: 9, UnitSeeded: 2, Pruned: 5, TriplePruned: 3,
 		DecompPruned: 2, BorderPruned: 1, SigPruned: 4, IsoTests: 17, CarriedTIDs: 6, Frequent: 1}
-	c := &exec.Collector{}
+	c := obs.NewRegistry("")
 	reportStats(c, st)
-	got := c.Counters()
+	got := c.View().Counters
 	want := st.Counters()
 	if len(got) != len(want) {
 		t.Fatalf("observer saw %d counters, Counters() has %d", len(got), len(want))

@@ -32,12 +32,12 @@ type Sample struct {
 }
 
 // Gather snapshots every registered family as samples, in registration
-// order (vec families contribute one sample per child). The snapshot is
-// not atomic across instruments — same as a scrape.
+// order (vec families contribute one sample per child), then the
+// families derived from the observer seam. The snapshot is not atomic
+// across instruments — same as a scrape.
 func (r *Registry) Gather() []Sample {
 	r.mu.Lock()
-	families := make([]*metric, len(r.ordered))
-	copy(families, r.ordered)
+	families := r.ordered // entries, once appended, never change
 	r.mu.Unlock()
 
 	var out []Sample
@@ -53,11 +53,9 @@ func (r *Registry) Gather() []Sample {
 			out = append(out, Sample{Name: m.name, Type: m.typ, Help: m.help, Value: float64(m.counter.Value())})
 		case m.gaugeFn != nil:
 			out = append(out, Sample{Name: m.name, Type: m.typ, Help: m.help, Value: m.gaugeFn()})
-		case m.counterFn != nil:
-			out = append(out, Sample{Name: m.name, Type: m.typ, Help: m.help, Value: float64(m.counterFn())})
 		}
 	}
-	return out
+	return append(out, r.seamSamples()...)
 }
 
 func histSample(m *metric, h *Histogram, label, labelValue string) Sample {

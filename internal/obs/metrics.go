@@ -15,8 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"partminer/internal/exec"
 )
 
 // DurationBuckets is the default latency bucket ladder, in seconds: a
@@ -134,12 +132,10 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // is set; Gather (federate.go) switches on them to snapshot the family.
 type metric struct {
 	name, help, typ string
-	write           func(w io.Writer, name string)
 	hist            *Histogram    // set for plain histogram families
 	vec             *HistogramVec // set for labeled histogram families
 	counter         *Counter      // set for counter families
 	gaugeFn         func() float64
-	counterFn       func() int64
 }
 
 // Registry holds named metric families and renders them in registration
@@ -147,24 +143,35 @@ type metric struct {
 // registering a name twice returns the existing instrument, so wiring
 // code can be idempotent.
 type Registry struct {
+	// prefix starts every family name the registry derives itself (the
+	// observer-seam series, the partition-quality gauges); explicit
+	// registrations spell their names out.
+	prefix string
+
 	mu      sync.Mutex
 	byName  map[string]*metric
 	ordered []*metric
 	hooks   []func(io.Writer)
+
+	// The observer seam (seam.go): one histogram per stage name, one
+	// counter per counter name.
+	stages   seamTable[Histogram]
+	counters seamTable[Counter]
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]*metric)}
+// NewRegistry returns an empty registry whose derived family names start
+// with prefix ("partserve_").
+func NewRegistry(prefix string) *Registry {
+	return &Registry{prefix: prefix, byName: make(map[string]*metric)}
 }
 
-func (r *Registry) register(name, help, typ string, build func() *metric) *metric {
+// register adds family m under name, or returns the family already there.
+func (r *Registry) register(name, help, typ string, m *metric) *metric {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.byName[name]; ok {
-		return m
+	if old, ok := r.byName[name]; ok {
+		return old
 	}
-	m := build()
 	m.name, m.help, m.typ = name, help, typ
 	r.byName[name] = m
 	r.ordered = append(r.ordered, m)
@@ -174,51 +181,25 @@ func (r *Registry) register(name, help, typ string, build func() *metric) *metri
 // Histogram registers (or returns) an unlabeled histogram family. A nil
 // buckets slice selects DurationBuckets.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	m := r.register(name, help, "histogram", func() *metric {
-		h := newHistogram(buckets)
-		return &metric{hist: h, write: func(w io.Writer, fam string) { writeHistogram(w, fam, "", h) }}
-	})
-	return m.hist
+	return r.register(name, help, "histogram", &metric{hist: newHistogram(buckets)}).hist
 }
 
 // HistogramVec registers (or returns) a histogram family keyed by one
 // label (e.g. endpoint). Children are created on first use.
 func (r *Registry) HistogramVec(name, help, label string, buckets []float64) *HistogramVec {
-	m := r.register(name, help, "histogram", func() *metric {
-		v := &HistogramVec{label: label, buckets: buckets, children: make(map[string]*Histogram)}
-		return &metric{vec: v, write: v.writeAll}
-	})
-	return m.vec
+	v := &HistogramVec{label: label, buckets: buckets, children: make(map[string]*Histogram)}
+	return r.register(name, help, "histogram", &metric{vec: v}).vec
 }
 
-// Counter registers (or returns) a counter family.
-func (r *Registry) Counter(name, help string) *Counter {
-	m := r.register(name, help, "counter", func() *metric {
-		c := &Counter{}
-		return &metric{counter: c, write: func(w io.Writer, fam string) {
-			fmt.Fprintf(w, "%s %d\n", fam, c.Value())
-		}}
-	})
-	return m.counter
+// RegisterCounter registers (or returns) a counter family. (Counter, the
+// name its siblings would suggest, is the exec.Observer method.)
+func (r *Registry) RegisterCounter(name, help string) *Counter {
+	return r.register(name, help, "counter", &metric{counter: new(Counter)}).counter
 }
 
 // GaugeFunc registers a gauge whose value is read at exposition time.
 func (r *Registry) GaugeFunc(name, help string, f func() float64) {
-	r.register(name, help, "gauge", func() *metric {
-		return &metric{gaugeFn: f, write: func(w io.Writer, fam string) {
-			fmt.Fprintf(w, "%s %s\n", fam, formatFloat(f()))
-		}}
-	})
-}
-
-// CounterFunc registers a counter whose value is read at exposition time
-// (for monotonic values owned elsewhere, e.g. batch statistics).
-func (r *Registry) CounterFunc(name, help string, f func() int64) {
-	r.register(name, help, "counter", func() *metric {
-		return &metric{counterFn: f, write: func(w io.Writer, fam string) {
-			fmt.Fprintf(w, "%s %d\n", fam, f())
-		}}
-	})
+	r.register(name, help, "gauge", &metric{gaugeFn: f})
 }
 
 // HistogramVec is a histogram family with one label dimension.
@@ -260,24 +241,12 @@ func (v *HistogramVec) Children() []string {
 	return out
 }
 
-func (v *HistogramVec) writeAll(w io.Writer, fam string) {
-	for _, value := range v.Children() {
-		writeHistogram(w, fam, fmt.Sprintf("%s=%q", v.label, value), v.With(value))
-	}
-}
-
-// writeHistogram renders one histogram series in exposition format.
-// labels, when non-empty, is a pre-rendered `name="value"` list without
-// braces; le is appended to it.
-func writeHistogram(w io.Writer, fam, labels string, h *Histogram) {
-	counts := make([]uint64, len(h.counts))
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-	}
-	writeHistSeries(w, fam, labels, h.bounds, counts, h.Sum(), h.Count())
-}
-
+// formatFloat renders a sample value; whole numbers (counters, epochs)
+// print as integers rather than in %g's exponent form.
 func formatFloat(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return strconv.FormatInt(int64(v), 10)
+	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
@@ -294,20 +263,21 @@ func (r *Registry) OnScrape(f func(io.Writer)) {
 	r.mu.Unlock()
 }
 
-// WritePrometheus renders every registered family, in registration
-// order, as Prometheus text exposition format 0.0.4, then runs the
-// OnScrape hooks.
+// WritePrometheus renders what Gather snapshots — every registered
+// family, in registration order, then the families derived from the
+// observer seam — as Prometheus text exposition format 0.0.4, then runs
+// the OnScrape hooks.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	r.mu.Lock()
-	families := make([]*metric, len(r.ordered))
-	copy(families, r.ordered)
-	hooks := make([]func(io.Writer), len(r.hooks))
-	copy(hooks, r.hooks)
+	hooks := r.hooks // entries, once appended, never change
 	r.mu.Unlock()
-	for _, m := range families {
-		fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help)
-		fmt.Fprintf(w, "# TYPE %s %s\n", m.name, m.typ)
-		m.write(w, m.name)
+	family := ""
+	for _, sm := range r.Gather() {
+		if sm.Name != family { // the children of a vec share one declaration
+			family = sm.Name
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", sm.Name, sm.Help, sm.Name, sm.Type)
+		}
+		WriteSampleSeries(w, sm.Name, "", sm)
 	}
 	for _, f := range hooks {
 		f(w)
@@ -335,39 +305,4 @@ func SanitizeName(name string) string {
 		}
 	}
 	return string(b)
-}
-
-// StageObserver bridges the exec.Observer seam onto registry metrics:
-// each StageEnd duration is routed to the histogram mapStage selects for
-// that stage name (nil drops it), and each counter delta is routed to
-// the counter mapCounter selects (nil drops it). StageStart is ignored —
-// histograms need only the duration. Pass the result into an exec.Multi
-// chain alongside the Collector.
-func StageObserver(mapStage func(stage string) *Histogram, mapCounter func(name string) *Counter) exec.Observer {
-	return &stageObserver{mapStage: mapStage, mapCounter: mapCounter}
-}
-
-type stageObserver struct {
-	mapStage   func(string) *Histogram
-	mapCounter func(string) *Counter
-}
-
-func (o *stageObserver) StageStart(string) {}
-
-func (o *stageObserver) StageEnd(stage string, d time.Duration) {
-	if o.mapStage == nil {
-		return
-	}
-	if h := o.mapStage(stage); h != nil {
-		h.ObserveDuration(d)
-	}
-}
-
-func (o *stageObserver) Counter(name string, delta int64) {
-	if o.mapCounter == nil {
-		return
-	}
-	if c := o.mapCounter(name); c != nil {
-		c.Add(delta)
-	}
 }

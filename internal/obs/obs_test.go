@@ -86,15 +86,15 @@ func TestStartSpanWithoutTracer(t *testing.T) {
 func TestPhaseBothChannels(t *testing.T) {
 	tr := NewTracer("run")
 	ctx := WithSpan(context.Background(), tr.Root())
-	var c exec.Collector
-	pctx, done := Phase(ctx, &c, "units")
+	c := NewRegistry("")
+	pctx, done := Phase(ctx, c, "units")
 	if SpanFrom(pctx) == SpanFrom(ctx) {
 		t.Fatal("Phase did not push a child span")
 	}
 	done()
 	tr.Finish()
-	if c.Stages()[0].Stage != "units" || c.Stages()[0].Calls != 1 {
-		t.Fatalf("observer missed the phase: %+v", c.Stages())
+	if stages := c.View().Stages; stages[0].Stage != "units" || stages[0].Calls != 1 {
+		t.Fatalf("observer missed the phase: %+v", stages)
 	}
 	if tr.Tree().Children[0].Name != "units" {
 		t.Fatalf("trace missed the phase: %+v", tr.Tree())
@@ -111,14 +111,14 @@ func TestObserverInContext(t *testing.T) {
 	// Span present: the ambient observer must reach both the span and
 	// the explicit observer.
 	tr := NewTracer("run")
-	var c exec.Collector
-	ctx = ObserverInContext(WithSpan(ctx, tr.Root()), &c)
+	c := NewRegistry("")
+	ctx = ObserverInContext(WithSpan(ctx, tr.Root()), c)
 	o := exec.ObserverFrom(ctx)
 	if o == nil {
 		t.Fatal("no ambient observer installed")
 	}
 	o.StageEnd("gspan.grow", time.Millisecond)
-	if c.StageTotal("gspan.grow") != time.Millisecond {
+	if c.View().Stage("gspan.grow").Total != time.Millisecond {
 		t.Fatal("explicit observer missed the report")
 	}
 	if len(tr.Tree().Children) != 1 || tr.Tree().Children[0].Name != "gspan.grow" {
@@ -183,17 +183,16 @@ func TestCounterMonotonic(t *testing.T) {
 }
 
 func TestRegistryExposition(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry("")
 	h := r.Histogram("test_seconds", "A histogram.", []float64{1, 2})
 	h.Observe(0.5)
 	h.Observe(1.5)
 	h.Observe(9) // +Inf bucket
 	v := r.HistogramVec("test_vec_seconds", "A labeled histogram.", "endpoint", []float64{1})
 	v.With("stats").Observe(0.5)
-	c := r.Counter("test_total", "A counter.")
+	c := r.RegisterCounter("test_total", "A counter.")
 	c.Add(7)
 	r.GaugeFunc("test_gauge", "A gauge.", func() float64 { return 2.5 })
-	r.CounterFunc("test_func_total", "A derived counter.", func() int64 { return 42 })
 
 	var b strings.Builder
 	r.WritePrometheus(&b)
@@ -209,7 +208,6 @@ func TestRegistryExposition(t *testing.T) {
 		`test_vec_seconds_count{endpoint="stats"} 1`,
 		"test_total 7",
 		"test_gauge 2.5",
-		"test_func_total 42",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition lacks %q:\n%s", want, out)
@@ -217,7 +215,7 @@ func TestRegistryExposition(t *testing.T) {
 	}
 
 	// Registration is idempotent: same name, same instrument.
-	if r.Counter("test_total", "dup") != c {
+	if r.RegisterCounter("test_total", "dup") != c {
 		t.Fatal("re-registration returned a different counter")
 	}
 
@@ -241,36 +239,6 @@ func TestSanitizeName(t *testing.T) {
 		if got := SanitizeName(in); got != want {
 			t.Fatalf("SanitizeName(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestStageObserverRouting(t *testing.T) {
-	h := newHistogram(nil)
-	var c Counter
-	o := StageObserver(
-		func(stage string) *Histogram {
-			if stage == "vf2.match" {
-				return h
-			}
-			return nil
-		},
-		func(name string) *Counter {
-			if name == "merge.candidates" {
-				return &c
-			}
-			return nil
-		},
-	)
-	o.StageStart("vf2.match") // ignored by design
-	o.StageEnd("vf2.match", time.Millisecond)
-	o.StageEnd("unmapped", time.Millisecond)
-	o.Counter("merge.candidates", 3)
-	o.Counter("unmapped", 5)
-	if h.Count() != 1 {
-		t.Fatalf("histogram count = %d, want 1", h.Count())
-	}
-	if c.Value() != 3 {
-		t.Fatalf("counter = %d, want 3", c.Value())
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the mining stack: a
-// hierarchical span tracer, fixed-bucket histograms with Prometheus text
-// exposition, a slow-operation journal, and the bridges that hang all
-// three off the narrow exec.Observer reporting seam.
+// hierarchical span tracer, a metric registry with Prometheus text
+// exposition that is the one accumulator of the exec.Observer reporting
+// seam, and a slow-operation journal.
 //
 // The design splits responsibilities so hot paths stay allocation-free
 // when observability is off:
@@ -15,9 +15,10 @@
 //     fanning the run observer out with exec.Multi — repeated stage ends
 //     of the same name aggregate into one child node (calls/total)
 //     instead of exploding the tree.
-//   - Histograms live in a Registry (metrics.go) and are fed either
-//     directly or through StageObserver, which maps observer stage ends
-//     onto histograms by name.
+//   - Histograms and counters live in a Registry (metrics.go), fed either
+//     directly or through the seam: the Registry implements exec.Observer
+//     (seam.go), keeps one instrument per seam name, and is what
+//     `partminer -phases`, /v1/stats and /metrics render.
 package obs
 
 import (

@@ -196,8 +196,8 @@ func TestWriteFlameGolden(t *testing.T) {
 }
 
 func TestGatherAndWriteSampleSeries(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("partworker_units_mined_total", "Units mined.")
+	r := NewRegistry("")
+	c := r.RegisterCounter("partworker_units_mined_total", "Units mined.")
 	c.Add(3)
 	h := r.Histogram("partworker_unit_mine_seconds", "Unit mine latency.", []float64{1, 2})
 	h.Observe(0.5)
@@ -206,7 +206,7 @@ func TestGatherAndWriteSampleSeries(t *testing.T) {
 	v.With("topk").Observe(0.25)
 	v.With("contains").Observe(0.25)
 	r.GaugeFunc("partworker_uptime_seconds", "Uptime.", func() float64 { return 1.5 })
-	r.CounterFunc("partworker_snapshot_epoch", "Epoch.", func() int64 { return 7 })
+	r.GaugeFunc("partworker_snapshot_epoch", "Epoch.", func() float64 { return 7 })
 
 	samples := r.Gather()
 	if len(samples) != 6 { // vec contributes one per child
@@ -230,7 +230,7 @@ func TestGatherAndWriteSampleSeries(t *testing.T) {
 		t.Fatalf("gauge sample = %+v", s)
 	}
 	if s := byName["partworker_snapshot_epoch"][0]; s.Value != 7 {
-		t.Fatalf("counterFn sample = %+v", s)
+		t.Fatalf("epoch gauge sample = %+v", s)
 	}
 
 	// Federated rendering: caller-injected worker label, vec label

@@ -1,12 +1,39 @@
 package partition
 
-import "partminer/internal/partquality"
-
-// Quality is the partition-quality report; see partquality.Quality for
-// the field semantics. It lives in a leaf package (and is aliased here,
-// where it is produced) so the exec instrumentation layer can transport
-// it without importing this package.
-type Quality = partquality.Quality
+// Quality reports how well a partition tree divided the database — the
+// three standard partitioning figures of merit. Strategy choice never
+// changes the mined pattern set (the merge-join re-derives exactness from
+// the database), so quality is the entire observable difference between
+// strategies: a low edge-cut ratio means less duplicated merge work, a
+// low replication factor means smaller units, and a balance near 1 means
+// no straggler unit serializes a parallel run.
+type Quality struct {
+	// Strategy is the registered name of the bisector that produced the
+	// tree, when it is a registered strategy ("" for custom bisectors).
+	Strategy string `json:"strategy,omitempty"`
+	// K is the number of units.
+	K int `json:"k"`
+	// TotalEdges counts the undirected edges of the root database;
+	// TotalVertices its vertices.
+	TotalEdges    int `json:"total_edges"`
+	TotalVertices int `json:"total_vertices"`
+	// CutEdges counts connective edges summed over every split in the
+	// tree. An edge cut at several levels counts once per level, so on
+	// deep trees EdgeCutRatio = CutEdges/TotalEdges can exceed 1.
+	CutEdges     int     `json:"cut_edges"`
+	EdgeCutRatio float64 `json:"edge_cut_ratio"`
+	// ReplicationFactor is the vertex-cut metric: unit vertices summed
+	// over all units divided by the root's vertices (>= 1; connective
+	// edges replicate their endpoints into both parts).
+	ReplicationFactor float64 `json:"replication_factor"`
+	// Balance is max unit edge count over mean unit edge count (1 =
+	// perfectly balanced; 2 = the largest unit is twice the average and
+	// will straggle a parallel mine).
+	Balance float64 `json:"unit_balance"`
+	// UnitEdges lists each unit database's edge count, in unit order —
+	// the static size skew the scheduler's cost profile refines.
+	UnitEdges []int `json:"unit_edges,omitempty"`
+}
 
 // measureQuality walks a finished tree. Split keeps each connective edge
 // (with both endpoints) in both parts, so per split and per graph the

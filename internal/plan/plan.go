@@ -1,8 +1,12 @@
 // Package plan compiles pattern graphs into pattern-aware matching
-// plans, the read-hot-path counterpart of the miners: where VF2 decides
-// its exploration lazily per target, a Plan fixes everything that
-// depends only on the pattern once — at compile time — and amortizes it
-// across every containment test of an epoch.
+// plans: where VF2 decides its exploration lazily per target, a Plan
+// fixes everything that depends only on the pattern once — at compile
+// time — and amortizes it across every transaction the pattern is tested
+// against. Its production user is the decomposition miner
+// (internal/decomp), which verifies each surviving large candidate with
+// one plan. The serving read path does not execute plans: a query that
+// canonicalizes to a mined pattern is answered from the pattern's mined
+// TID set (internal/query), anything else by VF2.
 //
 // A compiled plan carries three things (Peregrine-style, see PAPERS.md):
 //
@@ -86,14 +90,6 @@ type step struct {
 // after Compile and safe for concurrent use: per-search scratch comes
 // from an internal pool.
 type Plan struct {
-	// Key is the pattern's canonical DFS-code key when the plan was
-	// compiled from a mined pattern (CompilePattern); "" otherwise.
-	Key string
-	// Support and TIDs carry the mined pattern's exact support set when
-	// known (shared with the pattern set — do not mutate). A plan hit on
-	// the read path answers Find directly from TIDs.
-	Support int
-	TIDs    *pattern.TIDSet
 	// Automorphisms is |Aut(P)| as enumerated at compile time (1 when
 	// symmetry breaking was skipped); Restrictions counts the compiled
 	// symmetry-breaking constraints.
@@ -141,17 +137,6 @@ func Compile(g *graph.Graph, sel Selectivity) *Plan {
 		p.compileRestrictions(order, posOf)
 	}
 	return p
-}
-
-// CompilePattern compiles a mined pattern: the plan inherits the
-// pattern's canonical key, support, and exact TID set (shared, not
-// copied — snapshot pattern sets are immutable).
-func CompilePattern(pp *pattern.Pattern, sel Selectivity) *Plan {
-	pl := Compile(pp.Code.Graph(), sel)
-	pl.Key = pp.Code.Key()
-	pl.Support = pp.Support
-	pl.TIDs = pp.TIDs
-	return pl
 }
 
 // Graph returns the compiled pattern graph (shared; do not mutate).

@@ -214,7 +214,7 @@ func TestPlanDifferential(t *testing.T) {
 			if p.Size() < 1 {
 				continue
 			}
-			pl := CompilePattern(p, fx)
+			pl := Compile(p.Code.Graph(), fx)
 			got := pl.SupportTIDs(fx)
 			if !got.Equal(p.TIDs) {
 				t.Fatalf("seed %d pattern %s: planned TIDs %v, mined %v", seed, p.Code.Key(), got, p.TIDs)

@@ -9,9 +9,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"partminer/internal/dfscode"
-	"partminer/internal/exec"
 	"partminer/internal/graph"
+	"partminer/internal/obs"
 )
 
 // TestPlannedFindMatchesScan runs the full planned pipeline over many
@@ -59,7 +58,7 @@ func TestPlannedFindMatchesScan(t *testing.T) {
 // the plan counters.
 func TestPlanHitServesMinedTIDs(t *testing.T) {
 	db := testDB(3, 60)
-	col := &exec.Collector{}
+	col := obs.NewRegistry("")
 	ix := BuildIndex(db, IndexOptions{Observer: col})
 	if ix.PlanCount() == 0 {
 		t.Fatal("no plans compiled")
@@ -76,21 +75,15 @@ func TestPlanHitServesMinedTIDs(t *testing.T) {
 		}
 		hits++
 	}
-	m := col.Metrics()
+	m := col.View()
 	if m.Counters["plan.hit"] != int64(hits) {
 		t.Fatalf("plan.hit counter = %d, want %d", m.Counters["plan.hit"], hits)
 	}
 	if m.Counters["plan.compiled"] != int64(ix.PlanCount()) {
 		t.Fatalf("plan.compiled counter = %d, want %d", m.Counters["plan.compiled"], ix.PlanCount())
 	}
-	found := false
-	for _, st := range m.Stages {
-		if st.Stage == "plan.find" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("plan.find stage not observed")
+	if got := m.Stage("plan.find").Calls; got != hits {
+		t.Fatalf("plan.find stage observed %d times, want %d", got, hits)
 	}
 }
 
@@ -99,16 +92,16 @@ func TestPlanHitServesMinedTIDs(t *testing.T) {
 func TestAdHocCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	db := testDB(5, 50)
-	col := &exec.Collector{}
+	col := obs.NewRegistry("")
 	ix := BuildIndex(db, IndexOptions{CacheSize: 8, Observer: col})
-	// An ad-hoc query: cut from the db but checked to not be a mined plan.
+	// An ad-hoc query: cut from the db but checked to not be a planned read.
 	var q *graph.Graph
 	for i := 0; i < 200; i++ {
 		c := queryFrom(rng, db[rng.Intn(len(db))], 2+rng.Intn(4))
 		if !c.Connected() || c.EdgeCount() == 0 {
 			continue
 		}
-		if ix.Plan(dfscode.MinCode(c).Key()) == nil {
+		if _, st := ix.Candidates(c); !st.PlanHit {
 			q = c
 			break
 		}
@@ -135,12 +128,13 @@ func TestAdHocCache(t *testing.T) {
 			t.Fatal("cache returned a shared slice")
 		}
 	}
-	hits, misses, _ := ix.CacheStats()
-	if hits < 1 || misses < 1 {
-		t.Fatalf("cache stats hits=%d misses=%d", hits, misses)
+	// One miss (the first run), then a hit for each repeat.
+	hits := int64(1)
+	if len(second) > 0 {
+		hits++
 	}
-	if m := col.Metrics(); m.Counters["query.cache_hit"] < 1 || m.Counters["query.cache_miss"] < 1 {
-		t.Fatalf("cache counters missing: %v", m.Counters)
+	if m := col.View(); m.Counters["query.cache_hit"] != hits || m.Counters["query.cache_miss"] != 1 || m.Counters["plan.hit"] != 0 {
+		t.Fatalf("seam counters = %v, want %d cache hits, 1 miss, no plan hit", m.Counters, hits)
 	}
 	// Churn many distinct queries through the size-8 cache.
 	for i := 0; i < 100; i++ {
@@ -149,7 +143,7 @@ func TestAdHocCache(t *testing.T) {
 			continue
 		}
 		ix.Find(c)
-		if _, _, size := ix.CacheStats(); size > 8 {
+		if size := ix.cache.Len(); size > 8 {
 			t.Fatalf("cache exceeded bound: %d entries", size)
 		}
 	}

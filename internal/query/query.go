@@ -13,15 +13,15 @@
 // exhaustive 1-edge TID table keeps pruning effective even for queries
 // whose structure is globally infrequent.
 //
-// On top of filter-verify, the index compiles every mined pattern into a
-// pattern-aware matching plan (internal/plan) keyed by its canonical
-// DFS code. A query that canonicalizes to a compiled pattern is answered
-// directly from the plan's exact mined TID set — zero matching work; an
+// On top of filter-verify, the index keeps the mined pattern set, which
+// is keyed by canonical DFS code and carries each pattern's exact TID
+// set. A query that canonicalizes to a mined pattern — a planned read —
+// is answered directly from that TID set with zero matching work; an
 // ad-hoc query falls back to the generic filter-verify path and its
 // result enters a bounded per-Index cache under the same canonical key.
-// The Index lives inside one server snapshot, so both plans and cache
-// are epoch-consistent by construction and invalidated wholesale on
-// snapshot swap.
+// The Index lives inside one server snapshot, so both the planned
+// answers and the cache are epoch-consistent by construction and
+// invalidated wholesale on snapshot swap.
 package query
 
 import (
@@ -36,7 +36,6 @@ import (
 	"partminer/internal/index"
 	"partminer/internal/isomorph"
 	"partminer/internal/pattern"
-	"partminer/internal/plan"
 )
 
 // IndexOptions configures BuildIndex.
@@ -47,12 +46,12 @@ type IndexOptions struct {
 	// MaxFeatureEdges bounds feature size (default 4). Larger features
 	// prune more but cost more per query.
 	MaxFeatureEdges int
-	// PlanMaxEdges bounds the mined patterns compiled into matching
-	// plans and the queries canonicalized for plan/cache lookup
+	// PlanMaxEdges bounds the mined patterns that serve planned reads
+	// and the queries canonicalized for plan/cache lookup
 	// (canonicalization is factorial in the pattern's automorphisms, so
 	// lookup keys are only computed for small queries). Default 8;
-	// negative disables plan compilation and lookup entirely — and with
-	// it the result cache, whose keys are the same canonical codes.
+	// negative disables the lookup entirely — and with it the result
+	// cache, whose keys are the same canonical codes.
 	PlanMaxEdges int
 	// CacheSize bounds the per-Index ad-hoc result cache (canonical
 	// DFS-code key → TID list; entries count, not bytes). Default 1024;
@@ -95,13 +94,17 @@ type Index struct {
 	// candidate filter and the verification matcher.
 	fx   *index.FeatureIndex
 	opts IndexOptions
-	// plans maps each mined pattern's canonical DFS-code key to its
-	// compiled matching plan; a plan hit answers Find from the mined TID
-	// set without any matching work. Immutable after construction.
-	plans map[string]*plan.Plan
-	// cache holds ad-hoc (non-plan) query results for the lifetime of
-	// this Index — one snapshot epoch on the server. Nil when disabled.
-	cache *resultCache
+	// planned is the mined pattern set (canonical DFS-code key → pattern,
+	// shared with the caller, read-only): a plan hit answers Find from the
+	// pattern's mined TID set without any matching work. planCount is the
+	// number of its patterns a query can hit. Nil when PlanMaxEdges < 0.
+	planned   pattern.Set
+	planCount int
+	// cache holds ad-hoc (non-plan) query results, canonical DFS-code key
+	// → TID list, for the lifetime of this Index — one snapshot epoch on
+	// the server, so a cached result cannot leak across epochs. Find
+	// copies on the way in and out. Nil when disabled.
+	cache *exec.Cache[[]int]
 }
 
 // Stats describes one query evaluation.
@@ -115,8 +118,8 @@ type Stats struct {
 	// SigPruned counts candidates dismissed by signature domination
 	// before any isomorphism test.
 	SigPruned int
-	// PlanHit reports that the query canonicalized to a compiled pattern
-	// plan and was answered from its mined TID set; CacheHit that it was
+	// PlanHit reports that the query canonicalized to a mined pattern
+	// and was answered from its mined TID set; CacheHit that it was
 	// answered from the ad-hoc result cache. Both false means the
 	// generic filter-verify path ran.
 	PlanHit, CacheHit bool
@@ -151,7 +154,7 @@ func BuildIndexContext(ctx context.Context, db graph.Database, opts IndexOptions
 			}
 		}
 	}
-	ix.compilePlans(set)
+	ix.planReads(set)
 	return ix, nil
 }
 
@@ -163,10 +166,10 @@ func BuildIndexContext(ctx context.Context, db graph.Database, opts IndexOptions
 //
 // This is the server path: PartMiner's Result carries both the pattern
 // set and the feature index, so a query index over a fresh snapshot costs
-// a sort of the pattern set plus one plan compilation per pattern, not a
-// mining run. Patterns without TIDs and patterns larger than
-// MaxFeatureEdges are skipped as features (they cannot filter); every
-// pattern up to PlanMaxEdges is additionally compiled into a plan.
+// a sort of the pattern set, not a mining run. Patterns without TIDs and
+// patterns larger than MaxFeatureEdges are skipped as features (they
+// cannot filter); every pattern up to PlanMaxEdges additionally serves
+// planned reads. set must not change afterwards.
 func IndexFromPatterns(db graph.Database, fx *index.FeatureIndex, set pattern.Set, opts IndexOptions) *Index {
 	opts = opts.normalize(len(db))
 	ix := &Index{db: db, opts: opts, fx: fx}
@@ -178,54 +181,42 @@ func IndexFromPatterns(db graph.Database, fx *index.FeatureIndex, set pattern.Se
 			ix.features = append(ix.features, p)
 		}
 	}
-	ix.compilePlans(set)
+	ix.planReads(set)
 	return ix
 }
 
-// compilePlans compiles every mined pattern up to PlanMaxEdges into a
-// matching plan keyed by its canonical DFS code and arms the ad-hoc
-// result cache. Called once at Index construction — per epoch on the
-// server — and reported as the plan.compiled counter.
-func (ix *Index) compilePlans(set pattern.Set) {
+// planReads adopts set for planned reads — every pattern of up to
+// PlanMaxEdges edges that carries its TIDs — and arms the ad-hoc result
+// cache. Called once at Index construction — per epoch on the server —
+// and reported as the plan.compiled counter.
+func (ix *Index) planReads(set pattern.Set) {
 	if ix.opts.PlanMaxEdges < 0 {
 		return
 	}
-	ix.plans = make(map[string]*plan.Plan, len(set))
+	ix.planned = set
 	for _, p := range set {
-		if p.Size() < 1 || p.Size() > ix.opts.PlanMaxEdges || p.TIDs == nil {
-			continue
+		if p.Size() >= 1 && p.Size() <= ix.opts.PlanMaxEdges && p.TIDs != nil {
+			ix.planCount++
 		}
-		ix.plans[p.Code.Key()] = plan.CompilePattern(p, ix.fx)
 	}
-	exec.Count(ix.opts.Observer, "plan.compiled", int64(len(ix.plans)))
-	ix.cache = newResultCache(ix.opts.CacheSize)
+	exec.Count(ix.opts.Observer, "plan.compiled", int64(ix.planCount))
+	if ix.opts.CacheSize > 0 {
+		ix.cache = exec.NewCache[[]int](ix.opts.CacheSize)
+	}
 }
 
 // FeatureCount returns the number of multi-edge index features.
 func (ix *Index) FeatureCount() int { return len(ix.features) }
 
-// PlanCount returns the number of compiled pattern plans.
-func (ix *Index) PlanCount() int { return len(ix.plans) }
-
-// Plan returns the compiled plan for a canonical DFS-code key, or nil.
-func (ix *Index) Plan(key string) *plan.Plan { return ix.plans[key] }
-
-// CacheStats returns the ad-hoc result cache's lifetime hit/miss counts
-// and current entry count (zeros when the cache is disabled).
-func (ix *Index) CacheStats() (hits, misses int64, size int) {
-	if ix.cache == nil {
-		return 0, 0, 0
-	}
-	return ix.cache.stats()
-}
+// PlanCount returns the number of mined patterns serving planned reads.
+func (ix *Index) PlanCount() int { return ix.planCount }
 
 // planKey returns q's canonical DFS-code key when q is eligible for
 // plan/cache lookup: connected, at least one edge, and small enough that
-// canonicalization stays cheap. "" otherwise.
+// canonicalization stays cheap. "" otherwise — always, with the lookup
+// disabled by a negative PlanMaxEdges. A mined pattern under that key is
+// q's own graph, so it is within PlanMaxEdges too.
 func (ix *Index) planKey(q *graph.Graph) string {
-	if ix.plans == nil && ix.cache == nil {
-		return ""
-	}
 	if q.EdgeCount() < 1 || q.EdgeCount() > ix.opts.PlanMaxEdges || !q.Connected() {
 		return ""
 	}
@@ -235,14 +226,14 @@ func (ix *Index) planKey(q *graph.Graph) string {
 // Candidates returns the TIDs that may contain q, by intersecting the TID
 // lists of q's edges and of every index feature contained in q. The
 // returned statistics describe the filtering work. A query matching a
-// compiled pattern plan short-circuits to the plan's exact TID set.
+// mined pattern short-circuits to the pattern's exact TID set.
 func (ix *Index) Candidates(q *graph.Graph) (*pattern.TIDSet, Stats) {
 	if key := ix.planKey(q); key != "" {
-		if pl := ix.plans[key]; pl != nil {
+		if p := ix.planned[key]; p != nil && p.TIDs != nil {
 			var st Stats
 			st.PlanHit = true
-			st.Candidates = pl.TIDs.Count()
-			return pl.TIDs.Clone(), st
+			st.Candidates = p.TIDs.Count()
+			return p.TIDs.Clone(), st
 		}
 	}
 	return ix.candidatesGeneric(q)
@@ -275,24 +266,24 @@ func (ix *Index) candidatesGeneric(q *graph.Graph) (*pattern.TIDSet, Stats) {
 // Find returns the ids of every database graph containing q, ascending,
 // with the evaluation statistics.
 //
-// Three paths, fastest first: a query canonicalizing to a compiled
-// pattern plan is answered from the plan's exact mined TID set (the
-// pattern set is fixed for the Index's lifetime, so no matching runs at
-// all); an ad-hoc query seen before on this Index is answered from the
-// bounded result cache; everything else runs the generic filter-verify
-// path (and populates the cache for next time).
+// Three paths, fastest first: a query canonicalizing to a mined pattern
+// is answered from the pattern's exact mined TID set (the pattern set is
+// fixed for the Index's lifetime, so no matching runs at all); an ad-hoc
+// query seen before on this Index is answered from the bounded result
+// cache; everything else runs the generic filter-verify path (and
+// populates the cache for next time).
 func (ix *Index) Find(q *graph.Graph) ([]int, Stats) {
 	o := ix.opts.Observer
 	key := ix.planKey(q)
 	if key != "" {
-		if pl := ix.plans[key]; pl != nil {
+		if p := ix.planned[key]; p != nil && p.TIDs != nil {
 			var t0 time.Time
 			if o != nil {
 				t0 = time.Now()
 			}
 			var st Stats
 			st.PlanHit = true
-			out := pl.TIDs.Slice()
+			out := p.TIDs.Slice()
 			st.Candidates, st.Verified = len(out), len(out)
 			if o != nil {
 				o.StageEnd("plan.find", time.Since(t0))
@@ -301,7 +292,7 @@ func (ix *Index) Find(q *graph.Graph) ([]int, Stats) {
 			return out, st
 		}
 		if ix.cache != nil {
-			if tids, ok := ix.cache.get(key); ok {
+			if tids, ok := ix.cache.Get(key); ok {
 				var st Stats
 				st.CacheHit = true
 				st.Candidates, st.Verified = len(tids), len(tids)
@@ -316,7 +307,7 @@ func (ix *Index) Find(q *graph.Graph) ([]int, Stats) {
 	exec.Count(o, "plan.fallback", 1)
 	out, st := ix.findGeneric(q)
 	if key != "" && ix.cache != nil {
-		ix.cache.put(key, out)
+		ix.cache.Put(key, append([]int(nil), out...))
 	}
 	return out, st
 }

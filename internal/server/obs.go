@@ -1,17 +1,26 @@
 package server
 
-// obs.go: the server's observability surface — the Prometheus metric
-// registry behind /metrics, the observer bridge that feeds it from the
-// exec seam, and the slow-operation journal behind /v1/debug/slow.
+// obs.go: the server's observability surface — the one metric registry
+// behind /metrics and /v1/stats, and the slow-operation journal behind
+// /v1/debug/slow.
 //
-// Metric name registry (all under the partserve_ prefix):
+// The registry is the server's member of the exec.Observer fan-out, so
+// every stage and counter a mining layer, the query path or the cluster
+// coordinator reports is accumulated there once. /v1/stats renders it by
+// seam name (obs.View); /metrics renders the same instruments under
+// derived names: the partserve_ prefix, dots as underscores, _seconds for
+// a stage (a histogram), _total for a counter — merge.verify is
+// partserve_merge_verify_seconds, plan.hit partserve_plan_hit_total, and
+// likewise vf2.match, plan.find, cluster.rpc, partition, units, merge,
+// index.build, gaston.*, decomp and every merge.*, plan.*, query.*,
+// index.*, vf2.*, decomp.*, cluster.*, units.* counter that has fired.
+// One rule is irregular: the per-unit stages unit.<i> share
+// partserve_unit_mine_seconds.
+//
+// Series registered by name, here or in server.go:
 //
 //	partserve_http_request_seconds{endpoint}  HTTP latency per endpoint
 //	partserve_update_fold_seconds             update-batch fold latency
-//	partserve_unit_mine_seconds               per-unit mining duration
-//	partserve_merge_verify_seconds            merge candidate verification
-//	partserve_vf2_match_seconds               VF2 match time (query path)
-//	partserve_plan_find_seconds               plan-served containment time
 //	partserve_queries_total                   read queries served
 //	partserve_updates_total                   update ops applied
 //	partserve_epoch                           current snapshot epoch
@@ -20,12 +29,7 @@ package server
 //	partserve_partition_replication_factor    served partitioning's vertex replication
 //	partserve_partition_unit_balance          max/mean unit edge count
 //	partserve_partition_units                 number of partition units (K)
-//	partserve_cluster_rpc_seconds             coordinator->worker RPC latency
 //	partserve_cluster_alive_workers           workers passing heartbeats
-//	partserve_<counter>_total                 every observer-seam counter
-//	                                          (merge.*, index.*, gaston.*,
-//	                                          cluster.*), dots mapped to
-//	                                          underscores
 //	partserve_worker_*{worker="id"}           federated worker series: every
 //	                                          partworker_* family from each
 //	                                          live worker's registry, renamed
@@ -36,85 +40,32 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"time"
 
 	"partminer/internal/cluster"
-	"partminer/internal/exec"
 	"partminer/internal/obs"
 )
 
 // serverMetrics bundles the registry with the instruments the server
-// feeds directly.
+// feeds directly (requests, folds and applied ops are the server's own
+// events, not reported through the seam).
 type serverMetrics struct {
 	registry    *obs.Registry
 	httpLatency *obs.HistogramVec
 	foldLatency *obs.Histogram
-	unitMine    *obs.Histogram
-	mergeVerify *obs.Histogram
-	vf2         *obs.Histogram
-	planFind    *obs.Histogram
-	clusterRPC  *obs.Histogram
 	queries     *obs.Counter
-
-	// seam maps observer counter names onto registered counters; built
-	// lazily because the counter namespace (merge.*, index.*, ...) is
-	// open-ended.
-	mu   sync.Mutex
-	seam map[string]*obs.Counter
+	updates     *obs.Counter
 }
 
 func newServerMetrics() *serverMetrics {
-	r := obs.NewRegistry()
+	r := obs.NewRegistry("partserve_")
 	return &serverMetrics{
 		registry:    r,
 		httpLatency: r.HistogramVec("partserve_http_request_seconds", "HTTP request latency by endpoint.", "endpoint", nil),
 		foldLatency: r.Histogram("partserve_update_fold_seconds", "Update-batch fold latency (staging, mining, snapshot swap).", nil),
-		unitMine:    r.Histogram("partserve_unit_mine_seconds", "Per-unit mining duration across re-mine rounds.", nil),
-		mergeVerify: r.Histogram("partserve_merge_verify_seconds", "Merge-join candidate verification time.", nil),
-		vf2:         r.Histogram("partserve_vf2_match_seconds", "VF2 subgraph-isomorphism match time on the query path.", nil),
-		planFind:    r.Histogram("partserve_plan_find_seconds", "Plan-served containment query time (compiled-pattern hits).", nil),
-		clusterRPC:  r.Histogram("partserve_cluster_rpc_seconds", "Coordinator-to-worker RPC latency (mines, replications, replica reads).", nil),
-		queries:     r.Counter("partserve_queries_total", "Read queries served (patterns, contains)."),
+		queries:     r.RegisterCounter("partserve_queries_total", "Read queries served (patterns, contains)."),
+		updates:     r.RegisterCounter("partserve_updates_total", "Update ops applied."),
 	}
-}
-
-// observer returns the exec.Observer that routes seam events into the
-// registry: stage durations onto the histograms above, counters onto
-// partserve_<name>_total counters.
-func (m *serverMetrics) observer() exec.Observer {
-	return obs.StageObserver(m.mapStage, m.mapCounter)
-}
-
-func (m *serverMetrics) mapStage(stage string) *obs.Histogram {
-	switch {
-	case stage == "merge.verify":
-		return m.mergeVerify
-	case stage == "vf2.match":
-		return m.vf2
-	case stage == "plan.find":
-		return m.planFind
-	case stage == "cluster.rpc":
-		return m.clusterRPC
-	case strings.HasPrefix(stage, "unit."):
-		return m.unitMine
-	}
-	return nil
-}
-
-func (m *serverMetrics) mapCounter(name string) *obs.Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c, ok := m.seam[name]; ok {
-		return c
-	}
-	if m.seam == nil {
-		m.seam = make(map[string]*obs.Counter)
-	}
-	c := m.registry.Counter("partserve_"+obs.SanitizeName(name)+"_total",
-		"Observer-seam counter "+name+".")
-	m.seam[name] = c
-	return c
 }
 
 // federateWorkers renders the cluster's cached per-worker registry

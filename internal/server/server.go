@@ -14,9 +14,11 @@ import (
 
 	"partminer/internal/cluster"
 	"partminer/internal/core"
+	"partminer/internal/decomp"
 	"partminer/internal/exec"
 	"partminer/internal/graph"
 	"partminer/internal/index"
+	"partminer/internal/mergejoin"
 	"partminer/internal/obs"
 	"partminer/internal/partition"
 	"partminer/internal/query"
@@ -114,7 +116,7 @@ type Config struct {
 	// update latency. Used for autosave and consistency testing.
 	OnSwap func(*Snapshot)
 	// Observer receives execution events from every mining round, in
-	// addition to the server's own collector. Optional.
+	// addition to the server's own registry. Optional.
 	Observer exec.Observer
 	// Logger receives the server's structured log stream (fold summaries,
 	// slow operations) with run ids. Nil discards.
@@ -164,10 +166,9 @@ func (c Config) withDefaults() Config {
 // atomic pointer, one writer goroutine folding updates. All exported
 // methods are safe for concurrent use.
 type Server struct {
-	cfg       Config
-	opts      core.Options // cfg.Mine with the merged observer, normalized by first mine
-	collector *exec.Collector
-	start     time.Time
+	cfg   Config
+	opts  core.Options // cfg.Mine with the merged observer, normalized by first mine
+	start time.Time
 
 	metrics *serverMetrics
 	slow    *obs.SlowLog
@@ -193,14 +194,11 @@ type Server struct {
 
 type batchStats struct {
 	batches     int64
-	opsApplied  int64
 	opsRejected int64
 	fullRemines int64
 	lastOps     int
 	last, total time.Duration
 	max         time.Duration
-	merge       map[string]int64 // cumulative merge-join counters
-	decomp      map[string]int64 // cumulative decomposition-miner counters
 }
 
 type applyReq struct {
@@ -263,22 +261,19 @@ func Restore(ctx context.Context, db graph.Database, res *core.Result, cfg Confi
 
 func newServer(cfg Config) *Server {
 	s := &Server{
-		cfg:       cfg.withDefaults(),
-		collector: &exec.Collector{},
-		metrics:   newServerMetrics(),
-		start:     time.Now(),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		cfg:     cfg.withDefaults(),
+		metrics: newServerMetrics(),
+		start:   time.Now(),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	s.slow = obs.NewSlowLog(s.cfg.SlowLogSize, s.cfg.SlowThreshold)
 	s.logger = s.cfg.Logger
-	s.bs.merge = make(map[string]int64)
-	s.bs.decomp = make(map[string]int64)
 	s.reqs = make(chan *applyReq, s.cfg.QueueDepth)
 	s.opts = s.cfg.Mine
 	s.opts.Observer = s.mergedObserver(s.opts.Observer)
-	// The containment index (query path) reports through the same fan-out
-	// so VF2 match times land in the vf2 histogram and collector.
+	// The containment index (query path) reports through the same fan-out,
+	// so plan hits and VF2 match times land in the registry.
 	s.cfg.Search.Observer = s.mergedObserver(s.cfg.Search.Observer)
 	// Exposition-time gauges: read the live server state at scrape.
 	s.metrics.registry.GaugeFunc("partserve_epoch", "Current snapshot epoch.", func() float64 {
@@ -290,14 +285,9 @@ func newServer(cfg Config) *Server {
 	s.metrics.registry.GaugeFunc("partserve_uptime_seconds", "Process uptime.", func() float64 {
 		return time.Since(s.start).Seconds()
 	})
-	s.metrics.registry.CounterFunc("partserve_updates_total", "Update ops applied.", func() int64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.bs.opsApplied
-	})
 	// Partition-quality gauges read the served snapshot at scrape time, so
 	// /metrics always describes the partitioning actually answering queries.
-	obs.PartitionQualityGauges(s.metrics.registry, "partserve_", func() *partition.Quality {
+	obs.PartitionQualityGauges(s.metrics.registry, func() *partition.Quality {
 		if snap := s.snap.Load(); snap != nil {
 			return &snap.Res.PartitionQuality
 		}
@@ -362,9 +352,9 @@ func (s *Server) unitCostProfile() []time.Duration {
 
 // mergedObserver fans a caller-supplied observer out to the server's
 // full reporting stack: the caller's own observer, the config observer,
-// the stats collector, and the metrics-registry bridge.
+// and the registry that /v1/stats and /metrics render.
 func (s *Server) mergedObserver(own exec.Observer) exec.Observer {
-	return exec.Multi(own, s.cfg.Observer, s.collector, s.metrics.observer())
+	return exec.Multi(own, s.cfg.Observer, s.metrics.registry)
 }
 
 func (s *Server) launch(db graph.Database, res *core.Result) *Server {
@@ -374,10 +364,6 @@ func (s *Server) launch(db graph.Database, res *core.Result) *Server {
 		s.cfg.OnSwap(snap)
 	}
 	s.snap.Store(snap)
-	s.mu.Lock()
-	s.accumulateMergeLocked(res.MergeStats.Counters())
-	s.accumulateDecompLocked(res.DecompStats.Counters())
-	s.mu.Unlock()
 	s.replicate(snap)
 	go s.loop()
 	return s
@@ -590,6 +576,7 @@ func (s *Server) fold(batch []*applyReq) {
 		return tree
 	}
 	s.metrics.foldLatency.ObserveDuration(latency)
+	s.metrics.updates.Add(int64(batched))
 	s.logger.Info("fold published", "run_id", runID, "epoch", next.Epoch,
 		"ops", batched, "full_remine", fullRemine, "trace_id", tracer.ID(), "duration", latency)
 	if s.slow.Record(obs.SlowEntry{
@@ -606,7 +593,6 @@ func (s *Server) fold(batch []*applyReq) {
 
 	s.mu.Lock()
 	s.bs.batches++
-	s.bs.opsApplied += int64(batched)
 	if fullRemine {
 		s.bs.fullRemines++
 	}
@@ -616,8 +602,6 @@ func (s *Server) fold(batch []*applyReq) {
 	if latency > s.bs.max {
 		s.bs.max = latency
 	}
-	s.accumulateMergeLocked(res.MergeStats.Counters())
-	s.accumulateDecompLocked(res.DecompStats.Counters())
 	s.mu.Unlock()
 
 	for _, req := range accepted {
@@ -821,30 +805,6 @@ func (s *Server) stage(db *graph.Database, updated map[int]bool, appended *bool,
 	return nil
 }
 
-func (s *Server) accumulateMergeLocked(counters map[string]int64) {
-	for name, v := range counters {
-		s.bs.merge[name] += v
-	}
-}
-
-func (s *Server) accumulateDecompLocked(counters map[string]int64) {
-	// All-zero rounds (no growth envelope configured) are skipped so
-	// /v1/stats omits the decomp block entirely when the feature is off.
-	any := false
-	for _, v := range counters {
-		if v != 0 {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return
-	}
-	for name, v := range counters {
-		s.bs.decomp[name] += v
-	}
-}
-
 // Stats is the service-level statistics document (/v1/stats).
 type Stats struct {
 	Epoch       uint64 `json:"epoch"`
@@ -852,9 +812,9 @@ type Stats struct {
 	Edges       int    `json:"edges"`
 	Patterns    int    `json:"patterns"`
 	SearchFeats int    `json:"search_features"`
-	// PlansCompiled is the number of compiled pattern plans in the served
-	// snapshot's search index; the counters below are server-lifetime
-	// totals from the observer seam.
+	// PlansCompiled is the number of mined patterns the served snapshot's
+	// search index answers from their mined TID sets; the counters below
+	// are server-lifetime totals from the observer seam.
 	PlansCompiled int     `json:"plans_compiled"`
 	PlanHits      int64   `json:"plan_hits"`
 	VF2Fallbacks  int64   `json:"vf2_fallbacks"`
@@ -891,12 +851,14 @@ type Stats struct {
 
 	// Merge holds the cumulative merge-join counters across every mining
 	// round, including the pruning counters (merge.triple_pruned,
-	// merge.sig_pruned) the feature index contributes.
+	// merge.sig_pruned) the feature index contributes: the merge.* entries
+	// of Exec.Counters, with a 0 for each that has not fired.
 	Merge map[string]int64 `json:"merge"`
 	// Decomp holds the cumulative decomposition-miner counters across
 	// every mining round (decomp.candidates, decomp.pieces,
-	// decomp.cover_pruned, decomp.ub_pruned, decomp.verified, ...).
-	// Empty unless the mining configuration engages a growth envelope.
+	// decomp.cover_pruned, decomp.ub_pruned, decomp.verified, ...), read
+	// from Exec.Counters the same way. Empty unless the mining
+	// configuration engages a growth envelope.
 	Decomp map[string]int64 `json:"decomp,omitempty"`
 	// DecompPiecesPerCandidate is the mean cover size of the
 	// decomposition miner (decomp.pieces / decomp.candidates).
@@ -912,9 +874,10 @@ type Stats struct {
 	// the replica set, and the cluster counters. Omitted otherwise.
 	Cluster *cluster.Info `json:"cluster,omitempty"`
 
-	// Exec is the collector's per-stage phase breakdown and counters
-	// aggregated over the server's lifetime.
-	Exec exec.Metrics `json:"exec"`
+	// Exec is the registry's per-stage phase breakdown and counters
+	// aggregated over the server's lifetime, by seam name; /metrics
+	// exposes the same instruments.
+	Exec obs.View `json:"exec"`
 
 	// Latency digests (p50/p95/p99, in seconds) of the server's core
 	// histograms; the full distributions are exposed at /metrics.
@@ -922,7 +885,19 @@ type Stats struct {
 	HTTPLatency map[string]obs.Quantiles `json:"http_latency_seconds,omitempty"`
 }
 
-// Stats snapshots the service statistics.
+// countersOf fills names — a layer's counter vocabulary, all zero — with
+// the seam's values, so a counter that has not fired reads 0 in the
+// layer's block rather than being absent.
+func countersOf(seam, names map[string]int64) map[string]int64 {
+	for name := range names {
+		names[name] = seam[name]
+	}
+	return names
+}
+
+// Stats snapshots the service statistics. Everything that is a seam event
+// is read from the registry; s.mu is held only for the batch statistics
+// and the unit cost profile, which the fold loop owns.
 func (s *Server) Stats() Stats {
 	snap := s.Snapshot()
 	now := time.Now()
@@ -937,9 +912,11 @@ func (s *Server) Stats() Stats {
 		UptimeSeconds: now.Sub(s.start).Seconds(),
 		SnapshotAgeNS: now.Sub(snap.Created).Nanoseconds(),
 		Queries:       s.metrics.queries.Value(),
-		Exec:          s.collector.Metrics(),
+		Updates:       s.metrics.updates.Value(),
+		Exec:          s.metrics.registry.View(),
 		FoldLatency:   s.metrics.foldLatency.Quantiles(),
 	}
+	st.OpsApplied = st.Updates
 	st.PlansCompiled = snap.Search.PlanCount()
 	st.PlanHits = st.Exec.Counters["plan.hit"]
 	st.VF2Fallbacks = st.Exec.Counters["plan.fallback"]
@@ -949,7 +926,16 @@ func (s *Server) Stats() Stats {
 		st.CacheHitRatio = float64(st.CacheHits) / float64(total)
 	}
 	q := snap.Res.PartitionQuality
-	st.Partition = &q
+	st.Partition, st.Exec.Partition = &q, &q
+	st.Merge = countersOf(st.Exec.Counters, (&mergejoin.Stats{}).Counters())
+	// An all-zero decomposition block (no growth envelope configured) is
+	// omitted entirely.
+	if d := countersOf(st.Exec.Counters, (&decomp.Stats{}).Counters()); d["decomp.candidates"] > 0 {
+		st.Decomp = d
+		st.DecompPiecesPerCandidate = float64(d["decomp.pieces"]) / float64(d["decomp.candidates"])
+		st.DecompUBPruned = d["decomp.ub_pruned"]
+		st.DecompVerified = d["decomp.verified"]
+	}
 	if cl := s.cfg.Cluster; cl != nil {
 		info := cl.Info(snap.Res.Options.K)
 		st.Cluster = &info
@@ -962,29 +948,12 @@ func (s *Server) Stats() Stats {
 	}
 	s.mu.Lock()
 	st.Batches = s.bs.batches
-	st.OpsApplied = s.bs.opsApplied
-	st.Updates = s.bs.opsApplied
 	st.OpsRejected = s.bs.opsRejected
 	st.FullRemines = s.bs.fullRemines
 	st.LastBatchOps = s.bs.lastOps
 	st.LastLatencyNS = s.bs.last.Nanoseconds()
 	st.TotalLatencyNS = s.bs.total.Nanoseconds()
 	st.MaxLatencyNS = s.bs.max.Nanoseconds()
-	st.Merge = make(map[string]int64, len(s.bs.merge))
-	for k, v := range s.bs.merge {
-		st.Merge[k] = v
-	}
-	if len(s.bs.decomp) > 0 {
-		st.Decomp = make(map[string]int64, len(s.bs.decomp))
-		for k, v := range s.bs.decomp {
-			st.Decomp[k] = v
-		}
-		if cands := st.Decomp["decomp.candidates"]; cands > 0 {
-			st.DecompPiecesPerCandidate = float64(st.Decomp["decomp.pieces"]) / float64(cands)
-		}
-		st.DecompUBPruned = st.Decomp["decomp.ub_pruned"]
-		st.DecompVerified = st.Decomp["decomp.verified"]
-	}
 	if len(s.unitCosts) > 0 {
 		st.UnitCostsNS = make([]int64, len(s.unitCosts))
 		for i, d := range s.unitCosts {

@@ -40,6 +40,7 @@ import (
 	"partminer/internal/datagen"
 	"partminer/internal/exec"
 	"partminer/internal/graph"
+	"partminer/internal/obs"
 	"partminer/internal/partition"
 	"partminer/internal/pattern"
 	"partminer/internal/query"
@@ -119,11 +120,13 @@ type Observer = exec.Observer
 
 // PhaseCollector is a ready-made Observer aggregating the per-phase
 // breakdown (partition / unit mining / merge) the paper's §5 tables
-// report; its String method renders the table.
-type PhaseCollector = exec.Collector
+// report: the metric registry partserved serves, so View().String()
+// renders the table and WritePrometheus the same numbers as exposition
+// series.
+type PhaseCollector = obs.Registry
 
 // NewPhaseCollector returns an empty, ready-to-use PhaseCollector.
-func NewPhaseCollector() *PhaseCollector { return &exec.Collector{} }
+func NewPhaseCollector() *PhaseCollector { return obs.NewRegistry("partminer_") }
 
 // Mine runs PartMiner over the database (paper Fig. 11).
 func Mine(db Database, opts Options) (*Result, error) {

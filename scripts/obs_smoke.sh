@@ -88,6 +88,20 @@ grep -q '"name": *"http.contains"' "$WORK/traced.json" || die "traced contains l
 curl -sSf -X POST --data-binary @"$WORK/query.txt" "$URL/v1/contains" >"$WORK/untraced.json"
 grep -q '"trace"' "$WORK/untraced.json" && die "untraced contains shipped a span tree"
 
+say "/metrics and /v1/stats render one registry"
+# Both are views of the same accumulator: after the reads above the plan
+# hits must agree (a counter that never fired has no series yet: 0).
+curl -sSf "$URL/v1/stats" >"$WORK/stats.json" || die "stats request failed"
+curl -sSf "$URL/metrics" >"$WORK/metrics2.txt" || die "second metrics scrape failed"
+STATS_HITS="$(sed -n 's/^.*"plan_hits": *\([0-9]*\).*$/\1/p' "$WORK/stats.json" | head -n 1)"
+STATS_FALLS="$(sed -n 's/^.*"vf2_fallbacks": *\([0-9]*\).*$/\1/p' "$WORK/stats.json" | head -n 1)"
+METRIC_HITS="$(sed -n 's/^partserve_plan_hit_total \([0-9]*\)$/\1/p' "$WORK/metrics2.txt")"
+[ -n "$STATS_HITS" ] || die "stats has no plan_hits: $(cat "$WORK/stats.json")"
+[ "${METRIC_HITS:-0}" = "$STATS_HITS" ] \
+    || die "partserve_plan_hit_total=${METRIC_HITS:-0} but /v1/stats plan_hits=$STATS_HITS"
+[ "$((STATS_HITS + STATS_FALLS))" -ge 2 ] \
+    || die "the two contains reads registered nowhere: hits=$STATS_HITS fallbacks=$STATS_FALLS"
+
 say "GET /v1/debug/slow"
 curl -sSf "$URL/v1/debug/slow" >"$WORK/slow.json" || die "slow journal scrape failed"
 grep -q '"threshold_ns"' "$WORK/slow.json" || die "slow journal malformed: $(cat "$WORK/slow.json")"
