@@ -118,8 +118,9 @@ func BenchmarkTIDKernels(b *testing.B) {
 	b.Run("Chained", bench.BenchTIDKernelsChained)
 }
 
-// Decomposition-based large-pattern mining (envelope 4, target 12 edges)
-// vs pure edge growth on the same broom dataset under a 2s cutoff.
+// Large-pattern mining through the growth envelope (unit miners to 4
+// edges, the root merge-join alone to the 12-edge target) vs pure edge
+// growth on the same broom dataset under a 2s cutoff.
 func BenchmarkDecompMine(b *testing.B) {
 	b.Run("Decomp", bench.BenchDecompMineDecomp)
 	b.Run("EdgeGrowth", bench.BenchDecompMineEdgeGrowth)

@@ -62,6 +62,17 @@ func TestCLIEndToEnd(t *testing.T) {
 		}
 	}
 
+	// A growth envelope changes the route to the larger patterns, not
+	// the answer: below the wall-clock line the listings are the same.
+	patternLines := func(args ...string) string {
+		pout, _ := run("partminer", append(args, "-minsup", "0.1", "-k", "2", "-maxedges", "4", "-patterns", dbPath)...)
+		_, listing, _ := strings.Cut(pout, "\n")
+		return listing
+	}
+	if plain, env := patternLines(), patternLines("-envelope", "2"); plain == "" || plain != env {
+		t.Errorf("-envelope 2 -maxedges 4 prints a different pattern set than -maxedges 4:\n%s\nvs\n%s", env, plain)
+	}
+
 	updPath := filepath.Join(tmp, "db2.txt")
 	run("datagen", "-update", "0.3", "-seed", "5", "-n", "10", "-o", updPath, dbPath)
 

@@ -44,7 +44,7 @@ func main() {
 	minsup := flag.Float64("minsup", 0.04, "minimum support as a fraction of the database (0.04 = 4%), or an absolute count when >= 1")
 	k := flag.Int("k", 2, "number of units")
 	maxEdges := flag.Int("maxedges", 0, "bound on pattern size (0 = unbounded)")
-	envelope := flag.Int("envelope", 0, "classic growth envelope: mine edge-by-edge up to this size, then continue to -maxedges by decomposition over mined pieces (0 = classic all the way; partminer algorithm only)")
+	envelope := flag.Int("envelope", 0, "growth envelope: unit miners and inner merges stop at this many edges and the root merge-join alone continues to -maxedges (0 there = unbounded); 0 mines every size in the units (partminer algorithm, -k > 1)")
 	parallel := flag.Bool("parallel", false, "mine units in parallel")
 	workers := flag.Int("workers", 0, "worker-pool bound with -parallel (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "abort mining after this duration (0 = none); SIGINT/SIGTERM also cancel")

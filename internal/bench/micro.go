@@ -38,10 +38,10 @@ func BenchMinDFSCode(b *testing.B) {
 
 // tidKernelSetup builds the shared operand sets for the TID-kernel
 // families: eight bitsets over a 64k-transaction universe, mirroring a
-// decomposition upper-bound probe — the two leading operands are the
+// cover-pruner upper-bound probe — the two leading operands are the
 // most selective (the feature-narrowed candidate set and the parent's
 // TIDs, ~6% density), the rest are piece TID sets (~12%). Selective
-// operands leading the list is what checkCandidate arranges, and it is
+// operands leading the list is the kernel's favourable case: it is
 // the regime where the fused kernel's per-word early break skips most
 // of the operand tail (cached — both families must intersect identical
 // operands).
@@ -72,7 +72,7 @@ var (
 )
 
 // BenchTIDKernelsFused measures the fused multi-way intersect+popcount
-// kernel (pattern.IntersectCountMulti) the decomposition miner bounds
+// kernel (pattern.IntersectCountMulti) merge-join's cover pruner bounds
 // candidate support with: one pass over the operands' words, allocating
 // nothing and short-circuiting strips that hit zero.
 func BenchTIDKernelsFused(b *testing.B) {
@@ -105,12 +105,12 @@ func BenchTIDKernelsChained(b *testing.B) {
 	}
 }
 
-// BroomDB returns the decomposition-mining dataset: identical copies of a
+// BroomDB returns the growth-envelope dataset: identical copies of a
 // "broom" — two centers joined by an edge, six uniform-label leaves on
 // each, 13 edges per graph. Every label is 0, so patterns have massive
 // embedding multiplicity (choosing and ordering leaves), which is exactly
 // the regime where edge-by-edge growth drowns in duplicate extensions
-// while decomposition over mined pieces pays one containment check per
+// while merge-join's candidate levels pay one containment check per
 // candidate per transaction.
 func BroomDB() graph.Database {
 	db := make(graph.Database, 30)
@@ -128,13 +128,13 @@ func BroomDB() graph.Database {
 	return db
 }
 
-// broomTarget is the acceptance floor: the decomposition family must
+// broomTarget is the acceptance floor: the envelope family must
 // reach patterns of at least this many edges on every iteration.
 const broomTarget = 10
 
 // BenchDecompMineDecomp runs the full PartMiner pipeline with the growth
-// envelope at 4: classic mining to 4 edges, then decomposition over the
-// mined pieces up to 12, asserting a >=10-edge pattern comes out.
+// envelope at 4: units and inner merges to 4 edges, then the root
+// merge-join alone up to 12, asserting a >=10-edge pattern comes out.
 // Compare with BenchDecompMineEdgeGrowth — pure edge growth on the same
 // database and target, which hits the 2-second cutoff.
 func BenchDecompMineDecomp(b *testing.B) {
@@ -154,7 +154,7 @@ func BenchDecompMineDecomp(b *testing.B) {
 			}
 		}
 		if largest < broomTarget {
-			b.Fatalf("decomposition reached only %d-edge patterns (want >= %d)", largest, broomTarget)
+			b.Fatalf("the envelope run reached only %d-edge patterns (want >= %d)", largest, broomTarget)
 		}
 	}
 }

@@ -37,9 +37,13 @@ func updateRound(db graph.Database, frac float64, seed int64) (graph.Database, [
 // TestBorderChainedDifferential50Seeds chains three folds — one graph,
 // 10 % and 50 % of the database updated, deletions included — on 50
 // seeded databases, for K=2 and K=4 (inner nodes carry borders too),
-// serial and pooled, and compares keys, supports and TID bitsets with
-// gSpan after every fold. The negative border must prune from the first
-// fold on: it is recorded by the initial mine, not warmed up by folds.
+// serial and pooled, without and with a growth envelope of two edges, and
+// compares keys, supports and TID bitsets with gSpan after every fold.
+// The negative border must prune from the first fold on: it is recorded
+// by the initial mine, not warmed up by folds. Past the envelope only the
+// root merge generates candidates, so there the border is held to pruning
+// once per chain, and the patterns it mined there must fold like any
+// other: their unchanged supporters are carried, not re-derived.
 func TestBorderChainedDifferential50Seeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("50-seed differential is slow; skipped with -short")
@@ -61,31 +65,68 @@ func TestBorderChainedDifferential50Seeds(t *testing.T) {
 			wants[r] = gspan.Mine(dbs[r], gspan.Options{MinSupport: minSup, MaxEdges: maxEdges})
 			cur = dbs[r]
 		}
-		for _, k := range []int{2, 4} {
-			for _, parallel := range []bool{false, true} {
-				name := fmt.Sprintf("k=%d parallel=%t", k, parallel)
-				prev, err := PartMiner(db, Options{MinSupport: minSup, K: k, MaxEdges: maxEdges, Parallel: parallel, Workers: 3})
-				if err != nil {
-					t.Fatalf("seed %d %s: %v", seed, name, err)
-				}
-				for r := range fractions {
-					inc, err := IncPartMiner(dbs[r], tids[r], prev)
+		for _, envelope := range []int{0, 2} {
+			for _, k := range []int{2, 4} {
+				for _, parallel := range []bool{false, true} {
+					name := fmt.Sprintf("envelope=%d k=%d parallel=%t", envelope, k, parallel)
+					prev, err := PartMiner(db, Options{MinSupport: minSup, K: k, MaxEdges: maxEdges, GrowthEnvelope: envelope, Parallel: parallel, Workers: 3})
 					if err != nil {
-						t.Fatalf("seed %d %s round %d: %v", seed, name, r, err)
+						t.Fatalf("seed %d %s: %v", seed, name, err)
 					}
-					diffSets(t, seed, fmt.Sprintf("%s round %d", name, r), wants[r], inc.Patterns)
-					if inc.MergeStats.BorderPruned == 0 {
-						t.Errorf("seed %d %s round %d: the negative border pruned nothing", seed, name, r)
+					var chainPruned, chainCarriedLarge int64
+					for r := range fractions {
+						inc, err := IncPartMiner(dbs[r], tids[r], prev)
+						if err != nil {
+							t.Fatalf("seed %d %s round %d: %v", seed, name, r, err)
+						}
+						diffSets(t, seed, fmt.Sprintf("%s round %d", name, r), wants[r], inc.Patterns)
+						if envelope == 0 && inc.MergeStats.BorderPruned == 0 {
+							t.Errorf("seed %d %s round %d: the negative border pruned nothing", seed, name, r)
+						}
+						if inc.MergeStats.BorderPruned > inc.MergeStats.Pruned {
+							t.Errorf("seed %d %s round %d: border_pruned %d exceeds pruned %d", seed, name, r,
+								inc.MergeStats.BorderPruned, inc.MergeStats.Pruned)
+						}
+						updated := pattern.NewTIDSet(len(db))
+						for _, tid := range tids[r] {
+							updated.Add(tid)
+						}
+						if floor := carriedFloor(prev, inc, updated, 2); inc.MergeStats.CarriedTIDs < floor {
+							t.Errorf("seed %d %s round %d: carried_tids %d; the surviving patterns alone have %d unchanged supporters",
+								seed, name, r, inc.MergeStats.CarriedTIDs, floor)
+						}
+						chainPruned += inc.MergeStats.BorderPruned
+						chainCarriedLarge += carriedFloor(prev, inc, updated, envelope+1)
+						prev = &inc.Result
 					}
-					if inc.MergeStats.BorderPruned > inc.MergeStats.Pruned {
-						t.Errorf("seed %d %s round %d: border_pruned %d exceeds pruned %d", seed, name, r,
-							inc.MergeStats.BorderPruned, inc.MergeStats.Pruned)
+					if chainPruned == 0 {
+						t.Errorf("seed %d %s: the negative border pruned nothing in three folds", seed, name)
 					}
-					prev = &inc.Result
+					if envelope > 0 && chainCarriedLarge == 0 {
+						t.Errorf("seed %d %s: no supporter of a pattern past the envelope was carried", seed, name)
+					}
 				}
 			}
 		}
 	}
+}
+
+// carriedFloor counts what an incremental merge chain cannot avoid
+// carrying: over every tree node, the pre-update supporters among
+// unchanged transactions of each pattern of at least minSize (two or
+// more: 1-edge patterns are read off the index) edges the node held
+// before and still holds. A pattern that fell out may have been pruned
+// before its supporters were carried, hence a floor.
+func carriedFloor(prev *Result, inc *IncResult, updated *pattern.TIDSet, minSize int) int64 {
+	var n int64
+	for path, set := range inc.NodeSets {
+		for key, p := range set {
+			if old, ok := prev.NodeSets[path][key]; ok && p.Size() >= minSize {
+				n += int64(old.TIDs.AndNotCount(updated))
+			}
+		}
+	}
+	return n
 }
 
 // resultState renders everything an incremental run reads from a previous

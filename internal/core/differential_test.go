@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"partminer/internal/datagen"
 	"partminer/internal/graph"
 	"partminer/internal/gspan"
+	"partminer/internal/isomorph"
 	"partminer/internal/partition"
 	"partminer/internal/pattern"
 )
@@ -69,6 +71,110 @@ func diffSets(t *testing.T, seed int, name string, want, got pattern.Set) {
 		if wp.TIDs == nil || gp.TIDs == nil || !wp.TIDs.Equal(gp.TIDs) {
 			t.Errorf("seed %d %s: %s TID bitsets differ", seed, name, wp.Code)
 		}
+	}
+}
+
+// TestDecompDifferential50Seeds is the exactness contract of the growth
+// envelope: over the same 50 seeded databases, a run whose unit miners
+// stop at GrowthEnvelope edges — the root merge-join extending alone from
+// there to MaxEdges — must produce a pattern set bit-identical to direct
+// gSpan mining at MaxEdges. Every beyond-envelope pattern's support is
+// also recounted by brute-force isomorphism over the database, so the
+// reference itself is cross-checked.
+func TestDecompDifferential50Seeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("50-seed differential is slow; skipped with -short")
+	}
+	const minSup, maxEdges, envelope = 3, 4, 2
+	var allLarge int64
+	for seed := 0; seed < 50; seed++ {
+		cfg := datagen.Config{D: 14, T: 7, N: 4, L: 10, I: 3, Seed: int64(seed)}
+		if seed%2 == 1 {
+			cfg.Hubs = 2
+		}
+		db := datagen.Generate(cfg)
+		want := gspan.Mine(db, gspan.Options{MinSupport: minSup, MaxEdges: maxEdges})
+		res, err := PartMiner(db, Options{MinSupport: minSup, K: 2, MaxEdges: maxEdges, GrowthEnvelope: envelope})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		diffSets(t, seed, "envelope", want, res.Patterns)
+		requireUnitsCapped(t, res, envelope)
+		var large int64
+		for _, p := range res.Patterns {
+			if p.Size() <= envelope {
+				continue
+			}
+			large++
+			pg := p.Code.Graph()
+			truth := pattern.NewTIDSet(len(db))
+			for tid, g := range db {
+				if isomorph.Contains(g, pg) {
+					truth.Add(tid)
+				}
+			}
+			if truth.Count() != p.Support || !truth.Equal(p.TIDs) {
+				t.Errorf("seed %d: %s reported support %d differs from brute-force %d",
+					seed, p.Code, p.Support, truth.Count())
+			}
+		}
+		// Sanity: what was mined past the envelope went through the
+		// merge-join's candidate count.
+		if res.MergeStats.Candidates < large {
+			t.Errorf("seed %d: %d patterns past the envelope, %d merge candidates", seed, large, res.MergeStats.Candidates)
+		}
+		allLarge += large
+	}
+	if allLarge == 0 {
+		t.Error("no seed has a pattern past the envelope")
+	}
+}
+
+// requireUnitsCapped fails unless every unit stopped at the envelope.
+func requireUnitsCapped(t *testing.T, res *Result, envelope int) {
+	t.Helper()
+	for i, set := range res.UnitPatterns {
+		for _, p := range set {
+			if p.Size() > envelope {
+				t.Fatalf("unit %d mined %s past the %d-edge envelope", i, p.Code, envelope)
+			}
+		}
+	}
+}
+
+// TestDecompCancellation pins cooperative cancellation with the envelope
+// engaged: a pre-cancelled context aborts the run with the context error.
+func TestDecompCancellation(t *testing.T) {
+	db := datagen.Generate(datagen.Config{D: 14, T: 7, N: 4, L: 10, I: 3, Seed: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := MineContext(ctx, db, Options{MinSupport: 3, K: 2, MaxEdges: 4, GrowthEnvelope: 2})
+	if err == nil {
+		t.Fatal("cancelled mine returned nil error")
+	}
+}
+
+// TestEnvelopeOptionEdges: -maxedges 0 is unbounded, so an envelope below
+// it still caps the units; K=1 has no merge-join to continue, so the one
+// unit mines every size; and the paper's literal joins, which take a
+// side's (E+1)-edge patterns from its unit results, are refused rather
+// than silently incomplete.
+func TestEnvelopeOptionEdges(t *testing.T) {
+	db := datagen.Generate(datagen.Config{D: 14, T: 7, N: 4, L: 10, I: 3, Seed: 4})
+	want := gspan.Mine(db, gspan.Options{MinSupport: 4})
+	res, err := PartMiner(db, Options{MinSupport: 4, K: 2, GrowthEnvelope: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffSets(t, 4, "envelope, unbounded", want, res.Patterns)
+	requireUnitsCapped(t, res, 2)
+	res, err = PartMiner(db, Options{MinSupport: 4, K: 1, GrowthEnvelope: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffSets(t, 4, "envelope, K=1", want, res.Patterns)
+	if _, err := PartMiner(db, Options{MinSupport: 4, K: 2, MaxEdges: 4, GrowthEnvelope: 2, StrictPaperJoin: true}); err == nil {
+		t.Error("StrictPaperJoin with a growth envelope was accepted")
 	}
 }
 

@@ -222,13 +222,6 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 		return nil, err
 	}
 	res.MergeTime = time.Since(t0)
-	// Large patterns are re-derived per fold: the decomposition stage is
-	// cheap relative to the merge chain (pure bitset pruning plus a few
-	// plan matches) and re-running it keeps the continuation exact
-	// without incremental bookkeeping beyond the envelope.
-	if err := mineLarge(ctx, &res.Result, opts); err != nil {
-		return nil, err
-	}
 	res.Options = opts
 
 	// Classify against the pre-update results (Fig. 12 lines 13-15).

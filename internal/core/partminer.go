@@ -24,7 +24,6 @@ import (
 	"sort"
 	"time"
 
-	"partminer/internal/decomp"
 	"partminer/internal/dfscode"
 	"partminer/internal/exec"
 	"partminer/internal/gaston"
@@ -86,15 +85,14 @@ type Options struct {
 	Workers int
 	// MaxEdges bounds pattern size; 0 means unbounded.
 	MaxEdges int
-	// GrowthEnvelope, when > 0 and < MaxEdges, caps the classic
-	// edge-at-a-time pipeline (unit mining + merge-join) at that size
-	// and continues from there to MaxEdges with the decomposition miner
-	// (internal/decomp): candidates are covered by already-mined pieces,
-	// pruned by the fused intersection of the pieces' TID sets, and
-	// survivors verified exactly with compiled matching plans. Results
-	// stay exact; only the route to large patterns changes. 0 (or
-	// MaxEdges of 0, unbounded) keeps the classic pipeline for every
-	// size.
+	// GrowthEnvelope is where edge-by-edge unit mining stops: when > 0
+	// and below MaxEdges (0 there is unbounded) the unit miners and the
+	// inner-node merges stop at that size and the root merge-join alone
+	// continues to MaxEdges, extending its own levels with no unit
+	// input. Results stay exact; only the route to large patterns
+	// changes. 0, or K = 1 (no merge-join to continue), mines every size
+	// in the units. StrictPaperJoin, whose joins need every side's unit
+	// patterns of each size, is refused with it.
 	GrowthEnvelope int
 	// UnitCosts, when non-empty, is the estimated mining cost per unit
 	// (e.g. the measured UnitTimes of a previous epoch, as PartServe
@@ -138,20 +136,23 @@ func (o *Options) normalize() error {
 	if o.Bisector == nil {
 		o.Bisector = partition.Partition3
 	}
+	if o.StrictPaperJoin && o.envelopeCapsUnits() {
+		return fmt.Errorf("core: StrictPaperJoin cannot be combined with GrowthEnvelope")
+	}
 	return nil
 }
 
-// decompActive reports whether the run continues past the classic
-// growth envelope with the decomposition miner.
-func (o Options) decompActive() bool {
-	return o.GrowthEnvelope > 0 && o.MaxEdges > o.GrowthEnvelope
+// envelopeCapsUnits reports whether unit mining stops at the growth
+// envelope and the root merge-join continues past it alone.
+func (o Options) envelopeCapsUnits() bool {
+	return o.GrowthEnvelope > 0 && o.K > 1 && (o.MaxEdges == 0 || o.MaxEdges > o.GrowthEnvelope)
 }
 
 // classicMaxEdges is the size bound handed to unit miners and the
-// merge-join chain: the growth envelope when decomposition continues
-// beyond it, MaxEdges otherwise.
+// inner-node merges: the growth envelope when the root merge-join
+// continues beyond it, MaxEdges otherwise.
 func (o Options) classicMaxEdges() int {
-	if o.decompActive() {
+	if o.envelopeCapsUnits() {
 		return o.GrowthEnvelope
 	}
 	return o.MaxEdges
@@ -259,11 +260,6 @@ type Result struct {
 	// MergeStats aggregates candidate/verification counters across every
 	// merge-join in the run.
 	MergeStats mergejoin.Stats
-	// DecompStats counts the decomposition continuation's work when
-	// Options.GrowthEnvelope engaged it; zero otherwise.
-	DecompStats decomp.Stats
-	// DecompTime is the wall clock of the decomposition continuation.
-	DecompTime time.Duration
 	// Degraded records unit-miner failures, one error per degraded unit
 	// in unit order. A degraded unit contributed an empty (or partial)
 	// accelerator set: the run's Patterns stay exact — the merge-join
@@ -476,41 +472,8 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (*Result,
 		return nil, err
 	}
 	res.MergeTime = time.Since(t0)
-	if err := mineLarge(ctx, res, opts); err != nil {
-		return nil, err
-	}
 	res.Options = opts
 	return res, nil
-}
-
-// mineLarge runs the decomposition continuation past the classic growth
-// envelope (Options.GrowthEnvelope < size <= MaxEdges): the finished
-// classic result is the complete piece dictionary, the run's shared
-// feature index supplies narrowing and plan posting, and every large
-// pattern folded into res.Patterns carries an exactly verified support
-// and TID set. A no-op when the envelope is not engaged.
-func mineLarge(ctx context.Context, res *Result, opts Options) error {
-	if !opts.decompActive() {
-		return nil
-	}
-	t0 := time.Now()
-	dctx, endStage := obs.Phase(ctx, opts.Observer, "decomp")
-	large, dst, err := decomp.MineContext(dctx, res.Index, res.Patterns, decomp.Options{
-		MinSupport: opts.MinSupport,
-		Envelope:   opts.GrowthEnvelope,
-		MaxEdges:   opts.MaxEdges,
-		Observer:   opts.Observer,
-	})
-	endStage()
-	if err != nil {
-		return err
-	}
-	res.DecompStats = *dst
-	for k, p := range large {
-		res.Patterns[k] = p
-	}
-	res.DecompTime = time.Since(t0)
-	return nil
 }
 
 // mergeChain is one run's walk up the partition tree: res supplies the
@@ -562,8 +525,10 @@ func (m *mergeChain) solve(ctx context.Context, n *partition.Node, path string) 
 	if path == "" {
 		// The root node's database is the full database, so the run's
 		// shared feature index applies; inner nodes let MergeContext
-		// build one for their sub-database.
+		// build one for their sub-database. The root alone is not capped
+		// at a growth envelope.
 		cfg.Index = m.res.Index
+		cfg.MaxEdges = m.opts.MaxEdges
 	}
 	if m.prev != nil {
 		cfg.Old = m.prev.NodeSets[path]

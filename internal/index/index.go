@@ -371,9 +371,6 @@ func (ix *FeatureIndex) addInverted(tid int) {
 // Len returns the number of indexed transactions.
 func (ix *FeatureIndex) Len() int { return len(ix.db) }
 
-// DB returns the indexed database.
-func (ix *FeatureIndex) DB() graph.Database { return ix.db }
-
 // LabelFreq returns the database-wide occurrence count of a vertex label.
 func (ix *FeatureIndex) LabelFreq(label int) int { return ix.labelFreq[label] }
 
@@ -382,16 +379,6 @@ func (ix *FeatureIndex) LabelFreq(label int) int { return ix.labelFreq[label] }
 // callers must not mutate it.
 func (ix *FeatureIndex) TripleTIDs(la, le, lb int) *pattern.TIDSet {
 	return ix.tripleTIDs[MakeTriple(la, le, lb)]
-}
-
-// TripleFreq returns the number of transactions containing the edge
-// triple (la, le, lb) — the selectivity statistic plan compilation ranks
-// exploration roots by. Zero when the triple occurs nowhere.
-func (ix *FeatureIndex) TripleFreq(la, le, lb int) int {
-	if ts := ix.tripleTIDs[MakeTriple(la, le, lb)]; ts != nil {
-		return ts.Count()
-	}
-	return 0
 }
 
 // LabelTIDs returns the TID bitset of a vertex label (shared; do not
@@ -502,16 +489,6 @@ func (ix *FeatureIndex) CandidateTIDs(g *graph.Graph) *pattern.TIDSet {
 		return pattern.NewTIDSet(len(ix.db))
 	}
 	return out
-}
-
-// ContainsIn reports whether transaction tid contains the pattern behind
-// m, using the signature filter first and the posted VF2 search only when
-// the signature admits it. psig must be the matcher pattern's signature.
-func (ix *FeatureIndex) ContainsIn(m *isomorph.Matcher, psig *Signature, tid int) bool {
-	if !ix.sigs[tid].Dominates(psig) {
-		return false
-	}
-	return m.ContainsPostedTick(ix.db[tid], &ix.posts[tid], nil)
 }
 
 // Support counts the transactions containing p through the full indexed

@@ -19,6 +19,11 @@
 // the original graph), so isomorphism tests run only on the residual
 // transactions in the candidates' Apriori TID intersection.
 //
+// Extension mode needs no unit input to be complete, which is what a
+// growth envelope (core.Options.GrowthEnvelope) relies on: the units stop
+// at E edges and the root merge keeps levelling past E on extension
+// candidates alone, through the same filter chain.
+//
 // Every merge also records its negative border (Border, the paper's prune
 // set P): for each rejected candidate, the infrequent subpattern or the
 // sub-threshold TID bound that rejected it. An incremental merge

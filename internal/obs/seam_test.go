@@ -115,8 +115,8 @@ func TestRegistryView(t *testing.T) {
 		t.Fatal("View aliases the registry's counters")
 	}
 	// A stage only started is listed, in start order, with no calls.
-	r.StageStart("decomp")
-	if st := r.View().Stages[2]; st.Stage != "decomp" || st.Calls != 0 || st.Total != 0 {
+	r.StageStart("index.build")
+	if st := r.View().Stages[2]; st.Stage != "index.build" || st.Calls != 0 || st.Total != 0 {
 		t.Fatalf("started-only stage = %+v", st)
 	}
 }

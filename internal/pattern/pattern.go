@@ -237,7 +237,7 @@ func (t *TIDSet) IntersectCount(o *TIDSet) int {
 // exactly once regardless of k. The chained alternative
 // (Clone+IntersectWith per set, then Count) walks the accumulator k+1
 // times and writes it back k times; the fused kernel does neither, which
-// is what makes decomposition upper bounds O(words) instead of
+// is what makes cover-pruner upper bounds O(words) instead of
 // O(k·words) with k round trips through the cache.
 //
 // The pass is blocked so that with many sets the working strip of every

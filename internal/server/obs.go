@@ -12,8 +12,8 @@ package server
 // a stage (a histogram), _total for a counter — merge.verify is
 // partserve_merge_verify_seconds, plan.hit partserve_plan_hit_total, and
 // likewise vf2.match, plan.find, cluster.rpc, partition, units, merge,
-// index.build, gaston.*, decomp and every merge.*, plan.*, query.*,
-// index.*, vf2.*, decomp.*, cluster.*, units.* counter that has fired.
+// index.build, gaston.* and every merge.*, plan.*, query.*, index.*,
+// vf2.*, cluster.*, units.* counter that has fired.
 // One rule is irregular: the per-unit stages unit.<i> share
 // partserve_unit_mine_seconds.
 //

@@ -14,7 +14,6 @@ import (
 
 	"partminer/internal/cluster"
 	"partminer/internal/core"
-	"partminer/internal/decomp"
 	"partminer/internal/exec"
 	"partminer/internal/graph"
 	"partminer/internal/index"
@@ -854,21 +853,6 @@ type Stats struct {
 	// merge.sig_pruned) the feature index contributes: the merge.* entries
 	// of Exec.Counters, with a 0 for each that has not fired.
 	Merge map[string]int64 `json:"merge"`
-	// Decomp holds the cumulative decomposition-miner counters across
-	// every mining round (decomp.candidates, decomp.pieces,
-	// decomp.cover_pruned, decomp.ub_pruned, decomp.verified, ...), read
-	// from Exec.Counters the same way. Empty unless the mining
-	// configuration engages a growth envelope.
-	Decomp map[string]int64 `json:"decomp,omitempty"`
-	// DecompPiecesPerCandidate is the mean cover size of the
-	// decomposition miner (decomp.pieces / decomp.candidates).
-	DecompPiecesPerCandidate float64 `json:"decomp_pieces_per_candidate,omitempty"`
-	// DecompUBPruned and DecompVerified surface the headline
-	// decomposition counters directly: candidates killed by the fused
-	// TID upper bound before any matching, and candidates that reached
-	// exact verification.
-	DecompUBPruned int64 `json:"decomp_ub_pruned,omitempty"`
-	DecompVerified int64 `json:"decomp_verified,omitempty"`
 	// Cluster reports the coordinator's fleet when the server runs in
 	// cluster mode: membership with liveness, the live unit assignment,
 	// the replica set, and the cluster counters. Omitted otherwise.
@@ -928,14 +912,6 @@ func (s *Server) Stats() Stats {
 	q := snap.Res.PartitionQuality
 	st.Partition, st.Exec.Partition = &q, &q
 	st.Merge = countersOf(st.Exec.Counters, (&mergejoin.Stats{}).Counters())
-	// An all-zero decomposition block (no growth envelope configured) is
-	// omitted entirely.
-	if d := countersOf(st.Exec.Counters, (&decomp.Stats{}).Counters()); d["decomp.candidates"] > 0 {
-		st.Decomp = d
-		st.DecompPiecesPerCandidate = float64(d["decomp.pieces"]) / float64(d["decomp.candidates"])
-		st.DecompUBPruned = d["decomp.ub_pruned"]
-		st.DecompVerified = d["decomp.verified"]
-	}
 	if cl := s.cfg.Cluster; cl != nil {
 		info := cl.Info(snap.Res.Options.K)
 		st.Cluster = &info

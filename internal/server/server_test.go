@@ -3,13 +3,18 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"partminer/internal/core"
 	"partminer/internal/graph"
+	"partminer/internal/gspan"
 )
 
 func testDB(seed int64, count int) graph.Database {
@@ -60,10 +65,20 @@ func requireFreshEqual(t *testing.T, snap *Snapshot, opts core.Options) {
 
 // TestApplyDifferential folds several update batches — covering every op
 // kind — and checks after each swap that the published snapshot is
-// bit-for-bit what a fresh mine of the updated database yields.
+// bit-for-bit what a fresh mine of the updated database yields. It runs
+// without and with a growth envelope; with one, the patterns past it — in
+// place folds and an add_graph behind them — must read back over HTTP as
+// exactly gSpan's patterns of those sizes on the served database.
 func TestApplyDifferential(t *testing.T) {
+	for _, envelope := range []int{0, 2} {
+		applyDifferential(t, envelope)
+	}
+}
+
+func applyDifferential(t *testing.T, envelope int) {
 	db := testDB(1, 12)
 	cfg := testConfig()
+	cfg.Mine.GrowthEnvelope = envelope
 	s := mustStart(t, db, cfg)
 	requireFreshEqual(t, s.Snapshot(), cfg.Mine)
 
@@ -75,7 +90,7 @@ func TestApplyDifferential(t *testing.T) {
 		{{Kind: OpRemoveEdge, TID: 4, U: 0, V: 1}},
 		{{Kind: OpClearGraph, TID: 5}},
 		{{Kind: OpReplaceGraph, TID: 6, Graph: newGraph}},
-		{{Kind: OpAddGraph, Graph: newGraph}}, // grows the db: full re-mine
+		{{Kind: OpAddGraph, Graph: newGraph}},              // grows the db: full re-mine
 		{{Kind: OpRelabelVertex, TID: 12, U: 0, Label: 0}}, // touch the added graph
 	}
 	epoch := uint64(1)
@@ -109,6 +124,32 @@ func TestApplyDifferential(t *testing.T) {
 	}
 	if st.OpsApplied == 0 || st.Epoch != epoch {
 		t.Errorf("stats = %+v, want ops applied and epoch %d", st, epoch)
+	}
+
+	if envelope == 0 {
+		return
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var large struct {
+		Patterns []patternJSON `json:"patterns"`
+	}
+	get(t, fmt.Sprintf("%s/v1/patterns?k=0&min_edges=%d&tids=1", ts.URL, envelope+1), http.StatusOK, &large)
+	want := gspan.Mine(s.Snapshot().DB, gspan.Options{MinSupport: cfg.Mine.MinSupport, MaxEdges: cfg.Mine.MaxEdges})
+	for _, p := range large.Patterns {
+		w, ok := want[p.Key]
+		if !ok || p.Size <= envelope || !reflect.DeepEqual(p.TIDs, w.TIDs.Slice()) {
+			t.Errorf("served pattern %s (size %d, tids %v) is not gSpan's", p.Code, p.Size, p.TIDs)
+		}
+		delete(want, p.Key)
+	}
+	for _, w := range want {
+		if w.Size() > envelope {
+			t.Errorf("gSpan's %s is not served past the envelope", w.Code)
+		}
+	}
+	if len(large.Patterns) == 0 {
+		t.Error("nothing was mined past the envelope")
 	}
 }
 

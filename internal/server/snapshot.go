@@ -78,9 +78,8 @@ func (s *Snapshot) TopK(k, minSize int) []*pattern.Pattern {
 
 // TopKRange is TopK with both ends of the size filter: patterns with
 // fewer than minEdges or (when maxEdges > 0) more than maxEdges edges
-// are excluded. The large-pattern serving half of the decomposition
-// miner: ?min_edges= past the growth envelope selects exactly the
-// patterns the classic pipeline could not reach.
+// are excluded. With a growth envelope configured, ?min_edges= past it
+// selects exactly the patterns the root merge-join mined alone.
 func (s *Snapshot) TopKRange(k, minEdges, maxEdges int) []*pattern.Pattern {
 	out := make([]*pattern.Pattern, 0, len(s.Res.Patterns))
 	for _, p := range s.Res.Patterns {
