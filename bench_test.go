@@ -12,8 +12,6 @@ import (
 	"partminer/internal/bench"
 	"partminer/internal/core"
 	"partminer/internal/datagen"
-	"partminer/internal/fsg"
-	"partminer/internal/gaston"
 	"partminer/internal/graph"
 )
 
@@ -64,41 +62,17 @@ func BenchmarkFig17aRelabelUpdates(b *testing.B) { benchFigure(b, "17a") }
 // Figure 17(b): structural updates.
 func BenchmarkFig17bStructuralUpdates(b *testing.B) { benchFigure(b, "17b") }
 
-// Ablation: extension-based vs strict-paper merge-join.
-func BenchmarkAblationJoinStrictPaper(b *testing.B) { benchFigure(b, "ablation-join") }
-
-// Ablation: Gaston vs gSpan as the unit miner.
-func BenchmarkAblationUnitMiner(b *testing.B) { benchFigure(b, "ablation-miner") }
-
 // ---- substrate micro-benchmarks ----
 //
 // Only what the repository's benchmark (go run ./benchmark) has no rung
 // for: canonicalisation, the TID kernels, the growth envelope, the
-// baseline miners, and IncPartMiner at a 40 % round.
+// ADIMINE baseline, and IncPartMiner at a 40 % round.
 
 func benchDB(n int) graph.Database {
 	return datagen.Generate(datagen.Config{D: n, T: 20, N: 20, L: 200, I: 5, Seed: 7})
 }
 
 func BenchmarkMinDFSCode(b *testing.B) { bench.BenchMinDFSCode(b) }
-
-func BenchmarkFSGMine(b *testing.B) {
-	db := benchDB(200)
-	sup := core.AbsoluteSupport(db, 0.04)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fsg.Mine(db, fsg.Options{MinSupport: sup})
-	}
-}
-
-func BenchmarkGastonFreeTreeMine(b *testing.B) {
-	db := benchDB(200)
-	sup := core.AbsoluteSupport(db, 0.04)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gaston.Mine(db, gaston.Options{MinSupport: sup, Engine: gaston.EngineFreeTree})
-	}
-}
 
 func BenchmarkADIMine(b *testing.B) {
 	db := benchDB(200)

@@ -62,6 +62,14 @@ func TestCLIEndToEnd(t *testing.T) {
 		}
 	}
 
+	// The removed miners are refused, naming the values that remain.
+	for _, gone := range []string{"fsg", "freetree"} {
+		msg, err := exec.Command(bin("partminer"), "-miner", gone, dbPath).CombinedOutput()
+		if err == nil || !strings.Contains(string(msg), "(have partminer, adimine, gaston, gspan)") {
+			t.Errorf("-miner %s: err %v, output %q; want a non-zero exit naming the four miners", gone, err, msg)
+		}
+	}
+
 	// A growth envelope changes the route to the larger patterns, not
 	// the answer: below the wall-clock line the listings are the same.
 	patternLines := func(args ...string) string {
@@ -85,8 +93,8 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Errorf("incremental classification missing: %q", errOut)
 	}
 
-	out, _ = run("benchrunner", "-fig", "ablation-miner", "-d50k", "60", "-d100k", "60", "-maxedges", "3")
-	if !strings.Contains(out, "ablation-miner") || !strings.Contains(out, "Gaston") {
+	out, _ = run("benchrunner", "-fig", "16a", "-d50k", "60", "-d100k", "60", "-maxedges", "3")
+	if !strings.Contains(out, "fig16a") || !strings.Contains(out, "PartMiner") {
 		t.Errorf("benchrunner output missing table: %q", out)
 	}
 }

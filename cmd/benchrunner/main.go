@@ -6,7 +6,7 @@
 // Usage:
 //
 //	benchrunner -fig 14a            # one figure
-//	benchrunner -fig all            # every figure and ablation
+//	benchrunner -fig all            # every figure
 //	benchrunner -fig 16b -d50k 1200 # larger scale
 package main
 
@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate (13a 13b 14a 14b 15a 15b 16a 16b 17a 17b ablation-join ablation-miner, or 'all')")
+	fig := flag.String("fig", "all", "figure to regenerate (13a 13b 14a 14b 15a 15b 16a 16b 17a 17b, or 'all')")
 	d50k := flag.Int("d50k", bench.DefaultScale.D50k, "graphs standing in for the paper's 50k-graph datasets")
 	d100k := flag.Int("d100k", bench.DefaultScale.D100k, "graphs standing in for the paper's 100k-graph datasets")
 	maxEdges := flag.Int("maxedges", 0, "bound pattern size (0 = unbounded, the paper's setting); set when shrinking the scale far below the defaults")

@@ -31,7 +31,6 @@ import (
 	"partminer/internal/adimine"
 	"partminer/internal/core"
 	"partminer/internal/exec"
-	"partminer/internal/fsg"
 	"partminer/internal/gaston"
 	"partminer/internal/graph"
 	"partminer/internal/gspan"
@@ -39,6 +38,31 @@ import (
 	"partminer/internal/partition"
 	"partminer/internal/pattern"
 )
+
+// standalone holds the -miner values besides partminer: whole-database
+// miners, which take none of the partitioning options.
+var standalone = map[string]func(ctx context.Context, db graph.Database, sup, maxEdges int) (pattern.Set, error){
+	"gspan": func(ctx context.Context, db graph.Database, sup, maxEdges int) (pattern.Set, error) {
+		return gspan.MineContext(ctx, db, gspan.Options{MinSupport: sup, MaxEdges: maxEdges})
+	},
+	"gaston": func(ctx context.Context, db graph.Database, sup, maxEdges int) (pattern.Set, error) {
+		return gaston.MineContext(ctx, db, gaston.Options{MinSupport: sup, MaxEdges: maxEdges})
+	},
+	"adimine": func(_ context.Context, db graph.Database, sup, maxEdges int) (pattern.Set, error) {
+		return adimine.Mine(db, adimine.Options{MinSupport: sup, MaxEdges: maxEdges})
+	},
+}
+
+// minerNames lists the -miner values, for the flag help and for the
+// error an unknown value gets.
+func minerNames() string {
+	names := make([]string, 0, len(standalone))
+	for name := range standalone {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return "partminer, " + strings.Join(names, ", ")
+}
 
 func main() {
 	minsup := flag.Float64("minsup", 0.04, "minimum support as a fraction of the database (0.04 = 4%), or an absolute count when >= 1")
@@ -51,7 +75,7 @@ func main() {
 	phases := flag.Bool("phases", false, "print the per-phase breakdown (stage timings and work counters) to stderr")
 	statsJSON := flag.String("statsjson", "", "write the per-phase breakdown as JSON to this file ('-' for stdout)")
 	criteria := flag.String("criteria", "partition3", "partitioning strategy: "+strings.Join(partition.Names(), ", "))
-	miner := flag.String("miner", "partminer", "algorithm: partminer, gspan, gaston, freetree, fsg, adimine")
+	miner := flag.String("miner", "partminer", "algorithm: "+minerNames())
 	updatedPath := flag.String("updated", "", "updated database for incremental mining")
 	changed := flag.String("changed", "", "comma-separated ids of updated graphs (with -updated; derived by comparison when empty, and an updated graph missing from the list is an error)")
 	showAll := flag.Bool("patterns", false, "print every pattern, not just the summary")
@@ -147,7 +171,7 @@ func main() {
 			}
 		}()
 	}
-	// Standalone miners (-miner gspan/gaston/freetree) read the ambient
+	// Standalone miners (-miner gspan/gaston) read the ambient
 	// observer off the context; core installs its own per-unit fan-out on
 	// top of this one. The indirection through a plain Observer keeps a
 	// nil *Registry from becoming a non-nil interface.
@@ -166,47 +190,17 @@ func main() {
 		fatal(err)
 	}
 
-	switch *miner {
-	case "gspan":
+	if mine, ok := standalone[*miner]; ok {
 		start := time.Now()
-		set, err := gspan.MineContext(ctx, db, gspan.Options{MinSupport: sup, MaxEdges: *maxEdges})
+		set, err := mine(ctx, db, sup, *maxEdges)
 		if err != nil {
 			fatal(err)
 		}
 		report(condenseSet(set, *condense), time.Since(start), *showAll)
 		return
-	case "gaston":
-		start := time.Now()
-		set, err := gaston.MineContext(ctx, db, gaston.Options{MinSupport: sup, MaxEdges: *maxEdges})
-		if err != nil {
-			fatal(err)
-		}
-		report(condenseSet(set, *condense), time.Since(start), *showAll)
-		return
-	case "freetree":
-		start := time.Now()
-		set, err := gaston.MineContext(ctx, db, gaston.Options{MinSupport: sup, MaxEdges: *maxEdges, Engine: gaston.EngineFreeTree})
-		if err != nil {
-			fatal(err)
-		}
-		report(condenseSet(set, *condense), time.Since(start), *showAll)
-		return
-	case "fsg":
-		start := time.Now()
-		set := fsg.Mine(db, fsg.Options{MinSupport: sup, MaxEdges: *maxEdges})
-		report(condenseSet(set, *condense), time.Since(start), *showAll)
-		return
-	case "adimine":
-		start := time.Now()
-		set, err := adimine.Mine(db, adimine.Options{MinSupport: sup, MaxEdges: *maxEdges})
-		if err != nil {
-			fatal(err)
-		}
-		report(condenseSet(set, *condense), time.Since(start), *showAll)
-		return
-	case "partminer":
-	default:
-		fatal(fmt.Errorf("unknown miner %q", *miner))
+	}
+	if *miner != "partminer" {
+		fatal(fmt.Errorf("unknown miner %q (have %s)", *miner, minerNames()))
 	}
 
 	opts := core.Options{MinSupport: sup, K: *k, MaxEdges: *maxEdges, GrowthEnvelope: *envelope, Parallel: *parallel, Workers: *workers, Bisector: bis, Observer: runObs}

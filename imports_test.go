@@ -22,8 +22,8 @@ func TestImportFences(t *testing.T) {
 		// decomp imports dfscode, graph and pattern; exec and isomorph are
 		// what those bring along.
 		{pkg: "./internal/decomp", only: []string{"dfscode", "graph", "pattern", "exec", "isomorph"}},
-		{pkg: "./cmd/partserved", mustNot: []string{"fsg", "adimine", "storage", "bench"}},
-		{pkg: "./cmd/partworker", mustNot: []string{"fsg", "adimine", "storage", "bench"}},
+		{pkg: "./cmd/partserved", mustNot: []string{"adimine", "storage", "bench"}},
+		{pkg: "./cmd/partworker", mustNot: []string{"adimine", "storage", "bench"}},
 	} {
 		out, err := exec.Command("go", "list", "-deps", fence.pkg).Output()
 		if err != nil {

@@ -313,7 +313,7 @@ type minerRun struct {
 
 func (r *minerRun) grow(code dfscode.Code, proj extend.Projection, out pattern.Set) {
 	ix := r.ix
-	for _, cand := range r.ext.Extensions(ix, code, proj, false, nil) {
+	for _, cand := range r.ext.Extensions(ix, code, proj, nil) {
 		if cand.Proj.Support() < ix.opts.minSup() {
 			continue
 		}

@@ -2,8 +2,7 @@
 // evaluation (§5) as printed tables: the partitioning-criteria comparison
 // (Fig. 13), runtime vs minimum support (Fig. 14), the effect of the
 // number of units in serial and parallel modes (Fig. 15), scalability in T
-// and D (Fig. 16), and the update-volume sweeps (Fig. 17), plus two
-// ablations the design calls out (strict-paper join, unit-miner choice).
+// and D (Fig. 16), and the update-volume sweeps (Fig. 17).
 //
 // Datasets are scaled down from the paper's 50k–1000k graphs (a 2006
 // testbed measured minutes per point) so the whole suite runs in minutes;
@@ -153,16 +152,14 @@ func Figures() []string {
 }
 
 var figures = map[string]func(Scale) *Table{
-	"13a":            Fig13a,
-	"13b":            Fig13b,
-	"14a":            Fig14a,
-	"14b":            Fig14b,
-	"15a":            Fig15a,
-	"15b":            Fig15b,
-	"16a":            Fig16a,
-	"16b":            Fig16b,
-	"17a":            Fig17a,
-	"17b":            Fig17b,
-	"ablation-join":  AblationJoin,
-	"ablation-miner": AblationUnitMiner,
+	"13a": Fig13a,
+	"13b": Fig13b,
+	"14a": Fig14a,
+	"14b": Fig14b,
+	"15a": Fig15a,
+	"15b": Fig15b,
+	"16a": Fig16a,
+	"16b": Fig16b,
+	"17a": Fig17a,
+	"17b": Fig17b,
 }

@@ -11,8 +11,8 @@ var tinyScale = Scale{D50k: 60, D100k: 60, MaxEdges: 3}
 
 func TestFigureNamesResolve(t *testing.T) {
 	names := Figures()
-	if len(names) != 12 {
-		t.Fatalf("expected 12 figures, got %d: %v", len(names), names)
+	if len(names) != 10 {
+		t.Fatalf("expected 10 figures, got %d: %v", len(names), names)
 	}
 	if _, err := Figure("nope", tinyScale); err == nil {
 		t.Error("unknown figure should error")
@@ -22,7 +22,7 @@ func TestFigureNamesResolve(t *testing.T) {
 func TestFigureTablesRender(t *testing.T) {
 	// Run the two cheapest figures end to end and sanity-check the table
 	// structure and rendering.
-	for _, name := range []string{"17a", "ablation-miner"} {
+	for _, name := range []string{"17a", "16a"} {
 		tab, err := Figure(name, tinyScale)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -1,16 +1,13 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
 	"partminer/internal/adimine"
 	"partminer/internal/core"
 	"partminer/internal/datagen"
 	"partminer/internal/graph"
-	"partminer/internal/gspan"
 	"partminer/internal/partition"
-	"partminer/internal/pattern"
 )
 
 // base50k is the stand-in for the paper's D50kT20N20L200I5 dataset.
@@ -330,55 +327,6 @@ func fig17(s Scale, name, what string, kinds []datagen.UpdateKind) *Table {
 		row.Seconds = append(row.Seconds, adimineStatic(newDB, ms, s.MaxEdges))
 		row.Seconds = append(row.Seconds, incTime(newDB, upd, prev))
 		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-// AblationJoin compares the default extension-based merge-join against the
-// paper's literal C1/C2/C3 pseudocode (StrictPaperJoin) on runtime and on
-// how many patterns the strict variant misses.
-func AblationJoin(s Scale) *Table {
-	cfg := base50k(s)
-	db := dataset(cfg)
-	t := &Table{
-		Name:    "ablation-join",
-		Title:   "merge-join candidate generation: extension (default) vs strict-paper C1/C2/C3",
-		Dataset: cfg.Name(),
-		XLabel:  "minsup",
-		Columns: []string{"extension", "strict-paper"},
-	}
-	for _, frac := range []float64{0.02, 0.04} {
-		ms := sup(db, frac)
-		full, fullSecs := partStatic(db, core.Options{MinSupport: ms, K: 2, MaxEdges: s.MaxEdges})
-		strict, strictSecs := partStatic(db, core.Options{MinSupport: ms, K: 2, StrictPaperJoin: true, MaxEdges: s.MaxEdges})
-		t.Rows = append(t.Rows, Row{X: pct(frac), Seconds: []float64{fullSecs, strictSecs}})
-		t.Notes = append(t.Notes, fmt.Sprintf("minsup %s: extension found %d patterns, strict-paper %d (missing %d)",
-			pct(frac), len(full.Patterns), len(strict.Patterns), len(full.Patterns)-len(strict.Patterns)))
-	}
-	return t
-}
-
-// AblationUnitMiner swaps the unit miner: Gaston (the paper's choice)
-// against our reference gSpan, at k=2 and k=4.
-func AblationUnitMiner(s Scale) *Table {
-	cfg := base50k(s)
-	db := dataset(cfg)
-	ms := sup(db, 0.04)
-	gspanUnit := func(ctx context.Context, db graph.Database, minSup, maxEdges int) (pattern.Set, error) {
-		return gspan.MineContext(ctx, db, gspan.Options{MinSupport: minSup, MaxEdges: maxEdges})
-	}
-	t := &Table{
-		Name:    "ablation-miner",
-		Title:   "unit miner choice: Gaston vs gSpan vs Gaston/free-tree (minsup 4%)",
-		Dataset: cfg.Name(),
-		XLabel:  "k",
-		Columns: []string{"Gaston", "gSpan", "Gaston-freetree"},
-	}
-	for _, k := range []int{2, 4} {
-		_, g1 := partStatic(db, core.Options{MinSupport: ms, K: k, MaxEdges: s.MaxEdges})
-		_, g2 := partStatic(db, core.Options{MinSupport: ms, K: k, UnitMiner: gspanUnit, MaxEdges: s.MaxEdges})
-		_, g3 := partStatic(db, core.Options{MinSupport: ms, K: k, UnitMiner: core.GastonFreeTreeMiner, MaxEdges: s.MaxEdges})
-		t.Rows = append(t.Rows, Row{X: fmt.Sprint(k), Seconds: []float64{g1, g2, g3}})
 	}
 	return t
 }

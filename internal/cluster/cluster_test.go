@@ -200,7 +200,7 @@ func TestClusterMineDifferential50Seeds(t *testing.T) {
 }
 
 // TestClusterKillMidMine kills the worker owning unit 0 right before
-// the first unit mine: its units fail over along the ring, the run
+// unit 0 is mined: its remaining units fail over along the ring, the run
 // stays bit-for-bit exact, and the churn is counted as reassignments.
 func TestClusterKillMidMine(t *testing.T) {
 	// Long heartbeat grace: the kill must be discovered by the failing
@@ -209,7 +209,7 @@ func TestClusterKillMidMine(t *testing.T) {
 	fleets(t, 3, Config{HeartbeatInterval: time.Minute}, func(t *testing.T, tc *testCluster) {
 		const seed = 7
 		db := testDB(seed)
-		base := core.Options{MinSupport: 2, K: 4, MaxEdges: 3, ScheduleIndexOrder: true}
+		base := core.Options{MinSupport: 2, K: 4, MaxEdges: 3}
 		want, err := core.PartMiner(db, base)
 		if err != nil {
 			t.Fatal(err)
@@ -219,11 +219,9 @@ func TestClusterKillMidMine(t *testing.T) {
 		if victim == "" {
 			t.Fatal("unit 0 has no live owner")
 		}
-		killed := false
 		clustered := base
 		clustered.UnitMinerIndexed = func(ctx context.Context, unit int, udb graph.Database, minSup, maxEdges int) (pattern.Set, error) {
-			if !killed {
-				killed = true
+			if unit == 0 {
 				tc.kill(tc.workerIndex(victim))
 			}
 			return tc.coord.MineUnit(ctx, unit, udb, minSup, maxEdges)

@@ -96,6 +96,13 @@ func TestStaticRedialsDroppedConnection(t *testing.T) {
 	tc := startStatic(t, 1)
 	col := obs.NewRegistry("")
 	tc.coord.SetObserver(col)
+	// Dial returns once the client side of the session is up; only a
+	// completed RPC proves the worker's accept loop holds the connection
+	// for Sever to drop. (Another unit, so the mine after the drop is not
+	// a warm-cache hit.)
+	if _, err := tc.coord.MineUnit(context.Background(), 1, oneEdgeDB(), 1, 0); err != nil {
+		t.Fatal(err)
+	}
 	tc.workers[0].Sever()
 
 	set, err := tc.coord.MineUnit(context.Background(), 0, oneEdgeDB(), 1, 0)
@@ -114,8 +121,8 @@ func TestStaticRedialsDroppedConnection(t *testing.T) {
 	if ctrs := tc.coord.Counters(); ctrs.Reassignments != 0 || ctrs.LocalMines != 0 {
 		t.Errorf("redial must not be counted as failover: %+v", ctrs)
 	}
-	if got := tc.workers[0].metrics.unitsMined.Value(); got != 1 {
-		t.Errorf("worker mined %d units; want 1", got)
+	if got := tc.workers[0].metrics.unitsMined.Value(); got != 2 {
+		t.Errorf("worker mined %d units; want 2 (one before the drop, one after)", got)
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -156,9 +158,7 @@ func TestDecompCancellation(t *testing.T) {
 
 // TestEnvelopeOptionEdges: -maxedges 0 is unbounded, so an envelope below
 // it still caps the units; K=1 has no merge-join to continue, so the one
-// unit mines every size; and the paper's literal joins, which take a
-// side's (E+1)-edge patterns from its unit results, are refused rather
-// than silently incomplete.
+// unit mines every size.
 func TestEnvelopeOptionEdges(t *testing.T) {
 	db := datagen.Generate(datagen.Config{D: 14, T: 7, N: 4, L: 10, I: 3, Seed: 4})
 	want := gspan.Mine(db, gspan.Options{MinSupport: 4})
@@ -173,9 +173,6 @@ func TestEnvelopeOptionEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffSets(t, 4, "envelope, K=1", want, res.Patterns)
-	if _, err := PartMiner(db, Options{MinSupport: 4, K: 2, MaxEdges: 4, GrowthEnvelope: 2, StrictPaperJoin: true}); err == nil {
-		t.Error("StrictPaperJoin with a growth envelope was accepted")
-	}
 }
 
 // TestStrategyDifferentialParallel spot-checks that the identity also
@@ -198,23 +195,14 @@ func TestStrategyDifferentialParallel(t *testing.T) {
 }
 
 // TestScheduleOrderDoesNotChangeResults pins the scheduler contract
-// directly: cost-first and index-order submission produce identical
-// results, with and without a warm cost profile.
+// directly: a warm cost profile reorders submission and produces
+// identical results.
 func TestScheduleOrderDoesNotChangeResults(t *testing.T) {
 	db := datagen.Generate(datagen.Config{D: 16, T: 8, N: 4, L: 10, I: 3, Seed: 9, Hubs: 3})
 	base := Options{MinSupport: 3, K: 4, MaxEdges: 4, Parallel: true, Workers: 2}
 	ordered, err := PartMiner(db, base)
 	if err != nil {
 		t.Fatal(err)
-	}
-	indexOrder := base
-	indexOrder.ScheduleIndexOrder = true
-	plain, err := PartMiner(db, indexOrder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ordered.Patterns.Equal(plain.Patterns) {
-		t.Errorf("scheduling order changed results: %v", ordered.Patterns.Diff(plain.Patterns))
 	}
 	warm := base
 	warm.UnitCosts = ordered.UnitTimes
@@ -249,55 +237,49 @@ func TestUnitOrderPolicy(t *testing.T) {
 			t.Fatalf("cost order = %v; want %v", order, wantOrder)
 		}
 	}
-	// Index-order escape hatch and the no-signal case both fall back to
-	// nil (index order).
-	if o := (Options{ScheduleIndexOrder: true, UnitCosts: []time.Duration{30, 10, 20}}).unitOrder(tree); o != nil {
-		t.Errorf("ScheduleIndexOrder should disable ordering, got %v", o)
-	}
+	// The no-signal case falls back to nil (index order).
 	flat := &partition.Tree{Units: make([]graph.Database, 3), Quality: partition.Quality{UnitEdges: []int{4, 4, 4}}}
 	if o := (Options{}).unitOrder(flat); o != nil {
 		t.Errorf("uniform costs should keep index order, got %v", o)
 	}
 }
 
-// TestParallelTimeBoundedModel pins ParallelTime's serial-run fallback:
-// unbounded (paper) model without a worker bound, list-scheduling
-// makespan in scheduler order with one.
-func TestParallelTimeBoundedModel(t *testing.T) {
-	tree := &partition.Tree{
-		Units:   make([]graph.Database, 4),
-		Quality: partition.Quality{UnitEdges: []int{1, 1, 1, 1}},
+// TestIncMineSubmitsInUnitOrder pins that an incremental round submits
+// its re-mined units in Options.unitOrder's order (serial mode runs them
+// in submission order), while ReminedUnits stays in unit order.
+func TestIncMineSubmitsInUnitOrder(t *testing.T) {
+	db := datagen.Generate(datagen.Config{D: 16, T: 8, N: 4, L: 10, I: 3, Seed: 9, Hubs: 3})
+	var calls []int
+	opts := Options{MinSupport: 3, K: 4, MaxEdges: 3, UnitCosts: []time.Duration{10, 40, 20, 30},
+		UnitMinerIndexed: func(ctx context.Context, unit int, db graph.Database, minSup, maxEdges int) (pattern.Set, error) {
+			calls = append(calls, unit)
+			return gspanUnit(ctx, unit, db, minSup, maxEdges)
+		}}
+	prev, err := PartMiner(db, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	times := []time.Duration{10, 10, 10, 30}
-	costs := []time.Duration{10, 10, 10, 30}
-
-	// No worker bound: the paper's unbounded model — the slowest unit.
-	unbounded := &Result{Tree: tree, UnitTimes: times}
-	if got := unbounded.ParallelTime(); got != 30 {
-		t.Errorf("unbounded model = %v; want 30", got)
+	newDB := db.Clone()
+	updated := datagen.ApplyUpdates(newDB, datagen.UpdateConfig{Fraction: 1, Seed: 3, N: 4})
+	calls = nil
+	inc, err := IncPartMiner(newDB, updated, prev)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// W=2, index order: the 30 starts last on a worker that already did
-	// 10+10, so the makespan is 40.
-	index := &Result{Tree: tree, UnitTimes: times,
-		Options: Options{Workers: 2, UnitCosts: costs, ScheduleIndexOrder: true}}
-	if got := index.ParallelTime(); got != 40 {
-		t.Errorf("index-order bounded model = %v; want 40", got)
+	if len(inc.ReminedUnits) < 2 || !sort.IntsAreSorted(inc.ReminedUnits) {
+		t.Fatalf("ReminedUnits = %v; want at least two units, in unit order", inc.ReminedUnits)
 	}
-
-	// W=2, cost-first: the 30 starts first and the three 10s pack on the
-	// other worker — makespan 30. This is the gap the scheduler exists
-	// for.
-	sched := &Result{Tree: tree, UnitTimes: times,
-		Options: Options{Workers: 2, UnitCosts: costs}}
-	if got := sched.ParallelTime(); got != 30 {
-		t.Errorf("cost-first bounded model = %v; want 30", got)
+	remined := make(map[int]bool)
+	for _, u := range inc.ReminedUnits {
+		remined[u] = true
 	}
-
-	// A measured concurrent phase always wins over the model.
-	measured := &Result{Tree: tree, UnitTimes: times, UnitsWall: 77,
-		Options: Options{Workers: 2, UnitCosts: costs}}
-	if got := measured.ParallelTime(); got != 77 {
-		t.Errorf("measured UnitsWall = %v; want 77", got)
+	var want []int
+	for _, u := range opts.unitOrder(inc.Tree) {
+		if remined[u] {
+			want = append(want, u)
+		}
+	}
+	if !reflect.DeepEqual(calls, want) {
+		t.Errorf("units re-mined in order %v; unitOrder restricted to %v is %v", calls, inc.ReminedUnits, want)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"partminer/internal/exec"
@@ -144,30 +143,20 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 	}
 	res.ReminedUnits = remineIdx
 
-	// Skew-aware scheduling (same policy as MineContext): submit the
-	// units estimated most expensive first. Previous-epoch measured costs
-	// (Options.UnitCosts, as PartServe feeds back) win over the static
-	// edge-count proxy. remineIdx itself stays in unit order — only the
-	// submission sequence is reordered — so ReminedUnits reads naturally.
-	if !opts.ScheduleIndexOrder && len(remineIdx) > 1 {
-		costOf := func(i int) float64 {
-			if i < len(opts.UnitCosts) && opts.UnitCosts[i] > 0 {
-				return float64(opts.UnitCosts[i])
+	// Skew-aware scheduling: Options.unitOrder's submission order,
+	// restricted to the re-mined units. ReminedUnits stays in unit order.
+	if order := opts.unitOrder(tree); order != nil {
+		remineIdx = make([]int, 0, len(res.ReminedUnits))
+		for _, i := range order {
+			if needRemine[i] {
+				remineIdx = append(remineIdx, i)
 			}
-			if i < len(tree.Quality.UnitEdges) {
-				return float64(tree.Quality.UnitEdges[i])
-			}
-			return 0
 		}
-		sorted := append([]int(nil), remineIdx...)
-		sort.SliceStable(sorted, func(a, b int) bool { return costOf(sorted[a]) > costOf(sorted[b]) })
-		remineIdx = sorted
 	}
 
 	pool := opts.pool()
 	unitErrs := make([]error, len(remineIdx))
 	uctx0, endStage := obs.Phase(ctx, o, "units")
-	unitsStart := time.Now()
 	err = pool.MapCtx(uctx0, len(remineIdx), func(tctx context.Context, j int) {
 		i := remineIdx[j]
 		uctx, endUnit := obs.Phase(tctx, o, fmt.Sprintf("unit.%d", i))
@@ -182,9 +171,6 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 		res.UnitTimes[i] = time.Since(t0)
 		unitErrs[j] = uerr
 	})
-	if opts.Parallel {
-		res.UnitsWall = time.Since(unitsStart)
-	}
 	endStage()
 	if err != nil {
 		return nil, err

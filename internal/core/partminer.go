@@ -35,33 +35,21 @@ import (
 	"partminer/internal/pattern"
 )
 
-// UnitMiner mines the complete frequent-pattern set of one unit database
+// IndexedUnitMiner mines the complete frequent-pattern set of one unit
+// database, in place of the default (Gaston, the paper's choice, §4.2),
 // at the given absolute support. Implementations must return exact
 // supports and TIDs relative to the unit database's indexes, observe ctx
 // cancellation cooperatively, and report failures through the error: a
 // non-nil error with a usable (possibly empty) set marks the unit as
 // degraded — PartMiner's extension-based merge-join stays correct without
 // unit results, only slower — and is surfaced in Result.Degraded.
-type UnitMiner func(ctx context.Context, db graph.Database, minSup, maxEdges int) (pattern.Set, error)
-
-// IndexedUnitMiner is a UnitMiner that also receives the unit's index in
-// the partition (0..K-1). Sharded deployments need the index as a stable
-// identity: internal/cluster hashes "unit-<i>" onto its consistent-hash
-// ring to pick the owning worker, so the same unit lands on the same
-// worker across epochs and warm per-unit state can be reused. The
-// correctness contract is identical to UnitMiner.
+//
+// unit is the unit's index in the partition (0..K-1). Sharded
+// deployments need it as a stable identity: internal/cluster hashes
+// "unit-<i>" onto its consistent-hash ring to pick the owning worker, so
+// the same unit lands on the same worker across epochs and warm per-unit
+// state can be reused.
 type IndexedUnitMiner func(ctx context.Context, unit int, db graph.Database, minSup, maxEdges int) (pattern.Set, error)
-
-// GastonMiner is the default unit miner (the paper's choice, §4.2).
-func GastonMiner(ctx context.Context, db graph.Database, minSup, maxEdges int) (pattern.Set, error) {
-	return gaston.MineContext(ctx, db, gaston.Options{MinSupport: minSup, MaxEdges: maxEdges})
-}
-
-// GastonFreeTreeMiner is Gaston with its original free-tree enumeration
-// engine (trees first with tree canonical forms, cycles closed after).
-func GastonFreeTreeMiner(ctx context.Context, db graph.Database, minSup, maxEdges int) (pattern.Set, error) {
-	return gaston.MineContext(ctx, db, gaston.Options{MinSupport: minSup, MaxEdges: maxEdges, Engine: gaston.EngineFreeTree})
-}
 
 // Options configures PartMiner.
 type Options struct {
@@ -79,9 +67,7 @@ type Options struct {
 	// worker pool shared by the whole run.
 	Parallel bool
 	// Workers bounds the run's worker pool when Parallel is set; 0 means
-	// runtime.GOMAXPROCS(0). In serial mode it does not change execution,
-	// but a non-zero value parameterizes Result.ParallelTime's
-	// bounded-worker model of the unit phase.
+	// runtime.GOMAXPROCS(0). In serial mode it does not change execution.
 	Workers int
 	// MaxEdges bounds pattern size; 0 means unbounded.
 	MaxEdges int
@@ -91,8 +77,7 @@ type Options struct {
 	// continues to MaxEdges, extending its own levels with no unit
 	// input. Results stay exact; only the route to large patterns
 	// changes. 0, or K = 1 (no merge-join to continue), mines every size
-	// in the units. StrictPaperJoin, whose joins need every side's unit
-	// patterns of each size, is refused with it.
+	// in the units.
 	GrowthEnvelope int
 	// UnitCosts, when non-empty, is the estimated mining cost per unit
 	// (e.g. the measured UnitTimes of a previous epoch, as PartServe
@@ -103,18 +88,8 @@ type Options struct {
 	// back to the unit's edge count. Costs never affect results, only
 	// scheduling.
 	UnitCosts []time.Duration
-	// ScheduleIndexOrder disables skew-aware scheduling and submits units
-	// in index order (the pre-cost-profile behavior); for A/B
-	// measurement of the scheduler itself.
-	ScheduleIndexOrder bool
-	// StrictPaperJoin switches the merge-join to the paper's literal
-	// C1/C2/C3 candidate generation (see internal/mergejoin).
-	StrictPaperJoin bool
-	// UnitMiner overrides the per-unit mining algorithm; default Gaston.
-	UnitMiner UnitMiner
-	// UnitMinerIndexed, when non-nil, takes precedence over UnitMiner and
-	// additionally receives the unit index — the identity sharded
-	// deployments (internal/cluster) hash to route the unit to its owner.
+	// UnitMinerIndexed overrides the per-unit mining algorithm; default
+	// Gaston.
 	UnitMinerIndexed IndexedUnitMiner
 	// Observer, when non-nil, receives stage timings ("partition",
 	// "unit.<i>", "units", "merge", "merge.<path>") and work counters
@@ -136,9 +111,6 @@ func (o *Options) normalize() error {
 	if o.Bisector == nil {
 		o.Bisector = partition.Partition3
 	}
-	if o.StrictPaperJoin && o.envelopeCapsUnits() {
-		return fmt.Errorf("core: StrictPaperJoin cannot be combined with GrowthEnvelope")
-	}
 	return nil
 }
 
@@ -158,25 +130,14 @@ func (o Options) classicMaxEdges() int {
 	return o.MaxEdges
 }
 
-// unitMiner resolves the effective unit miner without mutating Options,
-// so a defaulted configuration stays serializable (SaveResult rejects
-// custom miners, which are not representable on disk).
-func (o Options) unitMiner() UnitMiner {
-	if o.UnitMiner == nil {
-		return GastonMiner
-	}
-	return o.UnitMiner
-}
-
-// mineUnit runs the effective unit miner on unit i, preferring the
-// indexed variant when configured. Both the initial mine and incremental
-// re-mines go through here so sharded deployments see every unit mine
-// with its identity attached.
+// mineUnit mines unit i with the configured override, or Gaston. Both
+// the initial mine and incremental re-mines go through here so sharded
+// deployments see every unit mine with its identity attached.
 func (o Options) mineUnit(ctx context.Context, i int, db graph.Database, minSup, maxEdges int) (pattern.Set, error) {
 	if o.UnitMinerIndexed != nil {
 		return o.UnitMinerIndexed(ctx, i, db, minSup, maxEdges)
 	}
-	return o.unitMiner()(ctx, db, minSup, maxEdges)
+	return gaston.MineContext(ctx, db, gaston.Options{MinSupport: minSup, MaxEdges: maxEdges})
 }
 
 // pool builds the run's shared execution pool: a real bounded pool in
@@ -199,13 +160,10 @@ func (o Options) pool() *exec.Pool {
 // previous epoch (UnitCosts) win when present; units without one fall
 // back to their edge count (from the tree's quality measurement), the
 // best static proxy for mining cost. Index order is kept for equal-cost
-// units (stable sort) and returned unchanged when ScheduleIndexOrder is
-// set or no cost signal discriminates the units. A nil return means
-// "index order" to exec.MapOrderedCtx.
+// units (stable sort) and returned unchanged when no cost signal
+// discriminates the units. A nil return means "index order" to
+// exec.MapOrderedCtx.
 func (o Options) unitOrder(tree *partition.Tree) []int {
-	if o.ScheduleIndexOrder {
-		return nil
-	}
 	n := len(tree.Units)
 	cost := make([]float64, n)
 	any := false
@@ -248,11 +206,6 @@ type Result struct {
 	// PartitionTime and MergeTime cover Phase 1 and the merge-join chain.
 	PartitionTime time.Duration
 	MergeTime     time.Duration
-	// UnitsWall is the measured wall-clock of the whole unit-mining phase.
-	// Recorded only in Parallel mode, where units overlap and the phase's
-	// real duration (which the scheduling order influences) is not
-	// derivable from the per-unit times; zero in serial runs.
-	UnitsWall time.Duration
 	// PartitionQuality is the quality of the Phase-1 partitioning
 	// (edge-cut ratio, replication factor, unit balance), copied from
 	// Tree.Quality so it survives persistence round-trips.
@@ -299,73 +252,6 @@ func (r *Result) AggregateTime() time.Duration {
 	return total
 }
 
-// ParallelTime is the parallel-mode runtime: partitioning plus the unit
-// phase plus merging. When the run actually mined units concurrently the
-// measured phase wall clock (UnitsWall) is used — it reflects worker
-// count and scheduling order; otherwise the paper's idealized model
-// stands in: slowest unit with unbounded workers (§5.1.3), or — when the
-// run was configured with an explicit worker bound — the list-scheduling
-// makespan of the measured unit times under that bound (see
-// modelUnitsWall). The bounded model is how a serial run (the only
-// faithful measurement on a single-core host) still exposes what the
-// scheduling order would cost on parallel hardware.
-func (r *Result) ParallelTime() time.Duration {
-	total := r.PartitionTime + r.MergeTime
-	if r.UnitsWall > 0 {
-		return total + r.UnitsWall
-	}
-	return total + r.modelUnitsWall()
-}
-
-// modelUnitsWall models the unit phase of a run that did not measure a
-// real concurrent phase. With no explicit worker bound it is the paper's
-// idealized model: the slowest unit, unbounded workers. With
-// Options.Workers >= 1 it generalizes that model to bounded workers: the
-// measured unit times are submitted in the order the parallel executor
-// would have used (Options.unitOrder — descending estimated cost, or
-// index order) and each goes to the earliest-free worker; the makespan
-// is the modeled phase wall clock. This is the quantity cost-first
-// scheduling improves — index order pays for a heavy unit that starts
-// last, largest-first never does.
-func (r *Result) modelUnitsWall() time.Duration {
-	w := r.Options.Workers
-	if w < 1 || w >= len(r.UnitTimes) || r.Tree == nil {
-		var max time.Duration
-		for _, d := range r.UnitTimes {
-			if d > max {
-				max = d
-			}
-		}
-		return max
-	}
-	order := r.Options.unitOrder(r.Tree)
-	if order == nil {
-		order = make([]int, len(r.UnitTimes))
-		for i := range order {
-			order[i] = i
-		}
-	}
-	workers := make([]time.Duration, w)
-	for _, u := range order {
-		min := 0
-		for j := 1; j < w; j++ {
-			if workers[j] < workers[min] {
-				min = j
-			}
-		}
-		if u < len(r.UnitTimes) {
-			workers[min] += r.UnitTimes[u]
-		}
-	}
-	var max time.Duration
-	for _, t := range workers {
-		if t > max {
-			max = t
-		}
-	}
-	return max
-}
-
 // PartMiner mines the complete set of frequent subgraphs of db (Fig. 11).
 func PartMiner(db graph.Database, opts Options) (*Result, error) {
 	return MineContext(context.Background(), db, opts)
@@ -384,8 +270,8 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (*Result,
 	}
 	// One canonicality memo for the whole run: units of the same database
 	// re-derive many of the same DFS codes, and IsCanonical verdicts are
-	// pure functions of the code, so every unit miner (and both engines)
-	// can share the verdict cache through the context.
+	// pure functions of the code, so every unit miner can
+	// share the verdict cache through the context.
 	ctx = dfscode.WithMemo(ctx)
 	o := opts.Observer
 	res := &Result{}
@@ -433,11 +319,7 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (*Result,
 		unitErrs[i] = err
 	}
 	uctx, endStage := obs.Phase(ctx, o, "units")
-	t0 := time.Now()
 	err = pool.MapOrderedCtx(uctx, len(leaves), opts.unitOrder(tree), mineLeaf)
-	if opts.Parallel {
-		res.UnitsWall = time.Since(t0)
-	}
 	endStage()
 	if err != nil {
 		return nil, err
@@ -457,7 +339,7 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (*Result,
 	// database's feature index is built once here and drives the root
 	// merge's candidate pruning; inner nodes cover sub-databases and
 	// build their own inside MergeContext.
-	t0 = time.Now()
+	t0 := time.Now()
 	res.Index, err = index.BuildContext(ctx, db, pool, o)
 	if err != nil {
 		return nil, err
@@ -513,14 +395,13 @@ func (m *mergeChain) solve(ctx context.Context, n *partition.Node, path string) 
 	}
 	border := make(mergejoin.Border)
 	cfg := mergejoin.Config{
-		MinSupport:  ceilDiv(m.opts.MinSupport, 1<<uint(n.Level)),
-		MaxEdges:    m.opts.classicMaxEdges(),
-		StrictPaper: m.opts.StrictPaperJoin,
-		Border:      border,
-		Stats:       &m.res.MergeStats,
-		Pool:        m.pool,
-		SubKeys:     m.subKeys,
-		Observer:    m.opts.Observer,
+		MinSupport: ceilDiv(m.opts.MinSupport, 1<<uint(n.Level)),
+		MaxEdges:   m.opts.classicMaxEdges(),
+		Border:     border,
+		Stats:      &m.res.MergeStats,
+		Pool:       m.pool,
+		SubKeys:    m.subKeys,
+		Observer:   m.opts.Observer,
 	}
 	if path == "" {
 		// The root node's database is the full database, so the run's

@@ -13,8 +13,8 @@ import (
 )
 
 // Portable returns a shallow copy of the result with the
-// non-serializable function options (UnitMiner, UnitMinerIndexed,
-// Observer) stripped, so a result mined through a custom miner — a
+// non-serializable function options (UnitMinerIndexed, Observer)
+// stripped, so a result mined through a custom miner — a
 // cluster coordinator, joined or dialed — can still be saved with
 // SaveResult/SaveSnapshot. The stripped copy loads as if it had been
 // mined with the built-in Gaston miner, which is exactly right: the
@@ -23,7 +23,6 @@ import (
 // copied — treat the receiver as read-only afterwards.
 func (res *Result) Portable() *Result {
 	cp := *res
-	cp.Options.UnitMiner = nil
 	cp.Options.UnitMinerIndexed = nil
 	cp.Options.Observer = nil
 	return &cp
@@ -35,21 +34,22 @@ func (res *Result) Portable() *Result {
 // stored: partitioning is deterministic, so LoadResult rebuilds it from
 // the database and the recorded options.
 //
-// Results produced with a custom Bisector or UnitMiner cannot be saved
-// (the functions are not serializable); use the built-in criteria.
+// Results produced with a custom Bisector or UnitMinerIndexed cannot be
+// saved (the functions are not serializable); use the built-in criteria
+// or Portable.
 func SaveResult(w io.Writer, res *Result) error {
 	bisector, err := bisectorName(res.Options.Bisector)
 	if err != nil {
 		return err
 	}
-	if res.Options.UnitMiner != nil || res.Options.UnitMinerIndexed != nil {
-		return fmt.Errorf("core: results with a custom UnitMiner cannot be saved")
+	if res.Options.UnitMinerIndexed != nil {
+		return fmt.Errorf("core: results with a custom UnitMinerIndexed cannot be saved")
 	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "partminer-result v1")
-	fmt.Fprintf(bw, "options minsup=%d k=%d maxedges=%d envelope=%d strictpaper=%t parallel=%t bisector=%s\n",
+	fmt.Fprintf(bw, "options minsup=%d k=%d maxedges=%d envelope=%d parallel=%t bisector=%s\n",
 		res.Options.MinSupport, res.Options.K, res.Options.MaxEdges, res.Options.GrowthEnvelope,
-		res.Options.StrictPaperJoin, res.Options.Parallel, bisector)
+		res.Options.Parallel, bisector)
 	fmt.Fprintf(bw, "dbsize %d\n", len(res.Tree.Root.DB))
 	fmt.Fprintf(bw, "unitsupport %d\n", res.UnitSupport)
 	writeSet := func(name string, set pattern.Set) {
@@ -111,7 +111,10 @@ func LoadResult(r io.Reader, db graph.Database) (*Result, error) {
 		case "envelope":
 			res.Options.GrowthEnvelope, _ = strconv.Atoi(parts[1])
 		case "strictpaper":
-			res.Options.StrictPaperJoin = parts[1] == "true"
+			// Written by files saved before the option was removed.
+			if parts[1] == "true" {
+				return nil, fail("saved with the removed StrictPaperJoin option; mine again")
+			}
 		case "parallel":
 			res.Options.Parallel = parts[1] == "true"
 		case "bisector":
@@ -225,7 +228,7 @@ const snapshotHeader = "partminer-snapshot v1"
 // database needs to survive for a later process to resume. This is the
 // server's warm-start format (`partserved -restore`): the database text
 // section is followed by the SaveResult section, and LoadSnapshot wires
-// them back together. The same custom-Bisector/UnitMiner restrictions as
+// them back together. The same custom-Bisector/UnitMinerIndexed restrictions as
 // SaveResult apply.
 func SaveSnapshot(w io.Writer, res *Result) error {
 	if res == nil || res.Tree == nil {

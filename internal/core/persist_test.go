@@ -50,6 +50,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Errorf("pattern %s lost TIDs", p)
 		}
 	}
+	// Files saved before the strict-paper join was removed carry its token:
+	// false loads as if absent, and new files no longer write it.
+	if strings.Contains(sb.String(), "strictpaper") {
+		t.Error("SaveResult still writes the strictpaper token")
+	}
+	old := strings.Replace(sb.String(), " parallel=", " strictpaper=false parallel=", 1)
+	if back, err = LoadResult(strings.NewReader(old), db); err != nil || !back.Patterns.Equal(res.Patterns) {
+		t.Errorf("file with strictpaper=false: err %v", err)
+	}
 }
 
 // TestIncrementalFromLoadedResult is the point of persistence: a loaded
@@ -95,7 +104,7 @@ func TestIncrementalFromLoadedResult(t *testing.T) {
 func TestSaveRejectsCustomUnitMiner(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	db := graph.RandomDatabase(rng, 4, 5, 6, 2, 2)
-	res, err := PartMiner(db, Options{MinSupport: 2, K: 2, MaxEdges: 3, UnitMiner: GastonFreeTreeMiner})
+	res, err := PartMiner(db, Options{MinSupport: 2, K: 2, MaxEdges: 3, UnitMinerIndexed: gspanUnit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,17 +142,19 @@ func TestSaveRejectsCustomMetis(t *testing.T) {
 func TestLoadErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	db := graph.RandomDatabase(rng, 4, 5, 6, 2, 2)
-	cases := []struct{ name, in string }{
-		{"bad header", "nope\n"},
-		{"missing options", "partminer-result v1\nxxx\n"},
-		{"bad dbsize", "partminer-result v1\noptions minsup=2 k=2 maxedges=0 strictpaper=false parallel=false bisector=partition3\ndbsize 99\nunitsupport 1\nend\n"},
-		{"bad bisector", "partminer-result v1\noptions minsup=2 k=2 maxedges=0 strictpaper=false parallel=false bisector=zzz\ndbsize 4\nunitsupport 1\nend\n"},
-		{"no patterns", "partminer-result v1\noptions minsup=2 k=2 maxedges=0 strictpaper=false parallel=false bisector=partition3\ndbsize 4\nunitsupport 1\nend\n"},
-		{"truncated", "partminer-result v1\noptions minsup=2 k=2 maxedges=0 strictpaper=false parallel=false bisector=partition3\ndbsize 4\nunitsupport 1\nset patterns 3\n"},
+	cases := []struct{ name, in, want string }{
+		{name: "removed option", in: "partminer-result v1\noptions minsup=2 k=2 maxedges=0 strictpaper=true parallel=false bisector=partition3\ndbsize 4\nunitsupport 1\nend\n",
+			want: "saved with the removed StrictPaperJoin option; mine again"},
+		{name: "bad header", in: "nope\n"},
+		{name: "missing options", in: "partminer-result v1\nxxx\n"},
+		{name: "bad dbsize", in: "partminer-result v1\noptions minsup=2 k=2 maxedges=0 strictpaper=false parallel=false bisector=partition3\ndbsize 99\nunitsupport 1\nend\n"},
+		{name: "bad bisector", in: "partminer-result v1\noptions minsup=2 k=2 maxedges=0 strictpaper=false parallel=false bisector=zzz\ndbsize 4\nunitsupport 1\nend\n"},
+		{name: "no patterns", in: "partminer-result v1\noptions minsup=2 k=2 maxedges=0 strictpaper=false parallel=false bisector=partition3\ndbsize 4\nunitsupport 1\nend\n"},
+		{name: "truncated", in: "partminer-result v1\noptions minsup=2 k=2 maxedges=0 strictpaper=false parallel=false bisector=partition3\ndbsize 4\nunitsupport 1\nset patterns 3\n"},
 	}
 	for _, c := range cases {
-		if _, err := LoadResult(strings.NewReader(c.in), db); err == nil {
-			t.Errorf("%s: expected error", c.name)
+		if _, err := LoadResult(strings.NewReader(c.in), db); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v; want one containing %q", c.name, err, c.want)
 		}
 	}
 }

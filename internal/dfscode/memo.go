@@ -61,7 +61,7 @@ type memoKey struct{}
 
 // WithMemo returns a context carrying a fresh CanonMemo. PartMiner wraps
 // its run context with one so every unit miner shares a single memo
-// through the fixed UnitMiner signature.
+// through the fixed IndexedUnitMiner signature.
 func WithMemo(ctx context.Context) context.Context {
 	return context.WithValue(ctx, memoKey{}, NewCanonMemo())
 }

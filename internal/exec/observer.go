@@ -83,7 +83,7 @@ type observerKey struct{}
 
 // WithObserver returns a context carrying o as the ambient observer for
 // layers that are reached only through a context (the unit miners behind
-// core.Options.UnitMiner). A nil o returns ctx unchanged.
+// core.Options.UnitMinerIndexed). A nil o returns ctx unchanged.
 func WithObserver(ctx context.Context, o Observer) context.Context {
 	if o == nil {
 		return ctx

@@ -28,17 +28,19 @@ func TestExtendAllocationBounds(t *testing.T) {
 	// must sit far below one allocation per extension.
 	x := NewExtender()
 	m := x.Seed(0, 0, 1)
-	if avg := testing.AllocsPerRun(4*arenaChunk, func() { m = x.Extend(m, 2) }); avg > 2.0/arenaChunk {
+	if avg := testing.AllocsPerRun(4*arenaChunk, func() { m = x.extend(m, 2) }); avg > 2.0/arenaChunk {
 		t.Errorf("arena Extend allocs/op = %v; want <= %v (slab amortized)", avg, 2.0/arenaChunk)
 	}
 
-	// Materialize and MarkUsed reuse the Extender's scratch once warm.
-	x.MarkUsed(deep, 80)
-	if avg := testing.AllocsPerRun(200, func() { x.Materialize(deep) }); avg != 0 {
-		t.Errorf("Materialize allocs/op = %v; want 0 on a warm scratch buffer", avg)
+	// Materializing and marking an embedding, as Extensions does per
+	// embedding, reuse the Extender's scratch once warm.
+	markUsed := func() {
+		x.verts = deep.AppendVerts(x.verts[:0])
+		x.mark(x.verts, 80)
 	}
-	if avg := testing.AllocsPerRun(200, func() { x.MarkUsed(deep, 80) }); avg != 0 {
-		t.Errorf("MarkUsed allocs/op = %v; want 0 on a warm bitmap", avg)
+	markUsed()
+	if avg := testing.AllocsPerRun(200, markUsed); avg != 0 {
+		t.Errorf("materialize+mark allocs/op = %v; want 0 on a warm scratch buffer and bitmap", avg)
 	}
 }
 
@@ -91,6 +93,6 @@ func BenchmarkExtensions(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x.Extensions(src, code, c.Proj, false, nil)
+		x.Extensions(src, code, c.Proj, nil)
 	}
 }

@@ -257,10 +257,6 @@ func (x *Extender) extend(m Embedding, v int) Embedding {
 	return Embedding{TID: m.TID, tail: x.arena.new(v, m.tail.idx+1, m.tail)}
 }
 
-// Extend is the exported arena-backed extension used by the Gaston
-// free-tree engine's occurrence lists.
-func (x *Extender) Extend(m Embedding, v int) Embedding { return x.extend(m, v) }
-
 // mark registers verts as the current embedding's used set (the visited
 // bitmap consulted by used).
 func (x *Extender) mark(verts []int, n int) {
@@ -276,28 +272,6 @@ func (x *Extender) mark(verts []int, n int) {
 // used reports whether graph vertex v is used by the embedding last
 // passed to mark.
 func (x *Extender) used(v int) bool { return x.stamp[v] == x.epoch }
-
-// Materialize is AppendVerts into the Extender's scratch buffer; the
-// returned slice is valid until the next Materialize, MarkUsed, or
-// Extensions call.
-func (x *Extender) Materialize(m Embedding) []int {
-	x.verts = m.AppendVerts(x.verts[:0])
-	return x.verts
-}
-
-// MarkUsed materializes m and stamps its vertices into the visited
-// bitmap of a graph with n vertices; until the next mark, IsUsed answers
-// used-vertex queries in O(1). The returned slice follows Materialize's
-// validity rule.
-func (x *Extender) MarkUsed(m Embedding, n int) []int {
-	x.verts = m.AppendVerts(x.verts[:0])
-	x.mark(x.verts, n)
-	return x.verts
-}
-
-// IsUsed reports whether graph vertex v belongs to the embedding last
-// passed to MarkUsed.
-func (x *Extender) IsUsed(v int) bool { return x.used(v) }
 
 // Initial returns the frequent 1-edge patterns of src (support >= minSup)
 // as candidates whose Edge is the canonical 1-edge code (0,1,li,le,lj)
@@ -445,8 +419,7 @@ func (x *Extender) InitialSeeds(seeds []Seed1, minSup int) []Candidate {
 
 // Extensions enumerates the rightmost-path one-edge extensions of code
 // over the projection, grouped by extension edge code and sorted in
-// canonical (gSpan) order. When forwardOnly is set, backward (cycle
-// closing) extensions are suppressed — the Gaston tree phase uses this.
+// canonical (gSpan) order.
 //
 // Backward extensions go from the rightmost vertex to a rightmost-path
 // vertex (skipping the parent tree edge and edges already in the code).
@@ -466,7 +439,7 @@ func (x *Extender) InitialSeeds(seeds []Seed1, minSup int) []Candidate {
 // can run to millions of embeddings on dense inputs) and returns the
 // partial enumeration; callers must consult the cancellation source
 // before trusting the result.
-func (x *Extender) Extensions(src Source, code dfscode.Code, proj Projection, forwardOnly bool, tick *exec.Ticker) []Candidate {
+func (x *Extender) Extensions(src Source, code dfscode.Code, proj Projection, tick *exec.Ticker) []Candidate {
 	rmpath := code.RightmostPath()
 	rightmost := rmpath[len(rmpath)-1]
 	newIdx := code.VertexCount()
@@ -484,25 +457,23 @@ func (x *Extender) Extensions(src Source, code dfscode.Code, proj Projection, fo
 		x.mark(verts, g.VertexCount())
 		rv := verts[rightmost]
 
-		if !forwardOnly {
-			// Backward: rightmost vertex -> rmpath vertex, excluding the
-			// parent (rmpath[len-2]) whose tree edge is already in code.
-			for pi := 0; pi < len(rmpath)-2; pi++ {
-				target := rmpath[pi]
-				if code.HasEdge(rightmost, target) {
-					continue
-				}
-				le, ok := g.EdgeLabel(rv, verts[target])
-				if !ok {
-					continue
-				}
-				tl, _ := code.VertexLabel(target)
-				if !x.inAlphabet(rmLabel, le, tl) {
-					continue
-				}
-				ec := dfscode.EdgeCode{I: rightmost, J: target, LI: rmLabel, LE: le, LJ: tl}
-				buckets[ec] = append(buckets[ec], m)
+		// Backward: rightmost vertex -> rmpath vertex, excluding the
+		// parent (rmpath[len-2]) whose tree edge is already in code.
+		for pi := 0; pi < len(rmpath)-2; pi++ {
+			target := rmpath[pi]
+			if code.HasEdge(rightmost, target) {
+				continue
 			}
+			le, ok := g.EdgeLabel(rv, verts[target])
+			if !ok {
+				continue
+			}
+			tl, _ := code.VertexLabel(target)
+			if !x.inAlphabet(rmLabel, le, tl) {
+				continue
+			}
+			ec := dfscode.EdgeCode{I: rightmost, J: target, LI: rmLabel, LE: le, LJ: tl}
+			buckets[ec] = append(buckets[ec], m)
 		}
 
 		// Forward from every rightmost-path vertex.
@@ -530,6 +501,6 @@ func (x *Extender) Extensions(src Source, code dfscode.Code, proj Projection, fo
 
 // Extensions is the standalone form of Extender.Extensions for callers
 // without a per-run Extender (tests, one-shot tools).
-func Extensions(src Source, code dfscode.Code, proj Projection, forwardOnly bool, tick *exec.Ticker) []Candidate {
-	return NewExtender().Extensions(src, code, proj, forwardOnly, tick)
+func Extensions(src Source, code dfscode.Code, proj Projection, tick *exec.Ticker) []Candidate {
+	return NewExtender().Extensions(src, code, proj, tick)
 }

@@ -76,7 +76,7 @@ func TestExtensionsAgreeWithMinCodeGrowth(t *testing.T) {
 	seen := map[string]bool{}
 	for _, c := range Initial(src, 1) {
 		code := dfscode.Code{c.Edge}
-		for _, ext := range Extensions(src, code, c.Proj, false, nil) {
+		for _, ext := range Extensions(src, code, c.Proj, nil) {
 			child := append(code.Clone(), ext.Edge)
 			if dfscode.IsCanonical(child) {
 				seen[child.Key()] = true
@@ -93,7 +93,7 @@ func TestExtensionsAgreeWithMinCodeGrowth(t *testing.T) {
 	}
 }
 
-func TestExtensionsForwardOnlySuppressesCycles(t *testing.T) {
+func TestExtensionsCloseCycles(t *testing.T) {
 	tri := graph.New(0)
 	tri.AddVertex(0)
 	tri.AddVertex(0)
@@ -112,7 +112,7 @@ func TestExtensionsForwardOnlySuppressesCycles(t *testing.T) {
 	// Grow to the 2-edge path first.
 	var pathProj Projection
 	var pathCode dfscode.Code
-	for _, ext := range Extensions(src, code, cands[0].Proj, false, nil) {
+	for _, ext := range Extensions(src, code, cands[0].Proj, nil) {
 		child := append(code.Clone(), ext.Edge)
 		if dfscode.IsCanonical(child) {
 			pathCode, pathProj = child, ext.Proj
@@ -121,21 +121,15 @@ func TestExtensionsForwardOnlySuppressesCycles(t *testing.T) {
 	if pathCode == nil {
 		t.Fatal("no canonical 2-edge extension")
 	}
-	// Full extensions close the triangle (a backward edge); forward-only
-	// must not.
+	// Extensions close the triangle (a backward edge).
 	sawBackward := false
-	for _, ext := range Extensions(src, pathCode, pathProj, false, nil) {
+	for _, ext := range Extensions(src, pathCode, pathProj, nil) {
 		if !ext.Edge.Forward() {
 			sawBackward = true
 		}
 	}
 	if !sawBackward {
 		t.Error("expected a backward (cycle-closing) extension")
-	}
-	for _, ext := range Extensions(src, pathCode, pathProj, true, nil) {
-		if !ext.Edge.Forward() {
-			t.Error("forwardOnly returned a backward extension")
-		}
 	}
 }
 
@@ -260,16 +254,16 @@ func TestExtensionsFilteredByAlphabet(t *testing.T) {
 		var grow func(code dfscode.Code, proj Projection)
 		grow = func(code dfscode.Code, proj Projection) {
 			var want []Candidate
-			for _, c := range Extensions(src, code, proj, false, nil) {
+			for _, c := range Extensions(src, code, proj, nil) {
 				if frequent(c.Edge) {
 					want = append(want, c)
 				} else {
 					dropped++
 				}
 			}
-			got := scanned.Extensions(src, code, proj, false, nil)
+			got := scanned.Extensions(src, code, proj, nil)
 			sameCandidates(t, fmt.Sprintf("seed %d, %v", seed, code), got, want)
-			sameCandidates(t, fmt.Sprintf("seed %d, %v (seeded)", seed, code), seeded.Extensions(src, code, proj, false, nil), want)
+			sameCandidates(t, fmt.Sprintf("seed %d, %v (seeded)", seed, code), seeded.Extensions(src, code, proj, nil), want)
 			if len(code) == 3 {
 				return
 			}

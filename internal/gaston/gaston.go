@@ -1,22 +1,18 @@
 // Package gaston implements a Gaston-flavored frequent-subgraph miner
 // (Nijssen & Kok, SIGKDD'04), the memory-based algorithm the paper plugs
 // into each unit (§4.2, Fig. 7). Gaston's "quickstart" observation is that
-// most frequent substructures in practice are free trees, so it enumerates
-// frequent paths and trees first with cheap acyclic extensions, and only
-// then closes cycles to reach cyclic graphs.
+// most frequent substructures in practice are free trees; what this
+// package keeps of it is the classification — every frequent pattern is
+// counted as a path, a tree or a cyclic graph (Stats, the gaston.paths /
+// gaston.trees / gaston.cyclic counters).
 //
-// This implementation keeps that phase structure faithfully:
-//
-//   - The acyclic phase grows patterns with forward (node refinement)
-//     extensions only, classifying each as path or tree.
-//   - At every acyclic pattern, the cyclic phase branches off via backward
-//     (cycle closing) extensions; once a pattern is cyclic, all extension
-//     kinds are allowed.
-//
-// Pattern identity and duplicate pruning use minimum DFS codes from
-// internal/dfscode rather than Gaston's free-tree normal forms; the output
-// is identical (differential tests against internal/gspan enforce this),
-// only constant factors differ.
+// The enumeration itself is gSpan's: rightmost-path growth with forward
+// and backward extensions at every pattern, duplicates pruned by minimum
+// DFS code (internal/dfscode). There is no forward-only acyclic phase and
+// no free-tree normal form. A pattern turns cyclic at its first backward
+// (cycle-closing) edge and stays cyclic. The output is identical to
+// gspan.Mine (differential tests enforce this); internal/gspan stays a
+// separate file because it is the reference the tests compare against.
 package gaston
 
 import (
@@ -37,13 +33,10 @@ type Options struct {
 	MinSupport int
 	// MaxEdges bounds the pattern size; 0 means unbounded.
 	MaxEdges int
-	// Engine selects the enumeration machinery; the zero value is
-	// EngineDFSCode. Both engines return identical pattern sets.
-	Engine Engine
 	// Index, when non-nil, must be the feature index of the mined
-	// database: both engines then seed their initial 1-edge projections
-	// from its per-triple occurrence lists instead of scanning the
-	// database, never allocating embeddings for infrequent triples.
+	// database: the initial 1-edge projections are then seeded from its
+	// per-triple occurrence lists instead of scanning the database, never
+	// allocating embeddings for infrequent triples.
 	Index *index.FeatureIndex
 }
 
@@ -54,7 +47,7 @@ func (o Options) minSup() int {
 	return o.MinSupport
 }
 
-// Stats reports how many frequent patterns each Gaston phase produced.
+// Stats reports how many frequent patterns fall in each Gaston class.
 // Paths and Trees partition the acyclic patterns (a path is a tree whose
 // vertices all have degree <= 2); Cyclic counts patterns with at least one
 // cycle-closing edge.
@@ -74,9 +67,9 @@ func Mine(db graph.Database, opts Options) pattern.Set {
 	return set
 }
 
-// MineContext is Mine with cooperative cancellation: both engines check
-// ctx (amortized through an exec.Ticker) inside their enumeration loops
-// and abort promptly once it is cancelled. On cancellation the partial
+// MineContext is Mine with cooperative cancellation: the enumeration
+// loop checks ctx (amortized through an exec.Ticker) and aborts
+// promptly once it is cancelled. On cancellation the partial
 // set mined so far is returned together with ctx.Err(); only a nil
 // error guarantees a complete result.
 func MineContext(ctx context.Context, db graph.Database, opts Options) (pattern.Set, error) {
@@ -84,7 +77,7 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (pattern.
 	return set, err
 }
 
-// MineWithStats additionally reports the per-phase pattern counts.
+// MineWithStats additionally reports the per-class pattern counts.
 func MineWithStats(db graph.Database, opts Options) (pattern.Set, Stats) {
 	set, stats, _ := MineWithStatsContext(context.Background(), db, opts)
 	return set, stats
@@ -92,23 +85,15 @@ func MineWithStats(db graph.Database, opts Options) (pattern.Set, Stats) {
 
 // MineWithStatsContext combines MineContext and MineWithStats. The
 // context's ambient observer (exec.ObserverFrom, installed per unit by
-// core) receives the engine's internal phases — "gaston.seeds",
-// "gaston.grow" or "gaston.freetree" — and the per-phase pattern counts
-// as counters; with no observer attached the reporting costs one context
-// lookup.
+// core) receives the internal phases — "gaston.seeds", "gaston.grow" —
+// and the per-class pattern counts as counters; with no observer
+// attached the reporting costs one context lookup.
 func MineWithStatsContext(ctx context.Context, db graph.Database, opts Options) (pattern.Set, Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
 	}
 	o := exec.ObserverFrom(ctx)
 	tick := exec.NewTicker(ctx)
-	if opts.Engine == EngineFreeTree {
-		endStage := exec.StageTimer(o, "gaston.freetree")
-		set, stats := mineFreeTree(db, opts, tick)
-		endStage()
-		reportStats(o, stats)
-		return set, stats, tick.Err()
-	}
 	memo := dfscode.MemoFrom(ctx)
 	if memo == nil {
 		memo = dfscode.NewCanonMemo()
@@ -122,7 +107,7 @@ func MineWithStatsContext(ctx context.Context, db graph.Database, opts Options) 
 		memo: memo,
 	}
 	// Fig. 7 line 1: find all frequent edges; every frequent edge is a
-	// (trivial) path and the root of both phases.
+	// (trivial) path.
 	endStage := exec.StageTimer(o, "gaston.seeds")
 	seeds := initialCandidates(m.ext, m.src, opts)
 	endStage()
@@ -132,9 +117,9 @@ func MineWithStatsContext(ctx context.Context, db graph.Database, opts Options) 
 			break
 		}
 		code := dfscode.Code{c.Edge}
-		m.emitAcyclic(code, c.Proj)
+		m.emit(code, c.Proj, false)
 		if opts.MaxEdges == 0 || opts.MaxEdges > 1 {
-			m.growAcyclic(code, c.Proj)
+			m.grow(code, c.Proj, false)
 		}
 	}
 	endStage()
@@ -142,7 +127,7 @@ func MineWithStatsContext(ctx context.Context, db graph.Database, opts Options) 
 	return m.out, m.stats, tick.Err()
 }
 
-// reportStats publishes the per-phase pattern counts on the observer
+// reportStats publishes the per-class pattern counts on the observer
 // seam under the gaston.* counter namespace.
 func reportStats(o exec.Observer, s Stats) {
 	exec.Count(o, "gaston.paths", int64(s.Paths))
@@ -173,30 +158,31 @@ type miner struct {
 	memo *dfscode.CanonMemo
 }
 
-func (m *miner) emit(code dfscode.Code, proj extend.Projection) {
+// emit records a frequent pattern and counts it in its class.
+func (m *miner) emit(code dfscode.Code, proj extend.Projection, cyclic bool) {
 	tids := proj.TIDs(m.src.Len())
 	m.out.Add(&pattern.Pattern{
 		Code:    code.Clone(),
 		Support: tids.Count(),
 		TIDs:    tids,
 	})
-}
-
-func (m *miner) emitAcyclic(code dfscode.Code, proj extend.Projection) {
-	m.emit(code, proj)
-	if isPathCode(code) {
+	switch {
+	case cyclic:
+		m.stats.Cyclic++
+	case isPathCode(code):
 		m.stats.Paths++
-	} else {
+	default:
 		m.stats.Trees++
 	}
 }
 
-// growAcyclic is the path/tree phase: forward-only growth keeps the
-// pattern a free tree, and each node also branches into the cyclic phase
-// through backward extensions (Fig. 7 lines 7-14: node refinements find
-// paths and trees, other extensions find cyclic graphs).
-func (m *miner) growAcyclic(code dfscode.Code, proj extend.Projection) {
-	for _, cand := range m.ext.Extensions(m.src, code, proj, false, m.tick) {
+// grow extends code by every frequent canonical rightmost-path extension
+// (Fig. 7 lines 7-14: node refinements find paths and trees, other
+// extensions find cyclic graphs). cyclic says code already has a cycle; a
+// child is cyclic if its parent is or its new edge is backward (a graph
+// never loses its cycle by growing).
+func (m *miner) grow(code dfscode.Code, proj extend.Projection, cyclic bool) {
+	for _, cand := range m.ext.Extensions(m.src, code, proj, m.tick) {
 		if m.tick.Hit() {
 			return
 		}
@@ -207,41 +193,10 @@ func (m *miner) growAcyclic(code dfscode.Code, proj extend.Projection) {
 		if !m.memo.IsCanonicalTick(child, m.tick) {
 			continue
 		}
-		if cand.Edge.Forward() {
-			// Node refinement: still a tree.
-			m.emitAcyclic(child, cand.Proj)
-			if m.opts.MaxEdges == 0 || len(child) < m.opts.MaxEdges {
-				m.growAcyclic(child, cand.Proj)
-			}
-		} else {
-			// Cycle-closing edge: hand off to the cyclic phase.
-			m.emit(child, cand.Proj)
-			m.stats.Cyclic++
-			if m.opts.MaxEdges == 0 || len(child) < m.opts.MaxEdges {
-				m.growCyclic(child, cand.Proj)
-			}
-		}
-	}
-}
-
-// growCyclic extends cyclic patterns; every frequent canonical extension
-// stays cyclic (a graph never loses its cycle by growing).
-func (m *miner) growCyclic(code dfscode.Code, proj extend.Projection) {
-	for _, cand := range m.ext.Extensions(m.src, code, proj, false, m.tick) {
-		if m.tick.Hit() {
-			return
-		}
-		if cand.Proj.Support() < m.opts.minSup() {
-			continue
-		}
-		child := append(code.Clone(), cand.Edge)
-		if !m.memo.IsCanonicalTick(child, m.tick) {
-			continue
-		}
-		m.emit(child, cand.Proj)
-		m.stats.Cyclic++
+		childCyclic := cyclic || !cand.Edge.Forward()
+		m.emit(child, cand.Proj, childCyclic)
 		if m.opts.MaxEdges == 0 || len(child) < m.opts.MaxEdges {
-			m.growCyclic(child, cand.Proj)
+			m.grow(child, cand.Proj, childCyclic)
 		}
 	}
 }

@@ -54,7 +54,6 @@ func TestDifferentialSharedPrefixEmbeddings(t *testing.T) {
 			}
 			check("gspan", Mine(db, Options{MinSupport: minSup, MaxEdges: 4}))
 			check("gaston", gaston.Mine(db, gaston.Options{MinSupport: minSup, MaxEdges: 4}))
-			check("gaston/freetree", gaston.Mine(db, gaston.Options{MinSupport: minSup, MaxEdges: 4, Engine: gaston.EngineFreeTree}))
 			ix := index.Build(db)
 			check("gspan/indexed", Mine(db, Options{MinSupport: minSup, MaxEdges: 4, Index: ix}))
 			check("gaston/indexed", gaston.Mine(db, gaston.Options{MinSupport: minSup, MaxEdges: 4, Index: ix}))

@@ -128,7 +128,7 @@ func (m *miner) emit(code dfscode.Code, proj extend.Projection) {
 // grow extends a canonical frequent code by every frequent canonical
 // rightmost-path extension, depth first.
 func (m *miner) grow(code dfscode.Code, proj extend.Projection) {
-	for _, cand := range m.ext.Extensions(m.src, code, proj, false, m.tick) {
+	for _, cand := range m.ext.Extensions(m.src, code, proj, m.tick) {
 		if m.tick.Hit() {
 			return
 		}

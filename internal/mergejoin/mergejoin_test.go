@@ -70,36 +70,6 @@ func TestMergeUnbounded(t *testing.T) {
 	}
 }
 
-// TestMergeStrictPaperSoundness checks the literal C1/C2/C3 pseudocode
-// mode: everything it returns must be correct (a sound subset of the true
-// frequent set with exact supports), even where its candidate generation
-// is narrower than extension mode.
-func TestMergeStrictPaperSoundness(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	misses := 0
-	for trial := 0; trial < 10; trial++ {
-		db := graph.RandomDatabase(rng, 6, 6, 9, 3, 2)
-		minSup := 2
-		maxEdges := 4
-		want := gspan.Mine(db, gspan.Options{MinSupport: minSup, MaxEdges: maxEdges})
-		d0, d1 := splitDB(db, partition.Partition2)
-		p0 := gspan.Mine(d0, gspan.Options{MinSupport: 1, MaxEdges: maxEdges})
-		p1 := gspan.Mine(d1, gspan.Options{MinSupport: 1, MaxEdges: maxEdges})
-		got := Merge(db, p0, p1, Config{MinSupport: minSup, MaxEdges: maxEdges, StrictPaper: true})
-		for k, p := range got {
-			w, ok := want[k]
-			if !ok {
-				t.Fatalf("strict mode invented pattern %s", p)
-			}
-			if w.Support != p.Support {
-				t.Fatalf("strict mode wrong support for %s: %d want %d", p.Code, p.Support, w.Support)
-			}
-		}
-		misses += len(want) - len(got)
-	}
-	t.Logf("strict-paper mode missed %d patterns across trials (0 means it matched extension mode)", misses)
-}
-
 func TestFrequentEdgesExact(t *testing.T) {
 	g1 := graph.New(0)
 	g1.AddVertex(0)

@@ -369,7 +369,7 @@ func Phase(ctx context.Context, o exec.Observer, name string) (_ context.Context
 // ObserverInContext merges o with ctx's active span (spans implement
 // exec.Observer) and installs the result as the context's ambient
 // observer (exec.ObserverFrom), so layers reached only through a
-// context — the unit miners behind core.UnitMiner — can report stages
+// context — the unit miners behind core.IndexedUnitMiner — can report stages
 // and counters attributed to the right span.
 func ObserverInContext(ctx context.Context, o exec.Observer) context.Context {
 	if sp := SpanFrom(ctx); sp != nil {

@@ -239,12 +239,11 @@ func Restore(ctx context.Context, db graph.Database, res *core.Result, cfg Confi
 	// observers or index.
 	own := *res
 	own.Options.Observer = s.mergedObserver(own.Options.Observer)
-	// Loaded results carry no miner functions (they are not serializable),
+	// Loaded results carry no miner function (it is not serializable),
 	// so later folds would silently drop back to local mining. Re-adopt
-	// the configured miners — including the cluster coordinator newServer
+	// the configured miner — including the cluster coordinator newServer
 	// wired into s.opts — for the restored options.
-	if own.Options.UnitMiner == nil && own.Options.UnitMinerIndexed == nil {
-		own.Options.UnitMiner = s.opts.UnitMiner
+	if own.Options.UnitMinerIndexed == nil {
 		own.Options.UnitMinerIndexed = s.opts.UnitMinerIndexed
 	}
 	if own.Index == nil {
@@ -298,7 +297,7 @@ func newServer(cfg Config) *Server {
 		cl.SetObserver(s.mergedObserver(nil))
 		// Shard unit mining over the fleet, unless the caller already
 		// supplied a custom miner.
-		if s.opts.UnitMiner == nil && s.opts.UnitMinerIndexed == nil {
+		if s.opts.UnitMinerIndexed == nil {
 			s.opts.UnitMinerIndexed = cl.MineUnit
 		}
 		s.metrics.registry.GaugeFunc("partserve_cluster_alive_workers",

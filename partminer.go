@@ -3,9 +3,10 @@
 // Hsu, Lee, Sheng — ICDE 2006): the PartMiner partition-based frequent
 // subgraph miner and its incremental variant IncPartMiner for dynamic
 // graph databases, together with the substrates the paper builds on
-// (labeled graphs, gSpan canonical codes, Gaston/gSpan unit miners, the
-// GraphPart partitioner, a METIS-like baseline, an ADI-style disk-based
-// comparator, and the synthetic workload generator of the evaluation).
+// (labeled graphs, gSpan canonical codes, the Gaston unit miner and the
+// gSpan reference miner, the GraphPart partitioner, a METIS-like
+// baseline, an ADI-style disk-based comparator, and the synthetic
+// workload generator of the evaluation).
 //
 // Quick start:
 //
@@ -24,8 +25,8 @@
 //
 // The deeper layers are importable directly for advanced use:
 // internal packages expose the DFS-code machinery (internal/dfscode),
-// subgraph isomorphism (internal/isomorph), the unit miners
-// (internal/gspan, internal/gaston), partitioning (internal/partition),
+// subgraph isomorphism (internal/isomorph), the unit miner
+// (internal/gaston) and its reference (internal/gspan), partitioning (internal/partition),
 // the merge-join (internal/mergejoin), and the disk-based baseline
 // (internal/adimine) — but everything a typical application needs is
 // re-exported here.
@@ -108,11 +109,6 @@ const (
 
 // NewGraph returns an empty graph with the given id.
 func NewGraph(id int) *Graph { return graph.New(id) }
-
-// UnitMiner is the per-unit mining contract (see core.UnitMiner): it
-// must observe ctx and report failures so degraded units surface in
-// Result.Degraded.
-type UnitMiner = core.UnitMiner
 
 // Observer receives execution events (stage timings, work counters)
 // from every layer of a mining run; set it via Options.Observer.
