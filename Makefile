@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke benchmark benchmark-smoke dist-example serve-smoke obs-smoke part-smoke cluster-smoke check clean
+.PHONY: all build vet test race bench-smoke fuzz-smoke benchmark benchmark-smoke dist-example serve-smoke obs-smoke part-smoke cluster-smoke check clean
 
 all: check
 
@@ -24,6 +24,15 @@ race:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMinDFSCode|BenchmarkTIDKernels|BenchmarkDecompMine|BenchmarkIncPartMiner' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkInitial|BenchmarkExtensions' -benchtime 1x ./internal/extend/
+
+# fuzz-smoke runs every fuzzer for 5 s past its checked-in seed corpus
+# (testdata/fuzz/): the gSpan text reader and the three codec decoders —
+# database, pattern set, snapshot. `go test` alone replays the seeds.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadDatabase$$' -fuzztime 5s ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDatabase$$' -fuzztime 5s ./internal/codec
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSet$$' -fuzztime 5s ./internal/codec
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 5s ./internal/core
 
 # benchmark runs the repository's end-to-end benchmark (benchmark/README.md):
 # four workloads, seven metrics each, about 24 s per workload, on an
@@ -71,7 +80,7 @@ part-smoke:
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 
-check: build vet race bench-smoke benchmark-smoke dist-example serve-smoke obs-smoke part-smoke cluster-smoke
+check: build vet race bench-smoke fuzz-smoke benchmark-smoke dist-example serve-smoke obs-smoke part-smoke cluster-smoke
 
 clean:
 	$(GO) clean ./...

@@ -93,6 +93,14 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Errorf("incremental classification missing: %q", errOut)
 	}
 
+	// The snapshot carries its database: resuming it against another
+	// database of the same size is refused, naming both files.
+	msg, err := exec.Command(bin("partminer"), "-minsup", "0.1", "-k", "2", "-maxedges", "4",
+		"-resume", resPath, updPath).CombinedOutput()
+	if err == nil || !strings.Contains(string(msg), resPath) || !strings.Contains(string(msg), updPath) {
+		t.Errorf("-resume against another database: err %v, output %q; want a non-zero exit naming both files", err, msg)
+	}
+
 	out, _ = run("benchrunner", "-fig", "16a", "-d50k", "60", "-d100k", "60", "-maxedges", "3")
 	if !strings.Contains(out, "fig16a") || !strings.Contains(out, "PartMiner") {
 		t.Errorf("benchrunner output missing table: %q", out)

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -79,8 +80,8 @@ func main() {
 	updatedPath := flag.String("updated", "", "updated database for incremental mining")
 	changed := flag.String("changed", "", "comma-separated ids of updated graphs (with -updated; derived by comparison when empty, and an updated graph missing from the list is an error)")
 	showAll := flag.Bool("patterns", false, "print every pattern, not just the summary")
-	savePath := flag.String("save", "", "save the mining result for later incremental runs")
-	resumePath := flag.String("resume", "", "resume from a saved result instead of mining from scratch")
+	savePath := flag.String("save", "", "save the mining result with its database as a snapshot (binary, versioned) for later incremental runs")
+	resumePath := flag.String("resume", "", "resume from a -save snapshot instead of mining from scratch; its database must equal the database argument")
 	condense := flag.String("condense", "", "report only 'closed' or 'maximal' patterns (post-mining condensation)")
 	tracePath := flag.String("trace", "", "write the run's span tree as JSON to this file ('-' for stdout)")
 	flame := flag.Bool("flame", false, "print a flame-style rendering of the run's span tree to stderr")
@@ -207,14 +208,9 @@ func main() {
 	start := time.Now()
 	var res *core.Result
 	if *resumePath != "" {
-		f, ferr := os.Open(*resumePath)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		res, err = core.LoadResult(f, db)
-		f.Close()
+		res, err = resume(*resumePath, flag.Arg(0), db)
 		if err == nil {
-			log.Info("resumed from saved result", "patterns", len(res.Patterns), "path", *resumePath)
+			log.Info("resumed from saved snapshot", "patterns", len(res.Patterns), "path", *resumePath)
 		}
 	} else {
 		res, err = core.MineContext(ctx, db, opts)
@@ -229,14 +225,7 @@ func main() {
 	quality = &res.PartitionQuality
 
 	if *savePath != "" && *updatedPath == "" {
-		f, ferr := os.Create(*savePath)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		if err := core.SaveResult(f, res); err != nil {
-			fatal(err)
-		}
-		f.Close()
+		save(*savePath, res)
 		log.Info("saved result", "path", *savePath)
 	}
 
@@ -278,14 +267,7 @@ func main() {
 	quality = &inc.PartitionQuality
 	report(condenseSet(inc.Patterns, *condense), time.Since(start), *showAll)
 	if *savePath != "" {
-		f, ferr := os.Create(*savePath)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		if err := core.SaveResult(f, &inc.Result); err != nil {
-			fatal(err)
-		}
-		f.Close()
+		save(*savePath, &inc.Result)
 		log.Info("saved updated result", "path", *savePath)
 	}
 	log.Info("incremental run", "graphs_updated", len(tids), "units_remined", len(inc.ReminedUnits), "k", *k)
@@ -309,6 +291,43 @@ func readDB(path string) graph.Database {
 		fatal(err)
 	}
 	return db
+}
+
+// save writes res with its database as a snapshot to path.
+func save(path string, res *core.Result) {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if err := core.SaveSnapshot(f, res); err != nil {
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		fatal(err)
+	}
+}
+
+// resume loads the snapshot at path and checks that the database it
+// carries is db, read from dbPath: a result resumed against another
+// database would fold the wrong baseline and answer wrongly.
+func resume(path, dbPath string, db graph.Database) (*core.Result, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	saved, res, err := core.LoadSnapshot(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	same := len(saved) == len(db)
+	for i := 0; same && i < len(db); i++ {
+		same = saved[i].Equal(db[i])
+	}
+	if !same {
+		return nil, fmt.Errorf("%s was mined from another database than %s", path, cmp.Or(dbPath, "standard input"))
+	}
+	return res, nil
 }
 
 func absSupport(db graph.Database, v float64) int {

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"partminer/internal/pattern"
+	"partminer/internal/codec"
 )
 
 // TestMineParallelSerialByteIdentical pins the determinism guarantee of
@@ -28,14 +28,15 @@ func TestMineParallelSerialByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var sb, pb bytes.Buffer
-	if err := pattern.WriteSet(&sb, serial.Patterns); err != nil {
+	sb, err := codec.EncodeSet(serial.Patterns)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pattern.WriteSet(&pb, par.Patterns); err != nil {
+	pb, err := codec.EncodeSet(par.Patterns)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(sb.Bytes(), pb.Bytes()) {
+	if !bytes.Equal(sb, pb) {
 		t.Fatalf("parallel pattern set differs from serial:\n%v", serial.Patterns.Diff(par.Patterns))
 	}
 	if len(serial.Degraded) != 0 || len(par.Degraded) != 0 {

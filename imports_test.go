@@ -8,8 +8,8 @@ import (
 )
 
 // TestImportFences pins the module's dependency fences over `go list
-// -deps`: the execution substrate stays a leaf, the cover pruner stays
-// what merge-join calls on three data packages, and the serving binaries
+// -deps`: the execution substrate stays a leaf, the cover pruner and the
+// codec stay functions of three data packages, and the serving binaries
 // do not link the baseline miners or the benchmark harness.
 func TestImportFences(t *testing.T) {
 	const internal = "partminer/internal/"
@@ -22,6 +22,9 @@ func TestImportFences(t *testing.T) {
 		// decomp imports dfscode, graph and pattern; exec and isomorph are
 		// what those bring along.
 		{pkg: "./internal/decomp", only: []string{"dfscode", "graph", "pattern", "exec", "isomorph"}},
+		// The codec knows the wire format and nothing else: the three data
+		// packages it converts (plus what they bring).
+		{pkg: "./internal/codec", only: []string{"dfscode", "graph", "pattern", "exec", "isomorph"}},
 		{pkg: "./cmd/partserved", mustNot: []string{"adimine", "storage", "bench"}},
 		{pkg: "./cmd/partworker", mustNot: []string{"adimine", "storage", "bench"}},
 	} {

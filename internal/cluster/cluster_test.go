@@ -63,6 +63,14 @@ func startStatic(t *testing.T, n int) *testCluster {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
+	// Dial returns once the client side of each session is up; one round
+	// trip per worker proves its accept loop holds the session, so a kill
+	// right after this severs it instead of racing the accept.
+	for _, addr := range addrs {
+		var reply TopKReply
+		//nolint:errcheck // no replica is held yet: the error is the expected answer
+		coord.members[addr].conn.Call(context.Background(), "Shard.TopK", TopKArgs{}, &reply, nil)
+	}
 	tc.coord = coord
 	return tc
 }

@@ -15,7 +15,6 @@ package cluster
 // next RPC finds.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -25,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"partminer/internal/codec"
 	"partminer/internal/exec"
 	"partminer/internal/graph"
 	"partminer/internal/obs"
@@ -354,7 +354,7 @@ func (c *Coordinator) remineOrphans(orphans []*mineRecord) {
 		}
 		for _, m := range c.aliveOwners(rec.key) {
 			var reply MineUnitReply
-			if err := c.shardCall(ctx, m, "Shard.MineUnit", args, &reply, len(args.DBText)); err != nil {
+			if err := c.shardCall(ctx, m, "Shard.MineUnit", args, &reply, len(args.DB)); err != nil {
 				c.errs.Add(fmt.Errorf("re-mine %s on %s: %w", rec.key, m.id, err))
 				continue
 			}
@@ -467,13 +467,13 @@ func digestSamples(samples []obs.Sample) map[string]float64 {
 // PartMiner surfaces as a degraded unit and the merge-join absorbs.
 func (c *Coordinator) MineUnit(ctx context.Context, unit int, db graph.Database, minSup, maxEdges int) (pattern.Set, error) {
 	key := UnitKey(unit)
-	var buf bytes.Buffer
-	if err := graph.WriteDatabase(&buf, db); err != nil {
+	frame, err := codec.EncodeDatabase(db)
+	if err != nil {
 		return make(pattern.Set), err
 	}
 	args := MineUnitArgs{
 		UnitKey:    key,
-		DBText:     buf.Bytes(),
+		DB:         frame,
 		MinSupport: minSup,
 		MaxEdges:   maxEdges,
 	}
@@ -490,14 +490,14 @@ func (c *Coordinator) MineUnit(ctx context.Context, unit int, db graph.Database,
 	for _, m := range c.aliveOwners(key) {
 		var reply MineUnitReply
 		rpcStart := time.Now()
-		if err := c.shardCall(ctx, m, "Shard.MineUnit", args, &reply, len(args.DBText)); err != nil {
+		if err := c.shardCall(ctx, m, "Shard.MineUnit", args, &reply, len(args.DB)); err != nil {
 			errs = append(errs, fmt.Errorf("worker %s (%s): %w", m.id, m.addr, err))
 			if ctx.Err() != nil {
 				break // cancellation fails every worker identically
 			}
 			continue
 		}
-		set, err := pattern.ReadSet(bytes.NewReader(reply.SetText), len(db))
+		set, err := codec.DecodeSet(reply.Set, len(db))
 		if err != nil {
 			errs = append(errs, fmt.Errorf("worker %s (%s): %w", m.id, m.addr, err))
 			continue
@@ -523,11 +523,7 @@ func (c *Coordinator) MineUnit(ctx context.Context, unit int, db graph.Database,
 		c.errs.Add(err)
 	}
 	c.count(&c.counters.localMines, "local_mines", 1)
-	setText, err := mineUnitText(ctx, &args)
-	var set pattern.Set
-	if err == nil {
-		set, err = pattern.ReadSet(bytes.NewReader(setText), len(db))
-	}
+	set, err := mineUnitDB(ctx, db, &args)
 	if err != nil {
 		errs = append(errs, fmt.Errorf("local fallback: %w", err))
 		joined := errors.Join(errs...)
@@ -537,21 +533,21 @@ func (c *Coordinator) MineUnit(ctx context.Context, unit int, db graph.Database,
 	return set, nil
 }
 
-// Replicate ships a published snapshot (core.SaveSnapshot text) to
+// Replicate ships a published snapshot (a core.SaveSnapshot frame) to
 // Replicas workers chosen by the ring, so pattern/containment reads can
 // be served from replicas. No-fleet is a silent no-op; an error means
 // no replica accepted the snapshot.
-func (c *Coordinator) Replicate(ctx context.Context, snapshotText []byte, epoch uint64) error {
+func (c *Coordinator) Replicate(ctx context.Context, snapshot []byte, epoch uint64) error {
 	owners := c.aliveOwners(snapshotKey)
 	if len(owners) > c.cfg.Replicas {
 		owners = owners[:c.cfg.Replicas]
 	}
 	var ok []string
 	var errs []error
-	args := StoreSnapshotArgs{SnapshotText: snapshotText, Epoch: epoch}
+	args := StoreSnapshotArgs{Snapshot: snapshot, Epoch: epoch}
 	for _, m := range owners {
 		var reply StoreSnapshotReply
-		if err := c.shardCall(ctx, m, "Shard.StoreSnapshot", args, &reply, len(snapshotText)); err != nil {
+		if err := c.shardCall(ctx, m, "Shard.StoreSnapshot", args, &reply, len(snapshot)); err != nil {
 			errs = append(errs, fmt.Errorf("replica %s (%s): %w", m.id, m.addr, err))
 			c.errs.Add(errs[len(errs)-1])
 			continue

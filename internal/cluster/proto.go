@@ -9,10 +9,10 @@ import "partminer/internal/obs"
 //   - "Shard" (exposed by every worker, called by the coordinator):
 //     MineUnit, StoreSnapshot, TopK, Contains.
 //
-// Payloads travel in the repository's text formats — gSpan databases,
-// pattern.WriteSet pattern sets, SaveSnapshot snapshots — all already
-// exercised by the persistence layer, so every message is inspectable
-// with a pager.
+// Databases, pattern sets and snapshots travel as internal/codec frames,
+// versioned and checksummed, so a payload damaged in transit is refused,
+// not misread. A replica query is one graph in the gSpan text format, the
+// service's input format.
 //
 // Distributed tracing rides the same messages: work requests carry a
 // TraceID when the coordinator-side call is being traced ("" otherwise,
@@ -61,8 +61,8 @@ type MineUnitArgs struct {
 	// UnitKey is the unit's ring identity ("unit-<i>"); the worker's warm
 	// cache is keyed by it, so re-mining an unchanged unit is a cache hit.
 	UnitKey string
-	// DBText is the unit database in the gSpan text format.
-	DBText []byte
+	// DB is the unit database as a codec database frame.
+	DB []byte
 	// MinSupport and MaxEdges configure the unit mine.
 	MinSupport int
 	MaxEdges   int
@@ -75,8 +75,8 @@ type MineUnitArgs struct {
 
 // MineUnitReply carries the unit's frequent patterns.
 type MineUnitReply struct {
-	// SetText is the pattern set in the pattern.WriteSet format.
-	SetText []byte
+	// Set is the unit's frequent patterns as a codec set frame.
+	Set []byte
 	// Warm reports that the reply came from the worker's unit cache
 	// without re-mining (same unit key, same database, same parameters).
 	Warm bool
@@ -87,9 +87,9 @@ type MineUnitReply struct {
 
 // StoreSnapshotArgs replicates a mined serving snapshot to a worker.
 type StoreSnapshotArgs struct {
-	// SnapshotText is the core.SaveSnapshot serialization (database +
-	// result); the worker rebuilds its replica read path from it.
-	SnapshotText []byte
+	// Snapshot is the core.SaveSnapshot frame (database + result); the
+	// worker rebuilds its replica read path from it.
+	Snapshot []byte
 	// Epoch is the coordinator's epoch for this snapshot; replies to
 	// replica reads echo it so callers can detect stale replicas.
 	Epoch uint64

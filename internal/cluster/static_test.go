@@ -3,17 +3,19 @@ package cluster
 // static_test.go: the transport behaviours a statically dialed fleet
 // (Dial) relies on, pinned end to end through Coordinator.MineUnit —
 // eager dial, transparent redial, deadline shipping and enforcement,
-// cancellation of an in-flight RPC.
+// cancellation of an in-flight RPC, refusal of a corrupt reply frame.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"partminer/internal/codec"
+	"partminer/internal/gaston"
 	"partminer/internal/graph"
 	"partminer/internal/obs"
 	"partminer/internal/pattern"
@@ -31,18 +33,20 @@ func oneEdgeDB() graph.Database {
 
 func encodeDB(t *testing.T, db graph.Database) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := graph.WriteDatabase(&buf, db); err != nil {
+	frame, err := codec.EncodeDatabase(db)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return frame
 }
 
 // stubShard stands in for a worker's Shard service: it records the
 // MineUnitArgs it receives, waits for release when one is set, and
-// replies with an empty pattern set.
+// replies with an empty pattern set — one byte of it flipped when corrupt
+// is set.
 type stubShard struct {
 	release chan struct{}
+	corrupt bool
 
 	mu   sync.Mutex
 	args []MineUnitArgs
@@ -55,11 +59,14 @@ func (s *stubShard) MineUnit(args MineUnitArgs, reply *MineUnitReply) error {
 	if s.release != nil {
 		<-s.release
 	}
-	var buf bytes.Buffer
-	if err := pattern.WriteSet(&buf, make(pattern.Set)); err != nil {
+	frame, err := codec.EncodeSet(make(pattern.Set))
+	if err != nil {
 		return err
 	}
-	reply.SetText = buf.Bytes()
+	if s.corrupt {
+		frame[len(frame)-1] ^= 0x40
+	}
+	reply.Set = frame
 	return nil
 }
 
@@ -152,15 +159,43 @@ func TestStaticShipsDeadline(t *testing.T) {
 	}
 }
 
+func TestStaticCorruptReplyMinesLocally(t *testing.T) {
+	// A reply whose set frame fails its checksum is a failed worker: the
+	// coordinator records an error naming it, mines the unit itself, and
+	// the answer stays exact.
+	coord := dialStub(t, &stubShard{corrupt: true})
+	db := testDB(4)
+	set, err := coord.MineUnit(context.Background(), 0, db, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := gaston.Mine(db, gaston.Options{MinSupport: 2, MaxEdges: 3})
+	if len(want) == 0 || !set.Equal(want) {
+		t.Fatalf("local fallback diff: %v", set.Diff(want))
+	}
+	for key, p := range want {
+		if !set[key].TIDs.Equal(p.TIDs) {
+			t.Fatalf("pattern %s: TIDs %v, want %v", key, set[key].TIDs, p.TIDs)
+		}
+	}
+	if got := coord.Counters().LocalMines; got != 1 {
+		t.Errorf("local mines = %d; want 1", got)
+	}
+	addr := coord.Info(1).Members[0].Addr
+	if werr := coord.Err(); werr == nil || !strings.Contains(werr.Error(), addr) || !strings.Contains(werr.Error(), "checksum") {
+		t.Errorf("Err() = %v; want the checksum failure of worker %s", werr, addr)
+	}
+}
+
 func TestWorkerEnforcesShippedDeadline(t *testing.T) {
 	// A worker receiving an already-expired deadline must refuse the
 	// mine with a deadline error rather than running unbounded, and
-	// database text it cannot parse is an error, not a panic. Neither
-	// counts as mined or is cached.
+	// database bytes that are not a frame are an error, not a panic.
+	// Neither counts as mined or is cached.
 	w := NewWorker("w")
 	expired := MineUnitArgs{
 		UnitKey:           UnitKey(0),
-		DBText:            encodeDB(t, oneEdgeDB()),
+		DB:                encodeDB(t, oneEdgeDB()),
 		MinSupport:        1,
 		DeadlineUnixMilli: time.Now().Add(-time.Second).UnixMilli(),
 	}
@@ -168,7 +203,7 @@ func TestWorkerEnforcesShippedDeadline(t *testing.T) {
 	if err := w.mineUnit(expired, &reply); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v; want context.DeadlineExceeded", err)
 	}
-	garbage := MineUnitArgs{UnitKey: UnitKey(0), DBText: []byte("garbage"), MinSupport: 1}
+	garbage := MineUnitArgs{UnitKey: UnitKey(0), DB: []byte("garbage"), MinSupport: 1}
 	if err := w.mineUnit(garbage, &reply); err == nil {
 		t.Error("garbage database should error")
 	}

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"partminer/internal/codec"
 	"partminer/internal/core"
 	"partminer/internal/gaston"
 	"partminer/internal/graph"
@@ -36,7 +37,7 @@ const DefaultHeartbeat = 2 * time.Second
 // cache at the partition width.
 type warmEntry struct {
 	fingerprint uint64
-	setText     []byte
+	set         []byte
 }
 
 // replicaState is a loaded snapshot replica: the database, its result,
@@ -189,25 +190,20 @@ func (w *Worker) traceRPC(ctx context.Context, traceID, op string) (context.Cont
 	}
 }
 
-// unitFingerprint digests a mine request's inputs — database text and
-// parameters — so the warm cache can prove a request identical.
+// unitFingerprint digests a mine request's inputs — the database frame,
+// deterministic, and the parameters — so the warm cache can prove a
+// request identical.
 func unitFingerprint(args *MineUnitArgs) uint64 {
 	h := fnv.New64a()
-	h.Write(args.DBText)
+	h.Write(args.DB)
 	fmt.Fprintf(h, "|%d|%d", args.MinSupport, args.MaxEdges)
 	return h.Sum64()
 }
 
-// mineUnitText mines the unit database a request carries, under the
-// request's shipped deadline, and returns the frequent patterns in the
-// pattern.WriteSet format: the one place the cluster runs a unit miner,
-// for a worker's Shard.MineUnit and the coordinator's local fallback
-// alike.
-func mineUnitText(ctx context.Context, args *MineUnitArgs) ([]byte, error) {
-	db, err := graph.ReadDatabase(bytes.NewReader(args.DBText))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: parse unit database: %w", err)
-	}
+// mineUnitDB mines a unit database with a request's parameters, under its
+// shipped deadline: the one place the cluster runs a unit miner, for a
+// worker's Shard.MineUnit and the coordinator's local fallback alike.
+func mineUnitDB(ctx context.Context, db graph.Database, args *MineUnitArgs) (pattern.Set, error) {
 	if args.DeadlineUnixMilli > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, time.UnixMilli(args.DeadlineUnixMilli))
@@ -217,11 +213,7 @@ func mineUnitText(ctx context.Context, args *MineUnitArgs) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: mine unit: %w", err)
 	}
-	var buf bytes.Buffer
-	if err := pattern.WriteSet(&buf, set); err != nil {
-		return nil, fmt.Errorf("cluster: serialize patterns: %w", err)
-	}
-	return buf.Bytes(), nil
+	return set, nil
 }
 
 // mineUnit answers one unit mine, from the warm cache when the unit is
@@ -235,7 +227,7 @@ func (w *Worker) mineUnit(args MineUnitArgs, reply *MineUnitReply) error {
 	if args.UnitKey != "" {
 		w.mu.Lock()
 		if e, ok := w.warm[args.UnitKey]; ok && e.fingerprint == fp {
-			reply.SetText = e.setText
+			reply.Set = e.set
 			reply.Warm = true
 			w.mu.Unlock()
 			w.metrics.warmHits.Inc()
@@ -246,14 +238,20 @@ func (w *Worker) mineUnit(args MineUnitArgs, reply *MineUnitReply) error {
 	}
 
 	start := time.Now()
-	setText, err := mineUnitText(ctx, &args)
+	db, err := codec.DecodeDatabase(args.DB)
+	if err != nil {
+		return fmt.Errorf("cluster: unit database: %w", err)
+	}
+	set, err := mineUnitDB(ctx, db, &args)
 	if err != nil {
 		return err
 	}
-	reply.SetText = setText
+	if reply.Set, err = codec.EncodeSet(set); err != nil {
+		return err
+	}
 	if args.UnitKey != "" {
 		w.mu.Lock()
-		w.warm[args.UnitKey] = warmEntry{fingerprint: fp, setText: setText}
+		w.warm[args.UnitKey] = warmEntry{fingerprint: fp, set: reply.Set}
 		w.mu.Unlock()
 	}
 	w.metrics.unitsMined.Inc()
@@ -266,7 +264,7 @@ func (w *Worker) mineUnit(args MineUnitArgs, reply *MineUnitReply) error {
 func (w *Worker) storeSnapshot(args StoreSnapshotArgs, reply *StoreSnapshotReply) error {
 	start := time.Now()
 	defer func() { w.metrics.snapshotStore.ObserveDuration(time.Since(start)) }()
-	db, res, err := core.LoadSnapshot(bytes.NewReader(args.SnapshotText))
+	db, res, err := core.LoadSnapshot(bytes.NewReader(args.Snapshot))
 	if err != nil {
 		return fmt.Errorf("cluster: load replica snapshot: %w", err)
 	}

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
+	"sort"
 
+	"partminer/internal/codec"
 	"partminer/internal/graph"
 	"partminer/internal/partition"
 	"partminer/internal/pattern"
@@ -16,7 +16,7 @@ import (
 // non-serializable function options (UnitMinerIndexed, Observer)
 // stripped, so a result mined through a custom miner — a
 // cluster coordinator, joined or dialed — can still be saved with
-// SaveResult/SaveSnapshot. The stripped copy loads as if it had been
+// SaveSnapshot. The stripped copy loads as if it had been
 // mined with the built-in Gaston miner, which is exactly right: the
 // patterns are identical by the exactness contract, only the route that
 // produced them differed. The pattern sets and tree are shared, not
@@ -28,291 +28,144 @@ func (res *Result) Portable() *Result {
 	return &cp
 }
 
-// SaveResult serializes a mining result so that incremental mining can
-// resume in a later process (the paper's dynamic-environment scenario
-// rarely fits one process lifetime). The partition tree itself is not
-// stored: partitioning is deterministic, so LoadResult rebuilds it from
-// the database and the recorded options.
-//
-// Results produced with a custom Bisector or UnitMinerIndexed cannot be
-// saved (the functions are not serializable); use the built-in criteria
-// or Portable.
-func SaveResult(w io.Writer, res *Result) error {
-	bisector, err := bisectorName(res.Options.Bisector)
-	if err != nil {
-		return err
-	}
-	if res.Options.UnitMinerIndexed != nil {
-		return fmt.Errorf("core: results with a custom UnitMinerIndexed cannot be saved")
-	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "partminer-result v1")
-	fmt.Fprintf(bw, "options minsup=%d k=%d maxedges=%d envelope=%d parallel=%t bisector=%s\n",
-		res.Options.MinSupport, res.Options.K, res.Options.MaxEdges, res.Options.GrowthEnvelope,
-		res.Options.Parallel, bisector)
-	fmt.Fprintf(bw, "dbsize %d\n", len(res.Tree.Root.DB))
-	fmt.Fprintf(bw, "unitsupport %d\n", res.UnitSupport)
-	writeSet := func(name string, set pattern.Set) {
-		fmt.Fprintf(bw, "set %s %d\n", name, len(set))
-		for _, key := range set.Keys() {
-			fmt.Fprintln(bw, pattern.FormatPattern(set[key]))
-		}
-	}
-	writeSet("patterns", res.Patterns)
-	for i, set := range res.UnitPatterns {
-		writeSet(fmt.Sprintf("unit:%d", i), set)
-	}
-	for _, path := range sortedNodePaths(res.NodeSets) {
-		writeSet("node:"+pathToken(path), res.NodeSets[path])
-	}
-	fmt.Fprintln(bw, "end")
-	return bw.Flush()
+// snapshot is the payload of a snapshot frame: the database, the options
+// the result was mined with and every pattern set of the result. The
+// partition tree is not stored — partitioning is deterministic, so
+// LoadSnapshot re-derives it — and neither are the negative border and
+// the feature index, which the next fold rebuilds.
+type snapshot struct {
+	MinSupport, K, MaxEdges, GrowthEnvelope int
+	Parallel                                bool
+	Bisector                                string
+	UnitSupport                             int
+	DB                                      []codec.Graph
+	Patterns                                []codec.Pattern
+	Units                                   [][]codec.Pattern
+	Nodes                                   []nodeSet // sorted by path
 }
 
-// LoadResult reconstructs a saved result against the same database it was
-// mined from. The database must be byte-identical in content and order;
-// partitioning is re-derived deterministically.
-func LoadResult(r io.Reader, db graph.Database) (*Result, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	line := 0
-	next := func() (string, bool) {
-		if !sc.Scan() {
-			return "", false
-		}
-		line++
-		return strings.TrimSpace(sc.Text()), true
-	}
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("core: load result line %d: %s", line, fmt.Sprintf(format, args...))
-	}
-
-	header, ok := next()
-	if !ok || header != "partminer-result v1" {
-		return nil, fail("bad header %q", header)
-	}
-	optLine, ok := next()
-	if !ok || !strings.HasPrefix(optLine, "options ") {
-		return nil, fail("missing options line")
-	}
-	res := &Result{NodeSets: make(map[string]pattern.Set)}
-	for _, kv := range strings.Fields(optLine)[1:] {
-		parts := strings.SplitN(kv, "=", 2)
-		if len(parts) != 2 {
-			return nil, fail("bad option %q", kv)
-		}
-		switch parts[0] {
-		case "minsup":
-			res.Options.MinSupport, _ = strconv.Atoi(parts[1])
-		case "k":
-			res.Options.K, _ = strconv.Atoi(parts[1])
-		case "maxedges":
-			res.Options.MaxEdges, _ = strconv.Atoi(parts[1])
-		case "envelope":
-			res.Options.GrowthEnvelope, _ = strconv.Atoi(parts[1])
-		case "strictpaper":
-			// Written by files saved before the option was removed.
-			if parts[1] == "true" {
-				return nil, fail("saved with the removed StrictPaperJoin option; mine again")
-			}
-		case "parallel":
-			res.Options.Parallel = parts[1] == "true"
-		case "bisector":
-			b, err := bisectorByName(parts[1])
-			if err != nil {
-				return nil, fail("%v", err)
-			}
-			res.Options.Bisector = b
-		default:
-			return nil, fail("unknown option %q", parts[0])
-		}
-	}
-
-	sizeLine, ok := next()
-	if !ok {
-		return nil, fail("missing dbsize")
-	}
-	var dbsize int
-	if _, err := fmt.Sscanf(sizeLine, "dbsize %d", &dbsize); err != nil {
-		return nil, fail("bad dbsize line %q", sizeLine)
-	}
-	if dbsize != len(db) {
-		return nil, fmt.Errorf("core: saved result covers %d graphs; database has %d", dbsize, len(db))
-	}
-	usLine, ok := next()
-	if !ok {
-		return nil, fail("missing unitsupport")
-	}
-	if _, err := fmt.Sscanf(usLine, "unitsupport %d", &res.UnitSupport); err != nil {
-		return nil, fail("bad unitsupport line %q", usLine)
-	}
-
-	readSet := func(count int) (pattern.Set, error) {
-		set := make(pattern.Set, count)
-		for i := 0; i < count; i++ {
-			l, ok := next()
-			if !ok {
-				return nil, fail("truncated pattern set")
-			}
-			p, err := pattern.ParsePattern(l, len(db))
-			if err != nil {
-				return nil, fail("%v", err)
-			}
-			set[p.Code.Key()] = p
-		}
-		return set, nil
-	}
-
-	for {
-		l, ok := next()
-		if !ok {
-			return nil, fail("missing end marker")
-		}
-		if l == "end" {
-			break
-		}
-		var name string
-		var count int
-		if _, err := fmt.Sscanf(l, "set %s %d", &name, &count); err != nil {
-			return nil, fail("bad set header %q", l)
-		}
-		set, err := readSet(count)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case name == "patterns":
-			res.Patterns = set
-		case strings.HasPrefix(name, "unit:"):
-			idx, err := strconv.Atoi(name[len("unit:"):])
-			if err != nil || idx < 0 {
-				return nil, fail("bad unit set %q", name)
-			}
-			for len(res.UnitPatterns) <= idx {
-				res.UnitPatterns = append(res.UnitPatterns, nil)
-			}
-			res.UnitPatterns[idx] = set
-		case strings.HasPrefix(name, "node:"):
-			res.NodeSets[tokenToPath(name[len("node:"):])] = set
-		default:
-			return nil, fail("unknown set %q", name)
-		}
-	}
-	if res.Patterns == nil {
-		return nil, fmt.Errorf("core: saved result has no pattern set")
-	}
-
-	// Rebuild the partition tree deterministically.
-	if err := res.Options.normalize(); err != nil {
-		return nil, err
-	}
-	tree, err := partition.DBPartition(db, res.Options.K, res.Options.Bisector)
-	if err != nil {
-		return nil, err
-	}
-	res.Tree = tree
-	res.PartitionQuality = tree.Quality
-	if len(res.UnitPatterns) != len(tree.Leaves()) {
-		return nil, fmt.Errorf("core: saved result has %d unit sets; partitioning yields %d units",
-			len(res.UnitPatterns), len(tree.Leaves()))
-	}
-	return res, nil
+// nodeSet is the merged set of the partition-tree node at Path.
+type nodeSet struct {
+	Path string
+	Set  []codec.Pattern
 }
 
-// snapshotHeader begins a combined database+result file; the database
-// section ends where the embedded result's own header line begins.
-const snapshotHeader = "partminer-snapshot v1"
-
-// SaveSnapshot serializes the mined database together with its result in
-// one self-contained file: unlike SaveResult, no separate copy of the
-// database needs to survive for a later process to resume. This is the
-// server's warm-start format (`partserved -restore`): the database text
-// section is followed by the SaveResult section, and LoadSnapshot wires
-// them back together. The same custom-Bisector/UnitMinerIndexed restrictions as
-// SaveResult apply.
+// SaveSnapshot writes the mined database together with its result as one
+// codec frame, so a later process can resume incremental mining
+// (`partminer -resume`) or serving (`partserved -restore`) from it alone.
+// Two saves of one result are byte-identical. Results mined with an
+// unregistered Bisector or a custom UnitMinerIndexed cannot be saved (the
+// functions are not serializable); use a registered strategy, or Portable.
 func SaveSnapshot(w io.Writer, res *Result) error {
 	if res == nil || res.Tree == nil {
 		return fmt.Errorf("core: snapshot requires a result with its partition tree")
 	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, snapshotHeader)
-	if err := graph.WriteDatabase(bw, res.Tree.Root.DB); err != nil {
+	if res.Options.UnitMinerIndexed != nil {
+		return fmt.Errorf("core: results with a custom UnitMinerIndexed cannot be saved")
+	}
+	bisector, err := bisectorName(res.Options.Bisector)
+	if err != nil {
 		return err
 	}
-	if err := SaveResult(bw, res); err != nil {
+	o := res.Options
+	s := snapshot{
+		MinSupport: o.MinSupport, K: o.K, MaxEdges: o.MaxEdges, GrowthEnvelope: o.GrowthEnvelope,
+		Parallel: o.Parallel, Bisector: bisector, UnitSupport: res.UnitSupport,
+		DB:       codec.FromDatabase(res.Tree.Root.DB),
+		Patterns: codec.FromSet(res.Patterns),
+	}
+	for _, set := range res.UnitPatterns {
+		s.Units = append(s.Units, codec.FromSet(set))
+	}
+	paths := make([]string, 0, len(res.NodeSets))
+	for path := range res.NodeSets {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		s.Nodes = append(s.Nodes, nodeSet{Path: path, Set: codec.FromSet(res.NodeSets[path])})
+	}
+	frame, err := codec.Encode(codec.KindSnapshot, &s)
+	if err != nil {
 		return err
 	}
-	return bw.Flush()
+	_, err = w.Write(frame)
+	return err
 }
 
-// LoadSnapshot reads a file written by SaveSnapshot, returning the
-// database and the result reconstructed against it (partition tree
-// re-derived, feature index left nil for the next run to rebuild).
+// LoadSnapshot reads a frame written by SaveSnapshot and returns the
+// database and the result rebuilt against it: the partition tree is
+// re-derived, the border and the feature index are left for the next run
+// to rebuild. Every count, key and TID is checked before it is used.
 func LoadSnapshot(r io.Reader) (graph.Database, *Result, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("core: read snapshot: %w", err)
 	}
-	text := string(data)
-	nl := strings.IndexByte(text, '\n')
-	if nl < 0 || strings.TrimRight(text[:nl], "\r") != snapshotHeader {
-		return nil, nil, fmt.Errorf("core: not a snapshot file (missing %q header)", snapshotHeader)
+	if bytes.HasPrefix(data, []byte("partminer-")) {
+		header, _, _ := bytes.Cut(data[:min(len(data), 32)], []byte("\n"))
+		return nil, nil, fmt.Errorf("core: %q is a pre-codec text file, which this version no longer reads; mine the database again", header)
 	}
-	body := text[nl+1:]
-	// The database section runs until the embedded result header. The
-	// result header line cannot occur inside the database text format
-	// (every db line starts with 't', 'v', 'e', '%', or is blank).
-	sep := "partminer-result v1"
-	cut := -1
-	if strings.HasPrefix(body, sep) {
-		cut = 0
-	} else if i := strings.Index(body, "\n"+sep); i >= 0 {
-		cut = i + 1
+	var s snapshot
+	if err := codec.Decode(codec.KindSnapshot, data, &s); err != nil {
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
-	if cut < 0 {
-		return nil, nil, fmt.Errorf("core: snapshot has no embedded result section")
-	}
-	db, err := graph.ReadDatabase(strings.NewReader(body[:cut]))
+	db, res, err := s.rebuild()
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: snapshot database: %w", err)
-	}
-	res, err := LoadResult(strings.NewReader(body[cut:]), db)
-	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("core: snapshot: %w", err)
 	}
 	return db, res, nil
 }
 
-// pathToken encodes a tree path for the file format; the root's empty
-// path becomes ".".
-func pathToken(path string) string {
-	if path == "" {
-		return "."
+// rebuild validates a decoded snapshot and builds its database and result.
+func (s *snapshot) rebuild() (graph.Database, *Result, error) {
+	db, err := codec.ToDatabase(s.DB)
+	if err != nil {
+		return nil, nil, err
 	}
-	return path
-}
-
-func tokenToPath(tok string) string {
-	if tok == "." {
-		return ""
+	bisector, err := partition.ByName(s.Bisector)
+	if err != nil {
+		return nil, nil, err
 	}
-	return tok
-}
-
-func sortedNodePaths(sets map[string]pattern.Set) []string {
-	paths := make([]string, 0, len(sets))
-	for p := range sets {
-		paths = append(paths, p)
+	res := &Result{
+		UnitSupport: s.UnitSupport,
+		NodeSets:    make(map[string]pattern.Set, len(s.Nodes)),
+		Options: Options{MinSupport: s.MinSupport, K: s.K, MaxEdges: s.MaxEdges,
+			GrowthEnvelope: s.GrowthEnvelope, Parallel: s.Parallel, Bisector: bisector},
 	}
-	// Shorter paths (higher tree levels) first, then lexicographic.
-	for i := 0; i < len(paths); i++ {
-		for j := i + 1; j < len(paths); j++ {
-			if len(paths[j]) < len(paths[i]) || (len(paths[j]) == len(paths[i]) && paths[j] < paths[i]) {
-				paths[i], paths[j] = paths[j], paths[i]
-			}
+	if err := res.Options.normalize(); err != nil {
+		return nil, nil, err
+	}
+	// Checked before partitioning: K sizes the tree DBPartition builds.
+	if len(s.Units) != res.Options.K {
+		return nil, nil, fmt.Errorf("%d unit sets for K = %d", len(s.Units), res.Options.K)
+	}
+	// Every unit and node database holds one piece per graph, so all sets
+	// index TIDs the way the database does.
+	if res.Patterns, err = codec.ToSet(s.Patterns, len(db)); err != nil {
+		return nil, nil, fmt.Errorf("patterns: %w", err)
+	}
+	res.UnitPatterns = make([]pattern.Set, len(s.Units))
+	for i, ws := range s.Units {
+		if res.UnitPatterns[i], err = codec.ToSet(ws, len(db)); err != nil {
+			return nil, nil, fmt.Errorf("unit %d: %w", i, err)
 		}
 	}
-	return paths
+	for _, n := range s.Nodes {
+		if _, dup := res.NodeSets[n.Path]; dup {
+			return nil, nil, fmt.Errorf("node %q: duplicate", n.Path)
+		}
+		if res.NodeSets[n.Path], err = codec.ToSet(n.Set, len(db)); err != nil {
+			return nil, nil, fmt.Errorf("node %q: %w", n.Path, err)
+		}
+	}
+	tree, err := partition.DBPartition(db, res.Options.K, bisector)
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Tree = tree
+	res.PartitionQuality = tree.Quality
+	return db, res, nil
 }
 
 // bisectorName resolves a bisector to its registered strategy name via
@@ -325,8 +178,4 @@ func bisectorName(b partition.Bisector) (string, error) {
 		return name, nil
 	}
 	return "", fmt.Errorf("core: bisector %T is not a registered strategy and cannot be serialized; register it with partition.Register or use a built-in criteria", b)
-}
-
-func bisectorByName(name string) (partition.Bisector, error) {
-	return partition.ByName(name)
 }

@@ -531,10 +531,12 @@ func (s *Server) fold(batch []*applyReq) {
 
 	for _, req := range batch {
 		if err := s.stage(&db, updated, &appended, req.ops); err != nil {
-			req.done <- applyResp{err: err}
+			// Counted before the reply, so a client that reads /v1/stats
+			// after its 400 sees its rejected ops.
 			s.mu.Lock()
 			s.bs.opsRejected += int64(len(req.ops))
 			s.mu.Unlock()
+			req.done <- applyResp{err: err}
 			continue
 		}
 		accepted = append(accepted, req)
@@ -547,12 +549,12 @@ func (s *Server) fold(batch []*applyReq) {
 	res, fullRemine, remined, err := s.mine(ctx, cur, db, updated, appended)
 	if err != nil {
 		s.logger.Error("fold failed", "run_id", runID, "ops", batched, "err", err)
-		for _, req := range accepted {
-			req.done <- applyResp{err: err}
-		}
 		s.mu.Lock()
 		s.bs.opsRejected += int64(batched)
 		s.mu.Unlock()
+		for _, req := range accepted {
+			req.done <- applyResp{err: err}
+		}
 		return
 	}
 

@@ -29,7 +29,9 @@
 // (internal/gaston) and its reference (internal/gspan), partitioning (internal/partition),
 // the merge-join (internal/mergejoin), and the disk-based baseline
 // (internal/adimine) — but everything a typical application needs is
-// re-exported here.
+// re-exported here. Results persist as snapshots — the result with its
+// database in one versioned, checksummed frame — through the commands:
+// `partminer -save`/`-resume` and `partserved -snapshot`/`-restore`.
 package partminer
 
 import (
@@ -172,15 +174,6 @@ func ReadDatabase(r io.Reader) (Database, error) { return graph.ReadDatabase(r) 
 
 // WriteDatabase writes a database in the text format.
 func WriteDatabase(w io.Writer, db Database) error { return graph.WriteDatabase(w, db) }
-
-// SaveResult serializes a mining result so a later process can resume
-// incremental mining; results using custom bisectors or unit miners are
-// rejected (not representable on disk).
-func SaveResult(w io.Writer, res *Result) error { return core.SaveResult(w, res) }
-
-// LoadResult reconstructs a saved result against the same database it was
-// mined from; the partition tree is re-derived deterministically.
-func LoadResult(r io.Reader, db Database) (*Result, error) { return core.LoadResult(r, db) }
 
 // SearchIndex is a frequent-structure containment index over a database
 // (filter-verify subgraph search; see internal/query).
