@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke fuzz-smoke benchmark benchmark-smoke dist-example serve-smoke obs-smoke part-smoke cluster-smoke check clean
+.PHONY: all build vet test race bench-smoke fuzz-smoke benchmark benchmark-smoke dist-example search-example serve-smoke obs-smoke part-smoke cluster-smoke check clean
 
 all: check
 
@@ -52,6 +52,12 @@ benchmark-smoke:
 dist-example:
 	$(GO) run ./examples/distributed
 
+# search-example mines a database, indexes the result
+# (partminer.NewSearchIndex) and exits non-zero unless every containment
+# answer equals a full scan: the only driver of the search facade.
+search-example:
+	$(GO) run ./examples/search
+
 # serve-smoke boots partserved on an ephemeral port, exercises every HTTP
 # endpoint with curl, and checks the answers (see scripts/serve_smoke.sh).
 serve-smoke:
@@ -80,7 +86,7 @@ part-smoke:
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 
-check: build vet race bench-smoke fuzz-smoke benchmark-smoke dist-example serve-smoke obs-smoke part-smoke cluster-smoke
+check: build vet race bench-smoke fuzz-smoke benchmark-smoke dist-example search-example serve-smoke obs-smoke part-smoke cluster-smoke
 
 clean:
 	$(GO) clean ./...

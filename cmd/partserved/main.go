@@ -40,7 +40,6 @@ import (
 	"partminer/internal/core"
 	"partminer/internal/graph"
 	"partminer/internal/partition"
-	"partminer/internal/query"
 	"partminer/internal/server"
 )
 
@@ -55,9 +54,6 @@ func main() {
 	workers := flag.Int("workers", 0, "worker-pool bound with -parallel (0 = GOMAXPROCS)")
 	criteria := flag.String("criteria", "partition3", "partitioning strategy: "+strings.Join(partition.Names(), ", "))
 	batchWindow := flag.Duration("batch-window", 20*time.Millisecond, "how long the update loop lingers to coalesce concurrent updates")
-	featEdges := flag.Int("featedges", 0, "max feature size for the containment index (0 = default)")
-	queryCache := flag.Int("query-cache", 0, "per-epoch ad-hoc query result cache size in entries (0 = 1024 default, negative disables)")
-	planEdges := flag.Int("plan-edges", 0, "max size of a mined pattern answered from its mined TID set, and of a query canonicalized for that lookup (0 = 8 default, negative disables planned reads and the cache)")
 	snapshotPath := flag.String("snapshot", "", "persist every published snapshot to this file (atomic rename)")
 	restore := flag.Bool("restore", false, "warm-start from the -snapshot file instead of mining the database argument")
 	clusterAddr := flag.String("cluster-addr", "", "coordinator RPC listen address for partworker fleets (empty = single-node)")
@@ -84,7 +80,6 @@ func main() {
 
 	cfg := server.Config{
 		Mine:          core.Options{K: *k, MaxEdges: *maxEdges, GrowthEnvelope: *envelope, Parallel: *parallel, Workers: *workers, Bisector: bis},
-		Search:        query.IndexOptions{MaxFeatureEdges: *featEdges, CacheSize: *queryCache, PlanMaxEdges: *planEdges},
 		BatchWindow:   *batchWindow,
 		Logger:        log,
 		SlowThreshold: *slowThreshold,

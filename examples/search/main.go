@@ -1,8 +1,9 @@
-// Search: subgraph containment queries over a graph database, accelerated
-// by an index built from PartMiner's frequent subgraphs (the gIndex idea
-// from the paper's related work [18]). Shows the filter-verify paradigm:
-// the index's frequent-structure features prune the candidate set before
-// exact isomorphism verification.
+// Search: subgraph containment queries over a graph database, served by
+// an index over PartMiner's result. A query that is a mined pattern is
+// answered from the pattern's mined TID set; any other is narrowed to the
+// graphs holding all of its vertex labels and edge triples, then verified
+// with exact subgraph isomorphism. Every answer is checked against a full
+// scan; the example panics on a disagreement.
 //
 //	go run ./examples/search
 package main
@@ -21,12 +22,17 @@ func main() {
 	})
 
 	t0 := time.Now()
-	ix := partminer.BuildSearchIndex(db, partminer.SearchIndexOptions{
-		MinSupport:      20, // 5%
-		MaxFeatureEdges: 4,
+	res, err := partminer.Mine(db, partminer.Options{
+		MinSupport: 20, // 5%
+		K:          2,
+		MaxEdges:   4,
 	})
-	fmt.Printf("indexed %d graphs with %d frequent-structure features in %v\n\n",
-		len(db), ix.FeatureCount(), time.Since(t0).Round(time.Millisecond))
+	if err != nil {
+		panic(err)
+	}
+	ix := partminer.NewSearchIndex(db, res)
+	fmt.Printf("mined and indexed %d graphs (%d patterns answer planned reads) in %v\n\n",
+		len(db), ix.PlanCount(), time.Since(t0).Round(time.Millisecond))
 
 	// Queries: fragments cut out of database graphs (guaranteed nonempty
 	// answers) of growing size.
@@ -43,7 +49,7 @@ func main() {
 		scanHits := partminer.SearchScan(db, q)
 		scanTime := time.Since(t0)
 
-		if len(hits) != len(scanHits) {
+		if fmt.Sprint(hits) != fmt.Sprint(scanHits) {
 			panic("index and scan disagree")
 		}
 		fmt.Printf("%4dE   %6d   %9d   %5.1f%%  %8v  %8v\n",

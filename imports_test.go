@@ -9,8 +9,9 @@ import (
 
 // TestImportFences pins the module's dependency fences over `go list
 // -deps`: the execution substrate stays a leaf, the cover pruner and the
-// codec stay functions of three data packages, and the serving binaries
-// do not link the baseline miners or the benchmark harness.
+// codec stay functions of three data packages, containment search reads
+// a mined pattern set without mining one, and the serving binaries do not
+// link the baseline miners or the benchmark harness.
 func TestImportFences(t *testing.T) {
 	const internal = "partminer/internal/"
 	for _, fence := range []struct {
@@ -25,6 +26,7 @@ func TestImportFences(t *testing.T) {
 		// The codec knows the wire format and nothing else: the three data
 		// packages it converts (plus what they bring).
 		{pkg: "./internal/codec", only: []string{"dfscode", "graph", "pattern", "exec", "isomorph"}},
+		{pkg: "./internal/query", mustNot: []string{"gaston", "gspan", "adimine"}},
 		{pkg: "./cmd/partserved", mustNot: []string{"adimine", "storage", "bench"}},
 		{pkg: "./cmd/partworker", mustNot: []string{"adimine", "storage", "bench"}},
 	} {

@@ -65,12 +65,12 @@ func TestIndexedSupportDifferential(t *testing.T) {
 }
 
 // TestFindDifferential runs 50 random databases through the full query
-// pipeline (feature mining included) and checks Find against Scan.
+// pipeline (pattern mining included) and checks Find against Scan.
 func TestFindDifferential(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
 		db := graph.RandomDatabase(rng, 12+rng.Intn(16), 6+rng.Intn(8), 7+rng.Intn(10), 1+rng.Intn(4), 1+rng.Intn(3))
-		ix := BuildIndex(db, IndexOptions{})
+		ix := buildIndex(db, IndexOptions{})
 		for i := 0; i < 6; i++ {
 			q := queryFrom(rng, db[rng.Intn(len(db))], 2+rng.Intn(5))
 			if !q.Connected() || q.EdgeCount() == 0 {

@@ -21,12 +21,12 @@ func TestPlannedFindMatchesScan(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(400 + seed))
 		db := graph.RandomDatabase(rng, 12+rng.Intn(16), 6+rng.Intn(8), 7+rng.Intn(10), 1+rng.Intn(4), 1+rng.Intn(3))
-		ix := BuildIndex(db, IndexOptions{})
+		ix := buildIndex(db, IndexOptions{})
 		if ix.PlanCount() == 0 {
 			t.Fatalf("seed %d: no plans compiled", seed)
 		}
 		var queries []*graph.Graph
-		for _, f := range ix.features {
+		for _, f := range multiEdge(ix) {
 			queries = append(queries, f.Code.Graph())
 		}
 		for i := 0; i < 6; i++ {
@@ -59,12 +59,12 @@ func TestPlannedFindMatchesScan(t *testing.T) {
 func TestPlanHitServesMinedTIDs(t *testing.T) {
 	db := testDB(3, 60)
 	col := obs.NewRegistry("")
-	ix := BuildIndex(db, IndexOptions{Observer: col})
+	ix := buildIndex(db, IndexOptions{Observer: col})
 	if ix.PlanCount() == 0 {
 		t.Fatal("no plans compiled")
 	}
 	hits := 0
-	for _, f := range ix.features {
+	for _, f := range multiEdge(ix) {
 		q := f.Code.Graph()
 		got, st := ix.Find(q)
 		if !st.PlanHit {
@@ -93,7 +93,7 @@ func TestAdHocCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	db := testDB(5, 50)
 	col := obs.NewRegistry("")
-	ix := BuildIndex(db, IndexOptions{CacheSize: 8, Observer: col})
+	ix := buildIndex(db, IndexOptions{CacheSize: 8, Observer: col})
 	// An ad-hoc query: cut from the db but checked to not be a planned read.
 	var q *graph.Graph
 	for i := 0; i < 200; i++ {
@@ -101,7 +101,7 @@ func TestAdHocCache(t *testing.T) {
 		if !c.Connected() || c.EdgeCount() == 0 {
 			continue
 		}
-		if _, st := ix.Candidates(c); !st.PlanHit {
+		if key := ix.planKey(c); key != "" && ix.planned[key] == nil {
 			q = c
 			break
 		}
@@ -154,7 +154,7 @@ func TestAdHocCache(t *testing.T) {
 func TestPlansDisabled(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	db := testDB(7, 40)
-	ix := BuildIndex(db, IndexOptions{PlanMaxEdges: -1, CacheSize: -1})
+	ix := buildIndex(db, IndexOptions{PlanMaxEdges: -1, CacheSize: -1})
 	if ix.PlanCount() != 0 {
 		t.Fatalf("plans compiled despite PlanMaxEdges<0: %d", ix.PlanCount())
 	}
@@ -170,26 +170,6 @@ func TestPlansDisabled(t *testing.T) {
 		want := Scan(db, q)
 		if len(got) != len(want) {
 			t.Fatalf("query %d: Find %v, Scan %v", i, got, want)
-		}
-	}
-}
-
-// TestCandidatesPlanShortcut checks the Candidates plan shortcut returns
-// the exact mined set and a private copy.
-func TestCandidatesPlanShortcut(t *testing.T) {
-	db := testDB(9, 50)
-	ix := BuildIndex(db, IndexOptions{})
-	for _, f := range ix.features {
-		cand, st := ix.Candidates(f.Code.Graph())
-		if !st.PlanHit {
-			t.Fatalf("feature %s: Candidates missed the plan", f.Code.Key())
-		}
-		if !cand.Equal(f.TIDs) {
-			t.Fatalf("feature %s: Candidates %v, mined %v", f.Code.Key(), cand, f.TIDs)
-		}
-		cand.Remove(0) // must not corrupt the mined set
-		if f.TIDs.Equal(cand) && f.TIDs.Contains(0) {
-			t.Fatal("Candidates returned the shared mined set")
 		}
 	}
 }

@@ -1,51 +1,37 @@
 // Package query provides subgraph containment search over a graph
-// database, accelerated by a frequent-pattern index in the spirit of
-// gIndex (Yan, Yu & Han, SIGMOD'04 — "Graph indexing: a frequent
-// structure-based approach", cited by the paper as related work [18]).
-// It is the natural downstream consumer of this repository's miners: the
-// index features are exactly the frequent subgraphs PartMiner produces.
+// database, served from the frequent-pattern set PartMiner mined for it —
+// the natural downstream consumer of this repository's miners.
 //
-// Query evaluation follows the filter-verify paradigm: every index
-// feature contained in the query graph constrains the answer set to the
-// feature's supporting transactions (supporters of a graph support all of
-// its subgraphs); the intersection of those TID lists is the candidate
-// set, and candidates are verified with exact subgraph isomorphism. An
-// exhaustive 1-edge TID table keeps pruning effective even for queries
-// whose structure is globally infrequent.
+// A query takes the first of three read paths:
 //
-// On top of filter-verify, the index keeps the mined pattern set, which
-// is keyed by canonical DFS code and carries each pattern's exact TID
-// set. A query that canonicalizes to a mined pattern — a planned read —
-// is answered directly from that TID set with zero matching work; an
-// ad-hoc query falls back to the generic filter-verify path and its
-// result enters a bounded per-Index cache under the same canonical key.
+//   - planned: a query that canonicalizes to a mined pattern is answered
+//     from the pattern's exact TID set with zero matching work;
+//   - cached: an ad-hoc query seen before on this Index is answered from a
+//     bounded result cache keyed by the same canonical DFS code;
+//   - narrowed + VF2: everything else is narrowed to the transactions
+//     holding every vertex label and edge triple of the query (the
+//     feature index's exact TID sets), then signature domination and one
+//     posted VF2 run per surviving candidate decide containment. Its
+//     answer enters the cache.
+//
 // The Index lives inside one server snapshot, so both the planned
 // answers and the cache are epoch-consistent by construction and
 // invalidated wholesale on snapshot swap.
 package query
 
 import (
-	"context"
-	"fmt"
 	"time"
 
 	"partminer/internal/dfscode"
 	"partminer/internal/exec"
-	"partminer/internal/gaston"
 	"partminer/internal/graph"
 	"partminer/internal/index"
 	"partminer/internal/isomorph"
 	"partminer/internal/pattern"
 )
 
-// IndexOptions configures BuildIndex.
+// IndexOptions configures IndexFromPatterns.
 type IndexOptions struct {
-	// MinSupport is the absolute support threshold for index features;
-	// default max(2, |db|/20).
-	MinSupport int
-	// MaxFeatureEdges bounds feature size (default 4). Larger features
-	// prune more but cost more per query.
-	MaxFeatureEdges int
 	// PlanMaxEdges bounds the mined patterns that serve planned reads
 	// and the queries canonicalized for plan/cache lookup
 	// (canonicalization is factorial in the pattern's automorphisms, so
@@ -65,16 +51,7 @@ type IndexOptions struct {
 	Observer exec.Observer
 }
 
-func (o IndexOptions) normalize(dbLen int) IndexOptions {
-	if o.MinSupport < 1 {
-		o.MinSupport = dbLen / 20
-		if o.MinSupport < 2 {
-			o.MinSupport = 2
-		}
-	}
-	if o.MaxFeatureEdges <= 0 {
-		o.MaxFeatureEdges = 4
-	}
+func (o IndexOptions) normalize() IndexOptions {
 	if o.PlanMaxEdges == 0 {
 		o.PlanMaxEdges = 8
 	}
@@ -84,14 +61,14 @@ func (o IndexOptions) normalize(dbLen int) IndexOptions {
 	return o
 }
 
-// Index is a frequent-structure containment index over a fixed database.
+// Index is a containment index over a fixed database and its mined
+// pattern set.
 type Index struct {
-	db       graph.Database
-	features []*pattern.Pattern
+	db graph.Database
 	// fx holds the database feature index: exact label and edge-triple
-	// TID sets (subsuming the old per-edge table), per-transaction
-	// invariant signatures, and label posting lists. It drives both the
-	// candidate filter and the verification matcher.
+	// TID sets, per-transaction invariant signatures, and label posting
+	// lists. It drives both the candidate filter and the verification
+	// matcher.
 	fx   *index.FeatureIndex
 	opts IndexOptions
 	// planned is the mined pattern set (canonical DFS-code key → pattern,
@@ -109,9 +86,6 @@ type Index struct {
 
 // Stats describes one query evaluation.
 type Stats struct {
-	// FeaturesTried and FeaturesMatched count index features tested
-	// against the query and those contained in it.
-	FeaturesTried, FeaturesMatched int
 	// Candidates is the filtered candidate count; Verified the number of
 	// candidates that actually contain the query.
 	Candidates, Verified int
@@ -121,66 +95,22 @@ type Stats struct {
 	// PlanHit reports that the query canonicalized to a mined pattern
 	// and was answered from its mined TID set; CacheHit that it was
 	// answered from the ad-hoc result cache. Both false means the
-	// generic filter-verify path ran.
+	// narrowed + VF2 path ran.
 	PlanHit, CacheHit bool
 }
 
-// BuildIndex mines db for frequent subgraphs and builds the index.
-func BuildIndex(db graph.Database, opts IndexOptions) *Index {
-	ix, _ := BuildIndexContext(context.Background(), db, opts)
-	return ix
-}
-
-// BuildIndexContext is BuildIndex with cooperative cancellation of the
-// feature-mining phase (the expensive part of index construction). On
-// cancellation it returns nil and ctx.Err().
-func BuildIndexContext(ctx context.Context, db graph.Database, opts IndexOptions) (*Index, error) {
-	opts = opts.normalize(len(db))
-	// The feature index is built first so the mining phase itself can
-	// seed its 1-edge projections from it.
-	fx, err := index.BuildContext(ctx, db, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	set, err := gaston.MineContext(ctx, db, gaston.Options{MinSupport: opts.MinSupport, MaxEdges: opts.MaxFeatureEdges, Index: fx})
-	if err != nil {
-		return nil, err
-	}
-	ix := &Index{db: db, opts: opts, fx: fx}
-	for _, by := range set.BySize() {
-		for _, p := range by {
-			if p.Size() >= 2 {
-				ix.features = append(ix.features, p)
-			}
-		}
-	}
-	ix.planReads(set)
-	return ix, nil
-}
-
-// IndexFromPatterns builds the containment index from an already-mined
-// frequent-pattern set instead of mining afresh: set's multi-edge
-// patterns (with exact TIDs) become the structural features, and fx — the
-// database feature index the patterns were mined against — supplies the
-// exact label/edge filter and the verification matcher. fx must index db.
+// IndexFromPatterns builds the containment index over db from an
+// already-mined frequent-pattern set: fx — the database feature index
+// the patterns were mined against — supplies the exact label/edge-triple
+// filter and the verification matcher, and every pattern of up to
+// PlanMaxEdges edges that carries its TIDs serves planned reads. fx must
+// index db; set must not change afterwards.
 //
-// This is the server path: PartMiner's Result carries both the pattern
-// set and the feature index, so a query index over a fresh snapshot costs
-// a sort of the pattern set, not a mining run. Patterns without TIDs and
-// patterns larger than MaxFeatureEdges are skipped as features (they
-// cannot filter); every pattern up to PlanMaxEdges additionally serves
-// planned reads. set must not change afterwards.
+// PartMiner's Result carries both the pattern set and the feature index,
+// so a query index over a fresh server snapshot costs a pass over the
+// pattern set, not a mining run.
 func IndexFromPatterns(db graph.Database, fx *index.FeatureIndex, set pattern.Set, opts IndexOptions) *Index {
-	opts = opts.normalize(len(db))
-	ix := &Index{db: db, opts: opts, fx: fx}
-	for _, by := range set.BySize() {
-		for _, p := range by {
-			if p.Size() < 2 || p.Size() > opts.MaxFeatureEdges || p.TIDs == nil {
-				continue
-			}
-			ix.features = append(ix.features, p)
-		}
-	}
+	ix := &Index{db: db, opts: opts.normalize(), fx: fx}
 	ix.planReads(set)
 	return ix
 }
@@ -205,8 +135,11 @@ func (ix *Index) planReads(set pattern.Set) {
 	}
 }
 
-// FeatureCount returns the number of multi-edge index features.
-func (ix *Index) FeatureCount() int { return len(ix.features) }
+// FeatureCount returns 0: the index keeps no structural features, since
+// the exact label/triple narrowing alone filters ad-hoc reads. It stays
+// for its one caller, the benchmark ladder's query.features rung
+// (benchmark/ladder.go).
+func (ix *Index) FeatureCount() int { return 0 }
 
 // PlanCount returns the number of mined patterns serving planned reads.
 func (ix *Index) PlanCount() int { return ix.planCount }
@@ -223,46 +156,6 @@ func (ix *Index) planKey(q *graph.Graph) string {
 	return dfscode.MinCode(q).Key()
 }
 
-// Candidates returns the TIDs that may contain q, by intersecting the TID
-// lists of q's edges and of every index feature contained in q. The
-// returned statistics describe the filtering work. A query matching a
-// mined pattern short-circuits to the pattern's exact TID set.
-func (ix *Index) Candidates(q *graph.Graph) (*pattern.TIDSet, Stats) {
-	if key := ix.planKey(q); key != "" {
-		if p := ix.planned[key]; p != nil && p.TIDs != nil {
-			var st Stats
-			st.PlanHit = true
-			st.Candidates = p.TIDs.Count()
-			return p.TIDs.Clone(), st
-		}
-	}
-	return ix.candidatesGeneric(q)
-}
-
-func (ix *Index) candidatesGeneric(q *graph.Graph) (*pattern.TIDSet, Stats) {
-	var st Stats
-	// Label and edge filter: exact and always applicable. NarrowByFeatures
-	// intersects the exact TID set of every vertex label and edge triple
-	// of q; nil means some feature of q occurs nowhere in the database.
-	cand := ix.fx.NarrowByFeatures(q, nil)
-	if cand == nil {
-		return pattern.NewTIDSet(len(ix.db)), st
-	}
-	// Structural features: only those small enough to fit in q.
-	for _, f := range ix.features {
-		if f.Size() > q.EdgeCount() || cand.Count() == 0 {
-			break // features are sorted by size ascending
-		}
-		st.FeaturesTried++
-		if isomorph.Contains(q, f.Code.Graph()) {
-			st.FeaturesMatched++
-			cand.IntersectWith(f.TIDs)
-		}
-	}
-	st.Candidates = cand.Count()
-	return cand, st
-}
-
 // Find returns the ids of every database graph containing q, ascending,
 // with the evaluation statistics.
 //
@@ -270,8 +163,8 @@ func (ix *Index) candidatesGeneric(q *graph.Graph) (*pattern.TIDSet, Stats) {
 // is answered from the pattern's exact mined TID set (the pattern set is
 // fixed for the Index's lifetime, so no matching runs at all); an ad-hoc
 // query seen before on this Index is answered from the bounded result
-// cache; everything else runs the generic filter-verify path (and
-// populates the cache for next time).
+// cache; everything else runs the narrowed + VF2 path (and populates the
+// cache for next time).
 func (ix *Index) Find(q *graph.Graph) ([]int, Stats) {
 	o := ix.opts.Observer
 	key := ix.planKey(q)
@@ -312,10 +205,13 @@ func (ix *Index) Find(q *graph.Graph) ([]int, Stats) {
 	return out, st
 }
 
-// findGeneric is the filter-verify path: candidate filtering, signature
-// domination, then one posted VF2 run per surviving candidate.
+// findGeneric is the narrowed + VF2 path: the exact label/edge-triple
+// TID narrowing, signature domination, then one posted VF2 run per
+// surviving candidate.
 func (ix *Index) findGeneric(q *graph.Graph) ([]int, Stats) {
-	cand, st := ix.candidatesGeneric(q)
+	var st Stats
+	cand := ix.fx.CandidateTIDs(q)
+	st.Candidates = cand.Count()
 	var out []int
 	m := ix.fx.NewMatcher(q) // one rarest-root match order for every candidate
 	qsig := index.SigOf(q)
@@ -346,8 +242,8 @@ func (ix *Index) findGeneric(q *graph.Graph) ([]int, Stats) {
 	return out, st
 }
 
-// Scan answers the query without the index (the baseline the filter-verify
-// paradigm is measured against).
+// Scan answers the query without the index (the baseline the narrowed +
+// VF2 path is measured against).
 func Scan(db graph.Database, q *graph.Graph) []int {
 	var out []int
 	m := isomorph.NewMatcher(q)
@@ -357,9 +253,4 @@ func Scan(db graph.Database, q *graph.Graph) []int {
 		}
 	}
 	return out
-}
-
-func (s Stats) String() string {
-	return fmt.Sprintf("features %d/%d matched, %d candidates, %d verified",
-		s.FeaturesMatched, s.FeaturesTried, s.Candidates, s.Verified)
 }

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,6 +9,7 @@ import (
 	"partminer/internal/gaston"
 	"partminer/internal/graph"
 	"partminer/internal/index"
+	"partminer/internal/pattern"
 )
 
 func testDB(seed int64, d int) graph.Database {
@@ -34,9 +34,29 @@ func queryFrom(rng *rand.Rand, g *graph.Graph, size int) *graph.Graph {
 	return sub
 }
 
+// buildIndex is the reference index of these tests: db mined with Gaston
+// at max(2, |db|/20) up to 4 edges, adopted through IndexFromPatterns.
+func buildIndex(db graph.Database, opts IndexOptions) *Index {
+	fx := index.Build(db)
+	set := gaston.Mine(db, gaston.Options{MinSupport: max(2, len(db)/20), MaxEdges: 4, Index: fx})
+	return IndexFromPatterns(db, fx, set, opts)
+}
+
+// multiEdge returns the index's mined patterns of two or more edges,
+// smallest first — queries that must take the planned path.
+func multiEdge(ix *Index) []*pattern.Pattern {
+	var out []*pattern.Pattern
+	for size, by := range ix.planned.BySize() {
+		if size >= 2 {
+			out = append(out, by...)
+		}
+	}
+	return out
+}
+
 func TestFindMatchesScan(t *testing.T) {
 	db := testDB(1, 60)
-	ix := BuildIndex(db, IndexOptions{})
+	ix := buildIndex(db, IndexOptions{})
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		q := queryFrom(rng, db[rng.Intn(len(db))], 2+rng.Intn(4))
@@ -61,30 +81,9 @@ func TestFindMatchesScan(t *testing.T) {
 	}
 }
 
-func TestCandidatesSuperset(t *testing.T) {
-	db := testDB(2, 50)
-	ix := BuildIndex(db, IndexOptions{})
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 20; i++ {
-		q := queryFrom(rng, db[rng.Intn(len(db))], 3+rng.Intn(3))
-		if q.EdgeCount() == 0 {
-			continue
-		}
-		cand, _ := ix.Candidates(q)
-		for _, tid := range Scan(db, q) {
-			if !cand.Contains(tid) {
-				t.Fatalf("candidate filter dropped true answer %d", tid)
-			}
-		}
-	}
-}
-
 func TestCandidatesPrune(t *testing.T) {
 	db := testDB(3, 80)
-	ix := BuildIndex(db, IndexOptions{})
-	if ix.FeatureCount() == 0 {
-		t.Fatal("index built no features")
-	}
+	ix := buildIndex(db, IndexOptions{PlanMaxEdges: -1})
 	rng := rand.New(rand.NewSource(4))
 	prunedSomething := false
 	for i := 0; i < 20; i++ {
@@ -92,69 +91,82 @@ func TestCandidatesPrune(t *testing.T) {
 		if q.EdgeCount() < 2 {
 			continue
 		}
-		cand, st := ix.Candidates(q)
-		if cand.Count() < len(db) {
+		got, st := ix.Find(q)
+		if st.Candidates < len(db) {
 			prunedSomething = true
 		}
-		if st.Candidates != cand.Count() {
-			t.Fatal("stats candidate count mismatch")
+		if st.Candidates < len(got) || st.Verified != len(got) {
+			t.Fatalf("stats %+v inconsistent with %d answers", st, len(got))
 		}
 	}
 	if !prunedSomething {
-		t.Error("index never pruned anything across 20 queries")
+		t.Error("narrowing never pruned anything across 20 queries")
 	}
 }
 
 func TestUnknownEdgeShortCircuits(t *testing.T) {
 	db := testDB(5, 30)
-	ix := BuildIndex(db, IndexOptions{})
+	ix := buildIndex(db, IndexOptions{})
 	q := graph.New(0)
 	q.AddVertex(999) // label never generated
 	q.AddVertex(999)
 	q.MustAddEdge(0, 1, 999)
-	cand, _ := ix.Candidates(q)
-	if cand.Count() != 0 {
-		t.Errorf("impossible edge should yield zero candidates, got %d", cand.Count())
+	got, st := ix.Find(q)
+	if st.Candidates != 0 {
+		t.Errorf("impossible edge should yield zero candidates, got %d", st.Candidates)
 	}
-	got, _ := ix.Find(q)
 	if len(got) != 0 {
 		t.Errorf("Find returned %v for impossible query", got)
 	}
 }
 
 func TestIndexOptionDefaults(t *testing.T) {
-	o := IndexOptions{}.normalize(100)
-	if o.MinSupport != 5 || o.MaxFeatureEdges != 4 {
+	o := IndexOptions{}.normalize()
+	if o.PlanMaxEdges != 8 || o.CacheSize != 1024 {
 		t.Errorf("defaults = %+v", o)
 	}
-	o = IndexOptions{}.normalize(10)
-	if o.MinSupport != 2 {
-		t.Errorf("small-db default minsup = %d; want 2", o.MinSupport)
+	o = IndexOptions{PlanMaxEdges: -1, CacheSize: -1}.normalize()
+	if o.PlanMaxEdges != -1 || o.CacheSize != -1 {
+		t.Errorf("negative settings not kept: %+v", o)
 	}
 }
 
-func TestStatsString(t *testing.T) {
-	s := Stats{FeaturesTried: 10, FeaturesMatched: 3, Candidates: 7, Verified: 5}
-	if s.String() == "" {
-		t.Error("empty stats string")
+// TestAdHocFindAllocs bounds the allocations of an uncached ad-hoc read:
+// canonicalization, the label/triple narrowing and posted VF2 cost a few
+// dozen. A per-read filter that matches pattern graphs against the query
+// costs thousands, and fails this.
+func TestAdHocFindAllocs(t *testing.T) {
+	db := testDB(3, 80)
+	ix := buildIndex(db, IndexOptions{CacheSize: -1})
+	rng := rand.New(rand.NewSource(23))
+	var queries []*graph.Graph
+	for attempt := 0; attempt < 2000 && len(queries) < 20; attempt++ {
+		q := queryFrom(rng, db[rng.Intn(len(db))], 4+rng.Intn(3))
+		if n := q.EdgeCount(); n < 3 || n > 6 || !q.Connected() {
+			continue
+		}
+		if _, st := ix.Find(q); !st.PlanHit {
+			queries = append(queries, q)
+		}
+	}
+	if len(queries) < 20 {
+		t.Fatalf("found %d ad-hoc 3-6-edge queries in 2000 attempts, want 20", len(queries))
+	}
+	for i, q := range queries {
+		if allocs := testing.AllocsPerRun(5, func() { ix.Find(q) }); allocs > 100 {
+			t.Errorf("query %d (%d edges): ad-hoc Find allocates %.0f times, want <= 100", i, q.EdgeCount(), allocs)
+		}
 	}
 }
 
 // TestIndexFromPatternsMatchesScan: an index assembled from an
-// already-mined pattern set must answer exactly like Scan (and like a
-// freshly mined BuildIndex) — the server's per-snapshot path.
+// already-mined pattern set must answer exactly like Scan — the server's
+// per-snapshot path.
 func TestIndexFromPatternsMatchesScan(t *testing.T) {
 	db := testDB(3, 50)
-	opts := IndexOptions{}.normalize(len(db))
-	fx := index.Build(db)
-	set, err := gaston.MineContext(context.Background(), db,
-		gaston.Options{MinSupport: opts.MinSupport, MaxEdges: opts.MaxFeatureEdges, Index: fx})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := IndexFromPatterns(db, fx, set, IndexOptions{})
-	if ix.FeatureCount() == 0 {
-		t.Fatal("no features adopted from the mined set")
+	ix := buildIndex(db, IndexOptions{})
+	if ix.PlanCount() == 0 {
+		t.Fatal("no patterns adopted from the mined set")
 	}
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 40; i++ {

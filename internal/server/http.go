@@ -338,13 +338,11 @@ func containsStatsJSON(st query.Stats) map[string]int {
 		return 0
 	}
 	return map[string]int{
-		"features_tried":   st.FeaturesTried,
-		"features_matched": st.FeaturesMatched,
-		"candidates":       st.Candidates,
-		"sig_pruned":       st.SigPruned,
-		"verified":         st.Verified,
-		"plan_hit":         b2i(st.PlanHit),
-		"cache_hit":        b2i(st.CacheHit),
+		"candidates": st.Candidates,
+		"sig_pruned": st.SigPruned,
+		"verified":   st.Verified,
+		"plan_hit":   b2i(st.PlanHit),
+		"cache_hit":  b2i(st.CacheHit),
 	}
 }
 

@@ -99,8 +99,6 @@ type Config struct {
 	// Mine holds the mining options (support threshold, K, criteria,
 	// parallelism). Config's Observer field composes with Mine.Observer.
 	Mine core.Options
-	// Search configures the containment index built per snapshot.
-	Search query.IndexOptions
 	// BatchWindow is how long the update loop lingers after the first
 	// queued op to coalesce more before mining; default 20ms. Negative
 	// disables lingering (fold exactly what is queued).
@@ -165,9 +163,12 @@ func (c Config) withDefaults() Config {
 // atomic pointer, one writer goroutine folding updates. All exported
 // methods are safe for concurrent use.
 type Server struct {
-	cfg   Config
-	opts  core.Options // cfg.Mine with the merged observer, normalized by first mine
-	start time.Time
+	cfg  Config
+	opts core.Options // cfg.Mine with the merged observer, normalized by first mine
+	// search configures each snapshot's containment index: the merged
+	// observer, so plan hits and VF2 match times land in the registry.
+	search query.IndexOptions
+	start  time.Time
 
 	metrics *serverMetrics
 	slow    *obs.SlowLog
@@ -270,9 +271,7 @@ func newServer(cfg Config) *Server {
 	s.reqs = make(chan *applyReq, s.cfg.QueueDepth)
 	s.opts = s.cfg.Mine
 	s.opts.Observer = s.mergedObserver(s.opts.Observer)
-	// The containment index (query path) reports through the same fan-out,
-	// so plan hits and VF2 match times land in the registry.
-	s.cfg.Search.Observer = s.mergedObserver(s.cfg.Search.Observer)
+	s.search = query.IndexOptions{Observer: s.mergedObserver(nil)}
 	// Exposition-time gauges: read the live server state at scrape.
 	s.metrics.registry.GaugeFunc("partserve_epoch", "Current snapshot epoch.", func() float64 {
 		if snap := s.snap.Load(); snap != nil {
@@ -395,7 +394,7 @@ func (s *Server) makeSnapshot(epoch uint64, db graph.Database, res *core.Result)
 		DB:      db,
 		Res:     res,
 		Index:   res.Index,
-		Search:  query.IndexFromPatterns(db, res.Index, res.Patterns, s.cfg.Search),
+		Search:  query.IndexFromPatterns(db, res.Index, res.Patterns, s.search),
 		Created: time.Now(),
 	}
 }
@@ -807,11 +806,10 @@ func (s *Server) stage(db *graph.Database, updated map[int]bool, appended *bool,
 
 // Stats is the service-level statistics document (/v1/stats).
 type Stats struct {
-	Epoch       uint64 `json:"epoch"`
-	Graphs      int    `json:"graphs"`
-	Edges       int    `json:"edges"`
-	Patterns    int    `json:"patterns"`
-	SearchFeats int    `json:"search_features"`
+	Epoch    uint64 `json:"epoch"`
+	Graphs   int    `json:"graphs"`
+	Edges    int    `json:"edges"`
+	Patterns int    `json:"patterns"`
 	// PlansCompiled is the number of mined patterns the served snapshot's
 	// search index answers from their mined TID sets; the counters below
 	// are server-lifetime totals from the observer seam.
@@ -891,7 +889,6 @@ func (s *Server) Stats() Stats {
 		Graphs:        len(snap.DB),
 		Edges:         snap.DB.TotalEdges(),
 		Patterns:      snap.PatternCount(),
-		SearchFeats:   snap.Search.FeatureCount(),
 		MinSupport:    snap.Res.Options.MinSupport,
 		UptimeNS:      now.Sub(s.start).Nanoseconds(),
 		UptimeSeconds: now.Sub(s.start).Seconds(),

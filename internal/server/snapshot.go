@@ -100,7 +100,7 @@ func (s *Snapshot) TopKRange(k, minEdges, maxEdges int) []*pattern.Pattern {
 }
 
 // Contains returns the ids of every database graph containing q at this
-// epoch (ascending), with the filter-verify statistics.
+// epoch (ascending), with the query's evaluation statistics.
 func (s *Snapshot) Contains(q *graph.Graph) ([]int, query.Stats) {
 	return s.Search.Find(q)
 }

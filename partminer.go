@@ -175,28 +175,25 @@ func ReadDatabase(r io.Reader) (Database, error) { return graph.ReadDatabase(r) 
 // WriteDatabase writes a database in the text format.
 func WriteDatabase(w io.Writer, db Database) error { return graph.WriteDatabase(w, db) }
 
-// SearchIndex is a frequent-structure containment index over a database
-// (filter-verify subgraph search; see internal/query).
+// SearchIndex is a subgraph containment index over a database and its
+// mined pattern set (see internal/query).
 type SearchIndex = query.Index
 
-// SearchIndexOptions configures BuildSearchIndex.
-type SearchIndexOptions = query.IndexOptions
-
-// BuildSearchIndex mines db and indexes the frequent subgraphs as search
-// features; use Index.Find to answer subgraph containment queries.
-func BuildSearchIndex(db Database, opts SearchIndexOptions) *SearchIndex {
-	return query.BuildIndex(db, opts)
-}
-
-// BuildSearchIndexContext is BuildSearchIndex with cooperative
-// cancellation of the feature-mining phase.
-func BuildSearchIndexContext(ctx context.Context, db Database, opts SearchIndexOptions) (*SearchIndex, error) {
-	return query.BuildIndexContext(ctx, db, opts)
+// NewSearchIndex indexes res — a Mine result over db, or the Result of a
+// MineIncremental round over it — for containment search; use
+// SearchIndex.Find to answer queries. A query that is a mined pattern is
+// answered from its mined TID set, any other is narrowed by the
+// database's label/edge TID sets and verified with exact subgraph
+// isomorphism. The index keeps its own copy of res's feature index, so a
+// later MineIncremental over res, which patches that index in place for
+// the new database, leaves the search index answering for db.
+func NewSearchIndex(db Database, res *Result) *SearchIndex {
+	return query.IndexFromPatterns(db, res.Index.Clone(), res.Patterns, query.IndexOptions{})
 }
 
 // SearchScan answers a containment query by scanning the whole database
 // with exact subgraph isomorphism — the unindexed baseline for
-// BuildSearchIndex.
+// SearchIndex.Find.
 func SearchScan(db Database, q *Graph) []int { return query.Scan(db, q) }
 
 // WorkerPool is a fleet of unit-mining workers (cmd/partworker) at

@@ -18,11 +18,14 @@ import (
 	"partminer/internal/gspan"
 	"partminer/internal/mergejoin"
 	"partminer/internal/partition"
+	"partminer/internal/query"
+	"partminer/internal/server"
 )
 
 // surface is the inventory ROADMAP item 9 asks for: every independently
 // settable value of the mining path — option fields, `partminer -miner`
-// values, benchrunner figures, registered partition strategies — with
+// values, benchrunner figures, registered partition strategies — and of
+// the serving path — server and containment-index config fields — with
 // what exercises it. An entry names at least one of: a test or benchmark
 // function, "fig:<name>" (a benchrunner figure, i.e. a paper figure),
 // "rung:<name>" (a BENCHMARK.json workload or metric), or a path in the
@@ -60,6 +63,21 @@ var surface = map[string]string{
 	"gspan.Options.MaxEdges":    "TestDifferentialSharedPrefixEmbeddings",
 	"gspan.Options.Index":       "TestDifferentialSharedPrefixEmbeddings",
 
+	"server.Config.Mine":          "rung:serve_mixed TestApplyDifferential",
+	"server.Config.BatchWindow":   "rung:serve_mixed TestApplyDifferential",
+	"server.Config.MaxBatch":      "rung:serve_mixed rung:server.ops_per_fold",
+	"server.Config.QueueDepth":    "rung:serve_mixed TestConcurrentReadsDuringSwaps",
+	"server.Config.OnSwap":        "TestConcurrentReadsDuringSwaps TestCacheConsistentDuringSwaps scripts/serve_smoke.sh",
+	"server.Config.Observer":      "TestViewsAgree",
+	"server.Config.Logger":        "scripts/serve_smoke.sh scripts/obs_smoke.sh",
+	"server.Config.SlowThreshold": "TestStatsDigestsAndSlowJournal scripts/obs_smoke.sh",
+	"server.Config.SlowLogSize":   "TestStatsDigestsAndSlowJournal",
+	"server.Config.Cluster":       "rung:cluster_mixed TestServerClusterMode scripts/cluster_smoke.sh",
+
+	"query.IndexOptions.PlanMaxEdges": "rung:plan.compile_ms TestPlansDisabled",
+	"query.IndexOptions.CacheSize":    "rung:query.cache_hit_ratio TestAdHocCache TestAdHocFindAllocs",
+	"query.IndexOptions.Observer":     "rung:plan.hit_ratio TestPlanHitServesMinedTIDs",
+
 	"-miner partminer": "rung:mine TestCLIEndToEnd",
 	"-miner gaston":    "rung:gaston.wholedb_ms TestAllMinersAgreeOnGeneratedWorkload",
 	"-miner gspan":     "rung:gspan.wholedb_ms TestCLIEndToEnd",
@@ -90,10 +108,12 @@ var surface = map[string]string{
 func TestOptionSurface(t *testing.T) {
 	var names []string
 	for prefix, typ := range map[string]reflect.Type{
-		"core.Options":     reflect.TypeOf(core.Options{}),
-		"mergejoin.Config": reflect.TypeOf(mergejoin.Config{}),
-		"gaston.Options":   reflect.TypeOf(gaston.Options{}),
-		"gspan.Options":    reflect.TypeOf(gspan.Options{}),
+		"core.Options":       reflect.TypeOf(core.Options{}),
+		"mergejoin.Config":   reflect.TypeOf(mergejoin.Config{}),
+		"gaston.Options":     reflect.TypeOf(gaston.Options{}),
+		"gspan.Options":      reflect.TypeOf(gspan.Options{}),
+		"server.Config":      reflect.TypeOf(server.Config{}),
+		"query.IndexOptions": reflect.TypeOf(query.IndexOptions{}),
 	} {
 		for i := 0; i < typ.NumField(); i++ {
 			names = append(names, prefix+"."+typ.Field(i).Name)
@@ -194,11 +214,49 @@ func testFuncs(t *testing.T) map[string]bool {
 	return funcs
 }
 
+// goFlags are the go command's own flags the documents cite (`go test
+// -race`, `go test -bench`, …); they belong to no binary of the module.
+var goFlags = []string{"race", "bench", "benchtime", "benchmem", "run", "count", "cover", "fuzz", "fuzztime"}
+
+// binaryFlags builds every command of the module and returns the union of
+// the flags their -h output lists.
+func binaryFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	dir := t.TempDir()
+	pkgs := []string{"./cmd/partminer", "./cmd/partserved", "./cmd/partworker", "./cmd/datagen", "./cmd/benchrunner", "./benchmark"}
+	if out, err := exec.Command("go", append([]string{"build", "-o", dir + string(filepath.Separator)}, pkgs...)...).CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	decl := regexp.MustCompile(`(?m)^\s+-([A-Za-z][\w.-]*)`)
+	flags := make(map[string]bool)
+	for _, pkg := range pkgs {
+		bin := filepath.Join(dir, filepath.Base(pkg))
+		help, _ := exec.Command(bin, "-h").CombinedOutput() // -h exits 2
+		found := decl.FindAllSubmatch(help, -1)
+		if len(found) == 0 {
+			t.Fatalf("%s -h lists no flags:\n%s", pkg, help)
+		}
+		for _, m := range found {
+			flags[string(m[1])] = true
+		}
+	}
+	return flags
+}
+
 // TestDocsNameRealThings keeps the present-tense documents from citing
 // what a change deleted: every internal/<pkg> path they mention must be
-// in the tree, and every Options.<Name> must be a field or method of
-// core.Options (or of the miner whose package qualifies it).
+// in the tree, every Options.<Name> must be a field or method of
+// core.Options (or of the miner whose package qualifies it), and every
+// -flag inside an inline `code span` must be a flag of one of the
+// module's binaries or of the go command.
 func TestDocsNameRealThings(t *testing.T) {
+	flags := binaryFlags(t)
+	for _, f := range goFlags {
+		flags[f] = true
+	}
+	fence := regexp.MustCompile("(?s)```.*?```")
+	span := regexp.MustCompile("`[^`\n]+`")
+	flagRef := regexp.MustCompile(`(?:^|[\s` + "`" + `])--?([A-Za-z][\w.-]*)`)
 	options := map[string]reflect.Type{
 		"":          reflect.TypeOf(core.Options{}),
 		"core":      reflect.TypeOf(core.Options{}),
@@ -217,6 +275,13 @@ func TestDocsNameRealThings(t *testing.T) {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, code := range span.FindAllString(fence.ReplaceAllString(string(text), ""), -1) {
+			for _, m := range flagRef.FindAllStringSubmatch(code, -1) {
+				if !flags[m[1]] {
+					t.Errorf("%s cites %s, which no binary of the module has", doc, code)
+				}
+			}
 		}
 		for _, p := range pkgPath.FindAllString(string(text), -1) {
 			if _, err := os.Stat(p); err != nil {
