@@ -13,12 +13,17 @@
 //   - Per-transaction invariant signatures: the vertex-label histogram,
 //     edge-triple counts, and max-degree-per-label of each graph. A
 //     pattern can only be contained in a transaction whose signature
-//     dominates the pattern's (see Signature.Dominates for the soundness
+//     dominates the pattern's (see signature.dominates for the soundness
 //     argument), so signature comparison — a handful of sorted-slice
 //     walks — replaces most failing VF2 searches.
 //   - Per-transaction label → vertex-id posting lists, which turn VF2
 //     root-candidate selection from a scan of all n target vertices into
 //     a scan of only the vertices carrying the root's label.
+//
+// Containment is decided in one place: CandidateTIDs narrows by the
+// inverted indexes, and Verify runs signature domination then posted VF2
+// over a TID set. The merge-join's frequency check and ad-hoc reads both
+// end in Verify.
 //
 // The index is built in one pass over the database (optionally in
 // parallel on an exec.Pool) and is immutable afterwards except through
@@ -65,20 +70,19 @@ type tripleCount struct {
 	n int
 }
 
-// Signature is the invariant summary of one graph: its vertex-label
+// signature is the invariant summary of one graph: its vertex-label
 // histogram, edge-triple counts, and the maximum vertex degree per
-// label, each as a slice sorted by label/triple. Signatures are computed
-// by SigOf for transactions (at index build) and for candidate patterns
-// (at verification).
-type Signature struct {
+// label, each as a slice sorted by label/triple. sigOf computes it for
+// transactions (at index build) and for patterns (in Verify).
+type signature struct {
 	labels  []labelCount
 	triples []tripleCount
 	maxDeg  []labelCount
 }
 
-// SigOf computes the invariant signature of g.
-func SigOf(g *graph.Graph) *Signature {
-	s := &Signature{}
+// sigOf computes the invariant signature of g.
+func sigOf(g *graph.Graph) *signature {
+	s := &signature{}
 	n := g.VertexCount()
 	if n == 0 {
 		return s
@@ -155,7 +159,7 @@ func findLabel(s []labelCount, label int) int {
 	return -1
 }
 
-// Dominates reports whether a graph with signature s can possibly contain
+// dominates reports whether a graph with signature s can possibly contain
 // a subgraph with signature p. It is a sound filter for subgraph
 // isomorphism:
 //
@@ -170,7 +174,7 @@ func findLabel(s []labelCount, label int) int {
 //
 // It never filters a true containment; it may admit false positives,
 // which the exact VF2 check behind it resolves.
-func (s *Signature) Dominates(p *Signature) bool {
+func (s *signature) dominates(p *signature) bool {
 	// Both sides sorted: merge-walk each component.
 	i := 0
 	for _, pc := range p.labels {
@@ -231,7 +235,7 @@ func (p *txPostings) VerticesWithLabel(label int) []int {
 
 // postingsOf lays out g's vertices grouped by label, using the label
 // histogram already computed in sig.
-func postingsOf(g *graph.Graph, sig *Signature) txPostings {
+func postingsOf(g *graph.Graph, sig *signature) txPostings {
 	p := txPostings{
 		labels: make([]int, len(sig.labels)),
 		starts: make([]int, len(sig.labels)+1),
@@ -269,7 +273,7 @@ type FeatureIndex struct {
 	occs map[Triple][]extend.EdgeOcc
 
 	// Per-transaction invariants.
-	sigs  []*Signature
+	sigs  []*signature
 	posts []txPostings
 
 	// labelFreq counts vertex-label occurrences database-wide; the
@@ -299,13 +303,13 @@ func BuildContext(ctx context.Context, db graph.Database, pool *exec.Pool, o exe
 		labelTIDs:  make(map[int]*pattern.TIDSet),
 		tripleTIDs: make(map[Triple]*pattern.TIDSet),
 		occs:       make(map[Triple][]extend.EdgeOcc),
-		sigs:       make([]*Signature, len(db)),
+		sigs:       make([]*signature, len(db)),
 		posts:      make([]txPostings, len(db)),
 		labelFreq:  make(map[int]int),
 	}
 	// Per-transaction invariants are independent: fan out on the pool.
 	buildTx := func(tid int) {
-		sig := SigOf(db[tid])
+		sig := sigOf(db[tid])
 		ix.sigs[tid] = sig
 		ix.posts[tid] = postingsOf(db[tid], sig)
 	}
@@ -368,47 +372,6 @@ func (ix *FeatureIndex) addInverted(tid int) {
 	}
 }
 
-// Len returns the number of indexed transactions.
-func (ix *FeatureIndex) Len() int { return len(ix.db) }
-
-// LabelFreq returns the database-wide occurrence count of a vertex label.
-func (ix *FeatureIndex) LabelFreq(label int) int { return ix.labelFreq[label] }
-
-// TripleTIDs returns the TID bitset of the normalized triple (la, le,
-// lb), or nil if the triple occurs nowhere. The returned set is shared —
-// callers must not mutate it.
-func (ix *FeatureIndex) TripleTIDs(la, le, lb int) *pattern.TIDSet {
-	return ix.tripleTIDs[MakeTriple(la, le, lb)]
-}
-
-// LabelTIDs returns the TID bitset of a vertex label (shared; do not
-// mutate), or nil if the label occurs nowhere.
-func (ix *FeatureIndex) LabelTIDs(label int) *pattern.TIDSet {
-	return ix.labelTIDs[label]
-}
-
-// Sig returns transaction tid's signature (shared; do not mutate).
-func (ix *FeatureIndex) Sig(tid int) *Signature { return ix.sigs[tid] }
-
-// SigDominates reports whether transaction tid's signature dominates the
-// pattern signature p — a necessary condition for containment.
-func (ix *FeatureIndex) SigDominates(tid int, p *Signature) bool {
-	return ix.sigs[tid].Dominates(p)
-}
-
-// Lister returns transaction tid's label → vertex posting lists for
-// indexed VF2 root-candidate selection.
-func (ix *FeatureIndex) Lister(tid int) isomorph.VertexLister {
-	return &ix.posts[tid]
-}
-
-// NewMatcher prepares a matcher for p with the rarest-label-first root
-// choice: the match order starts at the vertex whose label is globally
-// rarest, so the posted root scan enumerates the fewest candidates.
-func (ix *FeatureIndex) NewMatcher(p *graph.Graph) *isomorph.Matcher {
-	return isomorph.NewMatcherRanked(p, ix.LabelFreq)
-}
-
 // FrequentEdges returns the 1-edge patterns with support >= minSup,
 // read directly off the inverted triple index — no database scan. The
 // returned TID sets are private copies.
@@ -448,21 +411,20 @@ func (ix *FeatureIndex) Seeds(minSup int) []extend.Seed1 {
 	return out
 }
 
-// NarrowByFeatures intersects into with the TID bitsets of every distinct
-// vertex label and edge triple of g (supporters of g must contain each of
-// its labels and triples). A nil into starts from the full TID universe.
-// It returns the narrowed set, or nil as soon as some label or triple of
-// g occurs nowhere in the database (empty intersection).
-func (ix *FeatureIndex) NarrowByFeatures(g *graph.Graph, into *pattern.TIDSet) *pattern.TIDSet {
-	if into == nil {
-		into = pattern.FullTIDSet(len(ix.db))
-	}
+// CandidateTIDs returns the transactions that can possibly contain g per
+// the inverted indexes: the TID bitsets of every distinct vertex label and
+// edge triple of g intersected (supporters of g must contain each of
+// them). The result is always freshly allocated; it is empty when some
+// feature of g occurs nowhere, and every transaction for the vertexless
+// graph.
+func (ix *FeatureIndex) CandidateTIDs(g *graph.Graph) *pattern.TIDSet {
+	out := pattern.FullTIDSet(len(ix.db))
 	for v := 0; v < g.VertexCount(); v++ {
 		ts := ix.labelTIDs[g.Labels[v]]
 		if ts == nil {
-			return nil
+			return pattern.NewTIDSet(len(ix.db))
 		}
-		into.IntersectWith(ts)
+		out.IntersectWith(ts)
 	}
 	for u := 0; u < g.VertexCount(); u++ {
 		for _, e := range g.Adj[u] {
@@ -471,75 +433,65 @@ func (ix *FeatureIndex) NarrowByFeatures(g *graph.Graph, into *pattern.TIDSet) *
 			}
 			ts := ix.tripleTIDs[MakeTriple(g.Labels[u], e.Label, g.Labels[e.To])]
 			if ts == nil {
-				return nil
+				return pattern.NewTIDSet(len(ix.db))
 			}
-			into.IntersectWith(ts)
+			out.IntersectWith(ts)
 		}
-	}
-	return into
-}
-
-// CandidateTIDs returns the transactions that can possibly contain g per
-// the inverted indexes (label and triple bitsets intersected). The
-// result is always freshly allocated; it is empty when some feature of g
-// occurs nowhere.
-func (ix *FeatureIndex) CandidateTIDs(g *graph.Graph) *pattern.TIDSet {
-	out := ix.NarrowByFeatures(g, nil)
-	if out == nil {
-		return pattern.NewTIDSet(len(ix.db))
 	}
 	return out
 }
 
-// Support counts the transactions containing p through the full indexed
-// path: inverted-index candidate filtering, signature domination, then
-// posted VF2 with the rarest-root match order. It returns results
-// identical to isomorph.Support (differential tests enforce this).
-func (ix *FeatureIndex) Support(p *graph.Graph) int {
-	return ix.SupportTIDs(p).Count()
+// VerifyStats counts the work of one Verify call.
+type VerifyStats struct {
+	// SigPruned counts transactions dismissed by signature domination.
+	SigPruned int64
+	// IsoTests counts VF2 runs.
+	IsoTests int64
+	// Steps counts VF2 search-tree nodes over all of those runs.
+	Steps int64
 }
 
-// SupportTIDs is Support returning the exact supporting TID bitset.
-func (ix *FeatureIndex) SupportTIDs(p *graph.Graph) *pattern.TIDSet {
-	out := pattern.NewTIDSet(len(ix.db))
+// Verify decides which transactions of cand contain p — the paper's
+// frequency check (Fig. 11) and the last step of an ad-hoc read. It walks
+// cand ascending: a TID in known (nil for none) is a supporter without a
+// test; any other must pass signature domination, then a posted VF2 run
+// rooted at p's globally rarest label. It returns the supporters, freshly
+// allocated, with the work done. The empty pattern is contained in every
+// graph, so for it Verify returns a copy of cand.
+//
+// When tick fires the walk stops, and the partial answer must be
+// discarded after observing the context.
+func (ix *FeatureIndex) Verify(p *graph.Graph, cand, known *pattern.TIDSet, tick *exec.Ticker) (*pattern.TIDSet, VerifyStats) {
+	var st VerifyStats
 	if p.VertexCount() == 0 {
-		return out
+		return cand.Clone(), st
 	}
-	cand := ix.NarrowByFeatures(p, nil)
-	if cand == nil {
-		return out
-	}
-	psig := SigOf(p)
-	m := ix.NewMatcher(p)
-	cand.ForEach(func(tid int) {
-		if !ix.sigs[tid].Dominates(psig) {
-			return
+	out := pattern.NewTIDSet(len(ix.db))
+	// One matcher for every transaction: the match order is computed once
+	// and its scratch state is reused.
+	m := isomorph.NewMatcherRanked(p, func(label int) int { return ix.labelFreq[label] })
+	psig := sigOf(p)
+	// Allocation-free walk of the candidate TID words.
+	cand.ForEachUntil(func(tid int) bool {
+		if tick.Hit() {
+			return false
 		}
-		if m.ContainsPostedTick(ix.db[tid], &ix.posts[tid], nil) {
+		if known != nil && known.Contains(tid) {
+			out.Add(tid)
+			return true
+		}
+		if !ix.sigs[tid].dominates(psig) {
+			st.SigPruned++
+			return true
+		}
+		st.IsoTests++
+		if m.ContainsPosted(ix.db[tid], &ix.posts[tid], tick) {
 			out.Add(tid)
 		}
+		return true
 	})
-	return out
-}
-
-// SupportIn counts support only over the given transaction ids,
-// mirroring isomorph.SupportIn with the indexed filters applied.
-func (ix *FeatureIndex) SupportIn(p *graph.Graph, tids []int) int {
-	if p.VertexCount() == 0 {
-		return 0
-	}
-	psig := SigOf(p)
-	m := ix.NewMatcher(p)
-	n := 0
-	for _, tid := range tids {
-		if !ix.sigs[tid].Dominates(psig) {
-			continue
-		}
-		if m.ContainsPostedTick(ix.db[tid], &ix.posts[tid], nil) {
-			n++
-		}
-	}
-	return n
+	st.Steps = m.Steps()
+	return out, st
 }
 
 // Clone returns an independently updatable copy of the index: Update on
@@ -558,7 +510,7 @@ func (ix *FeatureIndex) Clone() *FeatureIndex {
 		labelTIDs:  make(map[int]*pattern.TIDSet, len(ix.labelTIDs)),
 		tripleTIDs: make(map[Triple]*pattern.TIDSet, len(ix.tripleTIDs)),
 		occs:       make(map[Triple][]extend.EdgeOcc, len(ix.occs)),
-		sigs:       append([]*Signature(nil), ix.sigs...),
+		sigs:       append([]*signature(nil), ix.sigs...),
 		posts:      append([]txPostings(nil), ix.posts...),
 		labelFreq:  make(map[int]int, len(ix.labelFreq)),
 	}
@@ -614,7 +566,7 @@ func (ix *FeatureIndex) Update(newDB graph.Database, updatedTIDs []int) {
 	ix.db = newDB
 	for _, tid := range updated {
 		isUpdated[tid] = true
-		sig := SigOf(newDB[tid])
+		sig := sigOf(newDB[tid])
 		ix.sigs[tid] = sig
 		ix.posts[tid] = postingsOf(newDB[tid], sig)
 		for _, lc := range sig.labels {

@@ -1,11 +1,14 @@
 package index
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"partminer/internal/exec"
 	"partminer/internal/graph"
 	"partminer/internal/isomorph"
+	"partminer/internal/pattern"
 )
 
 // TestSignatureDominationSound is the soundness property the pruning
@@ -17,7 +20,7 @@ func TestSignatureDominationSound(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		target := graph.RandomConnected(rng, 0, 5+rng.Intn(10), 6+rng.Intn(14), 3, 2)
 		pat := graph.RandomConnected(rng, 1, 2+rng.Intn(4), 1+rng.Intn(5), 3, 2)
-		dom := SigOf(target).Dominates(SigOf(pat))
+		dom := sigOf(target).dominates(sigOf(pat))
 		if dom {
 			admitted++
 		}
@@ -41,7 +44,7 @@ func TestSignatureDominatesSelf(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 50; i++ {
 		g := graph.RandomConnected(rng, 0, 3+rng.Intn(10), 3+rng.Intn(12), 4, 3)
-		if !SigOf(g).Dominates(SigOf(g)) {
+		if !sigOf(g).dominates(sigOf(g)) {
 			t.Fatalf("signature of %v does not dominate itself", g)
 		}
 	}
@@ -53,7 +56,7 @@ func TestPostings(t *testing.T) {
 	db := graph.RandomDatabase(rng, 20, 12, 18, 4, 3)
 	ix := Build(db)
 	for tid, g := range db {
-		lister := ix.Lister(tid)
+		lister := &ix.posts[tid]
 		for label := -1; label < 6; label++ {
 			var want []int
 			for v := 0; v < g.VertexCount(); v++ {
@@ -95,14 +98,14 @@ func TestInvertedIndexExact(t *testing.T) {
 			}
 		}
 		for label := 0; label < 3; label++ {
-			ts := ix.LabelTIDs(label)
+			ts := ix.labelTIDs[label]
 			got := ts != nil && ts.Contains(tid)
 			if got != hasLabel[label] {
 				t.Fatalf("tid %d label %d: index says %v, graph says %v", tid, label, got, hasLabel[label])
 			}
 		}
 		for tr := range hasTriple {
-			ts := ix.TripleTIDs(tr.LA, tr.LE, tr.LB)
+			ts := ix.tripleTIDs[tr]
 			if ts == nil || !ts.Contains(tid) {
 				t.Fatalf("tid %d triple %v: missing from inverted index", tid, tr)
 			}
@@ -141,21 +144,152 @@ func TestFrequentEdgesExact(t *testing.T) {
 	}
 }
 
+// supporters runs the read path's containment pipeline over the whole
+// index: feature narrowing, then the verify loop.
+func supporters(ix *FeatureIndex, p *graph.Graph) *pattern.TIDSet {
+	tids, _ := ix.Verify(p, ix.CandidateTIDs(p), nil, nil)
+	return tids
+}
+
+// containsBrute decides containment by trying every injective map of p's
+// vertices, in vertex order, onto g's. It has no match order, no posting
+// lists and no degree filter, so it shares nothing with isomorph's search
+// but the graph type.
+func containsBrute(g, p *graph.Graph) bool {
+	mapping := make([]int, p.VertexCount())
+	used := make([]bool, g.VertexCount())
+	var place func(pv int) bool
+	place = func(pv int) bool {
+		if pv == p.VertexCount() {
+			return true
+		}
+		for tv := 0; tv < g.VertexCount(); tv++ {
+			if used[tv] || g.Labels[tv] != p.Labels[pv] {
+				continue
+			}
+			ok := true
+			for _, e := range p.Adj[pv] {
+				if e.To < pv {
+					if l, has := g.EdgeLabel(tv, mapping[e.To]); !has || l != e.Label {
+						ok = false
+						break
+					}
+				}
+			}
+			if !ok {
+				continue
+			}
+			mapping[pv], used[tv] = tv, true
+			if place(pv + 1) {
+				return true
+			}
+			used[tv] = false
+		}
+		return false
+	}
+	return place(0)
+}
+
+// disjointUnion returns a graph holding a and b as separate components.
+func disjointUnion(a, b *graph.Graph) *graph.Graph {
+	g := a.Clone()
+	off := g.VertexCount()
+	for _, l := range b.Labels {
+		g.AddVertex(l)
+	}
+	for u := 0; u < b.VertexCount(); u++ {
+		for _, e := range b.Adj[u] {
+			if u < e.To {
+				g.MustAddEdge(off+u, off+e.To, e.Label)
+			}
+		}
+	}
+	return g
+}
+
 // TestSupportMatchesBruteForce is the core differential property: the
-// fully indexed support path agrees with plain VF2 scans.
+// verify loop, over the narrowed candidates or over an arbitrary TID
+// subset, agrees with a brute-force matcher and with the plain VF2 scans —
+// for connected patterns, patterns of two components, and patterns with
+// an isolated vertex (the ad-hoc read path accepts all three).
 func TestSupportMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	db := graph.RandomDatabase(rng, 30, 10, 15, 3, 2)
 	ix := Build(db)
-	for i := 0; i < 60; i++ {
+	shapes := []string{"connected", "two components", "isolated vertex"}
+	contained := make([]int, len(shapes))
+	for i := 0; i < 90; i++ {
+		shape := i % len(shapes)
 		pat := graph.RandomConnected(rng, 1000+i, 2+rng.Intn(4), 1+rng.Intn(5), 3, 2)
-		if got, want := ix.Support(pat), isomorph.Support(db, pat); got != want {
-			t.Fatalf("pattern %d: indexed support %d, brute force %d\n%v", i, got, want, pat)
+		switch shape {
+		case 1:
+			pat = disjointUnion(pat, graph.RandomConnected(rng, 0, 2, 1, 3, 2))
+		case 2:
+			pat.AddVertex(rng.Intn(3))
+		}
+		want := pattern.NewTIDSet(len(db))
+		for tid, g := range db {
+			if containsBrute(g, pat) {
+				want.Add(tid)
+			}
+		}
+		if want.Count() > 0 {
+			contained[shape]++
+		}
+		if got := supporters(ix, pat); !got.Equal(want) {
+			t.Fatalf("pattern %d (%s): verified %v, brute force %v\n%v", i, shapes[shape], got, want, pat)
+		}
+		if got := isomorph.Support(db, pat); got != want.Count() {
+			t.Fatalf("pattern %d (%s): plain scan %d, brute force %d", i, shapes[shape], got, want.Count())
 		}
 		tids := rng.Perm(len(db))[:10]
-		if got, want := ix.SupportIn(pat, tids), isomorph.SupportIn(db, pat, tids); got != want {
-			t.Fatalf("pattern %d: indexed SupportIn %d, brute force %d", i, got, want)
+		subset := pattern.NewTIDSet(len(db))
+		for _, tid := range tids {
+			subset.Add(tid)
 		}
+		got, _ := ix.Verify(pat, subset, nil, nil)
+		if want := isomorph.SupportIn(db, pat, tids); got.Count() != want {
+			t.Fatalf("pattern %d (%s): verified %d of the subset, plain scan %d", i, shapes[shape], got.Count(), want)
+		}
+	}
+	for shape, n := range contained {
+		if n == 0 {
+			t.Errorf("no %s pattern was contained anywhere; weaken the generator", shapes[shape])
+		}
+	}
+}
+
+// TestVerifyTakesKnownUntested: a known TID is a supporter without a test,
+// every other candidate costs a signature check or a VF2 run, and a fired
+// ticker stops the walk.
+func TestVerifyTakesKnownUntested(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	db := graph.RandomDatabase(rng, 20, 10, 15, 3, 2)
+	ix := Build(db)
+	pat := graph.RandomConnected(rng, 0, 4, 4, 3, 2)
+	all := pattern.FullTIDSet(len(db))
+	known := pattern.NewTIDSet(len(db))
+	known.Add(3)
+	known.Add(11)
+	got, st := ix.Verify(pat, all, known, nil)
+	want := supporters(ix, pat).UnionWith(known)
+	if !got.Equal(want) {
+		t.Fatalf("verified %v, want the supporters plus the known TIDs %v", got, want)
+	}
+	if st.SigPruned+st.IsoTests != int64(len(db)-known.Count()) {
+		t.Fatalf("%d signature prunes + %d VF2 runs for %d untested candidates", st.SigPruned, st.IsoTests, len(db)-known.Count())
+	}
+	if st.IsoTests > 0 && st.Steps == 0 {
+		t.Fatal("VF2 ran but no search steps were counted")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tick := exec.NewTicker(ctx)
+	if tick.Err() == nil { // latches the ticker, so its next Hit fires
+		t.Fatal("ticker of a cancelled context reports no error")
+	}
+	if got, st := ix.Verify(pat, all, nil, tick); got.Count() != 0 || st.IsoTests != 0 {
+		t.Fatalf("a fired ticker still verified %v with %d VF2 runs", got, st.IsoTests)
 	}
 }
 
@@ -210,18 +344,15 @@ func TestUpdateMatchesFreshBuild(t *testing.T) {
 	// Behavioral equivalence on random patterns.
 	for i := 0; i < 40; i++ {
 		pat := graph.RandomConnected(rng, 2000+i, 2+rng.Intn(4), 1+rng.Intn(4), 3, 2)
-		if got, want := ix.Support(pat), fresh.Support(pat); got != want {
-			t.Fatalf("pattern %d: support %d after Update, fresh %d", i, got, want)
-		}
-		if !ix.SupportTIDs(pat).Equal(fresh.SupportTIDs(pat)) {
+		if !supporters(ix, pat).Equal(supporters(fresh, pat)) {
 			t.Fatalf("pattern %d: supporting TIDs diverge after Update", i)
 		}
 	}
 }
 
-// TestNarrowByFeaturesUpperBound: the narrowed set must cover every true
+// TestCandidateTIDsUpperBound: the narrowed set must cover every true
 // supporter (it is an upper bound, never an undercount).
-func TestNarrowByFeaturesUpperBound(t *testing.T) {
+func TestCandidateTIDsUpperBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	db := graph.RandomDatabase(rng, 20, 10, 14, 3, 2)
 	ix := Build(db)
@@ -230,7 +361,7 @@ func TestNarrowByFeaturesUpperBound(t *testing.T) {
 		cand := ix.CandidateTIDs(pat)
 		for tid, g := range db {
 			if isomorph.Contains(g, pat) && !cand.Contains(tid) {
-				t.Fatalf("pattern %d: supporter %d filtered out by NarrowByFeatures", i, tid)
+				t.Fatalf("pattern %d: supporter %d filtered out by CandidateTIDs", i, tid)
 			}
 		}
 	}
@@ -244,12 +375,12 @@ func TestContainsPostedNoAllocs(t *testing.T) {
 	db := graph.RandomDatabase(rng, 8, 16, 24, 3, 2)
 	ix := Build(db)
 	pat := graph.RandomConnected(rng, 99, 4, 5, 3, 2)
-	m := ix.NewMatcher(pat)
-	psig := SigOf(pat)
+	m := isomorph.NewMatcherRanked(pat, func(label int) int { return ix.labelFreq[label] })
+	psig := sigOf(pat)
 	pass := func() {
 		for tid, g := range db {
-			if ix.SigDominates(tid, psig) {
-				m.ContainsPostedTick(g, ix.Lister(tid), nil)
+			if ix.sigs[tid].dominates(psig) {
+				m.ContainsPosted(g, &ix.posts[tid], nil)
 			}
 		}
 	}
@@ -265,16 +396,21 @@ func TestSupportEmptyAndMissingFeatures(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	db := graph.RandomDatabase(rng, 10, 8, 10, 2, 2)
 	ix := Build(db)
+	// The vertexless pattern is contained in every graph, on the verify
+	// path and in the plain-scan oracle alike.
 	empty := graph.New(0)
-	if got := ix.Support(empty); got != 0 {
-		t.Errorf("empty pattern support = %d, want 0", got)
+	if got := supporters(ix, empty).Count(); got != len(db) {
+		t.Errorf("empty pattern support = %d, want %d", got, len(db))
+	}
+	if got := isomorph.Support(db, empty); got != len(db) {
+		t.Errorf("empty pattern plain-scan support = %d, want %d", got, len(db))
 	}
 	// A pattern using a label outside the database's universe.
 	alien := graph.New(1)
 	a := alien.AddVertex(77)
 	b := alien.AddVertex(78)
 	alien.MustAddEdge(a, b, 0)
-	if got := ix.Support(alien); got != 0 {
+	if got := supporters(ix, alien).Count(); got != 0 {
 		t.Errorf("alien-label pattern support = %d, want 0", got)
 	}
 	if ts := ix.CandidateTIDs(alien); ts.Count() != 0 {
@@ -304,10 +440,10 @@ func TestCloneIsolatesUpdate(t *testing.T) {
 	freshNew := Build(newDB)
 	for i := 0; i < 40; i++ {
 		pat := graph.RandomConnected(rng, 4000+i, 2+rng.Intn(4), 1+rng.Intn(4), 3, 2)
-		if got, want := ix.Support(pat), freshOld.Support(pat); got != want {
-			t.Fatalf("pattern %d: original support %d after clone update, want %d", i, got, want)
+		if got, want := supporters(ix, pat), supporters(freshOld, pat); !got.Equal(want) {
+			t.Fatalf("pattern %d: original supporters %v after clone update, want %v", i, got, want)
 		}
-		if !clone.SupportTIDs(pat).Equal(freshNew.SupportTIDs(pat)) {
+		if !supporters(clone, pat).Equal(supporters(freshNew, pat)) {
 			t.Fatalf("pattern %d: clone supporting TIDs diverge from fresh build", i)
 		}
 	}

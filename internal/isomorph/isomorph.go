@@ -1,7 +1,8 @@
-// Package isomorph provides subgraph-isomorphism testing, embedding
-// enumeration, and support counting for labeled undirected graphs — the
-// frequency-checking primitive behind the merge-join operation (paper
-// §4.3) and every miner's support counter.
+// Package isomorph provides subgraph-isomorphism testing for labeled
+// undirected graphs — the frequency-checking primitive behind the
+// merge-join operation (paper §4.3) and ad-hoc containment reads, both
+// through index.FeatureIndex.Verify. The unit miners count support
+// through internal/extend's embedding lists, not through this package.
 //
 // Matching is VF2-flavored backtracking: pattern vertices are matched in a
 // connectivity-preserving order so that every vertex after the first is
@@ -14,7 +15,8 @@
 // The match state (vertex order, mapping, used flags) lives in a Matcher
 // that can be prepared once per pattern and reused across targets; the
 // one-shot entry points draw Matchers from a pool, so steady-state
-// containment tests allocate nothing.
+// containment tests allocate nothing. Support and SupportIn are the
+// plain-scan oracles the indexed path is tested against.
 package isomorph
 
 import (
@@ -31,7 +33,9 @@ import (
 // rarest (ties broken by degree): the root is the only vertex matched by
 // a full candidate scan, so anchoring it on the rarest label minimizes
 // that scan — especially when root candidates come from per-label posting
-// lists. The pattern must be connected. order and inOrder are scratch
+// lists. A disconnected pattern's later components each start at the
+// lowest-numbered unordered vertex, which the search roots by a full
+// candidate scan just like the start vertex. order and inOrder are scratch
 // resized as needed and returned.
 func matchOrderInto(p *graph.Graph, order []int, inOrder []bool, labelFreq func(int) int) ([]int, []bool) {
 	n := p.VertexCount()
@@ -86,10 +90,10 @@ func matchOrderInto(p *graph.Graph, order []int, inOrder []bool, labelFreq func(
 			}
 		}
 		if best == -1 {
-			// Disconnected pattern; callers are expected to pass connected
-			// patterns, but fall back to any remaining vertex so matching
-			// degenerates gracefully (it will simply never match edges to
-			// the isolated part).
+			// Disconnected pattern: the ordered component is complete, so
+			// start the next one at any remaining vertex. It has no mapped
+			// neighbor, so match roots it by a full (or posted) candidate
+			// scan, and the answer stays exact.
 			for v := 0; v < n; v++ {
 				if !inOrder[v] {
 					best = v
@@ -130,7 +134,7 @@ type Matcher struct {
 	tick *exec.Ticker
 	// steps counts search-tree nodes (match invocations) across the
 	// matcher's lifetime — the observability currency for VF2 effort,
-	// reported by query.Find as the "vf2.steps" counter.
+	// which index.FeatureIndex.Verify returns as VerifyStats.Steps.
 	steps int64
 }
 
@@ -316,33 +320,28 @@ func (m *Matcher) Steps() int64 { return m.steps }
 
 // Contains reports whether the matcher's pattern is contained in target.
 func (m *Matcher) Contains(target *graph.Graph) bool {
-	return m.ContainsTick(target, nil)
+	return m.ContainsPosted(target, nil, nil)
 }
 
-// ContainsTick is Contains with cooperative cancellation (see the
-// package-level ContainsTick for the caveat on aborted searches).
-func (m *Matcher) ContainsTick(target *graph.Graph, tick *exec.Ticker) bool {
+// ContainsPosted is Contains with per-label root candidates and
+// cooperative cancellation. A non-nil post makes every unanchored (root)
+// scan enumerate only post.VerticesWithLabel(root's label) instead of
+// every target vertex; post must describe target. When tick fires
+// mid-search the search is abandoned and false is returned, so callers
+// must check the cancellation source before trusting a negative answer.
+func (m *Matcher) ContainsPosted(target *graph.Graph, post VertexLister, tick *exec.Ticker) bool {
 	if m.p.VertexCount() == 0 {
 		return true
 	}
 	if m.p.VertexCount() > target.VertexCount() || m.p.EdgeCount() > target.EdgeCount() {
 		return false
 	}
-	m.tick = tick
+	m.post, m.tick = post, tick
 	found := false
 	m.search(target, func([]int) bool {
 		found = true
 		return false
 	})
-	return found
-}
-
-// ContainsPostedTick is ContainsTick with per-label root candidates: the
-// unanchored (root) scan enumerates only post.VerticesWithLabel(root's
-// label) instead of every target vertex. post must describe target.
-func (m *Matcher) ContainsPostedTick(target *graph.Graph, post VertexLister, tick *exec.Ticker) bool {
-	m.post = post
-	found := m.ContainsTick(target, tick)
 	m.post = nil
 	return found
 }
@@ -351,64 +350,19 @@ func (m *Matcher) ContainsPostedTick(target *graph.Graph, post VertexLister, tic
 // target is a supergraph of pattern in the paper's terminology. The empty
 // pattern is contained in every graph.
 func Contains(target, pattern *graph.Graph) bool {
-	return ContainsTick(target, pattern, nil)
-}
-
-// ContainsTick is Contains with cooperative cancellation: when tick
-// fires mid-search the search is abandoned and false is returned, so
-// callers must check the cancellation source before trusting a negative
-// answer. A nil ticker makes it identical to Contains.
-func ContainsTick(target, pattern *graph.Graph, tick *exec.Ticker) bool {
-	if pattern.VertexCount() == 0 {
-		return true
-	}
 	if pattern.VertexCount() > target.VertexCount() || pattern.EdgeCount() > target.EdgeCount() {
 		return false
 	}
 	m := acquireMatcher(pattern)
-	found := m.ContainsTick(target, tick)
+	found := m.Contains(target)
 	releaseMatcher(m)
 	return found
 }
 
-// Embeddings returns every subgraph-isomorphic embedding of pattern in
-// target as pattern→target vertex mappings. Distinct mappings that cover
-// the same target subgraph (automorphic images) are all reported.
-func Embeddings(target, pattern *graph.Graph) [][]int {
-	if pattern.VertexCount() == 0 {
-		return nil
-	}
-	var out [][]int
-	m := acquireMatcher(pattern)
-	m.search(target, func(mapping []int) bool {
-		out = append(out, append([]int(nil), mapping...))
-		return true
-	})
-	releaseMatcher(m)
-	return out
-}
-
-// CountEmbeddings returns the number of embeddings of pattern in target.
-func CountEmbeddings(target, pattern *graph.Graph) int {
-	if pattern.VertexCount() == 0 {
-		return 0
-	}
-	n := 0
-	m := acquireMatcher(pattern)
-	m.search(target, func([]int) bool {
-		n++
-		return true
-	})
-	releaseMatcher(m)
-	return n
-}
-
-// Support returns the number of graphs in db that contain pattern. The
-// pattern's match order is computed once and reused across transactions.
+// Support returns the number of graphs in db that contain pattern; the
+// empty pattern is contained in every graph. It is the plain-scan oracle
+// the indexed verify loop (index.FeatureIndex.Verify) is tested against.
 func Support(db graph.Database, pattern *graph.Graph) int {
-	if pattern.VertexCount() == 0 {
-		return 0
-	}
 	m := acquireMatcher(pattern)
 	n := 0
 	for _, g := range db {
@@ -420,14 +374,9 @@ func Support(db graph.Database, pattern *graph.Graph) int {
 	return n
 }
 
-// SupportIn counts support only over the transaction ids in tids, which
-// must be valid indexes into db. Candidate patterns produced by a join can
-// only occur where both parents occur, so merge-join restricts counting to
-// the parents' TID intersection.
+// SupportIn is Support over the transaction ids in tids only, which must
+// be valid indexes into db.
 func SupportIn(db graph.Database, pattern *graph.Graph, tids []int) int {
-	if pattern.VertexCount() == 0 {
-		return 0
-	}
 	m := acquireMatcher(pattern)
 	n := 0
 	for _, tid := range tids {

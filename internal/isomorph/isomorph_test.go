@@ -60,20 +60,28 @@ func TestContainsEmptyPattern(t *testing.T) {
 	}
 }
 
+// embeddings drives the matcher's search to completion and returns every
+// pattern→target vertex mapping it visits.
+func embeddings(target, pattern *graph.Graph) [][]int {
+	var out [][]int
+	NewMatcher(pattern).search(target, func(mapping []int) bool {
+		out = append(out, append([]int(nil), mapping...))
+		return true
+	})
+	return out
+}
+
 func TestEmbeddingCounts(t *testing.T) {
 	// A triangle with uniform labels has 6 automorphic embeddings of
 	// itself and 6 embeddings of the 2-edge path.
 	tri := triangle([3]int{0, 0, 0}, [3]int{1, 1, 1})
-	if n := CountEmbeddings(tri, tri); n != 6 {
+	if n := len(embeddings(tri, tri)); n != 6 {
 		t.Errorf("triangle self-embeddings = %d; want 6", n)
 	}
 	p2 := path([]int{0, 0, 0}, []int{1, 1})
-	if n := CountEmbeddings(tri, p2); n != 6 {
-		t.Errorf("path embeddings in triangle = %d; want 6", n)
-	}
-	embs := Embeddings(tri, p2)
+	embs := embeddings(tri, p2)
 	if len(embs) != 6 {
-		t.Fatalf("Embeddings returned %d; want 6", len(embs))
+		t.Fatalf("path embeddings in triangle = %d; want 6", len(embs))
 	}
 	seenMid := map[int]bool{}
 	for _, m := range embs {
@@ -93,7 +101,7 @@ func TestEmbeddingsAreValid(t *testing.T) {
 		target := graph.RandomConnected(rng, 0, 6+rng.Intn(4), 10+rng.Intn(5), 3, 2)
 		pn := 2 + rng.Intn(3)
 		pat := graph.RandomConnected(rng, 1, pn, pn, 3, 2)
-		for _, m := range Embeddings(target, pat) {
+		for _, m := range embeddings(target, pat) {
 			// Injectivity.
 			seen := map[int]bool{}
 			for _, tv := range m {
@@ -162,6 +170,13 @@ func TestSupportCounting(t *testing.T) {
 	}
 	if s := SupportIn(db, p, []int{0, 2}); s != 2 {
 		t.Errorf("SupportIn({0,2}) = %d; want 2", s)
+	}
+	// The empty pattern is contained in every graph.
+	if s := Support(db, graph.New(0)); s != len(db) {
+		t.Errorf("Support(empty) = %d; want %d", s, len(db))
+	}
+	if s := SupportIn(db, graph.New(0), []int{1, 2}); s != 2 {
+		t.Errorf("SupportIn(empty, {1,2}) = %d; want 2", s)
 	}
 }
 

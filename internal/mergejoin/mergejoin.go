@@ -302,7 +302,7 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 		if k+1 >= decompMinEdges {
 			dec = decomp.NewDecomposer(result, decomp.DefaultPieceMax)
 		}
-		lv := &level{s: s, cur: cur, result: result, minSup: minSup, cfg: cfg, dec: dec, tick: tick}
+		lv := &level{cur: cur, result: result, minSup: minSup, cfg: cfg, dec: dec, tick: tick}
 		next, err := lv.verifyAll(ctx, cands)
 		if err != nil {
 			return nil, err
@@ -325,7 +325,6 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 // All of it is read-only while the level verifies, except cfg.Border,
 // which only verifyAll writes.
 type level struct {
-	s      graph.Database
 	cur    pattern.Set // the frequent k-edge patterns
 	result pattern.Set // every frequent pattern of up to k edges
 	minSup int
@@ -509,8 +508,9 @@ func addExtensionCandidate(cands map[string]*candidate, ext extCandidate, parent
 // added triple's, a subset of that narrowing which extension generation
 // already held to the threshold; (2) Apriori pruning (every connected
 // one-edge-removed subpattern must be frequent) narrows the TID
-// intersection further; (3) per transaction, signature domination must
-// hold before an exact (posted, rarest-root) VF2 test runs. In incremental
+// intersection further; (3) index.FeatureIndex.Verify walks what is left:
+// per transaction, signature domination must hold before an exact
+// (posted, rarest-root) VF2 test runs. In incremental
 // mode (cfg.Old/cfg.Updated set) the supporters of a previously frequent
 // pattern among unchanged transactions carry over without testing, and
 // (0) a candidate that is not previously frequent but sits in the
@@ -518,7 +518,7 @@ func addExtensionCandidate(cands map[string]*candidate, ext extCandidate, parent
 // while its entry still holds. It returns the verified pattern, or nil
 // and the border entry saying why the candidate is infrequent.
 func (lv *level) check(key string, c *candidate, st *Stats) (*pattern.Pattern, BorderEntry) {
-	s, cur, minSup, cfg, dec, tick := lv.s, lv.cur, lv.minSup, lv.cfg, lv.dec, lv.tick
+	cur, minSup, cfg, dec, tick := lv.cur, lv.minSup, lv.cfg, lv.dec, lv.tick
 	var old *pattern.Pattern
 	if cfg.Old != nil && cfg.Updated != nil {
 		old = cfg.Old[key]
@@ -647,83 +647,25 @@ func (lv *level) check(key string, c *candidate, st *Stats) (*pattern.Pattern, B
 		return nil, BorderEntry{Bound: inter}
 	}
 
-	tids := pattern.NewTIDSet(len(s))
-	support := 0
+	var carried *pattern.TIDSet
 	if old != nil && old.TIDs != nil {
 		// Unchanged supporters of the old pattern still support it;
 		// only updated transactions can gain or lose the pattern.
-		tids = old.TIDs.Minus(cfg.Updated)
-		support = tids.Count()
-		st.CarriedTIDs += int64(support)
+		carried = old.TIDs.Minus(cfg.Updated)
+		st.CarriedTIDs += int64(carried.Count())
 		inter.IntersectWith(cfg.Updated)
 	}
-	// One matcher per candidate: the match order is computed once and the
-	// scratch state is reused across every transaction tested below. The
-	// matcher roots at the globally rarest label and draws its root
-	// candidates from the transaction's posting lists.
-	matcher := ix.NewMatcher(c.g)
-	psig := index.SigOf(c.g)
-	// Allocation-free walk of the candidate TID words; a fired ticker
-	// stops it early (the partial count is discarded upstream).
-	inter.ForEachUntil(func(tid int) bool {
-		if tick.Hit() {
-			return false
-		}
-		if c.guaranteed.Contains(tid) {
-			tids.Add(tid)
-			support++
-			return true
-		}
-		if !ix.SigDominates(tid, psig) {
-			st.SigPruned++
-			return true
-		}
-		st.IsoTests++
-		if matcher.ContainsPostedTick(s[tid], ix.Lister(tid), tick) {
-			tids.Add(tid)
-			support++
-		}
-		return true
-	})
+	// Unit-guaranteed supporters are taken untested; a fired ticker stops
+	// the walk early (the partial count is discarded upstream).
+	tids, vst := ix.Verify(c.g, inter, c.guaranteed, tick)
+	st.SigPruned += vst.SigPruned
+	st.IsoTests += vst.IsoTests
+	if carried != nil {
+		tids.UnionWith(carried)
+	}
+	support := tids.Count()
 	if support < minSup {
 		return nil, BorderEntry{Bound: tids}
 	}
 	return &pattern.Pattern{Code: c.code, Support: support, TIDs: tids}, BorderEntry{}
-}
-
-// frequentEdges scans s for frequent 1-edge patterns with exact supports
-// (Fig. 11 line 1). The merge itself reads these off the feature index
-// (index.FeatureIndex.FrequentEdges); the scan survives as the reference
-// implementation the differential tests compare the index against.
-func frequentEdges(s graph.Database, minSup int) pattern.Set {
-	type key struct{ li, le, lj int }
-	tids := make(map[key]*pattern.TIDSet)
-	for tid, g := range s {
-		for u := 0; u < g.VertexCount(); u++ {
-			for _, e := range g.Adj[u] {
-				if u > e.To {
-					continue
-				}
-				li, lj := g.Labels[u], g.Labels[e.To]
-				if li > lj {
-					li, lj = lj, li
-				}
-				k := key{li, e.Label, lj}
-				ts, ok := tids[k]
-				if !ok {
-					ts = pattern.NewTIDSet(len(s))
-					tids[k] = ts
-				}
-				ts.Add(tid)
-			}
-		}
-	}
-	out := make(pattern.Set)
-	for k, ts := range tids {
-		if sup := ts.Count(); sup >= minSup {
-			code := dfscode.Code{{I: 0, J: 1, LI: k.li, LE: k.le, LJ: k.lj}}
-			out[code.Key()] = &pattern.Pattern{Code: code, Support: sup, TIDs: ts}
-		}
-	}
-	return out
 }

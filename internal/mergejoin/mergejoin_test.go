@@ -9,6 +9,7 @@ import (
 	"partminer/internal/exec"
 	"partminer/internal/graph"
 	"partminer/internal/gspan"
+	"partminer/internal/index"
 	"partminer/internal/obs"
 	"partminer/internal/partition"
 	"partminer/internal/pattern"
@@ -70,6 +71,9 @@ func TestMergeUnbounded(t *testing.T) {
 	}
 }
 
+// TestFrequentEdgesExact checks the merge's level 1, read off the
+// feature index, on a hand-built database and against a plain scan of
+// random ones.
 func TestFrequentEdgesExact(t *testing.T) {
 	g1 := graph.New(0)
 	g1.AddVertex(0)
@@ -82,7 +86,7 @@ func TestFrequentEdgesExact(t *testing.T) {
 	g2.AddVertex(0)
 	g2.MustAddEdge(0, 1, 5)
 	db := graph.Database{g1, g2}
-	got := frequentEdges(db, 2)
+	got := index.Build(db).FrequentEdges(2)
 	if len(got) != 1 {
 		t.Fatalf("got %d frequent edges; want 1", len(got))
 	}
@@ -95,9 +99,61 @@ func TestFrequentEdgesExact(t *testing.T) {
 			t.Errorf("edge labels (%d,%d,%d); want (0,5,1)", e.LI, e.LE, e.LJ)
 		}
 	}
-	if got := frequentEdges(db, 3); len(got) != 0 {
+	if got := index.Build(db).FrequentEdges(3); len(got) != 0 {
 		t.Error("support 3 should eliminate everything")
 	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 10; i++ {
+		db := graph.RandomDatabase(rng, 12, 6, 9, 3, 2)
+		for _, minSup := range []int{1, 3, 6} {
+			got, want := index.Build(db).FrequentEdges(minSup), frequentEdges(db, minSup)
+			if !got.Equal(want) {
+				t.Fatalf("db %d minSup %d: index %v, scan %v", i, minSup, got.Diff(want), want.Diff(got))
+			}
+			for key, p := range want {
+				if !p.TIDs.Equal(got[key].TIDs) {
+					t.Fatalf("db %d minSup %d: %s TIDs %v, scan %v", i, minSup, key, got[key].TIDs, p.TIDs)
+				}
+			}
+		}
+	}
+}
+
+// frequentEdges scans s for frequent 1-edge patterns with exact supports
+// (Fig. 11 line 1). The merge itself reads these off the feature index
+// (index.FeatureIndex.FrequentEdges); the scan is the reference
+// implementation the differential tests compare the index against.
+func frequentEdges(s graph.Database, minSup int) pattern.Set {
+	type key struct{ li, le, lj int }
+	tids := make(map[key]*pattern.TIDSet)
+	for tid, g := range s {
+		for u := 0; u < g.VertexCount(); u++ {
+			for _, e := range g.Adj[u] {
+				if u > e.To {
+					continue
+				}
+				li, lj := g.Labels[u], g.Labels[e.To]
+				if li > lj {
+					li, lj = lj, li
+				}
+				k := key{li, e.Label, lj}
+				ts, ok := tids[k]
+				if !ok {
+					ts = pattern.NewTIDSet(len(s))
+					tids[k] = ts
+				}
+				ts.Add(tid)
+			}
+		}
+	}
+	out := make(pattern.Set)
+	for k, ts := range tids {
+		if sup := ts.Count(); sup >= minSup {
+			code := dfscode.Code{{I: 0, J: 1, LI: k.li, LE: k.le, LJ: k.lj}}
+			out[code.Key()] = &pattern.Pattern{Code: code, Support: sup, TIDs: ts}
+		}
+	}
+	return out
 }
 
 func TestExtensionsGeneration(t *testing.T) {

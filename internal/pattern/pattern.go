@@ -369,24 +369,12 @@ func (t *TIDSet) Equal(o *TIDSet) bool {
 	return true
 }
 
-// ForEach calls fn for every member tid in ascending order. Unlike
-// Slice it never allocates: hot read loops iterate candidates straight
-// off the words, and a closure capturing locals stays on the stack
-// because fn does not escape.
-func (t *TIDSet) ForEach(fn func(tid int)) {
-	for wi, w := range t.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			fn(wi*64 + b)
-			w &^= 1 << b
-		}
-	}
-}
-
-// ForEachUntil is ForEach with early exit: iteration stops the first
-// time fn returns false. It reports whether the walk ran to completion,
-// so cancellable verification loops can distinguish "exhausted" from
-// "stopped".
+// ForEachUntil calls fn for every member tid in ascending order until fn
+// returns false. It reports whether the walk ran to completion, so
+// cancellable verification loops can distinguish "exhausted" from
+// "stopped". Unlike Slice it never allocates: hot loops iterate
+// candidates straight off the words, and a closure capturing locals stays
+// on the stack because fn does not escape.
 func (t *TIDSet) ForEachUntil(fn func(tid int) bool) bool {
 	for wi, w := range t.words {
 		for w != 0 {

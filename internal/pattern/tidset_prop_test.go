@@ -139,20 +139,20 @@ func TestTIDSetDifferential(t *testing.T) {
 					t.Fatalf("seed %d step %d: Equal=%v want %v", seed, step, got, want)
 				}
 				padded := NewTIDSet(4 * maxTID) // longer backing array, same content
-				set.ForEach(func(tid int) { padded.Add(tid) })
+				set.ForEachUntil(func(tid int) bool { padded.Add(tid); return true })
 				if !set.Equal(padded) || !padded.Equal(set) {
 					t.Fatalf("seed %d step %d: Equal not capacity-blind", seed, step)
 				}
-			case 6: // ForEach matches Slice; ForEachUntil stops on demand
+			case 6: // a full ForEachUntil walk matches Slice; it stops on demand
 				var walked []int
-				set.ForEach(func(tid int) { walked = append(walked, tid) })
+				set.ForEachUntil(func(tid int) bool { walked = append(walked, tid); return true })
 				want := model.slice()
 				if len(walked) != len(want) {
-					t.Fatalf("seed %d step %d: ForEach %v want %v", seed, step, walked, want)
+					t.Fatalf("seed %d step %d: ForEachUntil %v want %v", seed, step, walked, want)
 				}
 				for i := range walked {
 					if walked[i] != want[i] {
-						t.Fatalf("seed %d step %d: ForEach %v want %v", seed, step, walked, want)
+						t.Fatalf("seed %d step %d: ForEachUntil %v want %v", seed, step, walked, want)
 					}
 				}
 				stop := rng.Intn(len(want) + 1)
@@ -215,8 +215,8 @@ func TestIntersectCountMultiEdgeCases(t *testing.T) {
 	}
 }
 
-// TestForEachZeroAlloc pins the reason ForEach exists: iterating a hot
-// TID set, even with a capturing closure, must not allocate.
+// TestForEachZeroAlloc pins the reason ForEachUntil exists: iterating a
+// hot TID set, even with a capturing closure, must not allocate.
 func TestForEachZeroAlloc(t *testing.T) {
 	set := NewTIDSet(4096)
 	for tid := 0; tid < 4096; tid += 3 {
@@ -224,10 +224,10 @@ func TestForEachZeroAlloc(t *testing.T) {
 	}
 	sum := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		set.ForEach(func(tid int) { sum += tid })
+		set.ForEachUntil(func(tid int) bool { sum += tid; return true })
 	})
 	if allocs != 0 {
-		t.Fatalf("ForEach allocated %.1f/run, want 0", allocs)
+		t.Fatalf("full ForEachUntil walk allocated %.1f/run, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(100, func() {
 		set.ForEachUntil(func(tid int) bool { sum += tid; return tid < 2000 })

@@ -22,8 +22,8 @@ func mineGaston(db graph.Database, minSup int, fx *index.FeatureIndex) pattern.S
 }
 
 // TestIndexedSupportDifferential runs 50 random databases and checks that
-// index.Support / SupportTIDs / SupportIn agree exactly with the plain
-// isomorph scans, bit for bit.
+// the feature index's verify loop, over the narrowed candidates and over a
+// TID subset, agrees exactly with the plain isomorph scans, bit for bit.
 func TestIndexedSupportDifferential(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -48,16 +48,18 @@ func TestIndexedSupportDifferential(t *testing.T) {
 					wantTIDs.Add(tid)
 				}
 			}
-			gotTIDs := ix.SupportTIDs(q)
+			gotTIDs, _ := ix.Verify(q, ix.CandidateTIDs(q), nil, nil)
 			if !gotTIDs.Equal(wantTIDs) {
 				t.Fatalf("seed %d query %d: indexed TIDs %v, scan TIDs %v\n%v",
 					seed, i, gotTIDs, wantTIDs, q)
 			}
-			if got, want := ix.Support(q), wantTIDs.Count(); got != want {
-				t.Fatalf("seed %d query %d: indexed support %d, scan %d", seed, i, got, want)
-			}
 			subset := rng.Perm(len(db))[:len(db)/2+1]
-			if got, want := ix.SupportIn(q, subset), isomorph.SupportIn(db, q, subset); got != want {
+			in := pattern.NewTIDSet(len(db))
+			for _, tid := range subset {
+				in.Add(tid)
+			}
+			inTIDs, _ := ix.Verify(q, in, nil, nil)
+			if got, want := inTIDs.Count(), isomorph.SupportIn(db, q, subset); got != want {
 				t.Fatalf("seed %d query %d: indexed SupportIn %d, scan %d", seed, i, got, want)
 			}
 		}

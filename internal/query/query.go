@@ -10,9 +10,9 @@
 //     bounded result cache keyed by the same canonical DFS code;
 //   - narrowed + VF2: everything else is narrowed to the transactions
 //     holding every vertex label and edge triple of the query (the
-//     feature index's exact TID sets), then signature domination and one
-//     posted VF2 run per surviving candidate decide containment. Its
-//     answer enters the cache.
+//     feature index's exact TID sets), then the index's verify loop —
+//     the same one the merge-join's frequency check runs — decides
+//     containment. Its answer enters the cache.
 //
 // The Index lives inside one server snapshot, so both the planned
 // answers and the cache are epoch-consistent by construction and
@@ -44,10 +44,11 @@ type IndexOptions struct {
 	// negative disables caching.
 	CacheSize int
 	// Observer, when non-nil, receives a "vf2.match" stage end for every
-	// exact isomorphism verification Find runs and a "plan.find" stage
-	// end for every plan-served query, plus the plan.compiled / plan.hit
-	// / plan.fallback / query.cache_hit / query.cache_miss counters. Nil
-	// (the default) adds no per-match work.
+	// uncached ad-hoc read (one index.FeatureIndex.Verify call over its
+	// candidates) and a "plan.find" stage end for every plan-served query,
+	// plus the plan.compiled / plan.hit / plan.fallback / query.cache_hit /
+	// query.cache_miss / vf2.steps counters. Nil (the default) adds no
+	// per-read work.
 	Observer exec.Observer
 }
 
@@ -206,40 +207,24 @@ func (ix *Index) Find(q *graph.Graph) ([]int, Stats) {
 }
 
 // findGeneric is the narrowed + VF2 path: the exact label/edge-triple
-// TID narrowing, signature domination, then one posted VF2 run per
-// surviving candidate.
+// TID narrowing, then the feature index's verify loop (signature
+// domination, one posted VF2 run per surviving candidate).
 func (ix *Index) findGeneric(q *graph.Graph) ([]int, Stats) {
-	var st Stats
 	cand := ix.fx.CandidateTIDs(q)
-	st.Candidates = cand.Count()
-	var out []int
-	m := ix.fx.NewMatcher(q) // one rarest-root match order for every candidate
-	qsig := index.SigOf(q)
+	// The verify call is timed inline and only when an observer is
+	// attached, keeping the default path free of clock reads.
 	o := ix.opts.Observer
-	cand.ForEach(func(tid int) {
-		// Signature domination dismisses candidates whose label
-		// histogram, triple counts, or per-label degrees cannot host q.
-		if !ix.fx.SigDominates(tid, qsig) {
-			st.SigPruned++
-			return
-		}
-		// Each VF2 run is timed inline (no defer closures) and only when
-		// an observer is attached, keeping the default path 0-alloc.
-		var t0 time.Time
-		if o != nil {
-			t0 = time.Now()
-		}
-		hit := m.ContainsPostedTick(ix.db[tid], ix.fx.Lister(tid), nil)
-		if o != nil {
-			o.StageEnd("vf2.match", time.Since(t0))
-		}
-		if hit {
-			out = append(out, tid)
-		}
-	})
-	exec.Count(o, "vf2.steps", m.Steps())
-	st.Verified = len(out)
-	return out, st
+	var t0 time.Time
+	if o != nil {
+		t0 = time.Now()
+	}
+	tids, vst := ix.fx.Verify(q, cand, nil, nil)
+	if o != nil {
+		o.StageEnd("vf2.match", time.Since(t0))
+	}
+	exec.Count(o, "vf2.steps", vst.Steps)
+	out := tids.Slice()
+	return out, Stats{Candidates: cand.Count(), Verified: len(out), SigPruned: int(vst.SigPruned)}
 }
 
 // Scan answers the query without the index (the baseline the narrowed +

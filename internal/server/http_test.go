@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"partminer/internal/graph"
+	"partminer/internal/query"
 )
 
 // getJSON fetches url and decodes the response into out, failing the
@@ -165,6 +166,16 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("JSON-wrapped contains = %d, raw = %d", contains2.Support, contains.Support)
 	}
 	post(t, ts.URL+"/v1/contains", "e 0 1", http.StatusBadRequest, nil)
+	// The vertexless query is contained in every graph: the answer a full
+	// scan gives.
+	var vertexless struct {
+		Support int   `json:"support"`
+		TIDs    []int `json:"tids"`
+	}
+	post(t, ts.URL+"/v1/contains", "t # 0\n", http.StatusOK, &vertexless)
+	if scan := query.Scan(db, graph.New(0)); vertexless.Support != len(db) || len(scan) != len(db) || len(vertexless.TIDs) != len(db) {
+		t.Fatalf("vertexless contains = %+v, scan %d; want support %d", vertexless, len(scan), len(db))
+	}
 
 	// An update round: relabel, observe the epoch move everywhere.
 	var upd ApplyResult

@@ -13,7 +13,10 @@ package server
 // partserve_merge_verify_seconds, plan.hit partserve_plan_hit_total, and
 // likewise vf2.match, plan.find, cluster.rpc, partition, units, merge,
 // index.build, gaston.* and every merge.*, plan.*, query.*, index.*,
-// vf2.*, cluster.*, units.* counter that has fired.
+// vf2.*, cluster.*, units.* counter that has fired. vf2.match
+// (partserve_vf2_match_seconds) observes one uncached ad-hoc read — its
+// one index.FeatureIndex.Verify call over every candidate — not one VF2
+// run.
 // One rule is irregular: the per-unit stages unit.<i> share
 // partserve_unit_mine_seconds.
 //
