@@ -14,11 +14,12 @@
 // of mining from scratch.
 //
 // With -cluster-addr the service becomes a cluster coordinator: partition
-// units are mined on partworker processes that join over RPC (consistent
-// hashing on unit id), published snapshots are replicated to -replicas
-// workers, and /v1/cluster reports the fleet. Workers that miss
-// heartbeats lose their units to the next ring owners; an empty or dead
-// fleet degrades to local mining, never to failure.
+// units are mined on partworker processes that join over RPC (unit i on
+// the i-th worker in -id order), published snapshots are replicated to
+// -replicas workers, and /v1/cluster reports the fleet. A worker that
+// misses heartbeats loses its units to the next live worker in that
+// order; an empty or dead fleet degrades to local mining, never to
+// failure.
 package main
 
 import (

@@ -1,11 +1,11 @@
 // Command partworker runs a unit-mining worker for distributed PartMiner.
 //
-// A worker serves the cluster Shard service (unit mining with a warm
-// cache, snapshot replicas, replica reads) on -listen. That is all a
+// A worker serves the cluster Shard service (stateless unit mining,
+// snapshot replicas, replica reads) on -listen. That is all a
 // coordinator with a fixed address list (partminer.DialWorkers) needs.
 // With -join the worker also registers with a partserved coordinator and
-// heartbeats until stopped; the -id is its ring identity there, and
-// restarting under the same -id reclaims exactly the units it owned
+// heartbeats until stopped; the coordinator places units in -id order,
+// and restarting under the same -id gets back exactly the units it had
 // before.
 //
 // -metrics-addr opens a dedicated observability listener (mirroring
@@ -39,7 +39,7 @@ func main() {
 	listen := flag.String("listen", ":4100", "address to listen on (use :0 for an ephemeral port)")
 	portFile := flag.String("portfile", "", "write the bound address to this file once listening (for scripts)")
 	join := flag.String("join", "", "coordinator address to register and heartbeat with (none when empty)")
-	id := flag.String("id", "", "stable ring identity at the coordinator (default: worker-<pid>)")
+	id := flag.String("id", "", "stable identity at the coordinator, which places units in id order (default: worker-<pid>)")
 	advertise := flag.String("advertise", "", "address advertised to the coordinator (default: the bound listener address)")
 	heartbeat := flag.Duration("heartbeat", 0, "heartbeat period after -join (0 = 2s default)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (off when empty)")

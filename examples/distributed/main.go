@@ -52,7 +52,7 @@ func main() {
 		MinSupport:       sup,
 		K:                6,
 		Parallel:         true,          // units fan out across the fleet concurrently
-		UnitMinerIndexed: pool.MineUnit, // unit i goes to its ring owner
+		UnitMinerIndexed: pool.MineUnit, // unit i goes to the i-th worker
 	})
 	if err != nil {
 		log.Fatal(err)

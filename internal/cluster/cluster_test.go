@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net"
 	"sort"
@@ -15,7 +16,6 @@ import (
 	"partminer/internal/core"
 	"partminer/internal/graph"
 	"partminer/internal/gspan"
-	"partminer/internal/obs"
 	"partminer/internal/pattern"
 	"partminer/internal/query"
 )
@@ -50,7 +50,7 @@ func startCluster(t *testing.T, n int, cfg Config) *testCluster {
 }
 
 // startStatic boots n workers that join nothing and a coordinator that
-// dials their addresses; the ring identities are the addresses.
+// dials their addresses; the member ids are the addresses.
 func startStatic(t *testing.T, n int) *testCluster {
 	t.Helper()
 	tc := &testCluster{t: t}
@@ -66,10 +66,10 @@ func startStatic(t *testing.T, n int) *testCluster {
 	// Dial returns once the client side of each session is up; one round
 	// trip per worker proves its accept loop holds the session, so a kill
 	// right after this severs it instead of racing the accept.
-	for _, addr := range addrs {
+	for _, m := range coord.members {
 		var reply TopKReply
 		//nolint:errcheck // no replica is held yet: the error is the expected answer
-		coord.members[addr].conn.Call(context.Background(), "Shard.TopK", TopKArgs{}, &reply, nil)
+		m.conn.Call(context.Background(), "Shard.TopK", TopKArgs{}, &reply, nil)
 	}
 	tc.coord = coord
 	return tc
@@ -115,8 +115,8 @@ func (tc *testCluster) kill(i int) {
 	tc.workers[i].Sever()
 }
 
-// workerIndex maps a ring identity (the worker id in a joined fleet, its
-// address in a static one) back to its slot in the fleet.
+// workerIndex maps a member id (the worker id in a joined fleet, its
+// address in a static one) back to its position in tc.workers.
 func (tc *testCluster) workerIndex(id string) int {
 	for i, w := range tc.workers {
 		if w.ID == id || w.Advertise == id {
@@ -166,7 +166,7 @@ func assertBitForBit(t *testing.T, seed int64, got, want *core.Result) {
 
 // TestClusterMineDifferential50Seeds is the subsystem's exactness
 // anchor: across 50 random databases, mining through the cluster (units
-// sharded over 3 workers by the ring) is bit-for-bit the single-node
+// sharded over 3 workers in id order) is bit-for-bit the single-node
 // PartMiner result — keys, supports, TID bitsets, and per-unit sets —
 // and the gSpan result, whether the workers joined or were dialed.
 func TestClusterMineDifferential50Seeds(t *testing.T) {
@@ -208,7 +208,7 @@ func TestClusterMineDifferential50Seeds(t *testing.T) {
 }
 
 // TestClusterKillMidMine kills the worker owning unit 0 right before
-// unit 0 is mined: its remaining units fail over along the ring, the run
+// unit 0 is mined: its remaining units fail over to the next worker, the run
 // stays bit-for-bit exact, and the churn is counted as reassignments.
 func TestClusterKillMidMine(t *testing.T) {
 	// Long heartbeat grace: the kill must be discovered by the failing
@@ -257,135 +257,80 @@ func TestClusterKillMidMine(t *testing.T) {
 	})
 }
 
-// TestClusterHeartbeatDeathRemines: a worker that stops heartbeating is
-// marked dead by the monitor and its units are eagerly re-mined on the
-// surviving owners; when it rejoins under the same id it reclaims
-// exactly its old units.
-func TestClusterHeartbeatDeathRemines(t *testing.T) {
-	tc := startCluster(t, 3, Config{HeartbeatInterval: 25 * time.Millisecond, MaxMissed: 2})
-	const K = 8
-	db := testDB(11)
-	opts := core.Options{MinSupport: 2, K: K, MaxEdges: 3}
-	opts.UnitMinerIndexed = tc.coord.MineUnit
-	// The mine is traced (as a fold under ?trace=1 is): the re-mine of its
-	// units after the death must not be.
-	tracer := obs.NewTracer("fold")
-	ctx := obs.ObserverInContext(obs.WithSpan(context.Background(), tracer.Root()), nil)
-	if _, err := core.MineContext(ctx, db, opts); err != nil {
-		t.Fatal(err)
-	}
-	tracer.Finish()
-	tracedOps := func() (n int64) {
-		for _, w := range tc.workers {
-			n += w.metrics.tracedOps.Value()
-		}
-		return n
-	}
-	tracedBefore := tracedOps()
-	if tracedBefore != K {
-		t.Fatalf("traced ops after a traced mine = %d; want %d", tracedBefore, K)
-	}
-
-	// Pick a victim that owns at least one unit so there is something to
-	// re-mine.
-	info := tc.coord.Info(K)
-	owned := map[string][]string{}
-	for unit, owner := range info.Units {
-		owned[owner] = append(owned[owner], unit)
-	}
-	var victim string
-	for id, units := range owned {
-		if len(units) > 0 {
-			victim = id
-			break
-		}
-	}
-	if victim == "" {
-		t.Fatal("no worker owns any unit")
-	}
-	tc.kill(tc.workerIndex(victim))
-
+// waitAlive polls until the coordinator counts n live workers.
+func waitAlive(t *testing.T, coord *Coordinator, n int) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ctrs := tc.coord.Counters()
-		if tc.coord.AliveMembers() == 2 && ctrs.Remines >= int64(len(owned[victim])) {
-			break
-		}
+	for coord.AliveMembers() != n {
 		if time.Now().After(deadline) {
-			t.Fatalf("monitor never re-mined the dead worker's units: alive=%d counters=%+v",
-				tc.coord.AliveMembers(), ctrs)
+			t.Fatalf("alive workers = %d; want %d", coord.AliveMembers(), n)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	ctrs := tc.coord.Counters()
-	if ctrs.Deaths == 0 {
-		t.Error("expected a recorded death")
-	}
-	if got := tracedOps(); got != tracedBefore {
-		t.Errorf("the re-mine ran %d traced ops on the workers; nobody reads its trace", got-tracedBefore)
-	}
-	if ctrs.Reassignments < int64(len(owned[victim])) {
-		t.Errorf("reassignments = %d; want >= %d (the dead worker's units)",
-			ctrs.Reassignments, len(owned[victim]))
-	}
-	info = tc.coord.Info(K)
-	for unit, owner := range info.Units {
-		if owner == victim {
-			t.Errorf("unit %s still routed to dead worker %s", unit, victim)
-		}
-	}
-
-	// Rejoin under the same id: the ring hands back exactly the old units.
-	tc.addWorker(victim)
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		if tc.coord.AliveMembers() == 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("rejoined worker never became alive")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	info = tc.coord.Info(K)
-	got := append([]string(nil), info.Units[UnitKey(0)])
-	_ = got
-	var reclaimed []string
-	for unit, owner := range info.Units {
-		if owner == victim {
-			reclaimed = append(reclaimed, unit)
-		}
-	}
-	sort.Strings(reclaimed)
-	wantUnits := append([]string(nil), owned[victim]...)
-	sort.Strings(wantUnits)
-	if strings.Join(reclaimed, ",") != strings.Join(wantUnits, ",") {
-		t.Errorf("rejoined worker owns %v; owned %v before dying", reclaimed, wantUnits)
 	}
 }
 
-// TestClusterWarmCache: re-mining an unchanged database hits the
-// workers' warm unit caches instead of re-running Gaston.
-func TestClusterWarmCache(t *testing.T) {
-	tc := startCluster(t, 2, Config{})
-	db := testDB(3)
-	opts := core.Options{MinSupport: 2, K: 4, MaxEdges: 3}
-	opts.UnitMinerIndexed = tc.coord.MineUnit
-	first, err := core.PartMiner(db, opts)
+// TestClusterHeartbeatDeathReroutes: a worker that stops heartbeating is
+// marked dead by the monitor; the next mine sends its units, and only
+// those, to the surviving workers and stays exact; when it rejoins under
+// the same id it gets exactly its old units back.
+func TestClusterHeartbeatDeathReroutes(t *testing.T) {
+	tc := startCluster(t, 3, Config{HeartbeatInterval: 25 * time.Millisecond, MaxMissed: 2})
+	const K = 8
+	db := testDB(11)
+	base := core.Options{MinSupport: 2, K: K, MaxEdges: 3}
+	want, err := core.PartMiner(db, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tc.coord.Counters().WarmHits != 0 {
-		t.Fatal("first mine cannot be warm")
+
+	before := tc.coord.Info(K).Units
+	victim := before[UnitKey(0)]
+	if victim == "" {
+		t.Fatal("unit 0 has no live owner")
 	}
-	second, err := core.PartMiner(db, opts)
+	tc.kill(tc.workerIndex(victim))
+	waitAlive(t, tc.coord, 2)
+	if tc.coord.Counters().Deaths == 0 {
+		t.Error("expected a recorded death")
+	}
+
+	after := tc.coord.Info(K).Units
+	moved := 0
+	for unit, was := range before {
+		switch now := after[unit]; {
+		case was == victim && (now == victim || now == ""):
+			t.Errorf("unit %s routed to %q after %s died", unit, now, victim)
+		case was == victim:
+			moved++
+		case now != was:
+			t.Errorf("unit %s moved %s -> %s though %s was not its owner", unit, was, now, victim)
+		}
+	}
+
+	clustered := base
+	clustered.UnitMinerIndexed = tc.coord.MineUnit
+	got, err := core.PartMiner(db, clustered)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tc.coord.Counters().WarmHits; got != 4 {
-		t.Errorf("warm hits = %d; want 4 (every unit unchanged)", got)
+	if len(got.Degraded) != 0 {
+		t.Fatalf("rerouted units degraded: %v", got.Degraded)
 	}
-	assertBitForBit(t, 3, second, first)
+	assertBitForBit(t, 11, got, want)
+	ctrs := tc.coord.Counters()
+	if ctrs.Reassignments < int64(moved) {
+		t.Errorf("reassignments = %d; want >= %d (the dead worker's units)", ctrs.Reassignments, moved)
+	}
+	if ctrs.LocalMines != 0 {
+		t.Errorf("local mines = %d with two workers up", ctrs.LocalMines)
+	}
+
+	// Rejoin under the same id: the old placement comes back.
+	tc.addWorker(victim)
+	waitAlive(t, tc.coord, 3)
+	if rejoined := tc.coord.Info(K).Units; !maps.Equal(rejoined, before) {
+		t.Errorf("placement after rejoin %v; before the death %v", rejoined, before)
+	}
 }
 
 // TestClusterEmptyFleetMinesLocally: a coordinator with no registered

@@ -1,16 +1,25 @@
+// Package cluster is the distributed deployment of the PartMiner stack:
+// a coordinator that owns the partition tree, the merge-join, and the
+// serving snapshot, plus a fleet of workers that mine partition units
+// and hold snapshot replicas. The paper's sup/k decomposition makes the
+// k units independent after Phase 1 ("PartMiner is inherently parallel
+// in nature", §1), so the unit is the shard and a unit mine is a pure
+// function of its request: a worker keeps nothing between mines. Unit i
+// goes to the i-th worker in id order; when that worker misses its
+// heartbeats or fails the RPC, the unit goes to the next live worker in
+// the same order. Exactness is never at stake: when no worker answers,
+// the coordinator mines the unit itself.
 package cluster
 
 // coordinator.go: the coordinator half of the cluster. The coordinator
-// owns the ring and the membership table and acts as a
-// core.IndexedUnitMiner: each unit is shipped to its ring owner, failing
-// over along the ring past dead or erroring workers (counted as
-// cluster.reassignments), falling back to a local mine when no worker
-// can answer (cluster.local_mines) so the run stays exact instead of
-// failing. Membership comes one of two ways. NewCoordinator + Serve is
-// the joined fleet: workers register over the "Coordinator" RPC service
-// and a heartbeat monitor marks silent ones dead and eagerly re-mines
-// their units on the new owners, so the next fold finds warm caches
-// where the dead worker's units moved. Dial is the static fleet: a fixed
+// owns the membership table and acts as a core.IndexedUnitMiner: unit i
+// is shipped to the live members of slot i in order (see owners), past
+// dead or erroring workers (counted as cluster.reassignments), falling
+// back to a local mine when no worker can answer (cluster.local_mines)
+// so the run stays exact instead of failing. Membership comes one of two
+// ways. NewCoordinator + Serve is the joined fleet: workers register over
+// the "Coordinator" RPC service and a heartbeat monitor marks silent ones
+// dead, so the next mine skips them. Dial is the static fleet: a fixed
 // address list, no listener and no monitor — liveness is whatever the
 // next RPC finds.
 
@@ -19,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -32,9 +42,13 @@ import (
 	"partminer/internal/remote"
 )
 
-// snapshotKey is the ring key replica placement hashes; it rides the
-// same ring as the units so replicas follow membership automatically.
-const snapshotKey = "snapshot"
+// replicaSlot is the slot snapshot replicas take: they start at the last
+// member in id order, the one unit 0 reaches last.
+const replicaSlot = -1
+
+// UnitKey names partition unit i ("unit-<i>") in /v1/cluster and in the
+// worker's trace spans.
+func UnitKey(i int) string { return fmt.Sprintf("unit-%d", i) }
 
 // Config parameterizes a Coordinator.
 type Config struct {
@@ -48,10 +62,6 @@ type Config struct {
 	// MaxMissed is the tolerated consecutive missed intervals; 0
 	// selects 3.
 	MaxMissed int
-	// Observer receives cluster.* counters and the cluster.rpc stage;
-	// replaceable later with SetObserver (the server wires its merged
-	// observer in after construction).
-	Observer exec.Observer
 }
 
 func (c Config) normalize() Config {
@@ -75,19 +85,9 @@ type member struct {
 	alive    bool
 	lastBeat time.Time
 	mined    int64
-	warmHits int64
 	// samples is the worker's latest registry snapshot, delivered on its
 	// heartbeats; the serving layer federates it onto /metrics.
 	samples []obs.Sample
-}
-
-// mineRecord remembers the last mine request for a unit, so the monitor
-// can re-mine a dead worker's units on their new owners without waiting
-// for the next fold.
-type mineRecord struct {
-	key   string
-	args  MineUnitArgs
-	owner string
 }
 
 // Counters is a point-in-time snapshot of the coordinator's cluster
@@ -98,12 +98,14 @@ type Counters struct {
 	Deaths        int64 `json:"deaths"`
 	Revivals      int64 `json:"revivals"`
 	Reassignments int64 `json:"reassignments"`
-	Remines       int64 `json:"remines"`
 	LocalMines    int64 `json:"local_mines"`
-	WarmHits      int64 `json:"warm_hits"`
-	Replications  int64 `json:"replications"`
-	ShipBytes     int64 `json:"ship_bytes"`
-	TraceGrafts   int64 `json:"trace_grafts"`
+	// WarmHits is always 0: workers keep no per-unit cache. The field
+	// stays because the benchmark harness (benchmark/workloads.go) reads
+	// it from /v1/stats.
+	WarmHits     int64 `json:"warm_hits"`
+	Replications int64 `json:"replications"`
+	ShipBytes    int64 `json:"ship_bytes"`
+	TraceGrafts  int64 `json:"trace_grafts"`
 }
 
 // MemberInfo is one worker in a cluster Info report.
@@ -113,7 +115,6 @@ type MemberInfo struct {
 	Alive         bool   `json:"alive"`
 	LastBeatAgeMS int64  `json:"last_beat_age_ms"`
 	Mined         int64  `json:"mined"`
-	WarmHits      int64  `json:"warm_hits"`
 	// Metrics digests the worker's latest federated samples: counters and
 	// gauges by name, histograms as <name>_count / <name>_sum.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
@@ -136,12 +137,12 @@ type obsBox struct{ o exec.Observer }
 // core.Options.UnitMinerIndexed, and Replicate published snapshots.
 type Coordinator struct {
 	cfg  Config
-	ring *Ring
 	obsv atomic.Pointer[obsBox]
 
-	mu         sync.Mutex
-	members    map[string]*member
-	lastMine   map[string]*mineRecord
+	mu sync.Mutex
+	// members is every worker ever seen, dead ones included, sorted by id:
+	// the order units are placed in.
+	members    []*member
 	replicaSet []string
 
 	replicaNext atomic.Int64
@@ -149,9 +150,8 @@ type Coordinator struct {
 
 	counters struct {
 		registrations, heartbeats, deaths, revivals atomic.Int64
-		reassignments, remines, localMines          atomic.Int64
-		warmHits, replications, shipBytes           atomic.Int64
-		traceGrafts                                 atomic.Int64
+		reassignments, localMines, replications     atomic.Int64
+		shipBytes, traceGrafts                      atomic.Int64
 	}
 
 	stopOnce sync.Once
@@ -160,17 +160,21 @@ type Coordinator struct {
 }
 
 func newCoordinator(cfg Config) *Coordinator {
-	cfg = cfg.normalize()
-	c := &Coordinator{
-		cfg:      cfg,
-		ring:     NewRing(0),
-		members:  make(map[string]*member),
-		lastMine: make(map[string]*mineRecord),
-		errs:     exec.NewErrCap(0),
-		stop:     make(chan struct{}),
+	return &Coordinator{
+		cfg:  cfg.normalize(),
+		errs: exec.NewErrCap(0),
+		stop: make(chan struct{}),
 	}
-	c.obsv.Store(&obsBox{cfg.Observer})
-	return c
+}
+
+// lookup returns the member with id, or nil and the position at which
+// it would be inserted. Caller holds c.mu.
+func (c *Coordinator) lookup(id string) (int, *member) {
+	i := sort.Search(len(c.members), func(i int) bool { return c.members[i].id >= id })
+	if i < len(c.members) && c.members[i].id == id {
+		return i, c.members[i]
+	}
+	return i, nil
 }
 
 // NewCoordinator returns a running coordinator for a joined fleet (its
@@ -184,32 +188,36 @@ func NewCoordinator(cfg Config) *Coordinator {
 
 // Dial returns a coordinator over a fixed fleet: the workers listening
 // (Worker.Serve, `partworker -listen`) at the given "host:port"
-// addresses, each its own ring identity. Every address is dialed now, so
-// a misconfigured fleet fails fast; a session lost later is redialed on
-// next use. There is no heartbeat monitor and nothing to Serve: a worker
-// that stops answering costs each of its units one failed RPC before the
-// unit fails over along the ring, and comes back by answering again.
-// Install an observer with SetObserver; call Close to release the
-// connections.
+// addresses, each address its own member id. Every address is dialed
+// now, so a misconfigured fleet fails fast; a session lost later is
+// redialed on next use. There is no heartbeat monitor and nothing to
+// Serve: a worker that stops answering costs each of its units one
+// failed RPC before the unit fails over to the next worker, and comes
+// back by answering again. Install an observer with SetObserver; call
+// Close to release the connections.
 func Dial(addrs ...string) (*Coordinator, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("cluster: no worker addresses")
 	}
 	c := newCoordinator(Config{})
 	for _, addr := range addrs {
+		i, m := c.lookup(addr)
+		if m != nil {
+			continue
+		}
 		conn, err := remote.DialConn(addr)
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
-		c.members[addr] = &member{id: addr, addr: addr, conn: conn, alive: true, lastBeat: time.Now()}
-		c.ring.Add(addr)
+		c.members = slices.Insert(c.members, i, &member{id: addr, addr: addr, conn: conn, alive: true, lastBeat: time.Now()})
 	}
 	return c, nil
 }
 
-// SetObserver replaces the observer (the server installs its merged
-// observer after construction; safe while the coordinator runs).
+// SetObserver installs the observer that receives cluster.* counters and
+// the cluster.rpc stage (the server installs its merged observer after
+// construction; safe while the coordinator runs).
 func (c *Coordinator) SetObserver(o exec.Observer) { c.obsv.Store(&obsBox{o}) }
 
 func (c *Coordinator) observer() exec.Observer {
@@ -241,19 +249,18 @@ func (c *Coordinator) Close() {
 	}
 }
 
-// register adds or revives a worker. Dead members stay on the ring (so
-// a recovered worker reclaims exactly its old units); registration and
-// heartbeats flip them back to alive.
+// register adds or revives a worker. Dead members keep their place in
+// the id order (so a recovered worker gets exactly its old units back);
+// registration and heartbeats flip them back to alive.
 func (c *Coordinator) register(args RegisterArgs, reply *RegisterReply) error {
 	if args.ID == "" || args.Addr == "" {
 		return fmt.Errorf("cluster: register needs an ID and address")
 	}
 	c.mu.Lock()
-	m, ok := c.members[args.ID]
-	if !ok {
+	i, m := c.lookup(args.ID)
+	if m == nil {
 		m = &member{id: args.ID, addr: args.Addr, conn: remote.NewConn(args.Addr)}
-		c.members[args.ID] = m
-		c.ring.Add(args.ID)
+		c.members = slices.Insert(c.members, i, m)
 	} else if m.addr != args.Addr {
 		m.conn.Close()
 		m.addr = args.Addr
@@ -269,8 +276,8 @@ func (c *Coordinator) register(args RegisterArgs, reply *RegisterReply) error {
 
 func (c *Coordinator) heartbeat(args HeartbeatArgs, reply *HeartbeatReply) error {
 	c.mu.Lock()
-	m, ok := c.members[args.ID]
-	if !ok {
+	_, m := c.lookup(args.ID)
+	if m == nil {
 		c.mu.Unlock()
 		reply.Known = false
 		return nil
@@ -279,7 +286,6 @@ func (c *Coordinator) heartbeat(args HeartbeatArgs, reply *HeartbeatReply) error
 	m.alive = true
 	m.lastBeat = time.Now()
 	m.mined = args.Mined
-	m.warmHits = args.WarmHits
 	if len(args.Metrics) > 0 {
 		m.samples = args.Metrics
 	}
@@ -293,8 +299,7 @@ func (c *Coordinator) heartbeat(args HeartbeatArgs, reply *HeartbeatReply) error
 }
 
 // monitor marks workers dead after MaxMissed heartbeat intervals of
-// silence, then re-mines each dead worker's units on the surviving
-// owners so the reassignment is warm before the next fold needs it.
+// silence; the next mine sends their units to the next live worker.
 func (c *Coordinator) monitor() {
 	defer c.wg.Done()
 	tick := time.NewTicker(c.cfg.HeartbeatInterval)
@@ -311,79 +316,42 @@ func (c *Coordinator) monitor() {
 
 func (c *Coordinator) sweep(now time.Time) {
 	grace := time.Duration(c.cfg.MaxMissed) * c.cfg.HeartbeatInterval
-	var orphans []*mineRecord
+	var died int64
 	c.mu.Lock()
 	for _, m := range c.members {
-		if !m.alive || now.Sub(m.lastBeat) <= grace {
-			continue
-		}
-		m.alive = false
-		c.counters.deaths.Add(1)
-		exec.Count(c.observer(), "cluster.deaths", 1)
-		for _, rec := range c.lastMine {
-			if rec.owner == m.id {
-				orphans = append(orphans, rec)
-			}
+		if m.alive && now.Sub(m.lastBeat) > grace {
+			m.alive = false
+			died++
 		}
 	}
 	c.mu.Unlock()
-	if len(orphans) > 0 {
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			c.remineOrphans(orphans)
-		}()
+	if died > 0 {
+		c.count(&c.counters.deaths, "deaths", died)
 	}
 }
 
-// remineOrphans re-runs a dead worker's units on their new ring owners.
-// Results are not needed here — the published snapshot already holds
-// them — the point is moving ownership and warming the new owners'
-// caches, so re-mining is cheap when the units next matter.
-func (c *Coordinator) remineOrphans(orphans []*mineRecord) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*c.cfg.HeartbeatInterval)
-	defer cancel()
-	for _, rec := range orphans {
-		// The record is the request as first sent; this re-mine runs under
-		// its own deadline and nobody reads a trace of it.
-		args := rec.args
-		args.TraceID = ""
-		args.DeadlineUnixMilli = 0
-		if dl, ok := ctx.Deadline(); ok {
-			args.DeadlineUnixMilli = dl.UnixMilli()
-		}
-		for _, m := range c.aliveOwners(rec.key) {
-			var reply MineUnitReply
-			if err := c.shardCall(ctx, m, "Shard.MineUnit", args, &reply, len(args.DB)); err != nil {
-				c.errs.Add(fmt.Errorf("re-mine %s on %s: %w", rec.key, m.id, err))
-				continue
-			}
-			c.mu.Lock()
-			rec.owner = m.id
-			c.mu.Unlock()
-			c.count(&c.counters.reassignments, "reassignments", 1)
-			c.count(&c.counters.remines, "remines", 1)
-			if reply.Warm {
-				c.count(&c.counters.warmHits, "warm_hits", 1)
-			}
-			break
-		}
-	}
-}
-
-// aliveOwners returns the ring's owner order for key filtered to live
-// members (the primary first when it is alive).
-func (c *Coordinator) aliveOwners(key string) []*member {
-	ids := c.ring.Owners(key, c.ring.Size())
+// owners returns slot's live members in the order a request tries them,
+// and the id of slot's primary ("" on an empty fleet). The order is every
+// member ever seen, sorted by id and rotated to start at slot mod n, so
+// unit i's primary is the (i mod n)-th member and, with all n alive, K
+// units load each with ⌊K/n⌋ or ⌈K/n⌉. Dead members keep their place and
+// are skipped: a death moves only the dead worker's units, each to the
+// next live id, and a rejoin under the same id restores the old
+// placement.
+func (c *Coordinator) owners(slot int) (live []*member, primary string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]*member, 0, len(ids))
-	for _, id := range ids {
-		if m := c.members[id]; m != nil && m.alive {
-			out = append(out, m)
+	n := len(c.members)
+	if n == 0 {
+		return nil, ""
+	}
+	start := (slot%n + n) % n
+	for i := 0; i < n; i++ {
+		if m := c.members[(start+i)%n]; m.alive {
+			live = append(live, m)
 		}
 	}
-	return out
+	return live, c.members[start].id
 }
 
 // shardCall is one RPC to a worker, timed as the cluster.rpc stage with
@@ -421,18 +389,14 @@ func (c *Coordinator) graftReply(sp *obs.Span, rpcStart time.Time, traceJSON []b
 // renders them as partserve_worker_* series on /metrics.
 func (c *Coordinator) WorkerSamples() (ids []string, samples map[string][]obs.Sample) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	samples = make(map[string][]obs.Sample, len(c.members))
-	for id, m := range c.members {
+	for _, m := range c.members {
 		if m.alive && len(m.samples) > 0 {
-			samples[id] = m.samples
+			ids = append(ids, m.id)
+			samples[m.id] = m.samples
 		}
 	}
-	c.mu.Unlock()
-	ids = make([]string, 0, len(samples))
-	for id := range samples {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	return ids, samples
 }
 
@@ -459,12 +423,12 @@ func digestSamples(samples []obs.Sample) map[string]float64 {
 	return out
 }
 
-// MineUnit is the coordinator's core.IndexedUnitMiner: the unit goes to
-// its ring owner, failing over along the ring past dead or erroring
-// workers (cluster.reassignments), and falling back to a local mine
-// when no worker answers (cluster.local_mines). The run never fails on
-// fleet trouble: the worst case is an empty set plus an error, which
-// PartMiner surfaces as a degraded unit and the merge-join absorbs.
+// MineUnit is the coordinator's core.IndexedUnitMiner: the unit tries
+// the live members of its slot in order (owners), an answer from any but
+// the slot's primary counts as a reassignment, and when no worker
+// answers the unit is mined locally (cluster.local_mines). The run never
+// fails on fleet trouble: the worst case is an empty set plus an error,
+// which PartMiner surfaces as a degraded unit and the merge-join absorbs.
 func (c *Coordinator) MineUnit(ctx context.Context, unit int, db graph.Database, minSup, maxEdges int) (pattern.Set, error) {
 	key := UnitKey(unit)
 	frame, err := codec.EncodeDatabase(db)
@@ -485,9 +449,9 @@ func (c *Coordinator) MineUnit(ctx context.Context, unit int, db graph.Database,
 	sp := obs.SpanFrom(ctx)
 	args.TraceID = sp.TraceID()
 
-	primary, _ := c.ring.Owner(key)
+	live, primary := c.owners(unit)
 	var errs []error
-	for _, m := range c.aliveOwners(key) {
+	for _, m := range live {
 		var reply MineUnitReply
 		rpcStart := time.Now()
 		if err := c.shardCall(ctx, m, "Shard.MineUnit", args, &reply, len(args.DB)); err != nil {
@@ -506,12 +470,6 @@ func (c *Coordinator) MineUnit(ctx context.Context, unit int, db graph.Database,
 		if m.id != primary {
 			c.count(&c.counters.reassignments, "reassignments", 1)
 		}
-		if reply.Warm {
-			c.count(&c.counters.warmHits, "warm_hits", 1)
-		}
-		c.mu.Lock()
-		c.lastMine[key] = &mineRecord{key: key, args: args, owner: m.id}
-		c.mu.Unlock()
 		return set, nil
 	}
 
@@ -534,11 +492,11 @@ func (c *Coordinator) MineUnit(ctx context.Context, unit int, db graph.Database,
 }
 
 // Replicate ships a published snapshot (a core.SaveSnapshot frame) to
-// Replicas workers chosen by the ring, so pattern/containment reads can
-// be served from replicas. No-fleet is a silent no-op; an error means
-// no replica accepted the snapshot.
+// the first Replicas live members of replicaSlot, so pattern/containment
+// reads can be served from replicas. No-fleet is a silent no-op; an
+// error means no replica accepted the snapshot.
 func (c *Coordinator) Replicate(ctx context.Context, snapshot []byte, epoch uint64) error {
-	owners := c.aliveOwners(snapshotKey)
+	owners, _ := c.owners(replicaSlot)
 	if len(owners) > c.cfg.Replicas {
 		owners = owners[:c.cfg.Replicas]
 	}
@@ -570,7 +528,7 @@ func (c *Coordinator) replicas() []*member {
 	defer c.mu.Unlock()
 	out := make([]*member, 0, len(c.replicaSet))
 	for _, id := range c.replicaSet {
-		if m := c.members[id]; m != nil && m.alive {
+		if _, m := c.lookup(id); m != nil && m.alive {
 			out = append(out, m)
 		}
 	}
@@ -636,9 +594,7 @@ func (c *Coordinator) Counters() Counters {
 		Deaths:        c.counters.deaths.Load(),
 		Revivals:      c.counters.revivals.Load(),
 		Reassignments: c.counters.reassignments.Load(),
-		Remines:       c.counters.remines.Load(),
 		LocalMines:    c.counters.localMines.Load(),
-		WarmHits:      c.counters.warmHits.Load(),
 		Replications:  c.counters.replications.Load(),
 		ShipBytes:     c.counters.shipBytes.Load(),
 		TraceGrafts:   c.counters.traceGrafts.Load(),
@@ -676,23 +632,19 @@ func (c *Coordinator) Info(unitCount int) Info {
 			Alive:         m.alive,
 			LastBeatAgeMS: now.Sub(m.lastBeat).Milliseconds(),
 			Mined:         m.mined,
-			WarmHits:      m.warmHits,
 			Metrics:       digestSamples(m.samples),
 		})
 	}
 	replicaSet := append([]string(nil), c.replicaSet...)
 	c.mu.Unlock()
-	sort.Slice(members, func(i, j int) bool { return members[i].ID < members[j].ID })
 
 	var units map[string]string
 	if unitCount > 0 && len(members) > 0 {
 		units = make(map[string]string, unitCount)
 		for i := 0; i < unitCount; i++ {
-			key := UnitKey(i)
-			if owners := c.aliveOwners(key); len(owners) > 0 {
-				units[key] = owners[0].id
-			} else {
-				units[key] = "" // no live owner: unit mines locally
+			units[UnitKey(i)] = "" // no live owner: unit mines locally
+			if live, _ := c.owners(i); len(live) > 0 {
+				units[UnitKey(i)] = live[0].id
 			}
 		}
 	}

@@ -22,9 +22,9 @@ import "partminer/internal/obs"
 
 // RegisterArgs announces a worker to the coordinator.
 type RegisterArgs struct {
-	// ID is the worker's stable identity — the string hashed onto the
-	// ring. A worker that restarts under the same ID reclaims exactly its
-	// old units (ring positions are a pure function of the ID).
+	// ID is the worker's stable identity. Units are placed in id order and
+	// a dead member keeps its place, so a worker that restarts under the
+	// same ID gets exactly its old units back.
 	ID string
 	// Addr is the worker's advertised "host:port" for Shard RPCs.
 	Addr string
@@ -39,10 +39,9 @@ type RegisterReply struct {
 // HeartbeatArgs is a worker liveness beacon.
 type HeartbeatArgs struct {
 	ID string
-	// Mined and WarmHits let the coordinator surface per-worker progress
-	// in /v1/cluster without a separate status poll.
-	Mined    int64
-	WarmHits int64
+	// Mined lets the coordinator surface per-worker progress in
+	// /v1/cluster without a separate status poll.
+	Mined int64
 	// Metrics is the worker's full registry snapshot (obs.Registry.Gather),
 	// piggybacked on the beat so the coordinator can federate
 	// partserve_worker_* series on /metrics without a scrape fan-out.
@@ -56,10 +55,10 @@ type HeartbeatReply struct {
 	Known bool
 }
 
-// MineUnitArgs ships one partition unit to its owning worker.
+// MineUnitArgs ships one partition unit to a worker. It is the whole
+// input of the mine: the worker keeps nothing between requests.
 type MineUnitArgs struct {
-	// UnitKey is the unit's ring identity ("unit-<i>"); the worker's warm
-	// cache is keyed by it, so re-mining an unchanged unit is a cache hit.
+	// UnitKey names the unit ("unit-<i>") in the worker's trace spans.
 	UnitKey string
 	// DB is the unit database as a codec database frame.
 	DB []byte
@@ -77,9 +76,6 @@ type MineUnitArgs struct {
 type MineUnitReply struct {
 	// Set is the unit's frequent patterns as a codec set frame.
 	Set []byte
-	// Warm reports that the reply came from the worker's unit cache
-	// without re-mining (same unit key, same database, same parameters).
-	Warm bool
 	// TraceJSON is the worker-side span subtree (obs.EncodeNode) of a
 	// traced mine; empty when the request carried no TraceID.
 	TraceJSON []byte

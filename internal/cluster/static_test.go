@@ -105,8 +105,7 @@ func TestStaticRedialsDroppedConnection(t *testing.T) {
 	tc.coord.SetObserver(col)
 	// Dial returns once the client side of the session is up; only a
 	// completed RPC proves the worker's accept loop holds the connection
-	// for Sever to drop. (Another unit, so the mine after the drop is not
-	// a warm-cache hit.)
+	// for Sever to drop.
 	if _, err := tc.coord.MineUnit(context.Background(), 1, oneEdgeDB(), 1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +190,7 @@ func TestWorkerEnforcesShippedDeadline(t *testing.T) {
 	// A worker receiving an already-expired deadline must refuse the
 	// mine with a deadline error rather than running unbounded, and
 	// database bytes that are not a frame are an error, not a panic.
-	// Neither counts as mined or is cached.
+	// Neither counts as mined.
 	w := NewWorker("w")
 	expired := MineUnitArgs{
 		UnitKey:           UnitKey(0),
@@ -207,8 +206,8 @@ func TestWorkerEnforcesShippedDeadline(t *testing.T) {
 	if err := w.mineUnit(garbage, &reply); err == nil {
 		t.Error("garbage database should error")
 	}
-	if mined := w.metrics.unitsMined.Value(); mined != 0 || len(w.warm) != 0 {
-		t.Errorf("refused mines counted (%d) or cached (%d)", mined, len(w.warm))
+	if mined := w.metrics.unitsMined.Value(); mined != 0 {
+		t.Errorf("refused mines counted (%d)", mined)
 	}
 }
 

@@ -1,17 +1,15 @@
 package cluster
 
 // worker.go: the worker half of the cluster. A Worker serves the
-// "Shard" RPC service (unit mining with a warm per-unit cache, snapshot
-// replica storage, replica reads) — all a statically dialed fleet
-// (Dial) needs of it. Join adds the client half of the membership
-// protocol on top: register with a coordinator and send heartbeats until
-// Close.
+// "Shard" RPC service (stateless unit mining, snapshot replica storage,
+// replica reads) — all a statically dialed fleet (Dial) needs of it.
+// Join adds the client half of the membership protocol on top: register
+// with a coordinator and send heartbeats until Close.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"sort"
 	"sync"
@@ -31,15 +29,6 @@ import (
 // DefaultHeartbeat is the worker heartbeat period when none is set.
 const DefaultHeartbeat = 2 * time.Second
 
-// warmEntry caches one unit's mined pattern set: if the same unit key
-// comes back with the same database and parameters (fingerprint), the
-// worker answers without re-mining. One entry per unit key bounds the
-// cache at the partition width.
-type warmEntry struct {
-	fingerprint uint64
-	set         []byte
-}
-
 // replicaState is a loaded snapshot replica: the database, its result,
 // and a containment index, ready to answer TopK/Contains reads.
 type replicaState struct {
@@ -53,8 +42,9 @@ type replicaState struct {
 // snapshot replicas. Configure the exported fields, then Serve (RPC) and,
 // for a joined fleet, Join (membership); Close stops the heartbeat loop.
 type Worker struct {
-	// ID is the worker's stable ring identity. A restarted worker that
-	// keeps its ID reclaims exactly its old units.
+	// ID is the worker's stable identity; the coordinator places units in
+	// id order, so a restarted worker that keeps its ID gets exactly its
+	// old units back.
 	ID string
 	// Advertise is the "host:port" workers hand to the coordinator for
 	// Shard RPCs (the listener address in tests, a routable address in
@@ -66,7 +56,6 @@ type Worker struct {
 	metrics *workerMetrics
 
 	mu      sync.Mutex
-	warm    map[string]warmEntry
 	replica *replicaState
 
 	srv remote.Server
@@ -77,11 +66,10 @@ type Worker struct {
 	coord    *remote.Conn
 }
 
-// NewWorker returns a worker with the given ring identity.
+// NewWorker returns a worker with the given identity.
 func NewWorker(id string) *Worker {
 	w := &Worker{
 		ID:   id,
-		warm: make(map[string]warmEntry),
 		stop: make(chan struct{}),
 	}
 	w.metrics = newWorkerMetrics(w)
@@ -141,10 +129,9 @@ func (w *Worker) beat() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	args := HeartbeatArgs{
-		ID:       w.ID,
-		Mined:    w.metrics.unitsMined.Value(),
-		WarmHits: w.metrics.warmHits.Value(),
-		Metrics:  w.metrics.registry.Gather(),
+		ID:      w.ID,
+		Mined:   w.metrics.unitsMined.Value(),
+		Metrics: w.metrics.registry.Gather(),
 	}
 	var reply HeartbeatReply
 	if err := w.coord.Call(ctx, "Coordinator.Heartbeat", args, &reply, nil); err != nil {
@@ -190,16 +177,6 @@ func (w *Worker) traceRPC(ctx context.Context, traceID, op string) (context.Cont
 	}
 }
 
-// unitFingerprint digests a mine request's inputs — the database frame,
-// deterministic, and the parameters — so the warm cache can prove a
-// request identical.
-func unitFingerprint(args *MineUnitArgs) uint64 {
-	h := fnv.New64a()
-	h.Write(args.DB)
-	fmt.Fprintf(h, "|%d|%d", args.MinSupport, args.MaxEdges)
-	return h.Sum64()
-}
-
 // mineUnitDB mines a unit database with a request's parameters, under its
 // shipped deadline: the one place the cluster runs a unit miner, for a
 // worker's Shard.MineUnit and the coordinator's local fallback alike.
@@ -216,27 +193,13 @@ func mineUnitDB(ctx context.Context, db graph.Database, args *MineUnitArgs) (pat
 	return set, nil
 }
 
-// mineUnit answers one unit mine, from the warm cache when the unit is
-// unchanged since its last mine here.
+// mineUnit answers one unit mine from the request alone; the worker
+// keeps nothing of it.
 func (w *Worker) mineUnit(args MineUnitArgs, reply *MineUnitReply) error {
 	ctx, done := w.traceRPC(context.Background(), args.TraceID, "mine."+args.UnitKey)
 	if done != nil {
 		defer done(&reply.TraceJSON)
 	}
-	fp := unitFingerprint(&args)
-	if args.UnitKey != "" {
-		w.mu.Lock()
-		if e, ok := w.warm[args.UnitKey]; ok && e.fingerprint == fp {
-			reply.Set = e.set
-			reply.Warm = true
-			w.mu.Unlock()
-			w.metrics.warmHits.Inc()
-			obs.SpanFrom(ctx).Count("warm", 1)
-			return nil
-		}
-		w.mu.Unlock()
-	}
-
 	start := time.Now()
 	db, err := codec.DecodeDatabase(args.DB)
 	if err != nil {
@@ -248,11 +211,6 @@ func (w *Worker) mineUnit(args MineUnitArgs, reply *MineUnitReply) error {
 	}
 	if reply.Set, err = codec.EncodeSet(set); err != nil {
 		return err
-	}
-	if args.UnitKey != "" {
-		w.mu.Lock()
-		w.warm[args.UnitKey] = warmEntry{fingerprint: fp, set: reply.Set}
-		w.mu.Unlock()
 	}
 	w.metrics.unitsMined.Inc()
 	w.metrics.unitMine.ObserveDuration(time.Since(start))

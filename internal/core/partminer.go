@@ -45,10 +45,8 @@ import (
 // unit results, only slower — and is surfaced in Result.Degraded.
 //
 // unit is the unit's index in the partition (0..K-1). Sharded
-// deployments need it as a stable identity: internal/cluster hashes
-// "unit-<i>" onto its consistent-hash ring to pick the owning worker, so
-// the same unit lands on the same worker across epochs and warm per-unit
-// state can be reused.
+// deployments place by it: internal/cluster sends unit i to the i-th
+// worker in id order, so K units spread evenly over the fleet.
 type IndexedUnitMiner func(ctx context.Context, unit int, db graph.Database, minSup, maxEdges int) (pattern.Set, error)
 
 // Options configures PartMiner.

@@ -199,12 +199,12 @@ func SearchScan(db Database, q *Graph) []int { return query.Scan(db, q) }
 // WorkerPool is a fleet of unit-mining workers (cmd/partworker) at
 // fixed addresses: a cluster coordinator with static membership. Pass
 // pool.MineUnit as Options.UnitMinerIndexed (with Options.Parallel) to
-// distribute Phase 2a across machines. Each unit goes to its owner on a
-// consistent-hash ring over the addresses, so a re-mine of an unchanged
-// unit is answered from that worker's warm cache; an RPC failure fails
-// the unit over along the ring, and when no worker answers the unit is
-// mined locally — the result stays exact and Result.Degraded stays
-// empty; pool.Err() says what went wrong and pool.Counters() how often.
+// distribute Phase 2a across machines. Unit i goes to the i-th address
+// in sorted order; workers keep nothing between mines, so an RPC failure
+// sends the unit to the next address, and when no worker answers the
+// unit is mined locally — the result stays exact and Result.Degraded
+// stays empty; pool.Err() says what went wrong and pool.Counters() how
+// often.
 type WorkerPool = cluster.Coordinator
 
 // DialWorkers connects to unit-mining workers at the given "host:port"

@@ -4,8 +4,9 @@
 #
 # Boots partserved in coordinator mode with three partworker processes,
 # checks /v1/cluster and the replica read path, then SIGKILLs the worker
-# owning unit-0 and folds an add_graph update (a full re-mine) through
-# the degraded fleet. The mined pattern set must stay byte-identical to
+# unit-0 is placed on (units go to workers in -id order) and folds an
+# add_graph update (a full re-mine) through the degraded fleet, so unit-0
+# fails over to the next worker. The mined pattern set must stay byte-identical to
 # a single-node partserved folding the same update — the cluster is a
 # deployment of PartMiner, never a different algorithm — and the
 # coordinator must report the failover (reassignments, then the death

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"partminer/internal/bench"
+	"partminer/internal/cluster"
 	"partminer/internal/core"
 	"partminer/internal/gaston"
 	"partminer/internal/gspan"
@@ -22,10 +23,11 @@ import (
 	"partminer/internal/server"
 )
 
-// surface is the inventory ROADMAP item 9 asks for: every independently
+// surface is the inventory ROADMAP item 15 asks for: every independently
 // settable value of the mining path — option fields, `partminer -miner`
 // values, benchrunner figures, registered partition strategies — and of
-// the serving path — server and containment-index config fields — with
+// the serving path — server, containment-index, coordinator and worker
+// config fields — with
 // what exercises it. An entry names at least one of: a test or benchmark
 // function, "fig:<name>" (a benchrunner figure, i.e. a paper figure),
 // "rung:<name>" (a BENCHMARK.json workload or metric), or a path in the
@@ -78,6 +80,13 @@ var surface = map[string]string{
 	"query.IndexOptions.CacheSize":    "rung:query.cache_hit_ratio TestAdHocCache TestAdHocFindAllocs",
 	"query.IndexOptions.Observer":     "rung:plan.hit_ratio TestPlanHitServesMinedTIDs",
 
+	"cluster.Config.Replicas":          "rung:cluster.replicate_ms TestClusterReplication scripts/cluster_smoke.sh",
+	"cluster.Config.HeartbeatInterval": "TestClusterHeartbeatDeathReroutes scripts/cluster_smoke.sh",
+	"cluster.Config.MaxMissed":         "TestClusterHeartbeatDeathReroutes scripts/cluster_smoke.sh",
+	"cluster.Worker.ID":                "rung:cluster_mixed TestClusterHeartbeatDeathReroutes scripts/cluster_smoke.sh",
+	"cluster.Worker.Advertise":         "TestClusterMineDifferential50Seeds scripts/cluster_smoke.sh",
+	"cluster.Worker.Heartbeat":         "TestClusterHeartbeatFederatesMetrics scripts/cluster_smoke.sh",
+
 	"-miner partminer": "rung:mine TestCLIEndToEnd",
 	"-miner gaston":    "rung:gaston.wholedb_ms TestAllMinersAgreeOnGeneratedWorkload",
 	"-miner gspan":     "rung:gspan.wholedb_ms TestCLIEndToEnd",
@@ -94,8 +103,8 @@ var surface = map[string]string{
 	"figure 17a": "BenchmarkFig17aRelabelUpdates TestFigureTablesRender",
 	"figure 17b": "BenchmarkFig17bStructuralUpdates",
 
-	// Which strategies stay is ROADMAP item 9's open half; it waits on
-	// item 8's measurement.
+	// Which strategies stay is ROADMAP item 15's open half; it waits on
+	// item 13's measurement.
 	"strategy partition1": "fig:13a fig:13b TestStrategyDifferential50Seeds",
 	"strategy partition2": "fig:13a fig:13b TestStrategyDifferential50Seeds",
 	"strategy partition3": "fig:13a rung:partition.time_ms TestStrategyDifferential50Seeds",
@@ -114,9 +123,13 @@ func TestOptionSurface(t *testing.T) {
 		"gspan.Options":      reflect.TypeOf(gspan.Options{}),
 		"server.Config":      reflect.TypeOf(server.Config{}),
 		"query.IndexOptions": reflect.TypeOf(query.IndexOptions{}),
+		"cluster.Config":     reflect.TypeOf(cluster.Config{}),
+		"cluster.Worker":     reflect.TypeOf((*cluster.Worker)(nil)).Elem(),
 	} {
 		for i := 0; i < typ.NumField(); i++ {
-			names = append(names, prefix+"."+typ.Field(i).Name)
+			if f := typ.Field(i); f.IsExported() {
+				names = append(names, prefix+"."+f.Name)
+			}
 		}
 	}
 	// The -miner values are what the binary says they are.
@@ -243,12 +256,24 @@ func binaryFlags(t *testing.T) map[string]bool {
 	return flags
 }
 
+// workerFamilies returns the metric families a worker registers, by
+// name.
+func workerFamilies() map[string]bool {
+	families := make(map[string]bool)
+	for _, s := range cluster.NewWorker("docs").Registry().Gather() {
+		families[s.Name] = true
+	}
+	return families
+}
+
 // TestDocsNameRealThings keeps the present-tense documents from citing
 // what a change deleted: every internal/<pkg> path they mention must be
 // in the tree, every Options.<Name> must be a field or method of
-// core.Options (or of the miner whose package qualifies it), and every
+// core.Options (or of the miner whose package qualifies it), every
 // -flag inside an inline `code span` must be a flag of one of the
-// module's binaries or of the go command.
+// module's binaries or of the go command, and every partworker_* metric
+// family, or its federated partserve_worker_* name, must be one a worker
+// registers.
 func TestDocsNameRealThings(t *testing.T) {
 	flags := binaryFlags(t)
 	for _, f := range goFlags {
@@ -271,6 +296,9 @@ func TestDocsNameRealThings(t *testing.T) {
 	coreSrc := string(raw)
 	pkgPath := regexp.MustCompile(`\binternal/[a-z0-9_]+`)
 	optField := regexp.MustCompile(`(?:\b(\w+)\.)?\bOptions\.(\w+)`)
+	workerMetric := regexp.MustCompile(`\bpart(?:worker|serve_worker)_([a-z0-9_]*[a-z0-9])`)
+	histSeries := regexp.MustCompile(`_(?:bucket|sum|count)$`)
+	families := workerFamilies()
 	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -298,6 +326,12 @@ func TestDocsNameRealThings(t *testing.T) {
 				strings.Contains(coreSrc, "func (o *Options) "+m[2]+"("))
 			if !isField && !isMethod {
 				t.Errorf("%s cites %s, which %s does not have", doc, m[0], typ)
+			}
+		}
+		for _, m := range workerMetric.FindAllStringSubmatch(string(text), -1) {
+			fam := "partworker_" + m[1]
+			if !families[fam] && !families[histSeries.ReplaceAllString(fam, "")] {
+				t.Errorf("%s cites %s, which no worker registers", doc, m[0])
 			}
 		}
 	}
