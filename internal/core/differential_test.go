@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"partminer/internal/datagen"
 	"partminer/internal/graph"
@@ -176,8 +175,8 @@ func TestEnvelopeOptionEdges(t *testing.T) {
 }
 
 // TestStrategyDifferentialParallel spot-checks that the identity also
-// holds in parallel mode with skew-aware scheduling active (ordering
-// must never leak into results) on a handful of the same seeds.
+// holds in parallel mode (ordering must never leak into results) on a
+// handful of the same seeds.
 func TestStrategyDifferentialParallel(t *testing.T) {
 	for seed := 0; seed < 4; seed++ {
 		cfg := datagen.Config{D: 14, T: 7, N: 4, L: 10, I: 3, Seed: int64(seed), Hubs: 2}
@@ -194,63 +193,13 @@ func TestStrategyDifferentialParallel(t *testing.T) {
 	}
 }
 
-// TestScheduleOrderDoesNotChangeResults pins the scheduler contract
-// directly: a warm cost profile reorders submission and produces
-// identical results.
-func TestScheduleOrderDoesNotChangeResults(t *testing.T) {
-	db := datagen.Generate(datagen.Config{D: 16, T: 8, N: 4, L: 10, I: 3, Seed: 9, Hubs: 3})
-	base := Options{MinSupport: 3, K: 4, MaxEdges: 4, Parallel: true, Workers: 2}
-	ordered, err := PartMiner(db, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := base
-	warm.UnitCosts = ordered.UnitTimes
-	reprofiled, err := PartMiner(db, warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ordered.Patterns.Equal(reprofiled.Patterns) {
-		t.Errorf("cost profile changed results: %v", ordered.Patterns.Diff(reprofiled.Patterns))
-	}
-}
-
-// TestUnitOrderPolicy unit-tests the order computation itself.
-func TestUnitOrderPolicy(t *testing.T) {
-	tree := &partition.Tree{
-		Units:   make([]graph.Database, 3),
-		Quality: partition.Quality{UnitEdges: []int{5, 20, 10}},
-	}
-	order := (Options{}).unitOrder(tree)
-	wantOrder := []int{1, 2, 0}
-	for i, w := range wantOrder {
-		if order[i] != w {
-			t.Fatalf("edge-count order = %v; want %v", order, wantOrder)
-		}
-	}
-	// Measured costs override the static estimate.
-	costs := Options{UnitCosts: []time.Duration{30, 10, 20}}
-	order = costs.unitOrder(tree)
-	wantOrder = []int{0, 2, 1}
-	for i, w := range wantOrder {
-		if order[i] != w {
-			t.Fatalf("cost order = %v; want %v", order, wantOrder)
-		}
-	}
-	// The no-signal case falls back to nil (index order).
-	flat := &partition.Tree{Units: make([]graph.Database, 3), Quality: partition.Quality{UnitEdges: []int{4, 4, 4}}}
-	if o := (Options{}).unitOrder(flat); o != nil {
-		t.Errorf("uniform costs should keep index order, got %v", o)
-	}
-}
-
-// TestIncMineSubmitsInUnitOrder pins that an incremental round submits
-// its re-mined units in Options.unitOrder's order (serial mode runs them
-// in submission order), while ReminedUnits stays in unit order.
-func TestIncMineSubmitsInUnitOrder(t *testing.T) {
+// TestUnitsMineInIndexOrder pins the unit submission order: with a
+// serial pool PartMiner mines units 0…K−1 in turn, and IncPartMiner mines
+// exactly its ReminedUnits, ascending.
+func TestUnitsMineInIndexOrder(t *testing.T) {
 	db := datagen.Generate(datagen.Config{D: 16, T: 8, N: 4, L: 10, I: 3, Seed: 9, Hubs: 3})
 	var calls []int
-	opts := Options{MinSupport: 3, K: 4, MaxEdges: 3, UnitCosts: []time.Duration{10, 40, 20, 30},
+	opts := Options{MinSupport: 3, K: 4, MaxEdges: 3,
 		UnitMinerIndexed: func(ctx context.Context, unit int, db graph.Database, minSup, maxEdges int) (pattern.Set, error) {
 			calls = append(calls, unit)
 			return gspanUnit(ctx, unit, db, minSup, maxEdges)
@@ -259,27 +208,20 @@ func TestIncMineSubmitsInUnitOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(calls, want) {
+		t.Errorf("PartMiner mined units in order %v; want %v", calls, want)
+	}
 	newDB := db.Clone()
-	updated := datagen.ApplyUpdates(newDB, datagen.UpdateConfig{Fraction: 1, Seed: 3, N: 4})
+	updated := datagen.ApplyUpdates(newDB, datagen.UpdateConfig{Fraction: 0.3, Seed: 5, N: 4})
 	calls = nil
 	inc, err := IncPartMiner(newDB, updated, prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(inc.ReminedUnits) < 2 || !sort.IntsAreSorted(inc.ReminedUnits) {
-		t.Fatalf("ReminedUnits = %v; want at least two units, in unit order", inc.ReminedUnits)
+		t.Fatalf("ReminedUnits = %v; want at least two units, ascending", inc.ReminedUnits)
 	}
-	remined := make(map[int]bool)
-	for _, u := range inc.ReminedUnits {
-		remined[u] = true
-	}
-	var want []int
-	for _, u := range opts.unitOrder(inc.Tree) {
-		if remined[u] {
-			want = append(want, u)
-		}
-	}
-	if !reflect.DeepEqual(calls, want) {
-		t.Errorf("units re-mined in order %v; unitOrder restricted to %v is %v", calls, inc.ReminedUnits, want)
+	if !reflect.DeepEqual(calls, inc.ReminedUnits) {
+		t.Errorf("IncPartMiner mined units in order %v; want ReminedUnits %v", calls, inc.ReminedUnits)
 	}
 }

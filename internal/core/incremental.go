@@ -143,17 +143,6 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 	}
 	res.ReminedUnits = remineIdx
 
-	// Skew-aware scheduling: Options.unitOrder's submission order,
-	// restricted to the re-mined units. ReminedUnits stays in unit order.
-	if order := opts.unitOrder(tree); order != nil {
-		remineIdx = make([]int, 0, len(res.ReminedUnits))
-		for _, i := range order {
-			if needRemine[i] {
-				remineIdx = append(remineIdx, i)
-			}
-		}
-	}
-
 	pool := opts.pool()
 	unitErrs := make([]error, len(remineIdx))
 	uctx0, endStage := obs.Phase(ctx, o, "units")

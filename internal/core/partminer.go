@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"partminer/internal/dfscode"
@@ -77,15 +76,6 @@ type Options struct {
 	// changes. 0, or K = 1 (no merge-join to continue), mines every size
 	// in the units.
 	GrowthEnvelope int
-	// UnitCosts, when non-empty, is the estimated mining cost per unit
-	// (e.g. the measured UnitTimes of a previous epoch, as PartServe
-	// maintains across folds). The scheduler starts units in descending
-	// estimated cost so the slowest unit never starts last; with fewer
-	// workers than units this bounds the parallel phase's wall clock.
-	// Entries beyond the unit count are ignored; missing entries fall
-	// back to the unit's edge count. Costs never affect results, only
-	// scheduling.
-	UnitCosts []time.Duration
 	// UnitMinerIndexed overrides the per-unit mining algorithm; default
 	// Gaston.
 	UnitMinerIndexed IndexedUnitMiner
@@ -150,41 +140,6 @@ func (o Options) pool() *exec.Pool {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return exec.NewPool(workers)
-}
-
-// unitOrder computes the submission order for the unit-mining phase:
-// descending estimated cost, so with fewer workers than units the
-// heaviest unit is never the one that starts last. Measured costs from a
-// previous epoch (UnitCosts) win when present; units without one fall
-// back to their edge count (from the tree's quality measurement), the
-// best static proxy for mining cost. Index order is kept for equal-cost
-// units (stable sort) and returned unchanged when no cost signal
-// discriminates the units. A nil return means "index order" to
-// exec.MapOrderedCtx.
-func (o Options) unitOrder(tree *partition.Tree) []int {
-	n := len(tree.Units)
-	cost := make([]float64, n)
-	any := false
-	for i := 0; i < n; i++ {
-		switch {
-		case i < len(o.UnitCosts) && o.UnitCosts[i] > 0:
-			cost[i] = float64(o.UnitCosts[i])
-		case i < len(tree.Quality.UnitEdges):
-			cost[i] = float64(tree.Quality.UnitEdges[i])
-		}
-		if cost[i] != cost[0] {
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] > cost[order[b]] })
-	return order
 }
 
 // Result carries the mined patterns plus the breakdown the paper's
@@ -317,7 +272,7 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (*Result,
 		unitErrs[i] = err
 	}
 	uctx, endStage := obs.Phase(ctx, o, "units")
-	err = pool.MapOrderedCtx(uctx, len(leaves), opts.unitOrder(tree), mineLeaf)
+	err = pool.MapCtx(uctx, len(leaves), mineLeaf)
 	endStage()
 	if err != nil {
 		return nil, err

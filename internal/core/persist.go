@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"partminer/internal/codec"
 	"partminer/internal/graph"
@@ -54,8 +55,8 @@ type nodeSet struct {
 // codec frame, so a later process can resume incremental mining
 // (`partminer -resume`) or serving (`partserved -restore`) from it alone.
 // Two saves of one result are byte-identical. Results mined with an
-// unregistered Bisector or a custom UnitMinerIndexed cannot be saved (the
-// functions are not serializable); use a registered strategy, or Portable.
+// custom Bisector or a custom UnitMinerIndexed cannot be saved (the
+// functions are not serializable); use a named strategy, or Portable.
 func SaveSnapshot(w io.Writer, res *Result) error {
 	if res == nil || res.Tree == nil {
 		return fmt.Errorf("core: snapshot requires a result with its partition tree")
@@ -168,8 +169,8 @@ func (s *snapshot) rebuild() (graph.Database, *Result, error) {
 	return db, res, nil
 }
 
-// bisectorName resolves a bisector to its registered strategy name via
-// the partition registry; nil means the normalize() default.
+// bisectorName resolves a bisector to its partition strategy name; nil
+// means the normalize() default.
 func bisectorName(b partition.Bisector) (string, error) {
 	if b == nil {
 		return "partition3", nil // the normalize() default
@@ -177,5 +178,5 @@ func bisectorName(b partition.Bisector) (string, error) {
 	if name, ok := partition.NameOf(b); ok {
 		return name, nil
 	}
-	return "", fmt.Errorf("core: bisector %T is not a registered strategy and cannot be serialized; register it with partition.Register or use a built-in criteria", b)
+	return "", fmt.Errorf("core: bisector %T is not a named strategy and cannot be serialized; use one of %s", b, strings.Join(partition.Names(), ", "))
 }

@@ -48,8 +48,7 @@ type Config struct {
 	// pendant attachment targets a hub drawn from a zipf-like power law
 	// instead of a uniform vertex. The resulting degree skew concentrates
 	// mining cost in a few units — the workload the vertex-cut strategy
-	// and the skew-aware scheduler exist for. 0 keeps the classic
-	// Kuramochi & Karypis shape.
+	// exists for. 0 keeps the classic Kuramochi & Karypis shape.
 	Hubs int
 	// DegreeExponent is the power-law exponent of the hub popularity
 	// distribution (P(hub i) ∝ 1/(i+1)^DegreeExponent); default 2.

@@ -26,7 +26,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -171,23 +170,4 @@ func (p *Pool) MapCtx(ctx context.Context, n int, f func(ctx context.Context, i 
 	}
 	wg.Wait()
 	return ctx.Err()
-}
-
-// MapOrderedCtx is MapCtx with an explicit submission order: tasks are
-// handed to workers in the sequence order[0], order[1], …, so a caller
-// that knows the expensive tasks (the skew-aware unit scheduler) can
-// start them first instead of last — with fewer workers than tasks, the
-// slowest task's start time bounds the whole phase's wall clock. order
-// must be a permutation of 0..n-1; nil degrades to index order. Results
-// must not depend on execution order (every Map caller here writes
-// disjoint slots), so serial pools stay deterministic: they simply run
-// the tasks in the given sequence.
-func (p *Pool) MapOrderedCtx(ctx context.Context, n int, order []int, f func(ctx context.Context, i int)) error {
-	if order == nil {
-		return p.MapCtx(ctx, n, f)
-	}
-	if len(order) != n {
-		return fmt.Errorf("exec: MapOrderedCtx order has %d entries for %d tasks", len(order), n)
-	}
-	return p.MapCtx(ctx, n, func(tctx context.Context, j int) { f(tctx, order[j]) })
 }

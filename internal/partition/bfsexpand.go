@@ -13,9 +13,6 @@ import "partminer/internal/graph"
 // The zero value is ready to use and is the registered "bfs" strategy.
 type BFSExpansion struct{}
 
-// Name implements Partitioner.
-func (BFSExpansion) Name() string { return "bfs" }
-
 // Bisect implements Bisector. Deterministic: the seed is the
 // highest-degree vertex (lowest id on ties), the queue is FIFO in
 // adjacency order, and exhausted components re-seed from the next

@@ -23,9 +23,6 @@ type Community struct {
 	Rounds int
 }
 
-// Name implements Partitioner.
-func (Community) Name() string { return "community" }
-
 func (c Community) rounds() int {
 	if c.Rounds <= 0 {
 		return 8

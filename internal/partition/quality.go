@@ -9,7 +9,7 @@ package partition
 // no straggler unit serializes a parallel run.
 type Quality struct {
 	// Strategy is the registered name of the bisector that produced the
-	// tree, when it is a registered strategy ("" for custom bisectors).
+	// tree, when it is a named strategy ("" for custom bisectors).
 	Strategy string `json:"strategy,omitempty"`
 	// K is the number of units.
 	K int `json:"k"`
@@ -30,8 +30,7 @@ type Quality struct {
 	// perfectly balanced; 2 = the largest unit is twice the average and
 	// will straggle a parallel mine).
 	Balance float64 `json:"unit_balance"`
-	// UnitEdges lists each unit database's edge count, in unit order —
-	// the static size skew the scheduler's cost profile refines.
+	// UnitEdges lists each unit database's edge count, in unit order.
 	UnitEdges []int `json:"unit_edges,omitempty"`
 }
 

@@ -3,134 +3,62 @@ package partition
 import (
 	"fmt"
 	"reflect"
-	"sort"
-	"sync"
+	"strings"
 )
 
-// Partitioner is a named, first-class partition strategy: a Bisector the
-// registry can hand out by name. The paper's λ-weight criteria and the
-// METIS baseline are registered as strategies alongside the structural
-// families (vertex-cut, community, BFS-expansion); strategy choice never
-// changes mining results — the merge-join re-derives the exact frequent
-// set from the database for any bisection — only partition quality and
-// therefore cost.
-type Partitioner interface {
-	Bisector
-	// Name is the registry key, as accepted by the CLIs' -criteria flag.
-	Name() string
-}
-
-// named adapts an anonymous Bisector (the Criteria λ-configs, Metis) into
-// a registered strategy.
-type named struct {
-	Bisector
+// strategies is the fixed table of partition strategies, sorted by name:
+// the names the CLIs' -criteria flag accepts and snapshots record. The
+// paper's λ-weight criteria and the METIS baseline sit alongside the
+// structural families (vertex-cut, community, BFS-expansion); strategy
+// choice never changes mining results — the merge-join re-derives the
+// exact frequent set from the database for any bisection — only
+// partition quality and therefore cost.
+var strategies = []struct {
 	name string
+	b    Bisector
+}{
+	{"bfs", BFSExpansion{}},
+	{"community", Community{}},
+	{"metis", Metis{}},
+	{"partition1", Partition1},
+	{"partition2", Partition2},
+	{"partition3", Partition3},
+	{"vertexcut", VertexCut{}},
 }
 
-func (n named) Name() string { return n.name }
-
-// Named wraps b as a Partitioner with the given registry name.
-func Named(name string, b Bisector) Partitioner {
-	return named{Bisector: b, name: name}
-}
-
-var (
-	regMu    sync.RWMutex
-	registry = make(map[string]Partitioner)
-)
-
-// Register adds a strategy to the registry under its Name. Registering a
-// duplicate name panics: strategy names are part of the CLI and snapshot
-// formats, so a silent overwrite would be a correctness bug.
-func Register(p Partitioner) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[p.Name()]; dup {
-		panic(fmt.Sprintf("partition: duplicate strategy %q", p.Name()))
+// ByName returns the named strategy, or an error that lists every
+// strategy name (the CLIs surface it verbatim on a bad -criteria).
+func ByName(name string) (Bisector, error) {
+	for _, s := range strategies {
+		if s.name == name {
+			return s.b, nil
+		}
 	}
-	registry[p.Name()] = p
+	return nil, fmt.Errorf("partition: unknown strategy %q (registered: %s)",
+		name, strings.Join(Names(), ", "))
 }
 
-// ByName returns the registered strategy, or an error that lists every
-// registered name (the CLIs surface it verbatim on a bad -criteria).
-func ByName(name string) (Partitioner, error) {
-	regMu.RLock()
-	p, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("partition: unknown strategy %q (registered: %s)",
-			name, namesString())
-	}
-	return p, nil
-}
-
-// Names returns the registered strategy names, sorted.
+// Names returns the strategy names, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
+	out := make([]string, len(strategies))
+	for i, s := range strategies {
+		out[i] = s.name
 	}
-	sort.Strings(out)
 	return out
 }
 
-func namesString() string {
-	names := Names()
-	s := ""
-	for i, n := range names {
-		if i > 0 {
-			s += ", "
-		}
-		s += n
-	}
-	return s
-}
-
-// NameOf resolves a bisector back to its registered name, unwrapping
-// Named adapters so that e.g. a bare Partition3 and the registered
-// "partition3" strategy are the same thing. It reports false for
-// unregistered (custom) bisectors, including registered types with
-// non-default parameters.
+// NameOf resolves a bisector back to its strategy name by value, so a
+// bare Partition3 is the "partition3" strategy. It reports false for
+// custom bisectors, including table types with non-default parameters
+// and any bisector of non-comparable dynamic type (funcs, slices).
 func NameOf(b Bisector) (string, bool) {
-	if b == nil {
+	if t := reflect.TypeOf(b); t == nil || !t.Comparable() {
 		return "", false
 	}
-	regMu.RLock()
-	defer regMu.RUnlock()
-	for name, p := range registry {
-		if bisectorEqual(p, b) {
-			return name, true
+	for _, s := range strategies {
+		if s.b == b {
+			return s.name, true
 		}
 	}
 	return "", false
-}
-
-// bisectorEqual compares two bisectors by unwrapped value; bisectors of
-// non-comparable dynamic type (funcs, slices) never compare equal.
-func bisectorEqual(a, b Bisector) bool {
-	if n, ok := a.(named); ok {
-		a = n.Bisector
-	}
-	if n, ok := b.(named); ok {
-		b = n.Bisector
-	}
-	ta, tb := reflect.TypeOf(a), reflect.TypeOf(b)
-	if ta != tb || ta == nil || !ta.Comparable() {
-		return false
-	}
-	return a == b
-}
-
-// The built-in strategies. The three λ-criteria and Metis keep their
-// historical -criteria names; the structural families are new.
-func init() {
-	Register(Named("partition1", Partition1))
-	Register(Named("partition2", Partition2))
-	Register(Named("partition3", Partition3))
-	Register(Named("metis", Metis{}))
-	Register(VertexCut{})
-	Register(Community{})
-	Register(BFSExpansion{})
 }

@@ -25,8 +25,8 @@ func TestRegistryNames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", n, err)
 		}
-		if p.Name() != n {
-			t.Errorf("ByName(%q).Name() = %q", n, p.Name())
+		if got, ok := NameOf(p); !ok || got != n {
+			t.Errorf("NameOf(ByName(%q)) = %q, %v", n, got, ok)
 		}
 	}
 }
@@ -43,15 +43,6 @@ func TestByNameUnknownListsStrategies(t *testing.T) {
 	}
 }
 
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("registering a duplicate name should panic")
-		}
-	}()
-	Register(Named("metis", Metis{}))
-}
-
 func TestNameOf(t *testing.T) {
 	cases := []struct {
 		b    Bisector
@@ -63,7 +54,7 @@ func TestNameOf(t *testing.T) {
 		{VertexCut{}, "vertexcut"},
 		{Community{}, "community"},
 		{BFSExpansion{}, "bfs"},
-		{Named("partition2", Partition2), "partition2"},
+		{Partition2, "partition2"},
 	}
 	for _, c := range cases {
 		name, ok := NameOf(c.b)

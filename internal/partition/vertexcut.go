@@ -21,9 +21,6 @@ import (
 // strategy.
 type VertexCut struct{}
 
-// Name implements Partitioner.
-func (VertexCut) Name() string { return "vertexcut" }
-
 // Bisect implements Bisector. It is deterministic: edges are processed
 // hub-first (descending endpoint-degree sum, then lexicographic), so the
 // heavy vertices spread across both sides before the tail fills in.

@@ -182,14 +182,8 @@ type Server struct {
 
 	closeOnce sync.Once
 
-	mu sync.Mutex // guards the batch statistics and cost profile below
+	mu sync.Mutex // guards the batch statistics
 	bs batchStats
-	// unitCosts is the per-unit cost profile: an EWMA of the measured unit
-	// mining times across epochs. Each mining round feeds it forward as
-	// core.Options.UnitCosts so the scheduler starts the historically
-	// expensive units first (skew-aware scheduling); each round's measured
-	// UnitTimes fold back in. Reset when the partition shape changes.
-	unitCosts []time.Duration
 }
 
 type batchStats struct {
@@ -311,42 +305,6 @@ func newServer(cfg Config) *Server {
 	return s
 }
 
-// recordUnitCosts folds one mining round's measured unit times into the
-// cost profile. Zero entries (units an incremental round skipped) keep
-// their previous estimate; measured entries blend in with an EWMA
-// (weight ½) so the profile tracks drift without thrashing on one noisy
-// epoch. A length change means the partition shape changed — the old
-// profile no longer maps to units, so it is replaced wholesale.
-func (s *Server) recordUnitCosts(times []time.Duration) {
-	if len(times) == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.unitCosts) != len(times) {
-		s.unitCosts = append([]time.Duration(nil), times...)
-		return
-	}
-	for i, d := range times {
-		switch {
-		case d <= 0:
-			// Unit not re-mined this round; keep the old estimate.
-		case s.unitCosts[i] <= 0:
-			s.unitCosts[i] = d
-		default:
-			s.unitCosts[i] = (s.unitCosts[i] + d) / 2
-		}
-	}
-}
-
-// unitCostProfile returns a copy of the current cost profile (nil before
-// the first mining round).
-func (s *Server) unitCostProfile() []time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]time.Duration(nil), s.unitCosts...)
-}
-
 // mergedObserver fans a caller-supplied observer out to the server's
 // full reporting stack: the caller's own observer, the config observer,
 // and the registry that /v1/stats and /metrics render.
@@ -355,7 +313,6 @@ func (s *Server) mergedObserver(own exec.Observer) exec.Observer {
 }
 
 func (s *Server) launch(db graph.Database, res *core.Result) *Server {
-	s.recordUnitCosts(res.UnitTimes)
 	snap := s.makeSnapshot(1, db, res)
 	if s.cfg.OnSwap != nil {
 		s.cfg.OnSwap(snap)
@@ -631,9 +588,6 @@ func (s *Server) fold(batch []*applyReq) {
 // apply). The published snapshot's index is never mutated — that is the
 // clone's whole purpose.
 func (s *Server) mine(ctx context.Context, cur *Snapshot, db graph.Database, updated map[int]bool, appended bool) (*core.Result, bool, []int, error) {
-	// Feed the cross-epoch cost profile into this round's scheduler so the
-	// historically expensive units start first.
-	costs := s.unitCostProfile()
 	if !appended {
 		updatedTIDs := make([]int, 0, len(updated))
 		for tid := range updated {
@@ -641,23 +595,18 @@ func (s *Server) mine(ctx context.Context, cur *Snapshot, db graph.Database, upd
 		}
 		prev := *cur.Res // shallow copy; IncMineContext mutates only prev.Index
 		prev.Index = cur.Index.Clone()
-		prev.Options.UnitCosts = costs
 		inc, err := core.IncMineContext(ctx, db, updatedTIDs, &prev)
 		if err == nil {
-			s.recordUnitCosts(inc.UnitTimes)
 			return &inc.Result, false, inc.ReminedUnits, nil
 		}
 		// The incremental path can legitimately refuse (e.g. the staged
 		// database differs from the published one outside updatedTIDs);
 		// fall through to a full run rather than failing the batch.
 	}
-	opts := s.opts
-	opts.UnitCosts = costs
-	res, err := core.MineContext(ctx, db, opts)
+	res, err := core.MineContext(ctx, db, s.opts)
 	if err != nil {
 		return nil, true, nil, err
 	}
-	s.recordUnitCosts(res.UnitTimes)
 	return res, true, nil, nil
 }
 
@@ -842,10 +791,6 @@ type Stats struct {
 	// Partition is the quality of the served snapshot's partitioning
 	// (strategy name, edge-cut ratio, replication factor, unit balance).
 	Partition *partition.Quality `json:"partition_quality,omitempty"`
-	// UnitCostsNS is the per-unit cost profile (EWMA of measured unit
-	// mining times across epochs, nanoseconds) the skew-aware scheduler
-	// orders units by.
-	UnitCostsNS []int64 `json:"unit_costs_ns,omitempty"`
 
 	// Merge holds the cumulative merge-join counters across every mining
 	// round, including the pruning counters (merge.triple_pruned,
@@ -879,8 +824,8 @@ func countersOf(seam, names map[string]int64) map[string]int64 {
 }
 
 // Stats snapshots the service statistics. Everything that is a seam event
-// is read from the registry; s.mu is held only for the batch statistics
-// and the unit cost profile, which the fold loop owns.
+// is read from the registry; s.mu is held only for the batch statistics,
+// which the fold loop owns.
 func (s *Server) Stats() Stats {
 	snap := s.Snapshot()
 	now := time.Now()
@@ -908,7 +853,7 @@ func (s *Server) Stats() Stats {
 		st.CacheHitRatio = float64(st.CacheHits) / float64(total)
 	}
 	q := snap.Res.PartitionQuality
-	st.Partition, st.Exec.Partition = &q, &q
+	st.Partition = &q
 	st.Merge = countersOf(st.Exec.Counters, (&mergejoin.Stats{}).Counters())
 	if cl := s.cfg.Cluster; cl != nil {
 		info := cl.Info(snap.Res.Options.K)
@@ -928,12 +873,6 @@ func (s *Server) Stats() Stats {
 	st.LastLatencyNS = s.bs.last.Nanoseconds()
 	st.TotalLatencyNS = s.bs.total.Nanoseconds()
 	st.MaxLatencyNS = s.bs.max.Nanoseconds()
-	if len(s.unitCosts) > 0 {
-		st.UnitCostsNS = make([]int64, len(s.unitCosts))
-		for i, d := range s.unitCosts {
-			st.UnitCostsNS[i] = d.Nanoseconds()
-		}
-	}
 	s.mu.Unlock()
 	return st
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,6 +22,26 @@ import (
 func testDB(seed int64, count int) graph.Database {
 	rng := rand.New(rand.NewSource(seed))
 	return graph.RandomDatabase(rng, count, 6, 8, 3, 2)
+}
+
+// fingerprint digests the snapshot's observable state — pattern keys
+// with supports, database shape — into one order-independent hash.
+// Consistency tests record it per epoch at publication and verify that
+// every concurrent read observes a recorded (epoch, fingerprint) pair.
+func fingerprint(s *Snapshot) uint64 {
+	var acc uint64
+	for key, p := range s.Res.Patterns {
+		h := fnv.New64a()
+		h.Write([]byte(key))
+		h.Write([]byte("="))
+		h.Write([]byte(strconv.Itoa(p.Support)))
+		acc += h.Sum64() // commutative fold: map order must not matter
+	}
+	h := fnv.New64a()
+	h.Write([]byte(strconv.Itoa(len(s.DB))))
+	h.Write([]byte("/"))
+	h.Write([]byte(strconv.Itoa(s.DB.TotalEdges())))
+	return acc + h.Sum64()
 }
 
 func testConfig() Config {
@@ -214,7 +236,7 @@ func TestConcurrentReadsDuringSwaps(t *testing.T) {
 	db := testDB(4, 10)
 	cfg := testConfig()
 	var published sync.Map // epoch -> fingerprint, recorded before the swap
-	cfg.OnSwap = func(snap *Snapshot) { published.Store(snap.Epoch, snap.Fingerprint()) }
+	cfg.OnSwap = func(snap *Snapshot) { published.Store(snap.Epoch, fingerprint(snap)) }
 	s := mustStart(t, db, cfg)
 
 	probe := graph.New(0)
@@ -236,11 +258,11 @@ func TestConcurrentReadsDuringSwaps(t *testing.T) {
 					t.Errorf("read snapshot at unpublished epoch %d", snap.Epoch)
 					return
 				}
-				if got := snap.Fingerprint(); got != want.(uint64) {
+				if got := fingerprint(snap); got != want.(uint64) {
 					t.Errorf("epoch %d fingerprint changed after publication: %d != %d", snap.Epoch, got, want)
 					return
 				}
-				top := snap.TopK(5, 0)
+				top := snap.TopKRange(5, 0, 0)
 				for _, p := range top {
 					if snap.Pattern(p.Code.Key()) != p {
 						t.Errorf("epoch %d: top-k pattern not reachable by key", snap.Epoch)

@@ -22,9 +22,7 @@
 package server
 
 import (
-	"hash/fnv"
 	"sort"
-	"strconv"
 	"time"
 
 	"partminer/internal/core"
@@ -69,17 +67,12 @@ func (s *Snapshot) Pattern(key string) *pattern.Pattern {
 	return s.Res.Patterns[key]
 }
 
-// TopK returns the k most frequent patterns with at least minSize edges,
-// ordered by support descending with canonical-key ties ascending (a
-// total, deterministic order). k <= 0 returns every qualifying pattern.
-func (s *Snapshot) TopK(k, minSize int) []*pattern.Pattern {
-	return s.TopKRange(k, minSize, 0)
-}
-
-// TopKRange is TopK with both ends of the size filter: patterns with
-// fewer than minEdges or (when maxEdges > 0) more than maxEdges edges
-// are excluded. With a growth envelope configured, ?min_edges= past it
-// selects exactly the patterns the root merge-join mined alone.
+// TopKRange returns the k most frequent patterns with minEdges to
+// maxEdges edges (no upper bound when maxEdges <= 0), ordered by support
+// descending with canonical-key ties ascending (a total, deterministic
+// order). k <= 0 returns every qualifying pattern. With a growth
+// envelope configured, ?min_edges= past it selects exactly the patterns
+// the root merge-join mined alone.
 func (s *Snapshot) TopKRange(k, minEdges, maxEdges int) []*pattern.Pattern {
 	out := make([]*pattern.Pattern, 0, len(s.Res.Patterns))
 	for _, p := range s.Res.Patterns {
@@ -116,24 +109,4 @@ func (s *Snapshot) ContainsBatch(qs []*graph.Graph) ([][]int, []query.Stats) {
 		tids[i], sts[i] = s.Search.Find(q)
 	}
 	return tids, sts
-}
-
-// Fingerprint digests the snapshot's observable state — pattern keys
-// with supports, database shape — into one order-independent hash.
-// Consistency tests record it per epoch at publication and verify that
-// every concurrent read observes a recorded (epoch, fingerprint) pair.
-func (s *Snapshot) Fingerprint() uint64 {
-	var acc uint64
-	for key, p := range s.Res.Patterns {
-		h := fnv.New64a()
-		h.Write([]byte(key))
-		h.Write([]byte("="))
-		h.Write([]byte(strconv.Itoa(p.Support)))
-		acc += h.Sum64() // commutative fold: map order must not matter
-	}
-	h := fnv.New64a()
-	h.Write([]byte(strconv.Itoa(len(s.DB))))
-	h.Write([]byte("/"))
-	h.Write([]byte(strconv.Itoa(s.DB.TotalEdges())))
-	return acc + h.Sum64()
 }

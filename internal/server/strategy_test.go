@@ -3,38 +3,23 @@ package server
 import (
 	"context"
 	"testing"
-	"time"
 
 	"partminer/internal/core"
 	"partminer/internal/partition"
 )
 
-func TestCostProfileSeededAndFedForward(t *testing.T) {
+// TestStatsPartitionQuality: /v1/stats reports the served snapshot's
+// partition quality once, as partition_quality, and it follows folds.
+func TestStatsPartitionQuality(t *testing.T) {
 	db := testDB(5, 8)
 	cfg := testConfig()
 	cfg.Mine.K = 4
 	s := mustStart(t, db, cfg)
-
-	// The initial mine seeds the profile: one entry per unit.
-	costs := s.unitCostProfile()
-	if len(costs) != 4 {
-		t.Fatalf("profile has %d entries; want 4 (one per unit)", len(costs))
-	}
-
-	// A fold updates the profile and the mining options carry it: the
-	// served result's echoed options must hold the pre-fold profile.
 	if _, err := s.Apply(context.Background(), []Op{{Kind: OpRelabelVertex, TID: 0, U: 0, Label: 9}}); err != nil {
 		t.Fatal(err)
 	}
-	snap := s.Snapshot()
-	if got := snap.Res.Options.UnitCosts; len(got) != 4 {
-		t.Errorf("mined options carry %d unit costs; want 4", len(got))
-	}
 
 	st := s.Stats()
-	if len(st.UnitCostsNS) != 4 {
-		t.Errorf("stats expose %d unit costs; want 4", len(st.UnitCostsNS))
-	}
 	if st.Partition == nil {
 		t.Fatal("stats missing partition quality")
 	}
@@ -44,29 +29,8 @@ func TestCostProfileSeededAndFedForward(t *testing.T) {
 	if st.Partition.Strategy != "partition3" {
 		t.Errorf("partition quality strategy = %q; want the default partition3", st.Partition.Strategy)
 	}
-}
-
-func TestRecordUnitCostsEWMA(t *testing.T) {
-	s := &Server{}
-	s.recordUnitCosts([]time.Duration{100, 200})
-	if got := s.unitCostProfile(); got[0] != 100 || got[1] != 200 {
-		t.Fatalf("seed profile = %v", got)
-	}
-	// EWMA with weight 1/2; zero entries (units skipped by an incremental
-	// round) keep their previous estimate.
-	s.recordUnitCosts([]time.Duration{300, 0})
-	if got := s.unitCostProfile(); got[0] != 200 || got[1] != 200 {
-		t.Errorf("after EWMA fold: %v; want [200 200]", got)
-	}
-	// A shape change (different unit count) resets wholesale.
-	s.recordUnitCosts([]time.Duration{7, 8, 9})
-	if got := s.unitCostProfile(); len(got) != 3 || got[2] != 9 {
-		t.Errorf("after shape change: %v; want [7 8 9]", got)
-	}
-	// Empty input is a no-op.
-	s.recordUnitCosts(nil)
-	if got := s.unitCostProfile(); len(got) != 3 {
-		t.Errorf("nil input should not clear the profile: %v", got)
+	if st.Exec.Partition != nil {
+		t.Error("stats repeat the partition quality under exec.partition")
 	}
 }
 

@@ -1,8 +1,12 @@
 package partminer
 
 import (
+	"context"
 	"encoding/json"
 	"io/fs"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,6 +20,7 @@ import (
 	"partminer/internal/cluster"
 	"partminer/internal/core"
 	"partminer/internal/gaston"
+	"partminer/internal/graph"
 	"partminer/internal/gspan"
 	"partminer/internal/mergejoin"
 	"partminer/internal/partition"
@@ -42,7 +47,6 @@ var surface = map[string]string{
 	"core.Options.Workers":          "TestStrategyDifferentialParallel TestBorderChainedDifferential50Seeds",
 	"core.Options.MaxEdges":         "TestStrategyDifferential50Seeds TestCLIEndToEnd",
 	"core.Options.GrowthEnvelope":   "TestDecompDifferential50Seeds TestBorderChainedDifferential50Seeds BenchmarkDecompMine",
-	"core.Options.UnitCosts":        "rung:serve_mixed TestCostProfileSeededAndFedForward TestScheduleOrderDoesNotChangeResults",
 	"core.Options.UnitMinerIndexed": "rung:cluster_mixed rung:cluster.mine_ms TestClusterMineDifferential50Seeds examples/distributed",
 	"core.Options.Observer":         "rung:core.self_ms TestTraceSpanTreeCoversPhases scripts/obs_smoke.sh",
 
@@ -256,6 +260,30 @@ func binaryFlags(t *testing.T) map[string]bool {
 	return flags
 }
 
+// routeServed reports whether partserved's handler serves path. The
+// probe uses a method no route declares: Go's ServeMux answers 405 for a
+// path it serves under another method and 404 for a path it does not
+// serve, and no handler runs either way.
+func routeServed(h http.Handler, path string) bool {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodOptions, path, nil))
+	return rec.Code != http.StatusNotFound
+}
+
+// serverHandler starts a server over a tiny database and returns its
+// HTTP handler.
+func serverHandler(t *testing.T) http.Handler {
+	t.Helper()
+	db := graph.RandomDatabase(rand.New(rand.NewSource(1)), 4, 5, 6, 3, 2)
+	srv, err := server.Start(context.Background(), db, server.Config{
+		Mine: core.Options{MinSupport: 2, MaxEdges: 2}, BatchWindow: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return srv.Handler()
+}
+
 // workerFamilies returns the metric families a worker registers, by
 // name.
 func workerFamilies() map[string]bool {
@@ -271,9 +299,9 @@ func workerFamilies() map[string]bool {
 // in the tree, every Options.<Name> must be a field or method of
 // core.Options (or of the miner whose package qualifies it), every
 // -flag inside an inline `code span` must be a flag of one of the
-// module's binaries or of the go command, and every partworker_* metric
+// module's binaries or of the go command, every partworker_* metric
 // family, or its federated partserve_worker_* name, must be one a worker
-// registers.
+// registers, and every /v1/<path> must be a route partserved serves.
 func TestDocsNameRealThings(t *testing.T) {
 	flags := binaryFlags(t)
 	for _, f := range goFlags {
@@ -299,6 +327,11 @@ func TestDocsNameRealThings(t *testing.T) {
 	workerMetric := regexp.MustCompile(`\bpart(?:worker|serve_worker)_([a-z0-9_]*[a-z0-9])`)
 	histSeries := regexp.MustCompile(`_(?:bucket|sum|count)$`)
 	families := workerFamilies()
+	route := regexp.MustCompile(`/v1/[a-z0-9_/]*[a-z0-9_]`)
+	handler := serverHandler(t)
+	if routeServed(handler, "/v1/no_such_route") {
+		t.Fatal("route probe does not tell an unserved path from a served one")
+	}
 	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -332,6 +365,11 @@ func TestDocsNameRealThings(t *testing.T) {
 			fam := "partworker_" + m[1]
 			if !families[fam] && !families[histSeries.ReplaceAllString(fam, "")] {
 				t.Errorf("%s cites %s, which no worker registers", doc, m[0])
+			}
+		}
+		for _, p := range route.FindAllString(string(text), -1) {
+			if !routeServed(handler, p) {
+				t.Errorf("%s cites %s, which partserved does not serve", doc, p)
 			}
 		}
 	}
