@@ -16,6 +16,8 @@
 package decomp
 
 import (
+	"slices"
+
 	"partminer/internal/dfscode"
 	"partminer/internal/graph"
 	"partminer/internal/pattern"
@@ -54,14 +56,15 @@ func NewDecomposer(mined pattern.Set, pieceMax int) *Decomposer {
 // cover size.
 func (d *Decomposer) Cover(g *graph.Graph) (tids []*pattern.TIDSet, npieces int, missing string) {
 	n := g.VertexCount()
-	covered := make(map[[2]int]bool, g.EdgeCount())
+	// Candidates are small: the covered set is a list scanned linearly.
+	covered := make([]edgeKey, 0, g.EdgeCount())
 	for u := 0; u < n; u++ {
 		for _, e := range g.Adj[u] {
-			if u > e.To || covered[edgeKey(u, e.To)] {
+			if u > e.To || hasEdge(covered, u, e.To) {
 				continue
 			}
 			npieces++
-			p, key := d.piece(g, u, e.To, covered)
+			p, key := d.piece(g, u, e.To, &covered)
 			if p == nil {
 				return nil, npieces, key
 			}
@@ -80,7 +83,7 @@ func (d *Decomposer) Cover(g *graph.Graph) (tids []*pattern.TIDSet, npieces int,
 // missing nor tighten a bound that already starts from those supporters.
 // tids is empty when the piece was mined without TIDs.
 func (d *Decomposer) CoverEdge(g *graph.Graph, u, v int) (tids []*pattern.TIDSet, missing string) {
-	p, key := d.piece(g, u, v, make(map[[2]int]bool, d.pieceMax))
+	p, key := d.piece(g, u, v, nil)
 	if p == nil {
 		return nil, key
 	}
@@ -93,7 +96,7 @@ func (d *Decomposer) CoverEdge(g *graph.Graph, u, v int) (tids []*pattern.TIDSet
 // piece grows the cover piece seeded at edge (u, v) and resolves it in
 // the mined set: the mined pattern, or nil and the piece's canonical key
 // when it is absent.
-func (d *Decomposer) piece(g *graph.Graph, u, v int, covered map[[2]int]bool) (*pattern.Pattern, string) {
+func (d *Decomposer) piece(g *graph.Graph, u, v int, covered *[]edgeKey) (*pattern.Pattern, string) {
 	key := dfscode.MinCode(d.growPiece(g, u, v, covered)).Key()
 	if p, found := d.mined[key]; found {
 		return p, ""
@@ -101,27 +104,55 @@ func (d *Decomposer) piece(g *graph.Graph, u, v int, covered map[[2]int]bool) (*
 	return nil, key
 }
 
-// edgeKey identifies the undirected edge (u, v) in a covered-edge map.
-func edgeKey(u, v int) [2]int {
+// edgeKey identifies an undirected edge by its endpoints, smaller first.
+type edgeKey struct{ u, v int }
+
+func makeEdgeKey(u, v int) edgeKey {
 	if u > v {
 		u, v = v, u
 	}
-	return [2]int{u, v}
+	return edgeKey{u, v}
+}
+
+// hasEdge reports whether edge (u, v) is in keys.
+func hasEdge(keys []edgeKey, u, v int) bool {
+	k := makeEdgeKey(u, v)
+	for _, x := range keys {
+		if x == k {
+			return true
+		}
+	}
+	return false
 }
 
 // growPiece grows one connected piece from seed edge (su, sv): a BFS
 // over edges incident to the piece's vertex set, preferring edges not
 // yet covered by an earlier piece so the cover stays small, up to
-// pieceMax edges. Every edge absorbed is marked covered. The returned
-// graph is the piece re-numbered to its own compact vertex space.
-func (d *Decomposer) growPiece(g *graph.Graph, su, sv int, covered map[[2]int]bool) *graph.Graph {
-	type edge struct{ u, v, label int }
-	inPiece := map[int]bool{su: true, sv: true}
-	order := []int{su, sv}
+// pieceMax edges. Every edge absorbed is appended to covered (nil: no
+// earlier pieces, nothing to record). The returned graph is the piece
+// re-numbered to its own compact vertex space, its vertices in the order
+// the BFS reached them.
+func (d *Decomposer) growPiece(g *graph.Graph, su, sv int, covered *[]edgeKey) *graph.Graph {
+	type edge struct {
+		key   edgeKey
+		label int
+	}
+	// A piece has at most pieceMax edges and pieceMax+1 vertices: small
+	// lists, scanned linearly.
+	order := append(make([]int, 0, 8), su, sv)
 	label0, _ := g.EdgeLabel(su, sv)
-	edges := []edge{{su, sv, label0}}
-	covered[edgeKey(su, sv)] = true
-	inEdges := map[[2]int]bool{edgeKey(su, sv): true}
+	edges := append(make([]edge, 0, 8), edge{makeEdgeKey(su, sv), label0})
+	inPiece := func(k edgeKey) bool {
+		for _, e := range edges {
+			if e.key == k {
+				return true
+			}
+		}
+		return false
+	}
+	if covered != nil {
+		*covered = append(*covered, edges[0].key)
+	}
 
 	// Two passes over the piece's frontier: absorb uncovered edges
 	// first (they shrink future work), then — only if the piece is
@@ -134,31 +165,43 @@ func (d *Decomposer) growPiece(g *graph.Graph, su, sv int, covered map[[2]int]bo
 				if len(edges) >= d.pieceMax {
 					break
 				}
-				k := edgeKey(u, e.To)
-				if inEdges[k] {
+				k := makeEdgeKey(u, e.To)
+				if inPiece(k) {
 					continue
 				}
-				if pass == 0 && covered[k] {
+				if pass == 0 && covered != nil && hasEdge(*covered, u, e.To) {
 					continue
 				}
-				inEdges[k] = true
-				covered[k] = true
-				edges = append(edges, edge{u, e.To, e.Label})
-				if !inPiece[e.To] {
-					inPiece[e.To] = true
+				edges = append(edges, edge{k, e.Label})
+				if covered != nil {
+					*covered = append(*covered, k)
+				}
+				if !slices.Contains(order, e.To) {
 					order = append(order, e.To)
 				}
 			}
 		}
 	}
 
-	remap := make(map[int]int, len(order))
-	sub := graph.New(0)
-	for _, v := range order {
-		remap[v] = sub.AddVertex(g.Labels[v])
+	// Renumber: piece vertex i is order[i].
+	var small [16]int
+	deg := small[:]
+	if len(order) > len(small) {
+		deg = make([]int, len(order))
 	}
+	deg = deg[:len(order)]
+	labels := make([]int, len(order))
+	for i, v := range order {
+		labels[i] = g.Labels[v]
+	}
+	local := func(v int) int { return slices.Index(order, v) }
 	for _, e := range edges {
-		sub.MustAddEdge(remap[e.u], remap[e.v], e.label)
+		deg[local(e.key.u)]++
+		deg[local(e.key.v)]++
+	}
+	sub := graph.NewSized(0, labels, deg)
+	for _, e := range edges {
+		sub.MustAddEdge(local(e.key.u), local(e.key.v), e.label)
 	}
 	return sub
 }

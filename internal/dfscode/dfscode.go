@@ -140,32 +140,50 @@ func (c Code) VertexCount() int {
 // Clone returns a copy of the code.
 func (c Code) Clone() Code { return append(Code(nil), c...) }
 
-// Graph materializes the pattern graph encoded by c. The graph id is 0.
-// It panics if the code is structurally invalid (an edge referencing an
-// undiscovered vertex); codes produced by MinCode or by rightmost-path
-// extension are always valid.
+// Graph materializes the pattern graph encoded by c, built at its final
+// size (graph.NewSized). The graph id is 0. It panics if the code is
+// structurally invalid (an edge referencing an undiscovered vertex);
+// codes produced by MinCode or by rightmost-path extension are always
+// valid.
 func (c Code) Graph() *graph.Graph {
-	g := graph.New(0)
+	n := 0
 	for idx, e := range c {
 		switch {
 		case e.Forward():
-			if e.I >= g.VertexCount() {
+			if e.I >= n {
 				if idx != 0 || e.I != 0 {
 					panic(fmt.Sprintf("dfscode: edge %d (%d,%d) references undiscovered source", idx, e.I, e.J))
 				}
-				g.AddVertex(e.LI)
+				n++
 			}
-			if e.J != g.VertexCount() {
-				panic(fmt.Sprintf("dfscode: forward edge %d (%d,%d) does not discover next vertex %d", idx, e.I, e.J, g.VertexCount()))
+			if e.J != n {
+				panic(fmt.Sprintf("dfscode: forward edge %d (%d,%d) does not discover next vertex %d", idx, e.I, e.J, n))
 			}
-			g.AddVertex(e.LJ)
-			g.MustAddEdge(e.I, e.J, e.LE)
-		default:
-			if e.I >= g.VertexCount() || e.J >= g.VertexCount() {
-				panic(fmt.Sprintf("dfscode: backward edge %d (%d,%d) references undiscovered vertex", idx, e.I, e.J))
-			}
-			g.MustAddEdge(e.I, e.J, e.LE)
+			n++
+		case e.I >= n || e.J >= n:
+			panic(fmt.Sprintf("dfscode: backward edge %d (%d,%d) references undiscovered vertex", idx, e.I, e.J))
 		}
+	}
+	// Vertex labels come from the discovering edges, as a DFS reads them.
+	var small [16]int
+	deg := small[:]
+	if n > len(small) {
+		deg = make([]int, n)
+	}
+	labels := make([]int, n)
+	for idx, e := range c {
+		if idx == 0 {
+			labels[0] = e.LI
+		}
+		if e.Forward() {
+			labels[e.J] = e.LJ
+		}
+		deg[e.I]++
+		deg[e.J]++
+	}
+	g := graph.NewSized(0, labels, deg[:n])
+	for _, e := range c {
+		g.MustAddEdge(e.I, e.J, e.LE)
 	}
 	return g
 }

@@ -1,6 +1,8 @@
 package dfscode
 
 import (
+	"sync"
+
 	"partminer/internal/exec"
 	"partminer/internal/graph"
 )
@@ -48,15 +50,28 @@ func IsCanonicalTick(c Code, tick *exec.Ticker) bool {
 	return cmp == 0
 }
 
-// embedding maps DFS indices 0..t to distinct graph vertices. Edge usage is
-// implied by the shared code prefix: graph edge (verts[a], verts[b]) is used
-// iff the code contains an edge between DFS indices a and b.
-type embedding struct {
-	verts []int
+// minScratch holds minCode's working buffers. The embeddings of the
+// current prefix are stored flat, w graph vertices per embedding
+// (embedding i maps DFS index j to cur[i*w+j]); the next level's are
+// written into spare and the two swap. The buffers are pooled, so a warm
+// construction allocates only the code it returns.
+type minScratch struct {
+	cur, spare []int
+	rmpath     []int
+	// code backs the partial code of an IsCanonical check, which is
+	// compared and dropped, never returned to a caller.
+	code Code
 }
 
-func (m embedding) maps(v int) bool {
-	for _, u := range m.verts {
+var minScratchPool = sync.Pool{New: func() any { return new(minScratch) }}
+
+// maxPooledInts caps the buffers a scratch keeps across calls, so one
+// pathological graph does not pin its embedding lists in the pool.
+const maxPooledInts = 1 << 20
+
+// maps reports whether the embedding row m uses graph vertex v.
+func maps(m []int, v int) bool {
+	for _, u := range m {
 		if u == v {
 			return true
 		}
@@ -68,8 +83,9 @@ func (m embedding) maps(v int) bool {
 // construction compares each chosen edge against abortAt and stops early as
 // soon as the codes diverge; the second return value is the comparison
 // result of the (possibly partial) minimum code against abortAt (-1 smaller,
-// 0 equal, +1 larger). A non-nil tick aborts the embedding scans on
-// cancellation, reporting +1 (not canonical) — see IsCanonicalTick.
+// 0 equal, +1 larger), and the code returned is scratch the caller must not
+// keep. A non-nil tick aborts the embedding scans on cancellation,
+// reporting +1 (not canonical) — see IsCanonicalTick.
 func minCode(g *graph.Graph, abortAt Code, tick *exec.Ticker) (Code, int) {
 	ne := g.EdgeCount()
 	if ne == 0 {
@@ -78,6 +94,16 @@ func minCode(g *graph.Graph, abortAt Code, tick *exec.Ticker) (Code, int) {
 		}
 		return nil, -1
 	}
+	s := minScratchPool.Get().(*minScratch)
+	code, cmp := s.minCode(g, abortAt, tick)
+	if cap(s.cur)+cap(s.spare) <= maxPooledInts {
+		minScratchPool.Put(s)
+	}
+	return code, cmp
+}
+
+func (s *minScratch) minCode(g *graph.Graph, abortAt Code, tick *exec.Ticker) (Code, int) {
+	ne := g.EdgeCount()
 
 	// Seed: the minimal 1-edge code over all edges and orientations.
 	var first EdgeCode
@@ -91,19 +117,27 @@ func minCode(g *graph.Graph, abortAt Code, tick *exec.Ticker) (Code, int) {
 			}
 		}
 	}
-	code := Code{first}
-	var embs []embedding
+	var code Code
+	if abortAt != nil {
+		code = append(s.code[:0], first)
+	} else {
+		code = make(Code, 1, ne)
+		code[0] = first
+	}
+	w := 2 // vertices per embedding
+	cur, spare := s.cur[:0], s.spare[:0]
 	for u := 0; u < g.VertexCount(); u++ {
 		if g.Labels[u] != first.LI {
 			continue
 		}
 		for _, e := range g.Adj[u] {
 			if e.Label == first.LE && g.Labels[e.To] == first.LJ {
-				embs = append(embs, embedding{verts: []int{u, e.To}})
+				cur = append(cur, u, e.To)
 			}
 		}
 	}
-	rmpath := []int{0, 1}
+	rmpath := append(s.rmpath[:0], 0, 1)
+	s.cur, s.rmpath = cur, rmpath
 	if abortAt != nil {
 		if cmp := cmpEdge(first, abortAt[0]); cmp != 0 {
 			return code, cmp
@@ -119,7 +153,7 @@ func minCode(g *graph.Graph, abortAt Code, tick *exec.Ticker) (Code, int) {
 		// sorts before every forward edge, so the first realizable
 		// backward candidate wins outright.
 		var next EdgeCode
-		var nextEmbs []embedding
+		nextW := w
 		haveNext := false
 		for pi := 0; pi < len(rmpath)-2 && !haveNext; pi++ {
 			target := rmpath[pi]
@@ -129,11 +163,11 @@ func minCode(g *graph.Graph, abortAt Code, tick *exec.Ticker) (Code, int) {
 			// Among embeddings, the edge label may vary; take the minimum.
 			bestLE := 0
 			haveLE := false
-			for _, m := range embs {
+			for i := 0; i < len(cur); i += w {
 				if tick.Hit() {
 					return code, 1
 				}
-				le, ok := g.EdgeLabel(m.verts[rightmost], m.verts[target])
+				le, ok := g.EdgeLabel(cur[i+rightmost], cur[i+target])
 				if !ok {
 					continue
 				}
@@ -148,13 +182,14 @@ func minCode(g *graph.Graph, abortAt Code, tick *exec.Ticker) (Code, int) {
 			liLabel, _ := code.VertexLabel(rightmost)
 			ljLabel, _ := code.VertexLabel(target)
 			next = EdgeCode{I: rightmost, J: target, LI: liLabel, LE: bestLE, LJ: ljLabel}
-			nextEmbs = nextEmbs[:0]
-			for _, m := range embs {
+			spare = spare[:0]
+			for i := 0; i < len(cur); i += w {
 				if tick.Hit() {
 					return code, 1
 				}
-				if le, ok := g.EdgeLabel(m.verts[rightmost], m.verts[target]); ok && le == bestLE {
-					nextEmbs = append(nextEmbs, m)
+				m := cur[i : i+w]
+				if le, ok := g.EdgeLabel(m[rightmost], m[target]); ok && le == bestLE {
+					spare = append(spare, m...)
 				}
 			}
 			haveNext = true
@@ -167,12 +202,13 @@ func minCode(g *graph.Graph, abortAt Code, tick *exec.Ticker) (Code, int) {
 				src := rmpath[pi]
 				bestLE, bestLJ := 0, 0
 				haveF := false
-				for _, m := range embs {
+				for i := 0; i < len(cur); i += w {
 					if tick.Hit() {
 						return code, 1
 					}
-					for _, e := range g.Adj[m.verts[src]] {
-						if m.maps(e.To) {
+					m := cur[i : i+w]
+					for _, e := range g.Adj[m[src]] {
+						if maps(m, e.To) {
 							continue
 						}
 						lj := g.Labels[e.To]
@@ -186,22 +222,22 @@ func minCode(g *graph.Graph, abortAt Code, tick *exec.Ticker) (Code, int) {
 					continue
 				}
 				liLabel, _ := code.VertexLabel(src)
-				newIdx := code.VertexCount()
+				newIdx := w
 				next = EdgeCode{I: src, J: newIdx, LI: liLabel, LE: bestLE, LJ: bestLJ}
-				nextEmbs = nextEmbs[:0]
-				for _, m := range embs {
+				spare = spare[:0]
+				for i := 0; i < len(cur); i += w {
 					if tick.Hit() {
 						return code, 1
 					}
-					for _, e := range g.Adj[m.verts[src]] {
-						if m.maps(e.To) || e.Label != bestLE || g.Labels[e.To] != bestLJ {
+					m := cur[i : i+w]
+					for _, e := range g.Adj[m[src]] {
+						if maps(m, e.To) || e.Label != bestLE || g.Labels[e.To] != bestLJ {
 							continue
 						}
-						nv := make([]int, len(m.verts), len(m.verts)+1)
-						copy(nv, m.verts)
-						nextEmbs = append(nextEmbs, embedding{verts: append(nv, e.To)})
+						spare = append(append(spare, m...), e.To)
 					}
 				}
+				nextW = w + 1
 				// The embedding set changes length on forward extensions,
 				// so truncate the rightmost path to the source and append
 				// the new vertex.
@@ -216,7 +252,11 @@ func minCode(g *graph.Graph, abortAt Code, tick *exec.Ticker) (Code, int) {
 			panic("dfscode: no extension found; graph is disconnected")
 		}
 		code = append(code, next)
-		embs = nextEmbs
+		cur, spare, w = spare, cur, nextW
+		s.cur, s.spare, s.rmpath = cur, spare, rmpath
+		if abortAt != nil {
+			s.code = code
+		}
 		if abortAt != nil {
 			k := len(code) - 1
 			if k >= len(abortAt) {

@@ -207,10 +207,10 @@ type Extender struct {
 	epoch uint64
 
 	// alphabet is the run's frequent label-triple alphabet, recorded by
-	// Initial or InitialSeeds: the triples that reached their minSup. A
-	// pattern containing any other triple is infrequent at that threshold,
-	// so Extensions drops such extensions unseen. nil (no seeding call
-	// yet) filters nothing.
+	// Initial: the triples that reached their minSup. A pattern
+	// containing any other triple is infrequent at that threshold, so
+	// Extensions drops such extensions unseen. nil (no seeding call yet)
+	// filters nothing.
 	alphabet map[labelTriple]struct{}
 }
 
@@ -362,61 +362,6 @@ func Initial(src Source, minSup int) []Candidate {
 	return NewExtender().Initial(src, minSup)
 }
 
-// EdgeOcc is one located occurrence of a 1-edge pattern: the edge (U, V)
-// of transaction TID, oriented so U carries the triple's smaller vertex
-// label (U < V when the labels are equal).
-type EdgeOcc struct {
-	TID, U, V int
-}
-
-// Seed1 is the occurrence list of one 1-edge label triple (LI <= LJ),
-// as precomputed by a database feature index (internal/index).
-type Seed1 struct {
-	LI, LE, LJ int
-	Occ        []EdgeOcc
-}
-
-// InitialSeeds is Initial fed from precomputed occurrence lists instead
-// of a database scan: each seed's occurrences become the projection of
-// its 1-edge pattern, with both orientations seeded for symmetric
-// triples, exactly as Initial would discover them. Seeds must be sorted
-// by (LI, LE, LJ) with occurrences in nondecreasing TID order; entries
-// below minSup are dropped before any embedding is allocated. Like
-// Initial it records the surviving triples as the Extender's alphabet.
-func (x *Extender) InitialSeeds(seeds []Seed1, minSup int) []Candidate {
-	var out []Candidate
-	for _, s := range seeds {
-		sup, last := 0, -1
-		for _, o := range s.Occ {
-			if o.TID != last {
-				sup++
-				last = o.TID
-			}
-		}
-		if sup < minSup {
-			continue
-		}
-		n := len(s.Occ)
-		if s.LI == s.LJ {
-			n *= 2
-		}
-		proj := make(Projection, 0, n)
-		for _, o := range s.Occ {
-			proj = append(proj, x.seed(o.TID, o.U, o.V))
-			if s.LI == s.LJ {
-				proj = append(proj, x.seed(o.TID, o.V, o.U))
-			}
-		}
-		out = append(out, Candidate{
-			Edge: dfscode.EdgeCode{I: 0, J: 1, LI: s.LI, LE: s.LE, LJ: s.LJ},
-			Proj: proj,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return dfscode.Less(out[i].Edge, out[j].Edge) })
-	x.setAlphabet(out)
-	return out
-}
-
 // Extensions enumerates the rightmost-path one-edge extensions of code
 // over the projection, grouped by extension edge code and sorted in
 // canonical (gSpan) order.
@@ -430,10 +375,10 @@ func (x *Extender) InitialSeeds(seeds []Seed1, minSup int) []Candidate {
 // per-neighbor work is O(1); forward extensions allocate a single arena
 // node each.
 //
-// Once Initial or InitialSeeds has run on the Extender, an extension whose
-// label triple is outside the alphabet they recorded is skipped before it
-// is bucketed: the grown pattern contains an infrequent edge, so no miner
-// growing at that threshold would keep it.
+// Once Initial has run on the Extender, an extension whose label triple
+// is outside the alphabet it recorded is skipped before it is bucketed:
+// the grown pattern contains an infrequent edge, so no miner growing at
+// that threshold would keep it.
 //
 // A non-nil tick aborts the embedding scan on cancellation (projections
 // can run to millions of embeddings on dense inputs) and returns the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"partminer/internal/dfscode"
@@ -160,39 +159,6 @@ func TestDBSource(t *testing.T) {
 	}
 }
 
-// seedsByScan builds InitialSeeds' input the way a feature index would:
-// every triple of db (frequent or not), sorted, occurrences in TID order.
-func seedsByScan(db graph.Database) []Seed1 {
-	occ := make(map[labelTriple][]EdgeOcc)
-	for tid, g := range db {
-		for u := 0; u < g.VertexCount(); u++ {
-			for _, e := range g.Adj[u] {
-				lu, lv := g.Labels[u], g.Labels[e.To]
-				if lu > lv || (lu == lv && u > e.To) {
-					continue
-				}
-				t := labelTriple{lu, e.Label, lv}
-				occ[t] = append(occ[t], EdgeOcc{TID: tid, U: u, V: e.To})
-			}
-		}
-	}
-	var seeds []Seed1
-	for t, o := range occ {
-		seeds = append(seeds, Seed1{LI: t.li, LE: t.le, LJ: t.lj, Occ: o})
-	}
-	sort.Slice(seeds, func(i, j int) bool {
-		a, b := seeds[i], seeds[j]
-		if a.LI != b.LI {
-			return a.LI < b.LI
-		}
-		if a.LE != b.LE {
-			return a.LE < b.LE
-		}
-		return a.LJ < b.LJ
-	})
-	return seeds
-}
-
 func sameCandidates(t *testing.T, what string, got, want []Candidate) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -215,7 +181,7 @@ func sameCandidates(t *testing.T, what string, got, want []Candidate) {
 
 // TestExtensionsFilteredByAlphabet grows patterns on 50 seeded databases
 // with enough labels that some triples are infrequent, and holds an
-// Extender seeded by Initial or InitialSeeds to the unfiltered standalone
+// Extender seeded by Initial to the unfiltered standalone
 // enumeration: at every grown pattern it must return exactly the
 // candidates whose label triple is frequent by a brute count, embeddings
 // and order included.
@@ -242,9 +208,7 @@ func TestExtensionsFilteredByAlphabet(t *testing.T) {
 		frequent := func(e dfscode.EdgeCode) bool { return sup[makeTriple(e.LI, e.LE, e.LJ)] >= minSup }
 
 		scanned := NewExtender()
-		seeded := NewExtender()
 		roots := scanned.Initial(src, minSup)
-		sameCandidates(t, "InitialSeeds vs Initial", seeded.InitialSeeds(seedsByScan(db), minSup), roots)
 		for _, c := range roots {
 			if !frequent(c.Edge) {
 				t.Fatalf("seed %d: Initial kept infrequent %+v", seed, c.Edge)
@@ -263,7 +227,6 @@ func TestExtensionsFilteredByAlphabet(t *testing.T) {
 			}
 			got := scanned.Extensions(src, code, proj, nil)
 			sameCandidates(t, fmt.Sprintf("seed %d, %v", seed, code), got, want)
-			sameCandidates(t, fmt.Sprintf("seed %d, %v (seeded)", seed, code), seeded.Extensions(src, code, proj, nil), want)
 			if len(code) == 3 {
 				return
 			}

@@ -22,7 +22,6 @@ import (
 	"partminer/internal/exec"
 	"partminer/internal/extend"
 	"partminer/internal/graph"
-	"partminer/internal/index"
 	"partminer/internal/pattern"
 )
 
@@ -33,11 +32,6 @@ type Options struct {
 	MinSupport int
 	// MaxEdges bounds the pattern size; 0 means unbounded.
 	MaxEdges int
-	// Index, when non-nil, must be the feature index of the mined
-	// database: the initial 1-edge projections are then seeded from its
-	// per-triple occurrence lists instead of scanning the database, never
-	// allocating embeddings for infrequent triples.
-	Index *index.FeatureIndex
 }
 
 func (o Options) minSup() int {
@@ -109,7 +103,7 @@ func MineWithStatsContext(ctx context.Context, db graph.Database, opts Options) 
 	// Fig. 7 line 1: find all frequent edges; every frequent edge is a
 	// (trivial) path.
 	endStage := exec.StageTimer(o, "gaston.seeds")
-	seeds := initialCandidates(m.ext, m.src, opts)
+	seeds := m.ext.Initial(m.src, opts.minSup())
 	endStage()
 	endStage = exec.StageTimer(o, "gaston.grow")
 	for _, c := range seeds {
@@ -133,16 +127,6 @@ func reportStats(o exec.Observer, s Stats) {
 	exec.Count(o, "gaston.paths", int64(s.Paths))
 	exec.Count(o, "gaston.trees", int64(s.Trees))
 	exec.Count(o, "gaston.cyclic", int64(s.Cyclic))
-}
-
-// initialCandidates seeds the frequent 1-edge projections — from the
-// feature index's occurrence lists when one is provided, by database
-// scan otherwise. Both paths produce identical candidates.
-func initialCandidates(ext *extend.Extender, src extend.Source, opts Options) []extend.Candidate {
-	if opts.Index != nil {
-		return ext.InitialSeeds(opts.Index.Seeds(opts.minSup()), opts.minSup())
-	}
-	return ext.Initial(src, opts.minSup())
 }
 
 type miner struct {

@@ -55,10 +55,38 @@ func New(id int) *Graph {
 	return &Graph{ID: id}
 }
 
+// NewSized returns an edgeless graph with the given vertex labels (kept,
+// not copied) whose adjacency lists are carved from one backing array:
+// vertex v's list has room for deg[v] edges, so AddEdge fills it without
+// allocating. Each list is capacity-limited, so an append past deg[v]
+// reallocates that list alone instead of overwriting its neighbour's.
+// deg is only read; len(deg) must equal len(labels).
+func NewSized(id int, labels, deg []int) *Graph {
+	total := 0
+	for _, d := range deg {
+		total += d
+	}
+	backing := make([]Edge, total)
+	adj := make([][]Edge, len(labels))
+	off := 0
+	for v, d := range deg {
+		adj[v] = backing[off : off : off+d]
+		off += d
+	}
+	return &Graph{ID: id, Labels: labels, Adj: adj}
+}
+
 // AddVertex appends a vertex with the given label and returns its id.
 func (g *Graph) AddVertex(label int) int {
 	g.Labels = append(g.Labels, label)
-	g.Adj = append(g.Adj, nil)
+	if n := len(g.Adj); n < cap(g.Adj) {
+		// Clone parks an empty carved list past the end for the next
+		// vertex; anywhere else the slot is nil.
+		g.Adj = g.Adj[:n+1]
+		g.Adj[n] = g.Adj[n][:0]
+	} else {
+		g.Adj = append(g.Adj, nil)
+	}
 	if g.UFreq != nil {
 		g.UFreq = append(g.UFreq, 0)
 	}
@@ -211,20 +239,35 @@ func (g *Graph) BumpUpdateFreq(v int, delta float64) {
 	g.UFreq[v] += delta
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g with room to grow by one edge at every
+// vertex and by one more vertex (with one edge) without allocating: the
+// adjacency lists are carved from one backing array, each
+// capacity-limited one past its length, and an empty list for the next
+// AddVertex is parked past the end of Adj.
 func (g *Graph) Clone() *Graph {
+	n := len(g.Labels)
+	total := n + 1
+	for _, adj := range g.Adj {
+		total += len(adj)
+	}
+	backing := make([]Edge, total)
 	c := &Graph{
 		ID:        g.ID,
-		Labels:    append([]int(nil), g.Labels...),
-		Adj:       make([][]Edge, len(g.Adj)),
+		Labels:    append(make([]int, 0, n+1), g.Labels...),
+		Adj:       make([][]Edge, n+1),
 		edges:     g.edges,
 		sortedAdj: g.sortedAdj,
 	}
+	off := 0
 	for v, adj := range g.Adj {
-		c.Adj[v] = append([]Edge(nil), adj...)
+		d := copy(backing[off:], adj)
+		c.Adj[v] = backing[off : off+d : off+d+1]
+		off += d + 1
 	}
+	c.Adj[n] = backing[off : off : off+1]
+	c.Adj = c.Adj[:n]
 	if g.UFreq != nil {
-		c.UFreq = append([]float64(nil), g.UFreq...)
+		c.UFreq = append(make([]float64, 0, n+1), g.UFreq...)
 	}
 	return c
 }

@@ -7,7 +7,6 @@ import (
 
 	"partminer/internal/gaston"
 	"partminer/internal/graph"
-	"partminer/internal/index"
 	"partminer/internal/pattern"
 )
 
@@ -19,8 +18,8 @@ import (
 // support-only comparison). Gaston shares the extension machinery, so it
 // is held to the same oracle. Odd seeds draw from a wider label alphabet,
 // where some edge triples are infrequent and the miners' frequent-edge
-// filter on extensions has something to drop; the index-seeded runs reach
-// it through InitialSeeds.
+// filter on extensions has something to drop; both miners reach it
+// through extend.Extender.Initial, which records the run's alphabet.
 func TestDifferentialSharedPrefixEmbeddings(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		seed := seed
@@ -54,9 +53,6 @@ func TestDifferentialSharedPrefixEmbeddings(t *testing.T) {
 			}
 			check("gspan", Mine(db, Options{MinSupport: minSup, MaxEdges: 4}))
 			check("gaston", gaston.Mine(db, gaston.Options{MinSupport: minSup, MaxEdges: 4}))
-			ix := index.Build(db)
-			check("gspan/indexed", Mine(db, Options{MinSupport: minSup, MaxEdges: 4, Index: ix}))
-			check("gaston/indexed", gaston.Mine(db, gaston.Options{MinSupport: minSup, MaxEdges: 4, Index: ix}))
 		})
 	}
 }

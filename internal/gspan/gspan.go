@@ -15,7 +15,6 @@ import (
 	"partminer/internal/exec"
 	"partminer/internal/extend"
 	"partminer/internal/graph"
-	"partminer/internal/index"
 	"partminer/internal/pattern"
 )
 
@@ -26,11 +25,6 @@ type Options struct {
 	MinSupport int
 	// MaxEdges bounds the pattern size; 0 means unbounded.
 	MaxEdges int
-	// Index, when non-nil, must be the feature index of the mined
-	// database: the initial 1-edge projections are then seeded from its
-	// per-triple occurrence lists, skipping the database scan and never
-	// allocating embeddings for infrequent triples.
-	Index *index.FeatureIndex
 }
 
 func (o Options) minSup() int {
@@ -75,7 +69,7 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (pattern.
 		memo: memo,
 	}
 	endStage := exec.StageTimer(o, "gspan.seeds")
-	seeds := initialCandidates(m.ext, m.src, opts)
+	seeds := m.ext.Initial(m.src, opts.minSup())
 	endStage()
 	endStage = exec.StageTimer(o, "gspan.grow")
 	for _, c := range seeds {
@@ -91,16 +85,6 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (pattern.
 	endStage()
 	exec.Count(o, "gspan.patterns", int64(len(m.out)))
 	return m.out, m.tick.Err()
-}
-
-// initialCandidates seeds the frequent 1-edge projections — from the
-// feature index's occurrence lists when one is provided, by database
-// scan otherwise. Both paths produce identical candidates.
-func initialCandidates(ext *extend.Extender, src extend.Source, opts Options) []extend.Candidate {
-	if opts.Index != nil {
-		return ext.InitialSeeds(opts.Index.Seeds(opts.minSup()), opts.minSup())
-	}
-	return ext.Initial(src, opts.minSup())
 }
 
 type miner struct {

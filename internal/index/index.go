@@ -7,9 +7,7 @@
 // A FeatureIndex holds three layers of precomputed structure:
 //
 //   - Inverted indexes: vertex-label → TID bitset and edge-triple
-//     (la, le, lb) → TID bitset maps over the whole database, plus the
-//     per-triple edge occurrence lists the miners seed their initial
-//     projections from.
+//     (la, le, lb) → TID bitset maps over the whole database.
 //   - Per-transaction invariant signatures: the vertex-label histogram,
 //     edge-triple counts, and max-degree-per-label of each graph. A
 //     pattern can only be contained in a transaction whose signature
@@ -32,12 +30,13 @@
 package index
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 
 	"partminer/internal/dfscode"
 	"partminer/internal/exec"
-	"partminer/internal/extend"
 	"partminer/internal/graph"
 	"partminer/internal/isomorph"
 	"partminer/internal/obs"
@@ -58,10 +57,11 @@ func MakeTriple(la, le, lb int) Triple {
 	return Triple{LA: la, LE: le, LB: lb}
 }
 
-// labelCount pairs a vertex label with a count (histogram entry or
-// max-degree entry). Slices of labelCount are kept sorted by label.
+// labelCount is one vertex label's entry in a signature: how many
+// vertices carry it and the largest degree among them. Slices of
+// labelCount are kept sorted by label.
 type labelCount struct {
-	label, n int
+	label, n, maxDeg int
 }
 
 // tripleCount pairs a triple with its multiplicity, sorted by triple.
@@ -71,75 +71,74 @@ type tripleCount struct {
 }
 
 // signature is the invariant summary of one graph: its vertex-label
-// histogram, edge-triple counts, and the maximum vertex degree per
-// label, each as a slice sorted by label/triple. sigOf computes it for
-// transactions (at index build) and for patterns (in Verify).
+// histogram with the maximum vertex degree per label, and its
+// edge-triple counts, each as a slice sorted by label/triple. sigOf
+// computes it for transactions (at index build) and for patterns (in
+// Verify).
 type signature struct {
 	labels  []labelCount
 	triples []tripleCount
-	maxDeg  []labelCount
 }
 
-// sigOf computes the invariant signature of g.
-func sigOf(g *graph.Graph) *signature {
-	s := &signature{}
+// sigOf computes the invariant signature of g in one pass per component:
+// each slice is allocated once at its upper bound (one entry per vertex,
+// one per edge), sorted, and run-length compacted in place.
+func sigOf(g *graph.Graph) signature {
+	var s signature
 	n := g.VertexCount()
 	if n == 0 {
 		return s
 	}
-	// Vertex-label histogram: sort a copy of the label vector and
-	// run-length encode it.
-	labels := append([]int(nil), g.Labels...)
-	sort.Ints(labels)
-	for i := 0; i < len(labels); {
-		j := i
-		for j < len(labels) && labels[j] == labels[i] {
-			j++
+	labels := make([]labelCount, n)
+	for v, l := range g.Labels {
+		labels[v] = labelCount{label: l, n: 1}
+	}
+	slices.SortFunc(labels, func(a, b labelCount) int { return cmp.Compare(a.label, b.label) })
+	s.labels = labels[:0]
+	for _, lc := range labels {
+		if k := len(s.labels); k > 0 && s.labels[k-1].label == lc.label {
+			s.labels[k-1].n++
+		} else {
+			s.labels = append(s.labels, lc)
 		}
-		s.labels = append(s.labels, labelCount{label: labels[i], n: j - i})
-		i = j
 	}
-	// Max degree per label, aligned with the distinct labels above.
-	s.maxDeg = make([]labelCount, len(s.labels))
-	for i, lc := range s.labels {
-		s.maxDeg[i].label = lc.label
-	}
+	// Max degree per label, on the distinct labels above.
 	for v := 0; v < n; v++ {
-		i := findLabel(s.maxDeg, g.Labels[v])
-		if d := g.Degree(v); d > s.maxDeg[i].n {
-			s.maxDeg[i].n = d
+		i := findLabel(s.labels, g.Labels[v])
+		if d := g.Degree(v); d > s.labels[i].maxDeg {
+			s.labels[i].maxDeg = d
 		}
 	}
 	// Edge-triple counts.
-	var triples []Triple
+	triples := make([]tripleCount, 0, g.EdgeCount())
 	for u := 0; u < n; u++ {
 		for _, e := range g.Adj[u] {
-			if u > e.To {
-				continue
+			if u < e.To {
+				triples = append(triples, tripleCount{t: MakeTriple(g.Labels[u], e.Label, g.Labels[e.To]), n: 1})
 			}
-			triples = append(triples, MakeTriple(g.Labels[u], e.Label, g.Labels[e.To]))
 		}
 	}
-	sort.Slice(triples, func(i, j int) bool { return tripleLess(triples[i], triples[j]) })
-	for i := 0; i < len(triples); {
-		j := i
-		for j < len(triples) && triples[j] == triples[i] {
-			j++
+	slices.SortFunc(triples, func(a, b tripleCount) int { return tripleCmp(a.t, b.t) })
+	s.triples = triples[:0]
+	for _, tc := range triples {
+		if k := len(s.triples); k > 0 && s.triples[k-1].t == tc.t {
+			s.triples[k-1].n++
+		} else {
+			s.triples = append(s.triples, tc)
 		}
-		s.triples = append(s.triples, tripleCount{t: triples[i], n: j - i})
-		i = j
 	}
 	return s
 }
 
-func tripleLess(a, b Triple) bool {
-	if a.LA != b.LA {
-		return a.LA < b.LA
+// tripleCmp orders triples by (LA, LE, LB).
+func tripleCmp(a, b Triple) int {
+	if c := cmp.Compare(a.LA, b.LA); c != 0 {
+		return c
 	}
-	if a.LE != b.LE {
-		return a.LE < b.LE
+	if c := cmp.Compare(a.LE, b.LE); c != 0 {
+		return c
 	}
-	return a.LB < b.LB
+	return cmp.Compare(a.LB, b.LB)
 }
 
 // findLabel binary-searches a label-sorted slice; returns -1 if absent.
@@ -174,29 +173,20 @@ func findLabel(s []labelCount, label int) int {
 //
 // It never filters a true containment; it may admit false positives,
 // which the exact VF2 check behind it resolves.
-func (s *signature) dominates(p *signature) bool {
+func (s signature) dominates(p signature) bool {
 	// Both sides sorted: merge-walk each component.
 	i := 0
 	for _, pc := range p.labels {
 		for i < len(s.labels) && s.labels[i].label < pc.label {
 			i++
 		}
-		if i == len(s.labels) || s.labels[i].label != pc.label || s.labels[i].n < pc.n {
-			return false
-		}
-	}
-	i = 0
-	for _, pc := range p.maxDeg {
-		for i < len(s.maxDeg) && s.maxDeg[i].label < pc.label {
-			i++
-		}
-		if i == len(s.maxDeg) || s.maxDeg[i].label != pc.label || s.maxDeg[i].n < pc.n {
+		if i == len(s.labels) || s.labels[i].label != pc.label || s.labels[i].n < pc.n || s.labels[i].maxDeg < pc.maxDeg {
 			return false
 		}
 	}
 	i = 0
 	for _, pc := range p.triples {
-		for i < len(s.triples) && tripleLess(s.triples[i].t, pc.t) {
+		for i < len(s.triples) && tripleCmp(s.triples[i].t, pc.t) < 0 {
 			i++
 		}
 		if i == len(s.triples) || s.triples[i].t != pc.t || s.triples[i].n < pc.n {
@@ -234,24 +224,30 @@ func (p *txPostings) VerticesWithLabel(label int) []int {
 }
 
 // postingsOf lays out g's vertices grouped by label, using the label
-// histogram already computed in sig.
+// histogram already computed in sig. The three slices share one backing
+// array.
 func postingsOf(g *graph.Graph, sig *signature) txPostings {
+	k, n := len(sig.labels), g.VertexCount()
+	buf := make([]int, 2*k+1+n)
 	p := txPostings{
-		labels: make([]int, len(sig.labels)),
-		starts: make([]int, len(sig.labels)+1),
-		verts:  make([]int, g.VertexCount()),
+		labels: buf[:k:k],
+		starts: buf[k : 2*k+1 : 2*k+1],
+		verts:  buf[2*k+1:],
 	}
+	// starts[i+1] is first group i's fill cursor, starting at the group's
+	// offset; once every vertex is placed it is the group's end, i.e.
+	// group i+1's start. Vertex order inside a group is ascending
+	// because vertices are visited in id order.
+	off := 0
 	for i, lc := range sig.labels {
 		p.labels[i] = lc.label
-		p.starts[i+1] = p.starts[i] + lc.n
+		p.starts[i+1] = off
+		off += lc.n
 	}
-	// Fill each group with a per-group cursor; vertex order inside a
-	// group is ascending because vertices are visited in id order.
-	cursor := append([]int(nil), p.starts[:len(p.labels)]...)
-	for v := 0; v < g.VertexCount(); v++ {
+	for v := 0; v < n; v++ {
 		i := sort.SearchInts(p.labels, g.Labels[v])
-		p.verts[cursor[i]] = v
-		cursor[i]++
+		p.verts[p.starts[i+1]] = v
+		p.starts[i+1]++
 	}
 	return p
 }
@@ -266,14 +262,9 @@ type FeatureIndex struct {
 	// Inverted indexes over the whole database.
 	labelTIDs  map[int]*pattern.TIDSet
 	tripleTIDs map[Triple]*pattern.TIDSet
-	// occs lists every edge occurrence per triple, ordered by TID (and
-	// by discovery order within a transaction) — the seed material for
-	// the miners' initial projections. For symmetric triples (LA == LB)
-	// each undirected edge appears once with U < V.
-	occs map[Triple][]extend.EdgeOcc
 
 	// Per-transaction invariants.
-	sigs  []*signature
+	sigs  []signature
 	posts []txPostings
 
 	// labelFreq counts vertex-label occurrences database-wide; the
@@ -302,16 +293,14 @@ func BuildContext(ctx context.Context, db graph.Database, pool *exec.Pool, o exe
 		db:         db,
 		labelTIDs:  make(map[int]*pattern.TIDSet),
 		tripleTIDs: make(map[Triple]*pattern.TIDSet),
-		occs:       make(map[Triple][]extend.EdgeOcc),
-		sigs:       make([]*signature, len(db)),
+		sigs:       make([]signature, len(db)),
 		posts:      make([]txPostings, len(db)),
 		labelFreq:  make(map[int]int),
 	}
 	// Per-transaction invariants are independent: fan out on the pool.
 	buildTx := func(tid int) {
-		sig := sigOf(db[tid])
-		ix.sigs[tid] = sig
-		ix.posts[tid] = postingsOf(db[tid], sig)
+		ix.sigs[tid] = sigOf(db[tid])
+		ix.posts[tid] = postingsOf(db[tid], &ix.sigs[tid])
 	}
 	if pool != nil && pool.Workers() > 1 && len(db) > 1 {
 		if err := pool.Map(ctx, len(db), buildTx); err != nil {
@@ -325,9 +314,8 @@ func BuildContext(ctx context.Context, db graph.Database, pool *exec.Pool, o exe
 			buildTx(tid)
 		}
 	}
-	// Inverted maps and occurrence lists are derived serially from the
-	// signatures (map writes are not concurrency-safe); this pass is a
-	// cheap O(V+E) walk.
+	// Inverted maps are derived serially from the signatures (map writes
+	// are not concurrency-safe); this pass is a cheap walk over them.
 	for tid := range db {
 		ix.addInverted(tid)
 	}
@@ -335,11 +323,10 @@ func BuildContext(ctx context.Context, db graph.Database, pool *exec.Pool, o exe
 	return ix, nil
 }
 
-// addInverted merges transaction tid's labels, triples, and edge
-// occurrences into the database-wide inverted structures. The
-// transaction's signature must already be computed.
+// addInverted merges transaction tid's labels and triples into the
+// database-wide inverted structures. The transaction's signature must
+// already be computed.
 func (ix *FeatureIndex) addInverted(tid int) {
-	g := ix.db[tid]
 	for _, lc := range ix.sigs[tid].labels {
 		ts, ok := ix.labelTIDs[lc.label]
 		if !ok {
@@ -357,19 +344,6 @@ func (ix *FeatureIndex) addInverted(tid int) {
 		}
 		ts.Add(tid)
 	}
-	// Occurrences in the same orientation/order extend.Initial discovers
-	// them: scanning u ascending, counting each edge from its
-	// smaller-label side (u < v side for equal labels).
-	for u := 0; u < g.VertexCount(); u++ {
-		for _, e := range g.Adj[u] {
-			lu, lv := g.Labels[u], g.Labels[e.To]
-			if lu > lv || (lu == lv && u > e.To) {
-				continue
-			}
-			t := Triple{LA: lu, LE: e.Label, LB: lv}
-			ix.occs[t] = append(ix.occs[t], extend.EdgeOcc{TID: tid, U: u, V: e.To})
-		}
-	}
 }
 
 // FrequentEdges returns the 1-edge patterns with support >= minSup,
@@ -383,31 +357,6 @@ func (ix *FeatureIndex) FrequentEdges(minSup int) pattern.Set {
 			out[code.Key()] = &pattern.Pattern{Code: code, Support: sup, TIDs: ts.Clone()}
 		}
 	}
-	return out
-}
-
-// Seeds returns the occurrence lists of every triple whose TID support
-// reaches minSup, sorted by triple — ready for
-// extend.Extender.InitialSeeds. Infrequent triples never surface, so
-// miners skip allocating their embeddings entirely.
-func (ix *FeatureIndex) Seeds(minSup int) []extend.Seed1 {
-	var out []extend.Seed1
-	for t, occ := range ix.occs {
-		if ix.tripleTIDs[t].Count() < minSup {
-			continue
-		}
-		out = append(out, extend.Seed1{LI: t.LA, LE: t.LE, LJ: t.LB, Occ: occ})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.LI != b.LI {
-			return a.LI < b.LI
-		}
-		if a.LE != b.LE {
-			return a.LE < b.LE
-		}
-		return a.LJ < b.LJ
-	})
 	return out
 }
 
@@ -501,16 +450,14 @@ func (ix *FeatureIndex) Verify(p *graph.Graph, cand, known *pattern.TIDSet, tick
 //
 // The copy is as shallow as Update's mutation granularity allows:
 // TID bitsets and the bookkeeping maps are deep-copied (Update patches
-// them bit by bit), while signatures, posting lists, and occurrence
-// slices are shared — Update replaces those wholesale per transaction or
-// per triple, never in place.
+// them bit by bit), while signatures and posting lists are shared —
+// Update replaces those wholesale per transaction, never in place.
 func (ix *FeatureIndex) Clone() *FeatureIndex {
 	c := &FeatureIndex{
 		db:         append(graph.Database(nil), ix.db...),
 		labelTIDs:  make(map[int]*pattern.TIDSet, len(ix.labelTIDs)),
 		tripleTIDs: make(map[Triple]*pattern.TIDSet, len(ix.tripleTIDs)),
-		occs:       make(map[Triple][]extend.EdgeOcc, len(ix.occs)),
-		sigs:       append([]*signature(nil), ix.sigs...),
+		sigs:       append([]signature(nil), ix.sigs...),
 		posts:      append([]txPostings(nil), ix.posts...),
 		labelFreq:  make(map[int]int, len(ix.labelFreq)),
 	}
@@ -520,27 +467,21 @@ func (ix *FeatureIndex) Clone() *FeatureIndex {
 	for t, ts := range ix.tripleTIDs {
 		c.tripleTIDs[t] = ts.Clone()
 	}
-	for t, occ := range ix.occs {
-		c.occs[t] = occ
-	}
 	for l, n := range ix.labelFreq {
 		c.labelFreq[l] = n
 	}
 	return c
 }
 
-// Update re-indexes the transactions listed in updatedTIDs against newDB
+// Update re-indexes the transactions listed in updated against newDB
 // (same length and transaction order as the indexed database; only the
 // listed graphs may differ). Everything about unchanged transactions is
-// reused; the inverted maps and occurrence lists are patched in place.
+// reused; the inverted maps are patched in place, and a triple no
+// transaction has any more leaves them.
 // Update must not race with concurrent readers.
-func (ix *FeatureIndex) Update(newDB graph.Database, updatedTIDs []int) {
-	updated := make([]int, len(updatedTIDs))
-	copy(updated, updatedTIDs)
-	sort.Ints(updated)
-
+func (ix *FeatureIndex) Update(newDB graph.Database, updated []int) {
 	// Retire the updated transactions' old contributions.
-	affected := make(map[Triple]bool)
+	retired := make(map[Triple]bool)
 	for _, tid := range updated {
 		old := ix.sigs[tid]
 		for _, lc := range old.labels {
@@ -553,7 +494,7 @@ func (ix *FeatureIndex) Update(newDB graph.Database, updatedTIDs []int) {
 			}
 		}
 		for _, tc := range old.triples {
-			affected[tc.t] = true
+			retired[tc.t] = true
 			if ts := ix.tripleTIDs[tc.t]; ts != nil {
 				ts.Remove(tid)
 			}
@@ -562,12 +503,10 @@ func (ix *FeatureIndex) Update(newDB graph.Database, updatedTIDs []int) {
 
 	// Recompute the per-transaction invariants and re-add label/triple
 	// bits from the new graphs.
-	isUpdated := make(map[int]bool, len(updated))
 	ix.db = newDB
 	for _, tid := range updated {
-		isUpdated[tid] = true
-		sig := sigOf(newDB[tid])
-		ix.sigs[tid] = sig
+		ix.sigs[tid] = sigOf(newDB[tid])
+		sig := &ix.sigs[tid]
 		ix.posts[tid] = postingsOf(newDB[tid], sig)
 		for _, lc := range sig.labels {
 			ix.labelFreq[lc.label] += lc.n
@@ -579,7 +518,6 @@ func (ix *FeatureIndex) Update(newDB graph.Database, updatedTIDs []int) {
 			ts.Add(tid)
 		}
 		for _, tc := range sig.triples {
-			affected[tc.t] = true
 			ts, ok := ix.tripleTIDs[tc.t]
 			if !ok {
 				ts = pattern.NewTIDSet(len(newDB))
@@ -588,47 +526,9 @@ func (ix *FeatureIndex) Update(newDB graph.Database, updatedTIDs []int) {
 			ts.Add(tid)
 		}
 	}
-
-	// Rebuild the occurrence lists of affected triples: keep unchanged
-	// transactions' entries, splice the updated transactions' fresh
-	// occurrences back in TID order.
-	fresh := make(map[Triple][]extend.EdgeOcc)
-	for _, tid := range updated {
-		g := newDB[tid]
-		for u := 0; u < g.VertexCount(); u++ {
-			for _, e := range g.Adj[u] {
-				lu, lv := g.Labels[u], g.Labels[e.To]
-				if lu > lv || (lu == lv && u > e.To) {
-					continue
-				}
-				t := Triple{LA: lu, LE: e.Label, LB: lv}
-				fresh[t] = append(fresh[t], extend.EdgeOcc{TID: tid, U: u, V: e.To})
-			}
+	for t := range retired {
+		if ix.tripleTIDs[t].Count() == 0 {
+			delete(ix.tripleTIDs, t)
 		}
-	}
-	for t := range affected {
-		old := ix.occs[t]
-		add := fresh[t] // sorted by TID: updated was sorted, scan is in order
-		merged := make([]extend.EdgeOcc, 0, len(old)+len(add))
-		i := 0
-		for _, o := range old {
-			if isUpdated[o.TID] {
-				continue // retired entry
-			}
-			for i < len(add) && add[i].TID < o.TID {
-				merged = append(merged, add[i])
-				i++
-			}
-			merged = append(merged, o)
-		}
-		merged = append(merged, add[i:]...)
-		if len(merged) == 0 {
-			delete(ix.occs, t)
-			if ts := ix.tripleTIDs[t]; ts != nil && ts.Count() == 0 {
-				delete(ix.tripleTIDs, t)
-			}
-			continue
-		}
-		ix.occs[t] = merged
 	}
 }

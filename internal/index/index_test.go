@@ -326,21 +326,6 @@ func TestUpdateMatchesFreshBuild(t *testing.T) {
 	if len(ix.labelFreq) != len(fresh.labelFreq) {
 		t.Fatalf("labelFreq size %d after Update, fresh %d", len(ix.labelFreq), len(fresh.labelFreq))
 	}
-	// Occurrence lists must match entry for entry (same TID order).
-	for tr, want := range fresh.occs {
-		got := ix.occs[tr]
-		if len(got) != len(want) {
-			t.Fatalf("triple %v: %d occurrences after Update, fresh %d", tr, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("triple %v occ %d: %+v after Update, fresh %+v", tr, i, got[i], want[i])
-			}
-		}
-	}
-	if len(ix.occs) != len(fresh.occs) {
-		t.Fatalf("occ map size %d after Update, fresh %d", len(ix.occs), len(fresh.occs))
-	}
 	// Behavioral equivalence on random patterns.
 	for i := 0; i < 40; i++ {
 		pat := graph.RandomConnected(rng, 2000+i, 2+rng.Intn(4), 1+rng.Intn(4), 3, 2)
@@ -460,17 +445,6 @@ func TestCloneIsolatesUpdate(t *testing.T) {
 	for label, n := range freshOld.labelFreq {
 		if ix.labelFreq[label] != n {
 			t.Fatalf("label %d: original freq changed to %d, want %d", label, ix.labelFreq[label], n)
-		}
-	}
-	for tr, want := range freshOld.occs {
-		got := ix.occs[tr]
-		if len(got) != len(want) {
-			t.Fatalf("triple %v: original occurrence list changed", tr)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("triple %v occ %d: original entry changed", tr, i)
-			}
 		}
 	}
 }

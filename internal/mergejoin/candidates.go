@@ -128,47 +128,60 @@ func extensions(g *graph.Graph, ti tripleIndex, qTIDs *pattern.TIDSet, minSup in
 	return out
 }
 
-// removals returns the connected subgraphs obtained from g by deleting one
-// edge (and any vertex the deletion isolates). Disconnecting deletions are
-// skipped: the paper's Apriori property concerns connected subgraphs only.
-func removals(g *graph.Graph) []*graph.Graph {
-	var out []*graph.Graph
-	for u := 0; u < g.VertexCount(); u++ {
-		for _, e := range g.Adj[u] {
-			if u > e.To {
-				continue
-			}
-			if sub := removeEdge(g, u, e.To); sub != nil {
-				out = append(out, sub)
-			}
-		}
-	}
-	return out
-}
-
 // removeEdge builds g minus edge (u,v) with isolated vertices dropped,
-// returning nil if the result is disconnected or empty.
+// returning nil if the result is disconnected or empty. Vertices are
+// numbered in the order the remaining edges reach them, and the graph is
+// built at its final size (graph.NewSized).
 func removeEdge(g *graph.Graph, u, v int) *graph.Graph {
-	sub := graph.New(g.ID)
-	remap := make([]int, g.VertexCount())
+	n := g.VertexCount()
+	// remap[w] is w's vertex in the result (-1: isolated), deg[r] the
+	// degree of result vertex r.
+	var small [32]int
+	buf := small[:]
+	if 2*n > len(small) {
+		buf = make([]int, 2*n)
+	}
+	remap, deg := buf[:n], buf[n:2*n]
 	for i := range remap {
 		remap[i] = -1
+		deg[i] = 0
 	}
-	add := func(w int) int {
-		if remap[w] == -1 {
-			remap[w] = sub.AddVertex(g.Labels[w])
-		}
-		return remap[w]
+	kept := func(a int, e graph.Edge) bool {
+		return a < e.To && (a != u || e.To != v)
 	}
-	for a := 0; a < g.VertexCount(); a++ {
+	k := 0
+	for a := 0; a < n; a++ {
 		for _, e := range g.Adj[a] {
-			if a > e.To || (a == u && e.To == v) {
+			if !kept(a, e) {
 				continue
 			}
-			sub.MustAddEdge(add(a), add(e.To), e.Label)
+			for _, w := range [2]int{a, e.To} {
+				if remap[w] == -1 {
+					remap[w] = k
+					k++
+				}
+				deg[remap[w]]++
+			}
 		}
 	}
-	if sub.EdgeCount() == 0 || !sub.Connected() {
+	if k == 0 {
+		return nil
+	}
+	labels := make([]int, k)
+	for w, r := range remap {
+		if r >= 0 {
+			labels[r] = g.Labels[w]
+		}
+	}
+	sub := graph.NewSized(g.ID, labels, deg[:k])
+	for a := 0; a < n; a++ {
+		for _, e := range g.Adj[a] {
+			if kept(a, e) {
+				sub.MustAddEdge(remap[a], remap[e.To], e.Label)
+			}
+		}
+	}
+	if !sub.Connected() {
 		return nil
 	}
 	return sub

@@ -207,6 +207,24 @@ func TestExtensionsGeneration(t *testing.T) {
 	}
 }
 
+// removals returns the connected subgraphs obtained from g by deleting one
+// edge (and any vertex the deletion isolates). Disconnecting deletions are
+// skipped: the paper's Apriori property concerns connected subgraphs only.
+func removals(g *graph.Graph) []*graph.Graph {
+	var out []*graph.Graph
+	for u := 0; u < g.VertexCount(); u++ {
+		for _, e := range g.Adj[u] {
+			if u > e.To {
+				continue
+			}
+			if sub := removeEdge(g, u, e.To); sub != nil {
+				out = append(out, sub)
+			}
+		}
+	}
+	return out
+}
+
 func TestRemovals(t *testing.T) {
 	// Triangle plus pendant: 4 edges. Removing the pendant edge leaves the
 	// triangle (connected); removing any triangle edge leaves a connected

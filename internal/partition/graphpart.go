@@ -1,8 +1,9 @@
 package partition
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"partminer/internal/graph"
 )
@@ -42,8 +43,7 @@ func (c Criteria) Weight(g *graph.Graph, side []bool) float64 {
 	if size == 0 {
 		return math.Inf(-1)
 	}
-	cut := len(ConnectiveEdges(g, side))
-	return c.Lambda1*sum/float64(size) - c.Lambda2*float64(cut)
+	return c.Lambda1*sum/float64(size) - c.Lambda2*float64(cutSize(g, side))
 }
 
 // Bisect implements the GraphPart algorithm (Fig. 5). Vertices are sorted
@@ -68,12 +68,11 @@ func (c Criteria) Bisect(g *graph.Graph) []bool {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		fi, fj := g.UpdateFreq(order[i]), g.UpdateFreq(order[j])
-		if fi != fj {
-			return fi > fj
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(g.UpdateFreq(b), g.UpdateFreq(a)); c != 0 {
+			return c
 		}
-		return order[i] < order[j]
+		return cmp.Compare(a, b)
 	})
 
 	half := n / 2
@@ -82,27 +81,38 @@ func (c Criteria) Bisect(g *graph.Graph) []bool {
 	}
 	seeds := (n + 1) / 2 // the high-frequency half of the sorted order
 	bestW := math.Inf(-1)
-	var best []bool
 	scratch := make([]bool, n)
+	stack := make([]int, 0, half)
 	for s := 0; s < seeds; s++ {
-		for i := range scratch {
-			scratch[i] = false
-		}
-		dfsScan(g, order[s], half, scratch)
+		clear(scratch)
+		stack = dfsScan(g, order[s], half, scratch, stack)
 		if w := c.Weight(g, scratch); w > bestW {
 			bestW = w
-			best = append(best[:0], scratch...)
+			copy(side, scratch)
 		}
 	}
-	copy(side, best)
 	return side
+}
+
+// cutSize counts the edges crossing the bisection side.
+func cutSize(g *graph.Graph, side []bool) int {
+	cut := 0
+	for v, adj := range g.Adj {
+		for _, e := range adj {
+			if v < e.To && side[v] != side[e.To] {
+				cut++
+			}
+		}
+	}
+	return cut
 }
 
 // dfsScan marks up to limit vertices reachable from start, depth first,
 // preferring the unvisited neighbor with the highest update frequency
-// (Fig. 5, Procedure DFSScan line 21).
-func dfsScan(g *graph.Graph, start, limit int, visited []bool) {
-	stack := []int{start}
+// (Fig. 5, Procedure DFSScan line 21). stack is scratch, returned for
+// the next scan to reuse.
+func dfsScan(g *graph.Graph, start, limit int, visited []bool, stack []int) []int {
+	stack = append(stack[:0], start)
 	visited[start] = true
 	taken := 1
 	for len(stack) > 0 && taken < limit {
@@ -125,6 +135,7 @@ func dfsScan(g *graph.Graph, start, limit int, visited []bool) {
 		taken++
 		stack = append(stack, best)
 	}
+	return stack
 }
 
 // GraphPart bisects g under the criteria and returns the two parts, each

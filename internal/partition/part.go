@@ -38,25 +38,29 @@ func Split(g *graph.Graph, side []bool) (*Part, *Part) {
 }
 
 // buildPart collects the vertices with side[v] == want, every edge among
-// them, and every connective edge (with its opposite endpoint).
+// them, and every connective edge (with its opposite endpoint). A first
+// pass numbers the part's vertices and counts their degrees, so the part
+// is built at its final size (graph.NewSized).
 func buildPart(g *graph.Graph, side []bool, want bool) *Part {
 	n := g.VertexCount()
-	remap := make([]int, n)
+	// keep reports whether edge (v, e.To), v < e.To, belongs to the part:
+	// edges inside the side plus connective edges.
+	keep := func(v int, e graph.Edge) bool {
+		return v < e.To && (side[v] == want || side[e.To] == want)
+	}
+	// remap[v] is v's vertex in the part (-1: not in it), deg[r] the
+	// degree of part vertex r.
+	buf := make([]int, 2*n)
+	remap, deg := buf[:n], buf[n:]
 	for i := range remap {
 		remap[i] = -1
 	}
-	p := &Part{G: graph.New(g.ID)}
-	add := func(v int) int {
-		if remap[v] != -1 {
-			return remap[v]
+	k := 0
+	add := func(v int) {
+		if remap[v] == -1 {
+			remap[v] = k
+			k++
 		}
-		nv := p.G.AddVertex(g.Labels[v])
-		if g.UFreq != nil {
-			p.G.BumpUpdateFreq(nv, g.UFreq[v])
-		}
-		remap[v] = nv
-		p.Orig = append(p.Orig, v)
-		return nv
 	}
 	// Own-side vertices first (deterministic order), then cross endpoints
 	// as edges force them in.
@@ -67,31 +71,36 @@ func buildPart(g *graph.Graph, side []bool, want bool) *Part {
 	}
 	for v := 0; v < n; v++ {
 		for _, e := range g.Adj[v] {
-			if v > e.To {
-				continue
+			if keep(v, e) {
+				add(v)
+				add(e.To)
+				deg[remap[v]]++
+				deg[remap[e.To]]++
 			}
-			// Keep the edge if at least one endpoint is on our side: edges
-			// inside the side plus connective edges.
-			if side[v] == want || side[e.To] == want {
-				p.G.MustAddEdge(add(v), add(e.To), e.Label)
+		}
+	}
+	orig := make([]int, k)
+	labels := make([]int, k)
+	for v, r := range remap {
+		if r >= 0 {
+			orig[r], labels[r] = v, g.Labels[v]
+		}
+	}
+	p := &Part{G: graph.NewSized(g.ID, labels, deg[:k]), Orig: orig}
+	if g.UFreq != nil && k > 0 {
+		p.G.UFreq = make([]float64, k)
+		for i, v := range orig {
+			p.G.UFreq[i] = g.UFreq[v]
+		}
+	}
+	for v := 0; v < n; v++ {
+		for _, e := range g.Adj[v] {
+			if keep(v, e) {
+				p.G.MustAddEdge(remap[v], remap[e.To], e.Label)
 			}
 		}
 	}
 	return p
-}
-
-// ConnectiveEdges returns the (u, v) original-id endpoint pairs of the
-// edges crossing the bisection, with u < v.
-func ConnectiveEdges(g *graph.Graph, side []bool) [][2]int {
-	var out [][2]int
-	for v := 0; v < g.VertexCount(); v++ {
-		for _, e := range g.Adj[v] {
-			if v < e.To && side[v] != side[e.To] {
-				out = append(out, [2]int{v, e.To})
-			}
-		}
-	}
-	return out
 }
 
 // Recombine reconstructs the graph that was split into a and b. Vertices

@@ -81,16 +81,33 @@ func TestPartition2PrefersSmallCut(t *testing.T) {
 	}
 	g.MustAddEdge(3, 4, 0)
 	side := Partition2.Bisect(g)
-	if cut := len(ConnectiveEdges(g, side)); cut != 1 {
+	if cut := len(connectiveEdges(g, side)); cut != 1 {
 		t.Errorf("Partition2 cut = %d edges; want the 1-edge bridge (side=%v)", cut, side)
 	}
+	if got := cutSize(g, side); got != 1 {
+		t.Errorf("cutSize = %d; the listed cut has 1 edge", got)
+	}
+}
+
+// connectiveEdges returns the (u, v) original-id endpoint pairs of the
+// edges crossing the bisection, with u < v.
+func connectiveEdges(g *graph.Graph, side []bool) [][2]int {
+	var out [][2]int
+	for v := 0; v < g.VertexCount(); v++ {
+		for _, e := range g.Adj[v] {
+			if v < e.To && side[v] != side[e.To] {
+				out = append(out, [2]int{v, e.To})
+			}
+		}
+	}
+	return out
 }
 
 func TestSplitIncludesConnectiveEdges(t *testing.T) {
 	g := figure4Graph()
 	side := Partition3.Bisect(g)
 	p1, p2 := Split(g, side)
-	conn := ConnectiveEdges(g, side)
+	conn := connectiveEdges(g, side)
 	if len(conn) == 0 {
 		t.Fatal("expected a nonempty cut")
 	}

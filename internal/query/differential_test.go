@@ -9,17 +9,11 @@ import (
 	"math/rand"
 	"testing"
 
-	"partminer/internal/gaston"
 	"partminer/internal/graph"
 	"partminer/internal/index"
 	"partminer/internal/isomorph"
 	"partminer/internal/pattern"
 )
-
-// mineGaston mines db with or without index seeding.
-func mineGaston(db graph.Database, minSup int, fx *index.FeatureIndex) pattern.Set {
-	return gaston.Mine(db, gaston.Options{MinSupport: minSup, Index: fx})
-}
 
 // TestIndexedSupportDifferential runs 50 random databases and checks that
 // the feature index's verify loop, over the narrowed candidates and over a
@@ -87,28 +81,6 @@ func TestFindDifferential(t *testing.T) {
 				if got[j] != want[j] {
 					t.Fatalf("seed %d query %d: Find %v, Scan %v", seed, i, got, want)
 				}
-			}
-		}
-	}
-}
-
-// TestIndexedMiningDifferential checks that seeding the miners' initial
-// projections from the feature index leaves mined pattern sets untouched
-// (supports and TID bitsets included).
-func TestIndexedMiningDifferential(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(200 + seed))
-		db := graph.RandomDatabase(rng, 10+rng.Intn(10), 6+rng.Intn(6), 7+rng.Intn(8), 1+rng.Intn(3), 1+rng.Intn(2))
-		minSup := 2 + rng.Intn(3)
-		fx := index.Build(db)
-		plain := mineGaston(db, minSup, nil)
-		seeded := mineGaston(db, minSup, fx)
-		if !plain.Equal(seeded) {
-			t.Fatalf("seed %d: indexed gaston differs from plain: %v", seed, plain.Diff(seeded))
-		}
-		for key, p := range plain {
-			if !p.TIDs.Equal(seeded[key].TIDs) {
-				t.Fatalf("seed %d pattern %s: TID sets differ", seed, key)
 			}
 		}
 	}

@@ -2,10 +2,13 @@ package query
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"partminer/internal/core"
 	"partminer/internal/datagen"
+	"partminer/internal/dfscode"
 	"partminer/internal/gaston"
 	"partminer/internal/graph"
 	"partminer/internal/index"
@@ -38,7 +41,7 @@ func queryFrom(rng *rand.Rand, g *graph.Graph, size int) *graph.Graph {
 // at max(2, |db|/20) up to 4 edges, adopted through IndexFromPatterns.
 func buildIndex(db graph.Database, opts IndexOptions) *Index {
 	fx := index.Build(db)
-	set := gaston.Mine(db, gaston.Options{MinSupport: max(2, len(db)/20), MaxEdges: 4, Index: fx})
+	set := gaston.Mine(db, gaston.Options{MinSupport: max(2, len(db)/20), MaxEdges: 4})
 	return IndexFromPatterns(db, fx, set, opts)
 }
 
@@ -156,6 +159,59 @@ func TestAdHocFindAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(5, func() { ix.Find(q) }); allocs > 100 {
 			t.Errorf("query %d (%d edges): ad-hoc Find allocates %.0f times, want <= 100", i, q.EdgeCount(), allocs)
 		}
+	}
+}
+
+// TestMinCodeAllocs gates the canonical form's pooled scratch: on the
+// graph family of bench.BenchMinDFSCode (random connected graphs, 8
+// vertices, 12 edges, 4 vertex and 3 edge labels) a warm MinCode
+// allocates only the code it returns. Per-embedding vertex slices cost
+// dozens per call.
+func TestMinCodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a share of what is put back")
+	}
+	rng := rand.New(rand.NewSource(1))
+	graphs := make([]*graph.Graph, 64)
+	for i := range graphs {
+		graphs[i] = graph.RandomConnected(rng, i, 8, 12, 4, 3)
+		dfscode.MinCode(graphs[i]) // warm the scratch
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(4*len(graphs), func() {
+		dfscode.MinCode(graphs[i%len(graphs)])
+		i++
+	})
+	if allocs > 1 {
+		t.Errorf("warm MinCode allocates %.0f times per call, want <= 1", allocs)
+	}
+}
+
+// TestMineAllocs bounds the allocations of one core.PartMiner run (K=2,
+// 5 %) on a fixed 100-graph datagen database. The mining path allocates
+// per call, not per embedding, piece or seed: about 71 900 allocations
+// here, 193 900 when MinCode, the candidate graphs, the cover pieces,
+// the signatures and GraphPart allocated per step and the feature index
+// kept occurrence lists.
+func TestMineAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a share of what is put back")
+	}
+	const ceiling = 79_100 // the count above + 10 %
+	db := datagen.Generate(datagen.Config{D: 100, T: 10, N: 8, L: 20, I: 4, Seed: 1})
+	opts := core.Options{MinSupport: len(db) / 20, K: 2}
+	if _, err := core.PartMiner(db, opts); err != nil { // warm the pools
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := core.PartMiner(db, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.Mallocs - before.Mallocs; n > ceiling {
+		t.Errorf("PartMiner allocated %d times, want <= %d", n, ceiling)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io/fs"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -64,10 +65,8 @@ var surface = map[string]string{
 
 	"gaston.Options.MinSupport": "rung:gaston.units_ms TestDifferentialSharedPrefixEmbeddings",
 	"gaston.Options.MaxEdges":   "TestDifferentialSharedPrefixEmbeddings",
-	"gaston.Options.Index":      "TestDifferentialSharedPrefixEmbeddings",
 	"gspan.Options.MinSupport":  "rung:gspan.wholedb_ms TestDifferentialSharedPrefixEmbeddings",
 	"gspan.Options.MaxEdges":    "TestDifferentialSharedPrefixEmbeddings",
-	"gspan.Options.Index":       "TestDifferentialSharedPrefixEmbeddings",
 
 	"server.Config.Mine":          "rung:serve_mixed TestApplyDifferential",
 	"server.Config.BatchWindow":   "rung:serve_mixed TestApplyDifferential",
@@ -270,18 +269,57 @@ func routeServed(h http.Handler, path string) bool {
 	return rec.Code != http.StatusNotFound
 }
 
-// serverHandler starts a server over a tiny database and returns its
-// HTTP handler.
-func serverHandler(t *testing.T) http.Handler {
+// servedFamilies starts a server in coordinator mode over one in-process
+// worker (dialed by address, as partminer.DialWorkers does), so the
+// cluster families register beside the single-node ones. It mines a tiny
+// database, serves one planned and one ad-hoc read, folds one update,
+// and returns the server's HTTP handler and the metric families its
+// /metrics then lists, by name.
+func servedFamilies(t *testing.T) (http.Handler, map[string]bool) {
 	t.Helper()
+	w := cluster.NewWorker("docs")
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go w.Serve(l) //nolint:errcheck // returns when the listener closes
+	t.Cleanup(func() { w.Close(); l.Close() })
+	coord, err := cluster.Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
 	db := graph.RandomDatabase(rand.New(rand.NewSource(1)), 4, 5, 6, 3, 2)
 	srv, err := server.Start(context.Background(), db, server.Config{
-		Mine: core.Options{MinSupport: 2, MaxEdges: 2}, BatchWindow: -1})
+		Mine: core.Options{MinSupport: 2, MaxEdges: 2}, BatchWindow: -1, Cluster: coord})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	return srv.Handler()
+	h := srv.Handler()
+	var planned string
+	for _, p := range srv.Snapshot().Res.Patterns {
+		planned = graph.Format(p.Code.Graph())
+		break
+	}
+	adhoc := "t # 0\nv 0 9\nv 1 9\ne 0 1 0\n"
+	update := `{"ops":[{"op":"relabel_vertex","tid":0,"u":0,"label":2}]}`
+	for _, req := range [][2]string{{"/v1/contains", planned}, {"/v1/contains", adhoc}, {"/v1/update", update}} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, req[0], strings.NewReader(req[1])))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST %s: %d %s", req[0], rec.Code, rec.Body)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	families := make(map[string]bool)
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			families[f[2]] = true
+		}
+	}
+	return h, families
 }
 
 // workerFamilies returns the metric families a worker registers, by
@@ -301,7 +339,9 @@ func workerFamilies() map[string]bool {
 // -flag inside an inline `code span` must be a flag of one of the
 // module's binaries or of the go command, every partworker_* metric
 // family, or its federated partserve_worker_* name, must be one a worker
-// registers, and every /v1/<path> must be a route partserved serves.
+// registers, every other partserve_* family one a server that has mined,
+// read and folded exposes (a name ending in _ is a prefix, and exempt),
+// and every /v1/<path> must be a route partserved serves.
 func TestDocsNameRealThings(t *testing.T) {
 	flags := binaryFlags(t)
 	for _, f := range goFlags {
@@ -327,8 +367,9 @@ func TestDocsNameRealThings(t *testing.T) {
 	workerMetric := regexp.MustCompile(`\bpart(?:worker|serve_worker)_([a-z0-9_]*[a-z0-9])`)
 	histSeries := regexp.MustCompile(`_(?:bucket|sum|count)$`)
 	families := workerFamilies()
+	serveMetric := regexp.MustCompile(`\bpartserve_[a-z0-9_]+`)
 	route := regexp.MustCompile(`/v1/[a-z0-9_/]*[a-z0-9_]`)
-	handler := serverHandler(t)
+	handler, served := servedFamilies(t)
 	if routeServed(handler, "/v1/no_such_route") {
 		t.Fatal("route probe does not tell an unserved path from a served one")
 	}
@@ -365,6 +406,14 @@ func TestDocsNameRealThings(t *testing.T) {
 			fam := "partworker_" + m[1]
 			if !families[fam] && !families[histSeries.ReplaceAllString(fam, "")] {
 				t.Errorf("%s cites %s, which no worker registers", doc, m[0])
+			}
+		}
+		for _, fam := range serveMetric.FindAllString(string(text), -1) {
+			if strings.HasPrefix(fam, "partserve_worker_") || strings.HasSuffix(fam, "_") {
+				continue
+			}
+			if !served[fam] && !served[histSeries.ReplaceAllString(fam, "")] {
+				t.Errorf("%s cites %s, which partserved does not expose", doc, fam)
 			}
 		}
 		for _, p := range route.FindAllString(string(text), -1) {
