@@ -86,7 +86,10 @@ part-smoke:
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 
-check: build vet race bench-smoke fuzz-smoke benchmark-smoke dist-example search-example serve-smoke obs-smoke part-smoke cluster-smoke
+# check runs the tests twice: without -race too, because the allocation
+# gates (TestMineAllocs, TestMinCodeAllocs, TestAdHocFindAllocs) skip
+# under the race detector.
+check: build vet test race bench-smoke fuzz-smoke benchmark-smoke dist-example search-example serve-smoke obs-smoke part-smoke cluster-smoke
 
 clean:
 	$(GO) clean ./...

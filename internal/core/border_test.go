@@ -317,16 +317,22 @@ func codeOfKey(t *testing.T, key string) dfscode.Code {
 // border entry of every tree node to a brute-force count over that node's
 // database: the rejected candidate is infrequent there, a bound holds
 // every exact supporter, and a blocker is an infrequent sub-pattern of the
-// candidate. K=2 and K=4 (inner nodes merge at reduced thresholds), serial
-// and pooled.
+// candidate. It then folds a 10 % update and holds the fold's borders to
+// the same count over the updated tree: a fold runs the two-edge path
+// filter after the old border and records what it rejects, with the
+// missing path as blocker or the narrowed intersection as bound. K=2 and
+// K=4 (inner nodes merge at reduced thresholds), serial and pooled.
 func TestBorderEntriesSoundPastDecompSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("brute-force recount of every border entry; skipped with -short")
 	}
 	const minSup, maxEdges = 3, 6
+	var foldPairPruned int64
 	for seed := 0; seed < 6; seed++ {
 		db := datagen.Generate(datagen.Config{D: 20, T: 9, N: 4, L: 10, I: 4, Seed: int64(seed)})
 		want := gspan.Mine(db, gspan.Options{MinSupport: minSup, MaxEdges: maxEdges})
+		next, tids := updateRound(db, 0.1, int64(seed))
+		wantNext := gspan.Mine(next, gspan.Options{MinSupport: minSup, MaxEdges: maxEdges})
 		for _, k := range []int{2, 4} {
 			for _, parallel := range []bool{false, true} {
 				name := fmt.Sprintf("k=%d parallel=%t", k, parallel)
@@ -338,49 +344,67 @@ func TestBorderEntriesSoundPastDecompSize(t *testing.T) {
 				if res.MergeStats.DecompPruned == 0 {
 					t.Errorf("seed %d %s: the decomposition cover pruned nothing", seed, name)
 				}
-				for path, border := range res.Borders {
-					node := res.Tree.Root
-					for _, side := range path {
-						if side == '0' {
-							node = node.Left
-						} else {
-							node = node.Right
-						}
-					}
-					nodeSup := ceilDiv(minSup, 1<<uint(node.Level))
-					counted := make(map[string]*pattern.TIDSet)
-					supporters := func(key string, g *graph.Graph) *pattern.TIDSet {
-						if ts, ok := counted[key]; ok {
-							return ts
-						}
-						ts := pattern.NewTIDSet(len(node.DB))
-						for tid, tx := range node.DB {
-							if isomorph.Contains(tx, g) {
-								ts.Add(tid)
-							}
-						}
-						counted[key] = ts
-						return ts
-					}
-					for key, e := range border {
-						cand := codeOfKey(t, key).Graph()
-						tids := supporters(key, cand)
-						if tids.Count() >= nodeSup {
-							t.Fatalf("seed %d %s node %q: rejected %s has support %d >= %d", seed, name, path, key, tids.Count(), nodeSup)
-						}
-						if e.Bound != nil && tids.AndNotCount(e.Bound) != 0 {
-							t.Fatalf("seed %d %s node %q: bound %v of %s misses supporters %v", seed, name, path, e.Bound, key, tids)
-						}
-						if e.Blocker != "" {
-							piece := codeOfKey(t, e.Blocker).Graph()
-							if !isomorph.Contains(cand, piece) {
-								t.Fatalf("seed %d %s node %q: blocker %s is not inside %s", seed, name, path, e.Blocker, key)
-							}
-							if n := supporters(e.Blocker, piece).Count(); n >= nodeSup {
-								t.Fatalf("seed %d %s node %q: blocker %s of %s has support %d >= %d", seed, name, path, e.Blocker, key, n, nodeSup)
-							}
-						}
-					}
+				checkBordersSound(t, fmt.Sprintf("seed %d %s", seed, name), res, minSup)
+
+				inc, err := IncPartMiner(next, tids, res)
+				if err != nil {
+					t.Fatalf("seed %d %s fold: %v", seed, name, err)
+				}
+				diffSets(t, seed, name+" fold", wantNext, inc.Patterns)
+				foldPairPruned += inc.MergeStats.PairPruned
+				checkBordersSound(t, fmt.Sprintf("seed %d %s fold", seed, name), &inc.Result, minSup)
+			}
+		}
+	}
+	if foldPairPruned == 0 {
+		t.Error("no fold's two-edge path filter rejected a candidate: the fold borders held no entry of its own")
+	}
+}
+
+// checkBordersSound recounts every border entry of every tree node of res
+// by brute force over that node's database, at the node's threshold.
+func checkBordersSound(t *testing.T, name string, res *Result, minSup int) {
+	t.Helper()
+	for path, border := range res.Borders {
+		node := res.Tree.Root
+		for _, side := range path {
+			if side == '0' {
+				node = node.Left
+			} else {
+				node = node.Right
+			}
+		}
+		nodeSup := ceilDiv(minSup, 1<<uint(node.Level))
+		counted := make(map[string]*pattern.TIDSet)
+		supporters := func(key string, g *graph.Graph) *pattern.TIDSet {
+			if ts, ok := counted[key]; ok {
+				return ts
+			}
+			ts := pattern.NewTIDSet(len(node.DB))
+			for tid, tx := range node.DB {
+				if isomorph.Contains(tx, g) {
+					ts.Add(tid)
+				}
+			}
+			counted[key] = ts
+			return ts
+		}
+		for key, e := range border {
+			cand := codeOfKey(t, key).Graph()
+			tids := supporters(key, cand)
+			if tids.Count() >= nodeSup {
+				t.Fatalf("%s node %q: rejected %s has support %d >= %d", name, path, key, tids.Count(), nodeSup)
+			}
+			if e.Bound != nil && tids.AndNotCount(e.Bound) != 0 {
+				t.Fatalf("%s node %q: bound %v of %s misses supporters %v", name, path, e.Bound, key, tids)
+			}
+			if e.Blocker != "" {
+				piece := codeOfKey(t, e.Blocker).Graph()
+				if !isomorph.Contains(cand, piece) {
+					t.Fatalf("%s node %q: blocker %s is not inside %s", name, path, e.Blocker, key)
+				}
+				if n := supporters(e.Blocker, piece).Count(); n >= nodeSup {
+					t.Fatalf("%s node %q: blocker %s of %s has support %d >= %d", name, path, e.Blocker, key, n, nodeSup)
 				}
 			}
 		}

@@ -76,9 +76,15 @@ func TestIncPartMinerReusesIndex(t *testing.T) {
 // candidate's bound or cover starts. The feature narrowing prunes only
 // candidates without a parent — here the unit-seeded ones — since an
 // extension candidate's bound was held to the threshold when it was
-// generated. One 10 % fold over a cloned index pins the incremental
+// generated. The two-edge path filter drops extensions before they
+// become candidates, so it moves the candidate count and nothing the
+// survivors cost. One 10 % fold over a cloned index pins the incremental
 // merge's work the same way: a verify loop that stopped early would
-// leave border bounds the fold cannot reuse, and move these numbers.
+// leave border bounds the fold cannot reuse, and move these numbers. The
+// fold runs the path filter after the old border, which now holds only
+// the candidates the filter let through at generation: border and path
+// filter together reject the 4432 candidates the border alone rejected
+// when every extension was generated.
 func TestMergeCountersAtBenchmarkConfig(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mines the 1000-graph benchmark database; skipped with -short")
@@ -90,10 +96,10 @@ func TestMergeCountersAtBenchmarkConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := res.MergeStats
-	if len(res.Patterns) != 447 || st.Candidates != 4938 || st.Frequent != 357 || st.IsoTests != 9253 ||
-		st.SigPruned != 18247 || st.UnitSeeded != 482 {
-		t.Errorf("patterns %d, candidates %d, frequent %d, iso tests %d, sig-pruned %d, unit-seeded %d; want 447, 4938, 357, 9253, 18247, 482",
-			len(res.Patterns), st.Candidates, st.Frequent, st.IsoTests, st.SigPruned, st.UnitSeeded)
+	if len(res.Patterns) != 447 || st.Candidates != 1024 || st.Frequent != 357 || st.IsoTests != 9253 ||
+		st.SigPruned != 18247 || st.UnitSeeded != 482 || st.PairPruned != 3939 {
+		t.Errorf("patterns %d, candidates %d, frequent %d, iso tests %d, sig-pruned %d, unit-seeded %d, pair-pruned %d; want 447, 1024, 357, 9253, 18247, 482, 3939",
+			len(res.Patterns), st.Candidates, st.Frequent, st.IsoTests, st.SigPruned, st.UnitSeeded, st.PairPruned)
 	}
 
 	updated := db.Clone()
@@ -105,9 +111,9 @@ func TestMergeCountersAtBenchmarkConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	fst := inc.MergeStats
-	if fst.IsoTests != 1446 || fst.SigPruned != 3149 || fst.BorderPruned != 4432 || fst.CarriedTIDs != 27485 {
-		t.Errorf("fold: iso tests %d, sig-pruned %d, border-pruned %d, carried %d; want 1446, 3149, 4432, 27485",
-			fst.IsoTests, fst.SigPruned, fst.BorderPruned, fst.CarriedTIDs)
+	if fst.IsoTests != 1446 || fst.SigPruned != 3149 || fst.BorderPruned != 518 || fst.CarriedTIDs != 27485 || fst.PairPruned != 3914 {
+		t.Errorf("fold: iso tests %d, sig-pruned %d, border-pruned %d, carried %d, pair-pruned %d; want 1446, 3149, 518, 27485, 3914",
+			fst.IsoTests, fst.SigPruned, fst.BorderPruned, fst.CarriedTIDs, fst.PairPruned)
 	}
 	narrowedOut := make(map[string]bool)
 	for _, unit := range res.UnitPatterns {

@@ -55,15 +55,20 @@ func (e BorderEntry) recheck(result pattern.Set, updated *pattern.TIDSet, updSid
 
 // carry moves the old entries no candidate of this merge met into
 // border, so a later fold that does generate them still finds them. A
-// blocker entry carries as is. A bound entry must admit every updated
-// transaction — nothing narrower is known about a candidate that was not
-// generated — and is dropped once that pushes it to minSup.
+// blocker entry carries as is while its blocker is still infrequent, and
+// is dropped once the blocker is frequent: it no longer says why the
+// candidate is. A bound entry must admit every updated transaction —
+// nothing narrower is known about a candidate that was not generated —
+// and is dropped once that pushes it to minSup.
 func (border Border) carry(old Border, result pattern.Set, updated *pattern.TIDSet, minSup int) {
 	for key, e := range old {
 		if _, met := border[key]; met {
 			continue
 		}
 		if _, frequent := result[key]; frequent {
+			continue
+		}
+		if _, frequent := result[e.Blocker]; e.Blocker != "" && frequent {
 			continue
 		}
 		if e.Bound != nil {

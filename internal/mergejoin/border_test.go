@@ -90,6 +90,7 @@ func TestBorderCarry(t *testing.T) {
 		"met":      {Bound: tidSet(1)},
 		"frequent": {Bound: tidSet(1, 2)},
 		"blocked":  {Blocker: "sub"},
+		"stale":    {Blocker: "frequent"},
 		"narrow":   {Bound: tidSet(1, 5)},
 		"wide":     {Bound: tidSet(1, 2)},
 	}
@@ -103,6 +104,9 @@ func TestBorderCarry(t *testing.T) {
 	}
 	if e := border["blocked"]; e.Blocker != "sub" {
 		t.Errorf("a blocker entry must carry as is, got %+v", e)
+	}
+	if _, ok := border["stale"]; ok {
+		t.Error("a blocker entry whose blocker became frequent was carried")
 	}
 	// {1,5} ∪ {4,5} has 3 members, below 4: kept, widened; the old set
 	// is not touched.

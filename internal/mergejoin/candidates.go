@@ -1,6 +1,7 @@
 package mergejoin
 
 import (
+	"partminer/internal/dfscode"
 	"partminer/internal/exec"
 	"partminer/internal/graph"
 	"partminer/internal/pattern"
@@ -60,13 +61,105 @@ func edgeTriples(edges pattern.Set) tripleIndex {
 	return ti
 }
 
-// extCandidate is one extension: the grown graph, the endpoints of the
-// edge that was added (in the grown graph's vertex numbering), and the
-// supporting transactions of the added edge's label triple.
+// extCandidate is one extension: the grown graph, the endpoints and the
+// label of the edge that was added (in the grown graph's vertex
+// numbering), and the supporting transactions of its label triple.
 type extCandidate struct {
 	g    *graph.Graph
 	u, v int
+	le   int
 	tids *pattern.TIDSet
+}
+
+// pathKey names a 2-edge path by the label of its centre vertex and its
+// two arms, each an (edge label, far vertex label) pair, the smaller arm
+// first. Every connected 2-edge pattern is such a path.
+type pathKey struct {
+	centre int
+	arms   [2][2]int
+}
+
+func makePathKey(centre, le1, l1, le2, l2 int) pathKey {
+	a, b := [2]int{le1, l1}, [2]int{le2, l2}
+	if b[0] < a[0] || (b[0] == a[0] && b[1] < a[1]) {
+		a, b = b, a
+	}
+	return pathKey{centre: centre, arms: [2][2]int{a, b}}
+}
+
+// code returns the path's canonical DFS code: the least of its three DFS
+// codes, rooted at the centre (the smaller arm first) or at either end.
+func (k pathKey) code() dfscode.Code {
+	c, a, b := k.centre, k.arms[0], k.arms[1]
+	best := dfscode.Code{{I: 0, J: 1, LI: c, LE: a[0], LJ: a[1]}, {I: 0, J: 2, LI: c, LE: b[0], LJ: b[1]}}
+	for _, arms := range [2][2][2]int{{a, b}, {b, a}} {
+		end, other := arms[0], arms[1]
+		code := dfscode.Code{{I: 0, J: 1, LI: end[1], LE: end[0], LJ: c}, {I: 1, J: 2, LI: c, LE: other[0], LJ: other[1]}}
+		if code.Compare(best) < 0 {
+			best = code
+		}
+	}
+	return best
+}
+
+// pathTable maps every frequent 2-edge pattern of a merge to its
+// supporting transactions. It is the two-edge path filter: a supporter of
+// a candidate q + e supports each 2-edge path {e, f} through the added
+// edge e, so a path missing from the table (infrequent: the table is
+// built from the merge's result, complete at two edges) rejects the
+// candidate, and the paths' TID sets narrow its bound beyond q's
+// supporters ∩ e's.
+type pathTable map[pathKey]*pattern.TIDSet
+
+// pathTableOf builds the table from the 2-edge patterns of set.
+func pathTableOf(set pattern.Set) pathTable {
+	pt := make(pathTable)
+	for _, p := range set {
+		if p.Size() != 2 {
+			continue
+		}
+		// A 2-edge DFS code is two forward edges, the second leaving the
+		// centre: vertex 0 or vertex 1 of the first.
+		a, b := p.Code[0], p.Code[1]
+		centre, far := a.LI, a.LJ
+		if b.I == 1 {
+			centre, far = a.LJ, a.LI
+		}
+		pt[makePathKey(centre, a.LE, far, b.LE, b.LJ)] = p.TIDs
+	}
+	return pt
+}
+
+// through appends to sets the supporters of every 2-edge path {e, f} of
+// q + e, where q is g (with or without e), e joins its vertex u to v with
+// edge label le, v is labelled lv (v == g.VertexCount() for a pendant
+// edge to a new vertex), and f is any other edge of g at u or v. It stops
+// at the first path missing from the table and returns it with ok false.
+func (pt pathTable) through(g *graph.Graph, u, v, le, lv int, sets []*pattern.TIDSet) (_ []*pattern.TIDSet, missing pathKey, ok bool) {
+	sets, missing, ok = pt.at(g, u, v, le, lv, sets)
+	if ok && v < g.VertexCount() {
+		sets, missing, ok = pt.at(g, v, u, le, g.Labels[u], sets)
+	}
+	return sets, missing, ok
+}
+
+// at is through for the paths centred on c: e joins c to other, which is
+// labelled lo.
+func (pt pathTable) at(g *graph.Graph, c, other, le, lo int, sets []*pattern.TIDSet) ([]*pattern.TIDSet, pathKey, bool) {
+	for _, f := range g.Adj[c] {
+		if f.To == other {
+			continue
+		}
+		k := makePathKey(g.Labels[c], le, lo, f.Label, g.Labels[f.To])
+		ts, ok := pt[k]
+		if !ok {
+			return sets, k, false
+		}
+		if ts != nil {
+			sets = append(sets, ts)
+		}
+	}
+	return sets, pathKey{}, true
 }
 
 // extensions returns every graph obtained from g by adding one edge whose
@@ -75,12 +168,18 @@ type extCandidate struct {
 // an edge between two existing non-adjacent vertices or a pendant edge to
 // a new vertex. qTIDs may be nil to disable the pre-filter.
 //
+// With a path table (pt non-nil) an extension must also pass the
+// two-edge path filter before its graph is built: every 2-edge path
+// through the added edge must be frequent, and qTIDs ∩ the triple's TIDs
+// ∩ the paths' must still reach minSup. pruned counts the extensions it
+// drops.
+//
 // In incremental mode qUpdated is q's supporters among the updated
 // transactions: a pattern that was infrequent before the update can only
 // have become frequent if it occurs in an updated graph, so extensions
 // whose upper bound misses every updated transaction are skipped
 // (previously frequent patterns are seeded separately by the caller).
-func extensions(g *graph.Graph, ti tripleIndex, qTIDs *pattern.TIDSet, minSup int, qUpdated *pattern.TIDSet) []extCandidate {
+func extensions(g *graph.Graph, ti tripleIndex, pt pathTable, qTIDs *pattern.TIDSet, minSup int, qUpdated *pattern.TIDSet) (out []extCandidate, pruned int64) {
 	feasible := func(t tripleExt) bool {
 		if qTIDs == nil || t.tids == nil {
 			return true
@@ -93,7 +192,16 @@ func extensions(g *graph.Graph, ti tripleIndex, qTIDs *pattern.TIDSet, minSup in
 		}
 		return true
 	}
-	var out []extCandidate
+	var sets []*pattern.TIDSet
+	pathsFrequent := func(u, v, lv int, t tripleExt) bool {
+		var ok bool
+		sets, _, ok = pt.through(g, u, v, t.le, lv, append(sets[:0], qTIDs, t.tids))
+		if !ok || (qTIDs != nil && t.tids != nil && pattern.IntersectCountMulti(sets) < minSup) {
+			pruned++
+			return false
+		}
+		return true
+	}
 	n := g.VertexCount()
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
@@ -105,27 +213,27 @@ func extensions(g *graph.Graph, ti tripleIndex, qTIDs *pattern.TIDSet, minSup in
 				la, lb = lb, la
 			}
 			for _, t := range ti.connect[[2]int{la, lb}] {
-				if !feasible(t) {
+				if !feasible(t) || (pt != nil && !pathsFrequent(u, v, g.Labels[v], t)) {
 					continue
 				}
 				ng := g.Clone()
 				ng.MustAddEdge(u, v, t.le)
-				out = append(out, extCandidate{g: ng, u: u, v: v, tids: t.tids})
+				out = append(out, extCandidate{g: ng, u: u, v: v, le: t.le, tids: t.tids})
 			}
 		}
 	}
 	for u := 0; u < n; u++ {
 		for _, t := range ti.pendant[g.Labels[u]] {
-			if !feasible(t) {
+			if !feasible(t) || (pt != nil && !pathsFrequent(u, n, t.other, t)) {
 				continue
 			}
 			ng := g.Clone()
 			nv := ng.AddVertex(t.other)
 			ng.MustAddEdge(u, nv, t.le)
-			out = append(out, extCandidate{g: ng, u: u, v: nv, tids: t.tids})
+			out = append(out, extCandidate{g: ng, u: u, v: nv, le: t.le, tids: t.tids})
 		}
 	}
-	return out
+	return out, pruned
 }
 
 // removeEdge builds g minus edge (u,v) with isolated vertices dropped,

@@ -10,6 +10,17 @@
 // paper's literal pairwise joins C1/C2/C3 are not: EXPERIMENTS.md records
 // the patterns they miss.)
 //
+// The first link of the filter chain runs before an extension q + e is
+// built: from three edges on, every 2-edge path {e, f} through the added
+// edge must be a frequent 2-edge pattern, and q's supporters ∩ e's triple's
+// ∩ the paths' must still reach the threshold. This is anti-monotonicity:
+// the result is complete at two edges by then, and every supporter of
+// q + e supports each {e, f}. An extension it drops is never
+// canonicalised and is not a candidate. A fold lets its old border see
+// every candidate first, so there the same predicate runs inside the
+// candidate check, right after the border, and its rejections become
+// border entries for the next fold.
+//
 // Candidates are verified against S with exact support counting; unit
 // patterns contribute their supporting transactions as pre-verified
 // occurrences (a pattern contained in a partition piece is contained in
@@ -133,6 +144,15 @@ type Stats struct {
 	// previous merge's negative border still held (a subset of Pruned,
 	// incremental mode), ahead of every other filter.
 	BorderPruned int64
+	// PairPruned counts rejections by the two-edge path filter: a 2-edge
+	// path through the added edge is infrequent, or the parent's
+	// supporters ∩ the added triple's ∩ the paths' fall below the
+	// threshold. At generation it counts (parent, added edge) extensions
+	// dropped before their graph is built — not distinct candidates, and
+	// not part of Candidates or Pruned. In a fold, where the filter runs
+	// after the old border, it counts distinct candidates (a subset of
+	// Pruned) and each leaves a border entry.
+	PairPruned int64
 	// CarriedTIDs counts supporters accepted from pre-update results
 	// without re-testing (incremental mode).
 	CarriedTIDs int64
@@ -152,6 +172,7 @@ func (s *Stats) Counters() map[string]int64 {
 		"merge.triple_pruned": s.TriplePruned,
 		"merge.decomp_pruned": s.DecompPruned,
 		"merge.border_pruned": s.BorderPruned,
+		"merge.pair_pruned":   s.PairPruned,
 		"merge.sig_pruned":    s.SigPruned,
 		"merge.iso_tests":     s.IsoTests,
 		"merge.carried_tids":  s.CarriedTIDs,
@@ -166,6 +187,7 @@ func (s *Stats) add(o *Stats) {
 	s.TriplePruned += o.TriplePruned
 	s.DecompPruned += o.DecompPruned
 	s.BorderPruned += o.BorderPruned
+	s.PairPruned += o.PairPruned
 	s.SigPruned += o.SigPruned
 	s.IsoTests += o.IsoTests
 	s.CarriedTIDs += o.CarriedTIDs
@@ -250,13 +272,26 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 		result[k] = p
 	}
 	// The frequent 1-edge patterns are the extension alphabet of every
-	// level.
+	// level; from level 2 on, the frequent 2-edge paths filter what the
+	// alphabet extends (pathTable). A fold lets its old border see each
+	// candidate first, so there the path filter runs inside check(),
+	// after the border, instead of at generation.
 	triples := edgeTriples(cur)
+	var paths pathTable
+	borderFirst := incremental && cfg.OldBorder != nil
 
 	for k := 1; len(cur) > 0 && (cfg.MaxEdges == 0 || k < cfg.MaxEdges); k++ {
 		if err := tick.Err(); err != nil {
 			return nil, err
 		}
+		if k == 2 {
+			paths = pathTableOf(cur)
+		}
+		genPaths, checkPaths := paths, pathTable(nil)
+		if borderFirst {
+			genPaths, checkPaths = nil, paths
+		}
+		var pairPruned int64
 		cands := make(map[string]*candidate)
 
 		// Unit patterns of size k+1 enter the pool with their unit TIDs as
@@ -278,7 +313,9 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 				qUpd = q.TIDs.Intersect(cfg.Updated)
 			}
 			qKey := q.Code.Key()
-			for _, ext := range extensions(q.Code.Graph(), triples, q.TIDs, minSup, qUpd) {
+			exts, pruned := extensions(q.Code.Graph(), triples, genPaths, q.TIDs, minSup, qUpd)
+			pairPruned += pruned
+			for _, ext := range exts {
 				addExtensionCandidate(cands, ext, qKey, q.TIDs, qUpd, tick)
 			}
 		}
@@ -302,7 +339,8 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 		if k+1 >= decompMinEdges {
 			dec = decomp.NewDecomposer(result, decomp.DefaultPieceMax)
 		}
-		lv := &level{cur: cur, result: result, minSup: minSup, cfg: cfg, dec: dec, tick: tick}
+		lv := &level{cur: cur, result: result, minSup: minSup, cfg: cfg, dec: dec, tick: tick,
+			paths: checkPaths, pairPruned: pairPruned, blockers: make(map[pathKey]string)}
 		next, err := lv.verifyAll(ctx, cands)
 		if err != nil {
 			return nil, err
@@ -331,6 +369,15 @@ type level struct {
 	cfg    Config
 	dec    *decomp.Decomposer
 	tick   *exec.Ticker
+	// paths is the two-edge path filter check() runs after the old
+	// border (nil when generation already ran it), and pairPruned the
+	// extensions generation dropped with it. blockers memoizes the
+	// canonical keys of the missing paths check() rejects on: a fold
+	// rejects thousands of candidates on a few hundred paths.
+	paths      pathTable
+	pairPruned int64
+	blockerMu  sync.Mutex
+	blockers   map[pathKey]string
 }
 
 // verifyAll checks every candidate against S — on cfg.Pool when one is
@@ -353,7 +400,7 @@ func (lv *level) verifyAll(ctx context.Context, cands map[string]*candidate) (pa
 	}
 
 	out := make(pattern.Set)
-	total := Stats{Candidates: int64(len(items)), UnitSeeded: unitSeeded}
+	total := Stats{Candidates: int64(len(items)), UnitSeeded: unitSeeded, PairPruned: lv.pairPruned}
 	// Per-candidate verification timing feeds the "merge.verify"
 	// histogram/span aggregation. Timed inline (no defer closures) and
 	// only with an observer attached, so the uninstrumented path stays
@@ -434,12 +481,13 @@ type candidate struct {
 	g          *graph.Graph
 	code       dfscode.Code
 	guaranteed *pattern.TIDSet // transactions known to contain the pattern
-	// parentKey/addedU/addedV are set for extension candidates: removing
-	// edge (addedU, addedV) from g yields the parent pattern with
-	// canonical key parentKey, sparing one canonicalization during the
-	// Apriori check.
+	// parentKey/addedU/addedV/addedLabel are set for extension
+	// candidates: removing edge (addedU, addedV), labelled addedLabel,
+	// from g yields the parent pattern with canonical key parentKey,
+	// sparing one canonicalization during the Apriori check.
 	parentKey      string
 	addedU, addedV int
+	addedLabel     int
 	// parentTIDs and addedTIDs are the parent's supporters and those of
 	// the added edge's label triple, set for extension candidates whose
 	// parent tracks TIDs. Every supporter of the candidate lies in both,
@@ -494,6 +542,7 @@ func addExtensionCandidate(cands map[string]*candidate, ext extCandidate, parent
 		parentKey:  parentKey,
 		addedU:     ext.u,
 		addedV:     ext.v,
+		addedLabel: ext.le,
 	}
 	if parentTIDs != nil && ext.tids != nil {
 		c.parentTIDs, c.addedTIDs, c.parentUpd = parentTIDs, ext.tids, parentUpd
@@ -515,8 +564,10 @@ func addExtensionCandidate(cands map[string]*candidate, ext extCandidate, parent
 // pattern among unchanged transactions carry over without testing, and
 // (0) a candidate that is not previously frequent but sits in the
 // previous merge's negative border is pruned ahead of the whole chain
-// while its entry still holds. It returns the verified pattern, or nil
-// and the border entry saying why the candidate is infrequent.
+// while its entry still holds; in a fold with an old border, (0′) the
+// two-edge path filter follows it (pairCheck) — elsewhere generation
+// already ran it. It returns the verified pattern, or nil and the border
+// entry saying why the candidate is infrequent.
 func (lv *level) check(key string, c *candidate, st *Stats) (*pattern.Pattern, BorderEntry) {
 	cur, minSup, cfg, dec, tick := lv.cur, lv.minSup, lv.cfg, lv.dec, lv.tick
 	var old *pattern.Pattern
@@ -532,6 +583,13 @@ func (lv *level) check(key string, c *candidate, st *Stats) (*pattern.Pattern, B
 				st.Pruned++
 				return nil, e
 			}
+		}
+	}
+	if lv.paths != nil && c.parentTIDs != nil {
+		if e, pruned := lv.pairCheck(c); pruned {
+			st.PairPruned++
+			st.Pruned++
+			return nil, e
 		}
 	}
 	ix := cfg.Index
@@ -668,4 +726,31 @@ func (lv *level) check(key string, c *candidate, st *Stats) (*pattern.Pattern, B
 		return nil, BorderEntry{Bound: tids}
 	}
 	return &pattern.Pattern{Code: c.code, Support: support, TIDs: tids}, BorderEntry{}
+}
+
+// pairCheck runs the two-edge path filter on an extension candidate
+// inside a fold. It rejects the candidate with the missing path as
+// blocker, or with the narrowed intersection — the parent's supporters ∩
+// the added triple's ∩ the paths' — as bound.
+func (lv *level) pairCheck(c *candidate) (BorderEntry, bool) {
+	var buf [8]*pattern.TIDSet
+	sets, missing, ok := lv.paths.through(c.g, c.addedU, c.addedV, c.addedLabel, c.g.Labels[c.addedV], append(buf[:0], c.parentTIDs, c.addedTIDs))
+	if !ok {
+		lv.blockerMu.Lock()
+		defer lv.blockerMu.Unlock()
+		key, ok := lv.blockers[missing]
+		if !ok {
+			key = missing.code().Key()
+			lv.blockers[missing] = key
+		}
+		return BorderEntry{Blocker: key}, true
+	}
+	if pattern.IntersectCountMulti(sets) >= lv.minSup {
+		return BorderEntry{}, false
+	}
+	bound := sets[0].Intersect(sets[1])
+	for _, ts := range sets[2:] {
+		bound.IntersectWith(ts)
+	}
+	return BorderEntry{Bound: bound}, true
 }

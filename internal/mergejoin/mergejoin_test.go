@@ -172,7 +172,7 @@ func TestExtensionsGeneration(t *testing.T) {
 	g.AddVertex(0)
 	g.AddVertex(0)
 	g.MustAddEdge(0, 1, 0)
-	exts := extensions(g, ti, nil, 1, nil)
+	exts, _ := extensions(g, ti, nil, nil, 1, nil)
 	// Expected: no connect candidates (only vertex pair is adjacent);
 	// pendant candidates: from each of the two vertices, (le=0, lx=0) and
 	// (le=1, lx=1) -> 4 graphs.
@@ -195,7 +195,7 @@ func TestExtensionsGeneration(t *testing.T) {
 	p2.AddVertex(0)
 	p2.MustAddEdge(0, 1, 0)
 	p2.MustAddEdge(1, 2, 0)
-	exts = extensions(p2, ti, nil, 1, nil)
+	exts, _ = extensions(p2, ti, nil, nil, 1, nil)
 	closes := 0
 	for _, e := range exts {
 		if e.g.VertexCount() == 3 && e.g.EdgeCount() == 3 {
@@ -364,7 +364,7 @@ func TestMergeStatsAccumulate(t *testing.T) {
 // same numbers surfaced through two doors.
 func TestStatsCountersMatchObserver(t *testing.T) {
 	st := &Stats{Candidates: 9, UnitSeeded: 2, Pruned: 5, TriplePruned: 3,
-		DecompPruned: 2, BorderPruned: 1, SigPruned: 4, IsoTests: 17, CarriedTIDs: 6, Frequent: 1}
+		DecompPruned: 2, BorderPruned: 1, PairPruned: 7, SigPruned: 4, IsoTests: 17, CarriedTIDs: 6, Frequent: 1}
 	c := obs.NewRegistry("")
 	reportStats(c, st)
 	got := c.View().Counters
@@ -375,6 +375,36 @@ func TestStatsCountersMatchObserver(t *testing.T) {
 	for name, v := range want {
 		if got[name] != v {
 			t.Fatalf("counter %s: observer %d, Counters() %d", name, got[name], v)
+		}
+	}
+}
+
+// TestPathKeyCode: the canonical code a path key spells out directly is
+// MinCode's for every small labelling of a 2-edge path.
+func TestPathKeyCode(t *testing.T) {
+	const labels = 3
+	for c := 0; c < labels; c++ {
+		for e1 := 0; e1 < labels; e1++ {
+			for l1 := 0; l1 < labels; l1++ {
+				for e2 := 0; e2 < labels; e2++ {
+					for l2 := 0; l2 < labels; l2++ {
+						g := graph.New(0)
+						g.AddVertex(l1)
+						g.AddVertex(c)
+						g.AddVertex(l2)
+						g.MustAddEdge(0, 1, e1)
+						g.MustAddEdge(1, 2, e2)
+						k := makePathKey(c, e1, l1, e2, l2)
+						if got, want := k.code().Key(), dfscode.MinCode(g).Key(); got != want {
+							t.Fatalf("path %v: code %s, MinCode %s", k, got, want)
+						}
+						pt := pathTableOf(pattern.Set{"p": {Code: dfscode.MinCode(g)}})
+						if _, ok := pt[k]; len(pt) != 1 || !ok {
+							t.Fatalf("path %v: table from its pattern is %v", k, pt)
+						}
+					}
+				}
+			}
 		}
 	}
 }

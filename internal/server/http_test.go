@@ -198,7 +198,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if len(stats.Merge) == 0 {
 		t.Fatal("stats has no merge-join counters")
 	}
-	for _, name := range []string{"merge.triple_pruned", "merge.sig_pruned"} {
+	for _, name := range []string{"merge.triple_pruned", "merge.sig_pruned", "merge.pair_pruned"} {
 		if _, ok := stats.Merge[name]; !ok {
 			t.Errorf("stats.Merge missing pruning counter %q (have %v)", name, stats.Merge)
 		}

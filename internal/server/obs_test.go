@@ -189,7 +189,7 @@ func TestViewsAgree(t *testing.T) {
 	if stats.Batches != 4 || stats.FoldLatency.Count != 4 {
 		t.Fatalf("stats: batches %d, fold digest count %d; want 4", stats.Batches, stats.FoldLatency.Count)
 	}
-	if len(stats.Merge) != 10 || stats.Merge["merge.candidates"] == 0 {
+	if len(stats.Merge) != 11 || stats.Merge["merge.candidates"] == 0 {
 		t.Fatalf("stats.merge = %v", stats.Merge)
 	}
 	for name, v := range stats.Merge {
