@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke fuzz-smoke benchmark benchmark-smoke dist-example search-example serve-smoke obs-smoke part-smoke cluster-smoke check clean
+.PHONY: all build vet test race bench-smoke fuzz-smoke benchmark benchmark-smoke dist-example search-example parallel-example serve-smoke obs-smoke part-smoke cluster-smoke check clean
 
 all: check
 
@@ -58,6 +58,12 @@ dist-example:
 search-example:
 	$(GO) run ./examples/search
 
+# parallel-example mines one database serially and with Options.Parallel
+# at K = 1, 2, 4 and 6 and exits non-zero if parallel mode or K changes
+# the result: the only end-to-end driver of parallel unit mining.
+parallel-example:
+	$(GO) run ./examples/parallel
+
 # serve-smoke boots partserved on an ephemeral port, exercises every HTTP
 # endpoint with curl, and checks the answers (see scripts/serve_smoke.sh).
 serve-smoke:
@@ -89,7 +95,7 @@ cluster-smoke:
 # check runs the tests twice: without -race too, because the allocation
 # gates (TestMineAllocs, TestMinCodeAllocs, TestAdHocFindAllocs) skip
 # under the race detector.
-check: build vet test race bench-smoke fuzz-smoke benchmark-smoke dist-example search-example serve-smoke obs-smoke part-smoke cluster-smoke
+check: build vet test race bench-smoke fuzz-smoke benchmark-smoke dist-example search-example parallel-example serve-smoke obs-smoke part-smoke cluster-smoke
 
 clean:
 	$(GO) clean ./...

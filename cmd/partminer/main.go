@@ -70,8 +70,7 @@ func main() {
 	k := flag.Int("k", 2, "number of units")
 	maxEdges := flag.Int("maxedges", 0, "bound on pattern size (0 = unbounded)")
 	envelope := flag.Int("envelope", 0, "growth envelope: unit miners and inner merges stop at this many edges and the root merge-join alone continues to -maxedges (0 there = unbounded); 0 mines every size in the units (partminer algorithm, -k > 1)")
-	parallel := flag.Bool("parallel", false, "mine units in parallel")
-	workers := flag.Int("workers", 0, "worker-pool bound with -parallel (0 = GOMAXPROCS)")
+	parallel := flag.Bool("parallel", false, "mine units in parallel, at most GOMAXPROCS at once")
 	timeout := flag.Duration("timeout", 0, "abort mining after this duration (0 = none); SIGINT/SIGTERM also cancel")
 	phases := flag.Bool("phases", false, "print the per-phase breakdown (stage timings and work counters) to stderr")
 	statsJSON := flag.String("statsjson", "", "write the per-phase breakdown as JSON to this file ('-' for stdout)")
@@ -204,7 +203,7 @@ func main() {
 		fatal(fmt.Errorf("unknown miner %q (have %s)", *miner, minerNames()))
 	}
 
-	opts := core.Options{MinSupport: sup, K: *k, MaxEdges: *maxEdges, GrowthEnvelope: *envelope, Parallel: *parallel, Workers: *workers, Bisector: bis, Observer: runObs}
+	opts := core.Options{MinSupport: sup, K: *k, MaxEdges: *maxEdges, GrowthEnvelope: *envelope, Parallel: *parallel, Bisector: bis, Observer: runObs}
 	start := time.Now()
 	var res *core.Result
 	if *resumePath != "" {

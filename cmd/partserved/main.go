@@ -51,8 +51,7 @@ func main() {
 	k := flag.Int("k", 2, "number of units")
 	maxEdges := flag.Int("maxedges", 0, "bound on pattern size (0 = unbounded)")
 	envelope := flag.Int("envelope", 0, "growth envelope: unit miners and inner merges stop at this many edges and the root merge-join alone continues to -maxedges (0 there = unbounded); 0 mines every size in the units (-k > 1)")
-	parallel := flag.Bool("parallel", false, "mine units in parallel")
-	workers := flag.Int("workers", 0, "worker-pool bound with -parallel (0 = GOMAXPROCS)")
+	parallel := flag.Bool("parallel", false, "mine units in parallel, at most GOMAXPROCS at once")
 	criteria := flag.String("criteria", "partition3", "partitioning strategy: "+strings.Join(partition.Names(), ", "))
 	batchWindow := flag.Duration("batch-window", 20*time.Millisecond, "how long the update loop lingers to coalesce concurrent updates")
 	snapshotPath := flag.String("snapshot", "", "persist every published snapshot to this file (atomic rename)")
@@ -80,7 +79,7 @@ func main() {
 	defer stopSignals()
 
 	cfg := server.Config{
-		Mine:          core.Options{K: *k, MaxEdges: *maxEdges, GrowthEnvelope: *envelope, Parallel: *parallel, Workers: *workers, Bisector: bis},
+		Mine:          core.Options{K: *k, MaxEdges: *maxEdges, GrowthEnvelope: *envelope, Parallel: *parallel, Bisector: bis},
 		BatchWindow:   *batchWindow,
 		Logger:        log,
 		SlowThreshold: *slowThreshold,

@@ -22,7 +22,6 @@ func TestMineParallelSerialByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Parallel = true
-	opts.Workers = 4
 	par, err := Mine(db, opts)
 	if err != nil {
 		t.Fatal(err)

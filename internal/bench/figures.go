@@ -211,7 +211,7 @@ func Fig15a(s Scale) *Table {
 			Seconds: []float64{adi, serialSecs, parSecs},
 		})
 	}
-	t.Notes = append(t.Notes, "parallel mode mines units concurrently and verifies merge candidates across all cores")
+	t.Notes = append(t.Notes, "parallel mode mines the units concurrently; partitioning and the merge-join run serially in both modes")
 	return t
 }
 

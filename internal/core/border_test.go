@@ -69,7 +69,7 @@ func TestBorderChainedDifferential50Seeds(t *testing.T) {
 			for _, k := range []int{2, 4} {
 				for _, parallel := range []bool{false, true} {
 					name := fmt.Sprintf("envelope=%d k=%d parallel=%t", envelope, k, parallel)
-					prev, err := PartMiner(db, Options{MinSupport: minSup, K: k, MaxEdges: maxEdges, GrowthEnvelope: envelope, Parallel: parallel, Workers: 3})
+					prev, err := PartMiner(db, Options{MinSupport: minSup, K: k, MaxEdges: maxEdges, GrowthEnvelope: envelope, Parallel: parallel})
 					if err != nil {
 						t.Fatalf("seed %d %s: %v", seed, name, err)
 					}
@@ -183,7 +183,7 @@ func withoutReasons(state map[string]string) map[string]string {
 func TestIncrementalLeavesPrevUntouched(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		db := datagen.Generate(datagen.Config{D: 24, T: 7, N: 4, L: 10, I: 3, Seed: 5})
-		prev, err := PartMiner(db, Options{MinSupport: 3, K: 4, MaxEdges: 4, Parallel: parallel, Workers: 3})
+		prev, err := PartMiner(db, Options{MinSupport: 3, K: 4, MaxEdges: 4, Parallel: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +336,7 @@ func TestBorderEntriesSoundPastDecompSize(t *testing.T) {
 		for _, k := range []int{2, 4} {
 			for _, parallel := range []bool{false, true} {
 				name := fmt.Sprintf("k=%d parallel=%t", k, parallel)
-				res, err := PartMiner(db, Options{MinSupport: minSup, K: k, MaxEdges: maxEdges, Parallel: parallel, Workers: 3})
+				res, err := PartMiner(db, Options{MinSupport: minSup, K: k, MaxEdges: maxEdges, Parallel: parallel})
 				if err != nil {
 					t.Fatalf("seed %d %s: %v", seed, name, err)
 				}

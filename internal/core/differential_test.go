@@ -184,7 +184,7 @@ func TestStrategyDifferentialParallel(t *testing.T) {
 		want := gspan.Mine(db, gspan.Options{MinSupport: 3, MaxEdges: 4})
 		for _, name := range partition.Names() {
 			p, _ := partition.ByName(name)
-			res, err := PartMiner(db, Options{MinSupport: 3, K: 3, MaxEdges: 4, Bisector: p, Parallel: true, Workers: 2})
+			res, err := PartMiner(db, Options{MinSupport: 3, K: 3, MaxEdges: 4, Bisector: p, Parallel: true})
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, name, err)
 			}

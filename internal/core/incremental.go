@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"partminer/internal/exec"
 	"partminer/internal/graph"
 	"partminer/internal/index"
 	"partminer/internal/mergejoin"
@@ -45,13 +44,12 @@ type IncResult struct {
 // previously frequent patterns among unchanged graphs carry over without
 // isomorphism tests, and candidates the previous merges rejected are
 // pruned again from prev.Borders while their entries still hold, so
-// frequency checking concentrates on the potential IF patterns. Measured
-// on D1kT20N20L200I5 at 4 % support, K=2, 10 % of the graphs updated (the
-// benchmark's `mine` workload, medians of ten runs): a fold takes 105 ms
-// against 185 ms for mining from scratch. Before the tree was rebuilt
-// from the previous one and the border existed it took 178 ms against
-// 183 ms. What remains is re-mining the changed units (about half the
-// fold) and generating the candidates the border then rejects.
+// frequency checking concentrates on the potential IF patterns. The
+// benchmark's `mine` workload (D1kT20N20L200I5 at 4 % support, K=2, 10 %
+// of the graphs updated) times a fold as `incr_ms` against `remine_ms`
+// for mining from scratch; EXPERIMENTS.md records both. What a fold
+// still pays for is re-mining the changed units and generating the
+// candidates the border then rejects.
 //
 // prev is only read, with the one exception it always had: prev.Index is
 // patched in place to describe newDB and becomes the new result's index.
@@ -143,36 +141,8 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 	}
 	res.ReminedUnits = remineIdx
 
-	pool := opts.pool()
-	unitErrs := make([]error, len(remineIdx))
-	uctx0, endStage := obs.Phase(ctx, o, "units")
-	err = pool.MapCtx(uctx0, len(remineIdx), func(tctx context.Context, j int) {
-		i := remineIdx[j]
-		uctx, endUnit := obs.Phase(tctx, o, fmt.Sprintf("unit.%d", i))
-		defer endUnit()
-		uctx = obs.ObserverInContext(uctx, o)
-		t0 := time.Now()
-		set, uerr := opts.mineUnit(uctx, i, newLeaves[i].DB, ceilDiv(opts.MinSupport, opts.K), opts.classicMaxEdges())
-		if set == nil {
-			set = make(pattern.Set)
-		}
-		res.UnitPatterns[i] = set
-		res.UnitTimes[i] = time.Since(t0)
-		unitErrs[j] = uerr
-	})
-	endStage()
-	if err != nil {
+	if err := res.mineUnits(ctx, opts, newLeaves, remineIdx); err != nil {
 		return nil, err
-	}
-	for j, uerr := range unitErrs {
-		if uerr == nil {
-			continue
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		res.Degraded = append(res.Degraded, fmt.Errorf("unit %d: %w", remineIdx[j], uerr))
-		exec.Count(o, "units.degraded", 1)
 	}
 
 	// IncMergeJoin chain: replay the merges with the old node sets so
@@ -184,13 +154,13 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 	if prev.Index != nil {
 		prev.Index.Update(newDB, updatedTIDs)
 		res.Index = prev.Index
-	} else if res.Index, err = index.BuildContext(ctx, newDB, pool, o); err != nil {
+	} else if res.Index, err = index.BuildContext(ctx, newDB, o); err != nil {
 		return nil, err
 	}
 	mctx, endStage := obs.Phase(ctx, o, "merge")
 	res.NodeSets = make(map[string]pattern.Set)
 	res.Borders = make(map[string]mergejoin.Border)
-	chain := &mergeChain{res: &res.Result, opts: opts, pool: pool, subKeys: mergejoin.NewSubKeys(), prev: prev, updated: updated}
+	chain := &mergeChain{res: &res.Result, opts: opts, subKeys: mergejoin.NewSubKeys(), prev: prev, updated: updated}
 	res.Patterns, err = chain.solve(mctx, tree.Root, "")
 	endStage()
 	if err != nil {

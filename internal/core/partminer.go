@@ -11,16 +11,17 @@
 // internal/mergejoin, checking merged candidates at support sup/2^level.
 //
 // Execution runs on the shared substrate of internal/exec: MineContext
-// and IncMineContext propagate context cancellation into every layer, a
-// single bounded worker pool schedules unit mining and merge-join
-// verification, and an optional exec.Observer receives the per-phase
-// breakdown (partition / per-unit / merge) the paper's §5 tables report.
+// and IncMineContext propagate context cancellation into every layer, in
+// parallel mode one exec.Pool of GOMAXPROCS width mines the units
+// concurrently (the paper's parallel PartMiner, §5.1.3) while the
+// partitioning, the index build and the merge-join chain run serially,
+// and an optional exec.Observer receives the per-phase breakdown
+// (partition / per-unit / merge) the paper's §5 tables report.
 package core
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"partminer/internal/dfscode"
@@ -59,13 +60,10 @@ type Options struct {
 	// Bisector selects the partitioning criteria; default Partition3
 	// (isolate updated vertices and minimize connectivity).
 	Bisector partition.Bisector
-	// Parallel mines the units concurrently (§5.1.3's parallel mode) and
-	// verifies merge-join candidates concurrently, all on one bounded
-	// worker pool shared by the whole run.
+	// Parallel mines the units concurrently (§5.1.3's parallel mode), at
+	// most GOMAXPROCS at a time; everything after the units runs serially
+	// either way.
 	Parallel bool
-	// Workers bounds the run's worker pool when Parallel is set; 0 means
-	// runtime.GOMAXPROCS(0). In serial mode it does not change execution.
-	Workers int
 	// MaxEdges bounds pattern size; 0 means unbounded.
 	MaxEdges int
 	// GrowthEnvelope is where edge-by-edge unit mining stops: when > 0
@@ -128,18 +126,53 @@ func (o Options) mineUnit(ctx context.Context, i int, db graph.Database, minSup,
 	return gaston.MineContext(ctx, db, gaston.Options{MinSupport: minSup, MaxEdges: maxEdges})
 }
 
-// pool builds the run's shared execution pool: a real bounded pool in
-// parallel mode, a strictly in-order single-worker pool otherwise (so
-// serial runs stay deterministic and goroutine-free).
-func (o Options) pool() *exec.Pool {
-	if !o.Parallel {
-		return exec.Serial()
+// mineUnits mines leaves[i] for every unit index i in idx, at the reduced
+// support ⌈sup/k⌉, into UnitPatterns[i] and UnitTimes[i]: in parallel
+// mode concurrently on a pool GOMAXPROCS wide, otherwise in order with no
+// goroutines. Each unit opens its own "unit.<i>" phase inside its task,
+// so the span it hangs off the ambient trace attributes the work to the
+// right unit even when units interleave; the run observer rides the
+// context into the unit miner, which reports its internal phases through
+// exec.ObserverFrom. A unit miner's error degrades the unit (an empty set
+// when it returned none) and is recorded in Degraded under the unit's
+// index, not its position in idx.
+func (r *Result) mineUnits(ctx context.Context, opts Options, leaves []*partition.Node, idx []int) error {
+	pool := exec.Serial()
+	if opts.Parallel {
+		pool = exec.NewPool(0)
 	}
-	workers := o.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
+	o := opts.Observer
+	unitErrs := make([]error, len(idx))
+	pctx, endStage := obs.Phase(ctx, o, "units")
+	err := pool.MapCtx(pctx, len(idx), func(tctx context.Context, j int) {
+		i := idx[j]
+		uctx, endUnit := obs.Phase(tctx, o, fmt.Sprintf("unit.%d", i))
+		defer endUnit()
+		uctx = obs.ObserverInContext(uctx, o)
+		t0 := time.Now()
+		set, err := opts.mineUnit(uctx, i, leaves[i].DB, ceilDiv(opts.MinSupport, opts.K), opts.classicMaxEdges())
+		if set == nil {
+			set = make(pattern.Set)
+		}
+		r.UnitPatterns[i] = set
+		r.UnitTimes[i] = time.Since(t0)
+		unitErrs[j] = err
+	})
+	endStage()
+	if err != nil {
+		return err
 	}
-	return exec.NewPool(workers)
+	for j, uerr := range unitErrs {
+		if uerr == nil {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		r.Degraded = append(r.Degraded, fmt.Errorf("unit %d: %w", idx[j], uerr))
+		exec.Count(o, "units.degraded", 1)
+	}
+	return nil
 }
 
 // Result carries the mined patterns plus the breakdown the paper's
@@ -251,41 +284,12 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (*Result,
 	res.UnitTimes = make([]time.Duration, len(leaves))
 	res.UnitSupport = ceilDiv(opts.MinSupport, opts.K)
 
-	pool := opts.pool()
-	unitErrs := make([]error, len(leaves))
-	// Each unit opens its own "unit.<i>" phase inside the pooled task, so
-	// the span it hangs off the ambient trace attributes the work to the
-	// right unit even when the shared pool interleaves them; the merged
-	// observer (run observer + unit span) rides the context into the unit
-	// miner, which reports its internal phases through exec.ObserverFrom.
-	mineLeaf := func(tctx context.Context, i int) {
-		uctx, endUnit := obs.Phase(tctx, o, fmt.Sprintf("unit.%d", i))
-		defer endUnit()
-		uctx = obs.ObserverInContext(uctx, o)
-		t0 := time.Now()
-		set, err := opts.mineUnit(uctx, i, leaves[i].DB, res.UnitSupport, opts.classicMaxEdges())
-		if set == nil {
-			set = make(pattern.Set)
-		}
-		res.UnitPatterns[i] = set
-		res.UnitTimes[i] = time.Since(t0)
-		unitErrs[i] = err
+	all := make([]int, len(leaves))
+	for i := range all {
+		all[i] = i
 	}
-	uctx, endStage := obs.Phase(ctx, o, "units")
-	err = pool.MapCtx(uctx, len(leaves), mineLeaf)
-	endStage()
-	if err != nil {
+	if err := res.mineUnits(ctx, opts, leaves, all); err != nil {
 		return nil, err
-	}
-	for i, uerr := range unitErrs {
-		if uerr == nil {
-			continue
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		res.Degraded = append(res.Degraded, fmt.Errorf("unit %d: %w", i, uerr))
-		exec.Count(o, "units.degraded", 1)
 	}
 
 	// Phase 2b: combine results bottom-up with merge-join. The full
@@ -293,14 +297,14 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (*Result,
 	// merge's candidate pruning; inner nodes cover sub-databases and
 	// build their own inside MergeContext.
 	t0 := time.Now()
-	res.Index, err = index.BuildContext(ctx, db, pool, o)
+	res.Index, err = index.BuildContext(ctx, db, o)
 	if err != nil {
 		return nil, err
 	}
 	mctx, endStage := obs.Phase(ctx, o, "merge")
 	res.NodeSets = make(map[string]pattern.Set)
 	res.Borders = make(map[string]mergejoin.Border)
-	chain := &mergeChain{res: res, opts: opts, pool: pool, subKeys: mergejoin.NewSubKeys()}
+	chain := &mergeChain{res: res, opts: opts, subKeys: mergejoin.NewSubKeys()}
 	res.Patterns, err = chain.solve(mctx, tree.Root, "")
 	endStage()
 	if err != nil {
@@ -320,7 +324,6 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (*Result,
 type mergeChain struct {
 	res     *Result
 	opts    Options
-	pool    *exec.Pool
 	subKeys *mergejoin.SubKeys
 	prev    *Result
 	updated *pattern.TIDSet
@@ -332,8 +335,7 @@ type mergeChain struct {
 // and negative borders are recorded by tree path. In incremental mode
 // merges reuse the pre-update node sets to limit frequency checks to
 // updated transactions, and the pre-update borders to prune candidates
-// that are still provably infrequent. Every merge runs on the shared pool
-// and observes ctx.
+// that are still provably infrequent. Every merge observes ctx.
 func (m *mergeChain) solve(ctx context.Context, n *partition.Node, path string) (pattern.Set, error) {
 	if n.IsLeaf() {
 		return m.res.UnitPatterns[n.UnitIndex], nil
@@ -352,7 +354,6 @@ func (m *mergeChain) solve(ctx context.Context, n *partition.Node, path string) 
 		MaxEdges:   m.opts.classicMaxEdges(),
 		Border:     border,
 		Stats:      &m.res.MergeStats,
-		Pool:       m.pool,
 		SubKeys:    m.subKeys,
 		Observer:   m.opts.Observer,
 	}

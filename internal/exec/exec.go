@@ -11,11 +11,9 @@
 //     isomorph) can check for cancellation every iteration at the cost
 //     of one atomic increment, with a real channel poll only every
 //     tickInterval hits.
-//   - Pool is a bounded worker pool (default GOMAXPROCS) that schedules
-//     both Phase-2a unit mining and merge-join candidate verification.
-//     One pool per mining run bounds the whole run's concurrency, where
-//     the previous goroutine-per-unit loop and per-merge worker count
-//     could multiply.
+//   - Pool is a bounded worker pool (default GOMAXPROCS). Parallel
+//     mining runs its units on one, the paper's grain of parallelism
+//     (§5.1.3); everything after the units runs serially.
 //   - Observer (observer.go) is the instrumentation hook interface the
 //     layers report stages and counters into. The package only carries
 //     events; they are accumulated once, by obs.Registry, which
@@ -93,10 +91,9 @@ func (t *Ticker) Err() error {
 	return nil
 }
 
-// Pool bounds the concurrency of a mining run. All Map calls on the same
-// pool share its worker budget, so nested phases cannot multiply
-// goroutines the way independent per-phase knobs could. The zero Pool is
-// not usable; construct with NewPool.
+// Pool bounds the concurrency of a mining run. All MapCtx calls on the
+// same pool share its worker budget. The zero Pool is not usable;
+// construct with NewPool.
 type Pool struct {
 	sem chan struct{}
 }
@@ -110,29 +107,23 @@ func NewPool(workers int) *Pool {
 	return &Pool{sem: make(chan struct{}, workers)}
 }
 
-// Serial returns a single-worker pool: Map degrades to an in-order loop
+// Serial returns a single-worker pool: MapCtx degrades to an in-order loop
 // (no goroutines), which keeps serial runs exactly serial.
 func Serial() *Pool { return &Pool{sem: make(chan struct{}, 1)} }
 
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return cap(p.sem) }
 
-// Map runs f(0) … f(n-1) with at most Workers() of them in flight at a
-// time, blocking until all launched tasks finish. Once ctx is cancelled
-// no further tasks start and Map returns ctx.Err(); tasks already
-// running are expected to observe ctx themselves (via a Ticker) and are
-// always waited for, so no f outlives Map. Tasks must not call Map on
-// the same pool (the worker budget they hold would deadlock the inner
-// call).
-func (p *Pool) Map(ctx context.Context, n int, f func(i int)) error {
-	return p.MapCtx(ctx, n, func(_ context.Context, i int) { f(i) })
-}
-
-// MapCtx is Map with the scheduling context handed to each task, so work
-// that must propagate context values (the active trace span, the ambient
-// observer) into pooled goroutines has an explicit path for it. The
-// context each task receives is the one Map was called with — tasks that
-// derive their own (e.g. to attach a per-task span) do so inside f.
+// MapCtx runs f(ctx, 0) … f(ctx, n-1) with at most Workers() of them in
+// flight at a time, blocking until all launched tasks finish. Each task
+// receives the context MapCtx was called with, so context values (the
+// active trace span, the ambient observer) reach pooled goroutines;
+// tasks that derive their own (e.g. to attach a per-task span) do so
+// inside f. Once ctx is cancelled no further tasks start and MapCtx
+// returns ctx.Err(); tasks already running are expected to observe ctx
+// themselves (via a Ticker) and are always waited for, so no f outlives
+// MapCtx. Tasks must not call MapCtx on the same pool (the worker budget
+// they hold would deadlock the inner call).
 func (p *Pool) MapCtx(ctx context.Context, n int, f func(ctx context.Context, i int)) error {
 	if ctx == nil {
 		ctx = context.Background()

@@ -13,7 +13,7 @@ func TestPoolMapRunsEveryItem(t *testing.T) {
 		p := NewPool(workers)
 		n := 100
 		hit := make([]atomic.Int32, n)
-		if err := p.Map(context.Background(), n, func(i int) { hit[i].Add(1) }); err != nil {
+		if err := p.MapCtx(context.Background(), n, func(_ context.Context, i int) { hit[i].Add(1) }); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i := range hit {
@@ -28,7 +28,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	p := NewPool(workers)
 	var cur, peak atomic.Int32
-	err := p.Map(context.Background(), 50, func(int) {
+	err := p.MapCtx(context.Background(), 50, func(context.Context, int) {
 		c := cur.Add(1)
 		for {
 			old := peak.Load()
@@ -52,7 +52,7 @@ func TestPoolMapCancelledStopsScheduling(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32
 	const n = 1000
-	err := p.Map(ctx, n, func(i int) {
+	err := p.MapCtx(ctx, n, func(context.Context, int) {
 		if ran.Add(1) == 5 {
 			cancel()
 		}
@@ -71,7 +71,7 @@ func TestPoolMapPreCancelled(t *testing.T) {
 	cancel()
 	for _, p := range []*Pool{Serial(), NewPool(4)} {
 		ran := false
-		if err := p.Map(ctx, 10, func(int) { ran = true }); err != context.Canceled {
+		if err := p.MapCtx(ctx, 10, func(context.Context, int) { ran = true }); err != context.Canceled {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 		if ran {
@@ -83,7 +83,7 @@ func TestPoolMapPreCancelled(t *testing.T) {
 func TestSerialPoolRunsInOrder(t *testing.T) {
 	p := Serial()
 	var order []int
-	if err := p.Map(context.Background(), 10, func(i int) { order = append(order, i) }); err != nil {
+	if err := p.MapCtx(context.Background(), 10, func(_ context.Context, i int) { order = append(order, i) }); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range order {
@@ -96,7 +96,7 @@ func TestSerialPoolRunsInOrder(t *testing.T) {
 func TestPoolSharedBudgetAcrossMaps(t *testing.T) {
 	p := NewPool(2)
 	var cur, peak atomic.Int32
-	task := func(int) {
+	task := func(context.Context, int) {
 		c := cur.Add(1)
 		for {
 			old := peak.Load()
@@ -112,7 +112,7 @@ func TestPoolSharedBudgetAcrossMaps(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.Map(context.Background(), 20, task) //nolint:errcheck
+			p.MapCtx(context.Background(), 20, task) //nolint:errcheck
 		}()
 	}
 	wg.Wait()

@@ -23,10 +23,9 @@
 // over a TID set. The merge-join's frequency check and ad-hoc reads both
 // end in Verify.
 //
-// The index is built in one pass over the database (optionally in
-// parallel on an exec.Pool) and is immutable afterwards except through
-// Update, which recomputes only the entries of updated transactions —
-// the incremental miner's path.
+// The index is built in one pass over the database and is immutable
+// afterwards except through Update, which recomputes only the entries of
+// updated transactions — the incremental miner's path.
 package index
 
 import (
@@ -272,17 +271,17 @@ type FeatureIndex struct {
 	labelFreq map[int]int
 }
 
-// Build constructs the index serially.
+// Build constructs the index.
 func Build(db graph.Database) *FeatureIndex {
-	ix, _ := BuildContext(context.Background(), db, nil, nil)
+	ix, _ := BuildContext(context.Background(), db, nil)
 	return ix
 }
 
-// BuildContext constructs the index, computing per-transaction signatures
-// and posting lists on pool when one is provided (nil builds serially).
-// The build is reported to obs as stage "index.build". On cancellation it
-// returns nil and ctx.Err().
-func BuildContext(ctx context.Context, db graph.Database, pool *exec.Pool, o exec.Observer) (*FeatureIndex, error) {
+// BuildContext constructs the index in one pass over the database: each
+// transaction's signature, posting lists and inverted-map entries in
+// turn. The build is reported to o as stage "index.build". On
+// cancellation it returns nil and ctx.Err().
+func BuildContext(ctx context.Context, db graph.Database, o exec.Observer) (*FeatureIndex, error) {
 	// When the run is traced, fold the active span into the reporting
 	// target so index construction shows up on the trace tree.
 	if sp := obs.SpanFrom(ctx); sp != nil {
@@ -297,37 +296,24 @@ func BuildContext(ctx context.Context, db graph.Database, pool *exec.Pool, o exe
 		posts:      make([]txPostings, len(db)),
 		labelFreq:  make(map[int]int),
 	}
-	// Per-transaction invariants are independent: fan out on the pool.
-	buildTx := func(tid int) {
-		ix.sigs[tid] = sigOf(db[tid])
-		ix.posts[tid] = postingsOf(db[tid], &ix.sigs[tid])
-	}
-	if pool != nil && pool.Workers() > 1 && len(db) > 1 {
-		if err := pool.Map(ctx, len(db), buildTx); err != nil {
+	for tid := range db {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-	} else {
-		for tid := range db {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			buildTx(tid)
-		}
-	}
-	// Inverted maps are derived serially from the signatures (map writes
-	// are not concurrency-safe); this pass is a cheap walk over them.
-	for tid := range db {
-		ix.addInverted(tid)
+		ix.add(tid)
 	}
 	exec.Count(o, "index.triples", int64(len(ix.tripleTIDs)))
 	return ix, nil
 }
 
-// addInverted merges transaction tid's labels and triples into the
-// database-wide inverted structures. The transaction's signature must
-// already be computed.
-func (ix *FeatureIndex) addInverted(tid int) {
-	for _, lc := range ix.sigs[tid].labels {
+// add computes transaction tid's signature and posting lists and merges
+// its labels and triples into the database-wide inverted structures.
+func (ix *FeatureIndex) add(tid int) {
+	g := ix.db[tid]
+	ix.sigs[tid] = sigOf(g)
+	sig := &ix.sigs[tid]
+	ix.posts[tid] = postingsOf(g, sig)
+	for _, lc := range sig.labels {
 		ts, ok := ix.labelTIDs[lc.label]
 		if !ok {
 			ts = pattern.NewTIDSet(len(ix.db))
@@ -336,7 +322,7 @@ func (ix *FeatureIndex) addInverted(tid int) {
 		ts.Add(tid)
 		ix.labelFreq[lc.label] += lc.n
 	}
-	for _, tc := range ix.sigs[tid].triples {
+	for _, tc := range sig.triples {
 		ts, ok := ix.tripleTIDs[tc.t]
 		if !ok {
 			ts = pattern.NewTIDSet(len(ix.db))
@@ -505,26 +491,7 @@ func (ix *FeatureIndex) Update(newDB graph.Database, updated []int) {
 	// bits from the new graphs.
 	ix.db = newDB
 	for _, tid := range updated {
-		ix.sigs[tid] = sigOf(newDB[tid])
-		sig := &ix.sigs[tid]
-		ix.posts[tid] = postingsOf(newDB[tid], sig)
-		for _, lc := range sig.labels {
-			ix.labelFreq[lc.label] += lc.n
-			ts, ok := ix.labelTIDs[lc.label]
-			if !ok {
-				ts = pattern.NewTIDSet(len(newDB))
-				ix.labelTIDs[lc.label] = ts
-			}
-			ts.Add(tid)
-		}
-		for _, tc := range sig.triples {
-			ts, ok := ix.tripleTIDs[tc.t]
-			if !ok {
-				ts = pattern.NewTIDSet(len(newDB))
-				ix.tripleTIDs[tc.t] = ts
-			}
-			ts.Add(tid)
-		}
+		ix.add(tid)
 	}
 	for t := range retired {
 		if ix.tripleTIDs[t].Count() == 0 {

@@ -1,11 +1,11 @@
 package mergejoin
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"partminer/internal/dfscode"
-	"partminer/internal/exec"
 	"partminer/internal/graph"
 	"partminer/internal/gspan"
 	"partminer/internal/partition"
@@ -35,8 +35,7 @@ func tidSet(tids ...int) *pattern.TIDSet {
 // TestBorderEveryRejectionRecorded: a merge leaves exactly one border
 // entry per rejected candidate and none for a frequent pattern, each with
 // exactly one reason, every bound below the threshold and every blocker
-// infrequent — serially and on a pool (the pooled path merges per-task
-// entries under the verification mutex; run with -race).
+// infrequent.
 func TestBorderEveryRejectionRecorded(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	db := graph.RandomDatabase(rng, 14, 7, 10, 3, 2)
@@ -44,41 +43,26 @@ func TestBorderEveryRejectionRecorded(t *testing.T) {
 	p0 := gspan.Mine(d0, gspan.Options{MinSupport: 1, MaxEdges: 4})
 	p1 := gspan.Mine(d1, gspan.Options{MinSupport: 1, MaxEdges: 4})
 	const minSup = 3
-	var keys map[string]bool
-	for _, pool := range []*exec.Pool{nil, exec.NewPool(4)} {
-		var st Stats
-		border := make(Border)
-		set := Merge(db, p0, p1, Config{MinSupport: minSup, MaxEdges: 4, Border: border, Stats: &st, Pool: pool})
-		if int64(len(border)) != st.Candidates-st.Frequent {
-			t.Fatalf("border has %d entries; %d candidates were rejected", len(border), st.Candidates-st.Frequent)
+	var st Stats
+	border := make(Border)
+	set, err := MergeContext(context.Background(), db, p0, p1, Config{MinSupport: minSup, MaxEdges: 4, Border: border, Stats: &st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(border)) != st.Candidates-st.Frequent {
+		t.Fatalf("border has %d entries; %d candidates were rejected", len(border), st.Candidates-st.Frequent)
+	}
+	for key, e := range border {
+		if _, frequent := set[key]; frequent {
+			t.Fatalf("frequent pattern %s is in the border", key)
 		}
-		for key, e := range border {
-			if _, frequent := set[key]; frequent {
-				t.Fatalf("frequent pattern %s is in the border", key)
-			}
-			switch {
-			case (e.Blocker == "") == (e.Bound == nil):
-				t.Fatalf("entry %s carries %q and %v; want exactly one reason", key, e.Blocker, e.Bound)
-			case e.Bound != nil && e.Bound.Count() >= minSup:
-				t.Fatalf("entry %s: bound of %d does not reject at %d", key, e.Bound.Count(), minSup)
-			case e.Blocker != "" && set[e.Blocker] != nil:
-				t.Fatalf("entry %s: blocker %s is frequent", key, e.Blocker)
-			}
-		}
-		if keys == nil {
-			keys = make(map[string]bool)
-			for key := range border {
-				keys[key] = true
-			}
-			continue
-		}
-		for key := range border {
-			if !keys[key] {
-				t.Fatalf("the pooled merge rejected %s, the serial one did not", key)
-			}
-		}
-		if len(border) != len(keys) {
-			t.Fatalf("the pooled merge rejected %d candidates, the serial one %d", len(border), len(keys))
+		switch {
+		case (e.Blocker == "") == (e.Bound == nil):
+			t.Fatalf("entry %s carries %q and %v; want exactly one reason", key, e.Blocker, e.Bound)
+		case e.Bound != nil && e.Bound.Count() >= minSup:
+			t.Fatalf("entry %s: bound of %d does not reject at %d", key, e.Bound.Count(), minSup)
+		case e.Blocker != "" && set[e.Blocker] != nil:
+			t.Fatalf("entry %s: blocker %s is frequent", key, e.Blocker)
 		}
 	}
 }
@@ -140,7 +124,10 @@ func TestBorderCarryWidensUnmetBound(t *testing.T) {
 
 	db0 := graph.Database{x(), y(), y(), bc(), bc(), none(), none(), none(), none()}
 	border0 := make(Border)
-	set0 := Merge(db0, none2, none2, Config{MinSupport: minSup, Border: border0})
+	set0, err := MergeContext(context.Background(), db0, none2, none2, Config{MinSupport: minSup, Border: border0})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if e, ok := border0[xKey]; !ok || e.Bound == nil || !e.Bound.Equal(tidSet(0)) {
 		t.Fatalf("base merge: X entry %+v; want the exact TIDs {0}", e)
 	}
@@ -148,8 +135,11 @@ func TestBorderCarryWidensUnmetBound(t *testing.T) {
 	db1 := append(graph.Database(nil), db0...)
 	db1[1], db1[2], db1[5] = bc(), bc(), x()
 	border1 := make(Border)
-	set1 := Merge(db1, none2, none2, Config{MinSupport: minSup, Border: border1,
+	set1, err := MergeContext(context.Background(), db1, none2, none2, Config{MinSupport: minSup, Border: border1,
 		Old: set0, OldBorder: border0, Updated: tidSet(1, 2, 5)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := set1[xKey]; ok {
 		t.Fatal("round 1: X has support 2 and must not be frequent")
 	}
@@ -159,9 +149,15 @@ func TestBorderCarryWidensUnmetBound(t *testing.T) {
 
 	db2 := append(graph.Database(nil), db1...)
 	db2[8] = x()
-	set2 := Merge(db2, none2, none2, Config{MinSupport: minSup,
+	set2, err := MergeContext(context.Background(), db2, none2, none2, Config{MinSupport: minSup,
 		Old: set1, OldBorder: border1, Updated: tidSet(8)})
-	want := Merge(db2, none2, none2, Config{MinSupport: minSup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := MergeContext(context.Background(), db2, none2, none2, Config{MinSupport: minSup})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !set2.Equal(want) {
 		t.Fatalf("round 2 diff: %v", set2.Diff(want))
 	}

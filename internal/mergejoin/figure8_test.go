@@ -1,6 +1,7 @@
 package mergejoin
 
 import (
+	"context"
 	"testing"
 
 	"partminer/internal/graph"
@@ -56,7 +57,10 @@ func TestFigure8MergeJoinWorkedExample(t *testing.T) {
 			t.Fatalf("%T: a part already contains every subgraph; the split is degenerate", bis)
 		}
 		// ...but the merge-join recovers it losslessly (Theorem 1).
-		got := Merge(db, set1, set2, Config{MinSupport: 1})
+		got, err := MergeContext(context.Background(), db, set1, set2, Config{MinSupport: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !got.Equal(want) {
 			t.Errorf("%T diff: %v", bis, got.Diff(want))
 		}
@@ -80,7 +84,10 @@ func TestFigure9BaseCase(t *testing.T) {
 	set1 := gspan.Mine(graph.Database{p1.G}, gspan.Options{MinSupport: 1})
 	set2 := gspan.Mine(graph.Database{p2.G}, gspan.Options{MinSupport: 1})
 
-	got := Merge(db, set1, set2, Config{MinSupport: 1})
+	got, err := MergeContext(context.Background(), db, set1, set2, Config{MinSupport: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := gspan.Mine(db, gspan.Options{MinSupport: 1})
 	if !got.Equal(want) {
 		t.Fatalf("base case diff: %v", got.Diff(want))

@@ -41,7 +41,6 @@ package mergejoin
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"partminer/internal/decomp"
@@ -83,18 +82,11 @@ type Config struct {
 
 	// Index, when non-nil, is the feature index of the dataset S being
 	// merged against (it must have been built over the same database).
-	// When nil, MergeContext builds one on Pool before the first level:
+	// When nil, MergeContext builds one before the first level:
 	// the index supplies exact 1-edge supports, narrows candidate TID
 	// sets by the candidates' own label/triple bitsets, and filters
 	// isomorphism tests by signature domination.
 	Index *index.FeatureIndex
-
-	// Pool, when non-nil, verifies candidates concurrently on the shared
-	// execution pool (candidate checks are independent given the previous
-	// level's read-only pattern set). The pool is typically owned by the
-	// enclosing PartMiner run so the whole run stays inside one
-	// concurrency budget; nil verifies serially.
-	Pool *exec.Pool
 
 	// SubKeys, when non-nil, is the sub-pattern key memo this merge shares
 	// with the other merges of its mining run; nil gives the merge a
@@ -208,18 +200,13 @@ func (c Config) minSup() int {
 	return c.MinSupport
 }
 
-// Merge recovers the frequent subgraphs of s given the frequent sets p0
-// and p1 mined (at reduced support) from the two partition databases whose
-// entry i is a piece of s[i]. Transaction ids in p0/p1 must refer to the
-// shared index space.
-func Merge(s graph.Database, p0, p1 pattern.Set, cfg Config) pattern.Set {
-	set, _ := MergeContext(context.Background(), s, p0, p1, cfg)
-	return set
-}
-
-// MergeContext is Merge with cooperative cancellation: candidate
-// generation and verification check ctx (amortized) and abort promptly
-// once it is cancelled, returning ctx.Err(). Only a nil error
+// MergeContext recovers the frequent subgraphs of s given the frequent
+// sets p0 and p1 mined (at reduced support) from the two partition
+// databases whose entry i is a piece of s[i]. Transaction ids in p0/p1
+// must refer to the shared index space.
+//
+// Candidate generation and verification check ctx (amortized) and abort
+// promptly once it is cancelled, returning ctx.Err(). Only a nil error
 // guarantees a complete recovery; on cancellation the returned set is
 // nil and cfg.Border holds a meaningless part of the border.
 func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg Config) (pattern.Set, error) {
@@ -244,10 +231,9 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 	}
 
 	// The feature index fronts every frequency decision of the merge;
-	// build it here (in parallel on the pool) when the caller did not
-	// hand one down.
+	// build it here when the caller did not hand one down.
 	if cfg.Index == nil {
-		ix, err := index.BuildContext(ctx, s, cfg.Pool, cfg.Observer)
+		ix, err := index.BuildContext(ctx, s, cfg.Observer)
 		if err != nil {
 			return nil, err
 		}
@@ -341,7 +327,7 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 		}
 		lv := &level{cur: cur, result: result, minSup: minSup, cfg: cfg, dec: dec, tick: tick,
 			paths: checkPaths, pairPruned: pairPruned, blockers: make(map[pathKey]string)}
-		next, err := lv.verifyAll(ctx, cands)
+		next, err := lv.verifyAll(cands)
 		if err != nil {
 			return nil, err
 		}
@@ -361,7 +347,7 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 
 // level is the state every candidate check of one merge level shares.
 // All of it is read-only while the level verifies, except cfg.Border,
-// which only verifyAll writes.
+// which verifyAll writes, and the blockers memo.
 type level struct {
 	cur    pattern.Set // the frequent k-edge patterns
 	result pattern.Set // every frequent pattern of up to k edges
@@ -376,83 +362,41 @@ type level struct {
 	// rejects thousands of candidates on a few hundred paths.
 	paths      pathTable
 	pairPruned int64
-	blockerMu  sync.Mutex
 	blockers   map[pathKey]string
 }
 
-// verifyAll checks every candidate against S — on cfg.Pool when one is
-// provided, serially otherwise — and returns the frequent ones. A
-// cancellation observed through tick aborts verification and returns
-// the context error.
-func (lv *level) verifyAll(ctx context.Context, cands map[string]*candidate) (pattern.Set, error) {
+// verifyAll checks every candidate against S and returns the frequent
+// ones. A cancellation observed through tick aborts verification and
+// returns the context error.
+func (lv *level) verifyAll(cands map[string]*candidate) (pattern.Set, error) {
 	cfg, tick := lv.cfg, lv.tick
-	type item struct {
-		key string
-		c   *candidate
-	}
-	items := make([]item, 0, len(cands))
-	var unitSeeded int64
-	for key, c := range cands {
-		items = append(items, item{key, c})
-		if c.guaranteed.Count() > 0 {
-			unitSeeded++
-		}
-	}
-
 	out := make(pattern.Set)
-	total := Stats{Candidates: int64(len(items)), UnitSeeded: unitSeeded, PairPruned: lv.pairPruned}
+	total := Stats{Candidates: int64(len(cands)), PairPruned: lv.pairPruned}
 	// Per-candidate verification timing feeds the "merge.verify"
 	// histogram/span aggregation. Timed inline (no defer closures) and
 	// only with an observer attached, so the uninstrumented path stays
 	// allocation-free.
 	o := cfg.Observer
-	if cfg.Pool == nil || cfg.Pool.Workers() == 1 || len(items) < 2 {
-		for _, it := range items {
-			if tick.Hit() {
-				return nil, tick.Err()
-			}
-			var t0 time.Time
-			if o != nil {
-				t0 = time.Now()
-			}
-			p, why := lv.check(it.key, it.c, &total)
-			if o != nil {
-				o.StageEnd("merge.verify", time.Since(t0))
-			}
-			if p != nil {
-				out[it.key] = p
-				total.Frequent++
-			} else {
-				cfg.Border[it.key] = why
-			}
+	for key, c := range cands {
+		if tick.Hit() {
+			return nil, tick.Err()
 		}
-	} else {
-		var mu sync.Mutex
-		err := cfg.Pool.Map(ctx, len(items), func(i int) {
-			it := items[i]
-			var st Stats
-			var t0 time.Time
-			if o != nil {
-				t0 = time.Now()
-			}
-			p, why := lv.check(it.key, it.c, &st)
-			if o != nil {
-				o.StageEnd("merge.verify", time.Since(t0))
-			}
-			if p != nil {
-				st.Frequent++
-			}
-			mu.Lock()
-			if p != nil {
-				out[it.key] = p
-			} else {
-				cfg.Border[it.key] = why
-			}
-			total.add(&st)
-			mu.Unlock()
-		})
-		if err != nil {
-			return nil, err
+		if c.guaranteed.Count() > 0 {
+			total.UnitSeeded++
+		}
+		var t0 time.Time
+		if o != nil {
+			t0 = time.Now()
+		}
+		p, why := lv.check(key, c, &total)
+		if o != nil {
+			o.StageEnd("merge.verify", time.Since(t0))
+		}
+		if p != nil {
+			out[key] = p
+			total.Frequent++
+		} else {
+			cfg.Border[key] = why
 		}
 	}
 	if err := tick.Err(); err != nil {
@@ -736,8 +680,6 @@ func (lv *level) pairCheck(c *candidate) (BorderEntry, bool) {
 	var buf [8]*pattern.TIDSet
 	sets, missing, ok := lv.paths.through(c.g, c.addedU, c.addedV, c.addedLabel, c.g.Labels[c.addedV], append(buf[:0], c.parentTIDs, c.addedTIDs))
 	if !ok {
-		lv.blockerMu.Lock()
-		defer lv.blockerMu.Unlock()
 		key, ok := lv.blockers[missing]
 		if !ok {
 			key = missing.code().Key()

@@ -1,12 +1,12 @@
 package mergejoin
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"partminer/internal/dfscode"
-	"partminer/internal/exec"
 	"partminer/internal/graph"
 	"partminer/internal/gspan"
 	"partminer/internal/index"
@@ -44,7 +44,10 @@ func TestMergeRecoversTheorem3(t *testing.T) {
 			half := (minSup + 1) / 2
 			p0 := gspan.Mine(d0, gspan.Options{MinSupport: half, MaxEdges: maxEdges})
 			p1 := gspan.Mine(d1, gspan.Options{MinSupport: half, MaxEdges: maxEdges})
-			got := Merge(db, p0, p1, Config{MinSupport: minSup, MaxEdges: maxEdges})
+			got, err := MergeContext(context.Background(), db, p0, p1, Config{MinSupport: minSup, MaxEdges: maxEdges})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !got.Equal(want) {
 				t.Logf("seed %d bisector %T diff: %v", seed, bis, got.Diff(want))
 				return false
@@ -65,7 +68,10 @@ func TestMergeUnbounded(t *testing.T) {
 	d0, d1 := splitDB(db, partition.Partition2)
 	p0 := gspan.Mine(d0, gspan.Options{MinSupport: 1})
 	p1 := gspan.Mine(d1, gspan.Options{MinSupport: 1})
-	got := Merge(db, p0, p1, Config{MinSupport: minSup})
+	got, err := MergeContext(context.Background(), db, p0, p1, Config{MinSupport: minSup})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !got.Equal(want) {
 		t.Fatalf("diff: %v", got.Diff(want))
 	}
@@ -285,7 +291,10 @@ func TestMergeWithEmptySides(t *testing.T) {
 	want := gspan.Mine(db, gspan.Options{MinSupport: 2, MaxEdges: 3})
 	// Merging with empty unit results: extension mode still recovers
 	// everything from the exact 1-edge scan upward.
-	got := Merge(db, make(pattern.Set), make(pattern.Set), Config{MinSupport: 2, MaxEdges: 3})
+	got, err := MergeContext(context.Background(), db, make(pattern.Set), make(pattern.Set), Config{MinSupport: 2, MaxEdges: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !got.Equal(want) {
 		t.Fatalf("diff: %v", got.Diff(want))
 	}
@@ -297,24 +306,12 @@ func TestMergeMinSupClamp(t *testing.T) {
 	g.AddVertex(0)
 	g.MustAddEdge(0, 1, 0)
 	db := graph.Database{g}
-	got := Merge(db, make(pattern.Set), make(pattern.Set), Config{MinSupport: 0})
+	got, err := MergeContext(context.Background(), db, make(pattern.Set), make(pattern.Set), Config{MinSupport: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 1 {
 		t.Errorf("MinSupport 0 should clamp to 1; got %d patterns", len(got))
-	}
-}
-
-func TestMergeParallelWorkersEqualSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	db := graph.RandomDatabase(rng, 10, 7, 10, 3, 2)
-	d0, d1 := splitDB(db, partition.Partition2)
-	p0 := gspan.Mine(d0, gspan.Options{MinSupport: 1, MaxEdges: 4})
-	p1 := gspan.Mine(d1, gspan.Options{MinSupport: 1, MaxEdges: 4})
-	serial := Merge(db, p0, p1, Config{MinSupport: 2, MaxEdges: 4})
-	for _, workers := range []int{2, 4, 16} {
-		par := Merge(db, p0, p1, Config{MinSupport: 2, MaxEdges: 4, Pool: exec.NewPool(workers)})
-		if !par.Equal(serial) {
-			t.Fatalf("workers=%d diff: %v", workers, par.Diff(serial))
-		}
 	}
 }
 
@@ -325,7 +322,10 @@ func TestMergeStatsAccumulate(t *testing.T) {
 	p0 := gspan.Mine(d0, gspan.Options{MinSupport: 1, MaxEdges: 3})
 	p1 := gspan.Mine(d1, gspan.Options{MinSupport: 1, MaxEdges: 3})
 	var st Stats
-	set := Merge(db, p0, p1, Config{MinSupport: 2, MaxEdges: 3, Stats: &st})
+	set, err := MergeContext(context.Background(), db, p0, p1, Config{MinSupport: 2, MaxEdges: 3, Stats: &st})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Candidates == 0 {
 		t.Error("expected candidates to be counted")
 	}
@@ -353,7 +353,9 @@ func TestMergeStatsAccumulate(t *testing.T) {
 	newDB[0].Labels[0] = 9
 	upd := pattern.NewTIDSet(len(db))
 	upd.Add(0)
-	Merge(newDB, p0, p1, Config{MinSupport: 2, MaxEdges: 3, Old: set, Updated: upd, Stats: &ist})
+	if _, err := MergeContext(context.Background(), newDB, p0, p1, Config{MinSupport: 2, MaxEdges: 3, Old: set, Updated: upd, Stats: &ist}); err != nil {
+		t.Fatal(err)
+	}
 	if ist.CarriedTIDs == 0 {
 		t.Error("incremental merge should carry supporters from the old set")
 	}

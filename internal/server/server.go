@@ -242,7 +242,7 @@ func Restore(ctx context.Context, db graph.Database, res *core.Result, cfg Confi
 		own.Options.UnitMinerIndexed = s.opts.UnitMinerIndexed
 	}
 	if own.Index == nil {
-		fx, err := index.BuildContext(ctx, db, nil, own.Options.Observer)
+		fx, err := index.BuildContext(ctx, db, own.Options.Observer)
 		if err != nil {
 			return nil, err
 		}

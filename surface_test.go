@@ -45,10 +45,9 @@ var surface = map[string]string{
 	"core.Options.K":                "fig:15a fig:15b TestPartMinerEqualsGSpan",
 	"core.Options.Bisector":         "fig:13a fig:13b TestStrategyDifferential50Seeds scripts/part_smoke.sh",
 	"core.Options.Parallel":         "fig:15a rung:core.mine_pooled_ms TestPartMinerParallelEqualsSerial",
-	"core.Options.Workers":          "TestStrategyDifferentialParallel TestBorderChainedDifferential50Seeds",
 	"core.Options.MaxEdges":         "TestStrategyDifferential50Seeds TestCLIEndToEnd",
 	"core.Options.GrowthEnvelope":   "TestDecompDifferential50Seeds TestBorderChainedDifferential50Seeds BenchmarkDecompMine",
-	"core.Options.UnitMinerIndexed": "rung:cluster_mixed rung:cluster.mine_ms TestClusterMineDifferential50Seeds examples/distributed",
+	"core.Options.UnitMinerIndexed": "rung:cluster_mixed rung:cluster.mine_ms TestClusterMineDifferential50Seeds TestDegradedUnitReported examples/distributed",
 	"core.Options.Observer":         "rung:core.self_ms TestTraceSpanTreeCoversPhases scripts/obs_smoke.sh",
 
 	"mergejoin.Config.MinSupport": "rung:mergejoin.time_ms TestMergeRecoversTheorem3",
@@ -58,7 +57,6 @@ var surface = map[string]string{
 	"mergejoin.Config.OldBorder":  "rung:mergejoin.inc_time_ms TestBorderCarry TestRestoredResultFoldsWithoutBorder",
 	"mergejoin.Config.Border":     "TestBorderEveryRejectionRecorded",
 	"mergejoin.Config.Index":      "rung:mergejoin.time_ms TestPartMinerIndexPruning",
-	"mergejoin.Config.Pool":       "rung:core.mine_pooled_ms TestMergeParallelWorkersEqualSerial",
 	"mergejoin.Config.SubKeys":    "TestSubKeyCacheSurvivesOverflow",
 	"mergejoin.Config.Observer":   "rung:mergejoin.verify_ms TestStatsCountersMatchObserver",
 	"mergejoin.Config.Stats":      "rung:mergejoin.candidates TestMergeStatsAccumulate",
