@@ -93,8 +93,8 @@ cluster-smoke:
 	./scripts/cluster_smoke.sh
 
 # check runs the tests twice: without -race too, because the allocation
-# gates (TestMineAllocs, TestMinCodeAllocs, TestAdHocFindAllocs) skip
-# under the race detector.
+# gates (TestMineAllocs, TestFoldAllocs, TestMinCodeAllocs,
+# TestAdHocFindAllocs) skip under the race detector.
 check: build vet test race bench-smoke fuzz-smoke benchmark-smoke dist-example search-example parallel-example serve-smoke obs-smoke part-smoke cluster-smoke
 
 clean:

@@ -296,18 +296,39 @@ func TestIncPartMinerRejectsUnlistedChange(t *testing.T) {
 	diffSets(t, 2, "over-listed", gspan.Mine(shared, gspan.Options{MinSupport: 3, MaxEdges: 3}), inc.Patterns)
 }
 
-// codeOfKey parses a canonical key (dfscode.Code.Key) back into its code.
+// codeOfKey parses a border key back into the canonical code of the
+// candidate it names: a canonical key (dfscode.Code.Key) directly, an
+// extension key ("parent key+u v le lv") by adding the edge to the
+// parent's canonical graph — v equal to its vertex count is a new vertex
+// labelled lv — and canonicalising the result.
 func codeOfKey(t *testing.T, key string) dfscode.Code {
 	t.Helper()
+	parent, ext, isExt := strings.Cut(key, "+")
 	var code dfscode.Code
-	for _, part := range strings.Split(strings.TrimSuffix(key, ";"), ";") {
+	for _, part := range strings.Split(strings.TrimSuffix(parent, ";"), ";") {
 		var e dfscode.EdgeCode
 		if _, err := fmt.Sscanf(part, "%d %d %d %d %d", &e.I, &e.J, &e.LI, &e.LE, &e.LJ); err != nil {
 			t.Fatalf("key %q: %v", key, err)
 		}
 		code = append(code, e)
 	}
-	return code
+	if !isExt {
+		return code
+	}
+	var u, v, le, lv int
+	if _, err := fmt.Sscanf(ext, "%d %d %d %d", &u, &v, &le, &lv); err != nil {
+		t.Fatalf("key %q: %v", key, err)
+	}
+	g := code.Graph()
+	if v == g.VertexCount() {
+		g.AddVertex(lv)
+	} else if g.Labels[v] != lv {
+		t.Fatalf("key %q: vertex %d is labelled %d", key, v, g.Labels[v])
+	}
+	if err := g.AddEdge(u, v, le); err != nil {
+		t.Fatalf("key %q: %v", key, err)
+	}
+	return dfscode.MinCode(g)
 }
 
 // TestBorderEntriesSoundPastDecompSize mines to six edges — past the size
@@ -317,22 +338,32 @@ func codeOfKey(t *testing.T, key string) dfscode.Code {
 // border entry of every tree node to a brute-force count over that node's
 // database: the rejected candidate is infrequent there, a bound holds
 // every exact supporter, and a blocker is an infrequent sub-pattern of the
-// candidate. It then folds a 10 % update and holds the fold's borders to
-// the same count over the updated tree: a fold runs the two-edge path
-// filter after the old border and records what it rejects, with the
-// missing path as blocker or the narrowed intersection as bound. K=2 and
-// K=4 (inner nodes merge at reduced thresholds), serial and pooled.
+// candidate. It then folds two 10 % updates in a row and holds each
+// fold's borders to the same count over the updated tree. A fold records
+// what its generation filters reject under extension keys — with the
+// missing path as blocker or the narrowed intersection as bound — and the
+// second fold refreshes the first's extension entries through its border
+// probe, so both kinds of key and both kinds of entry are recounted. K=2
+// and K=4 (inner nodes merge at reduced thresholds), serial and parallel
+// (units only).
 func TestBorderEntriesSoundPastDecompSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("brute-force recount of every border entry; skipped with -short")
 	}
 	const minSup, maxEdges = 3, 6
-	var foldPairPruned int64
+	var foldPairPruned, extEntries int64
 	for seed := 0; seed < 6; seed++ {
 		db := datagen.Generate(datagen.Config{D: 20, T: 9, N: 4, L: 10, I: 4, Seed: int64(seed)})
 		want := gspan.Mine(db, gspan.Options{MinSupport: minSup, MaxEdges: maxEdges})
-		next, tids := updateRound(db, 0.1, int64(seed))
-		wantNext := gspan.Mine(next, gspan.Options{MinSupport: minSup, MaxEdges: maxEdges})
+		dbs := make([]graph.Database, 2)
+		tids := make([][]int, 2)
+		wants := make([]pattern.Set, 2)
+		cur := db
+		for r := range dbs {
+			dbs[r], tids[r] = updateRound(cur, 0.1, int64(seed+100*r))
+			wants[r] = gspan.Mine(dbs[r], gspan.Options{MinSupport: minSup, MaxEdges: maxEdges})
+			cur = dbs[r]
+		}
 		for _, k := range []int{2, 4} {
 			for _, parallel := range []bool{false, true} {
 				name := fmt.Sprintf("k=%d parallel=%t", k, parallel)
@@ -346,18 +377,30 @@ func TestBorderEntriesSoundPastDecompSize(t *testing.T) {
 				}
 				checkBordersSound(t, fmt.Sprintf("seed %d %s", seed, name), res, minSup)
 
-				inc, err := IncPartMiner(next, tids, res)
-				if err != nil {
-					t.Fatalf("seed %d %s fold: %v", seed, name, err)
+				for r := range dbs {
+					inc, err := IncPartMiner(dbs[r], tids[r], res)
+					if err != nil {
+						t.Fatalf("seed %d %s fold %d: %v", seed, name, r, err)
+					}
+					foldName := fmt.Sprintf("seed %d %s fold %d", seed, name, r)
+					diffSets(t, seed, foldName, wants[r], inc.Patterns)
+					foldPairPruned += inc.MergeStats.PairPruned
+					for _, border := range inc.Borders {
+						for key := range border {
+							if strings.Contains(key, "+") {
+								extEntries++
+							}
+						}
+					}
+					checkBordersSound(t, foldName, &inc.Result, minSup)
+					res = &inc.Result
 				}
-				diffSets(t, seed, name+" fold", wantNext, inc.Patterns)
-				foldPairPruned += inc.MergeStats.PairPruned
-				checkBordersSound(t, fmt.Sprintf("seed %d %s fold", seed, name), &inc.Result, minSup)
 			}
 		}
 	}
-	if foldPairPruned == 0 {
-		t.Error("no fold's two-edge path filter rejected a candidate: the fold borders held no entry of its own")
+	if foldPairPruned == 0 || extEntries == 0 {
+		t.Errorf("folds pair-pruned %d extensions and left %d extension entries: the fold borders held no entry of their own",
+			foldPairPruned, extEntries)
 	}
 }
 

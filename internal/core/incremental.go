@@ -42,14 +42,14 @@ type IncResult struct {
 // (updates isolated by the partitioning criteria keep this set small),
 // and replays the merge-join chain incrementally: supporters of
 // previously frequent patterns among unchanged graphs carry over without
-// isomorphism tests, and candidates the previous merges rejected are
-// pruned again from prev.Borders while their entries still hold, so
-// frequency checking concentrates on the potential IF patterns. The
-// benchmark's `mine` workload (D1kT20N20L200I5 at 4 % support, K=2, 10 %
-// of the graphs updated) times a fold as `incr_ms` against `remine_ms`
-// for mining from scratch; EXPERIMENTS.md records both. What a fold
-// still pays for is re-mining the changed units and generating the
-// candidates the border then rejects.
+// isomorphism tests, and candidates and extensions the previous merges
+// rejected are pruned again from prev.Borders while their entries still
+// hold, so frequency checking concentrates on the potential IF patterns.
+// The benchmark's `mine` workload (D1kT20N20L200I5 at 4 % support, K=2,
+// 10 % of the graphs updated) times a fold as `incr_ms` against
+// `remine_ms` for mining from scratch; EXPERIMENTS.md records both. A
+// fold filters extensions before it builds them, so what it still pays
+// for is mostly re-mining the changed units.
 //
 // prev is only read, with the one exception it always had: prev.Index is
 // patched in place to describe newDB and becomes the new result's index.

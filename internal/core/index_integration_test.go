@@ -80,11 +80,14 @@ func TestIncPartMinerReusesIndex(t *testing.T) {
 // become candidates, so it moves the candidate count and nothing the
 // survivors cost. One 10 % fold over a cloned index pins the incremental
 // merge's work the same way: a verify loop that stopped early would
-// leave border bounds the fold cannot reuse, and move these numbers. The
-// fold runs the path filter after the old border, which now holds only
-// the candidates the filter let through at generation: border and path
-// filter together reject the 4432 candidates the border alone rejected
-// when every extension was generated.
+// leave border bounds the fold cannot reuse, and move these numbers. A
+// fold filters at generation too, after probing the old border on each
+// extension's key, so only 1015 candidates reach the check, where the
+// border still rejects the 518 it rejected when it saw every candidate
+// first. A second 10 % fold, chained on the first, is pinned as well:
+// its border probe meets the extension entries the first fold recorded,
+// and every extension the path filter would drop is rejected by one of
+// them first.
 func TestMergeCountersAtBenchmarkConfig(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mines the 1000-graph benchmark database; skipped with -short")
@@ -102,18 +105,29 @@ func TestMergeCountersAtBenchmarkConfig(t *testing.T) {
 			len(res.Patterns), st.Candidates, st.Frequent, st.IsoTests, st.SigPruned, st.UnitSeeded, st.PairPruned)
 	}
 
-	updated := db.Clone()
-	tids := datagen.ApplyUpdates(updated, datagen.UpdateConfig{Fraction: 0.1, Seed: 7})
-	prev := *res
-	prev.Index = res.Index.Clone()
-	inc, err := IncPartMiner(updated, tids, &prev)
-	if err != nil {
-		t.Fatal(err)
+	fold := func(prev *Result, seed int64) *IncResult {
+		t.Helper()
+		updated := prev.Tree.Root.DB.Clone()
+		tids := datagen.ApplyUpdates(updated, datagen.UpdateConfig{Fraction: 0.1, Seed: seed})
+		p := *prev
+		p.Index = prev.Index.Clone()
+		inc, err := IncPartMiner(updated, tids, &p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inc
 	}
+	inc := fold(res, 7)
 	fst := inc.MergeStats
-	if fst.IsoTests != 1446 || fst.SigPruned != 3149 || fst.BorderPruned != 518 || fst.CarriedTIDs != 27485 || fst.PairPruned != 3914 {
-		t.Errorf("fold: iso tests %d, sig-pruned %d, border-pruned %d, carried %d, pair-pruned %d; want 1446, 3149, 518, 27485, 3914",
-			fst.IsoTests, fst.SigPruned, fst.BorderPruned, fst.CarriedTIDs, fst.PairPruned)
+	if fst.Candidates != 1015 || fst.IsoTests != 1446 || fst.SigPruned != 3149 || fst.BorderPruned != 518 || fst.CarriedTIDs != 27485 || fst.PairPruned != 3939 {
+		t.Errorf("fold: candidates %d, iso tests %d, sig-pruned %d, border-pruned %d, carried %d, pair-pruned %d; want 1015, 1446, 3149, 518, 27485, 3939",
+			fst.Candidates, fst.IsoTests, fst.SigPruned, fst.BorderPruned, fst.CarriedTIDs, fst.PairPruned)
+	}
+	sst := fold(&inc.Result, 8).MergeStats
+	if sst.Candidates != 1002 || sst.Frequent != 357 || sst.IsoTests != 1823 || sst.SigPruned != 5539 ||
+		sst.BorderPruned != 4449 || sst.CarriedTIDs != 26650 || sst.PairPruned != 0 {
+		t.Errorf("second fold: candidates %d, frequent %d, iso tests %d, sig-pruned %d, border-pruned %d, carried %d, pair-pruned %d; want 1002, 357, 1823, 5539, 4449, 26650, 0",
+			sst.Candidates, sst.Frequent, sst.IsoTests, sst.SigPruned, sst.BorderPruned, sst.CarriedTIDs, sst.PairPruned)
 	}
 	narrowedOut := make(map[string]bool)
 	for _, unit := range res.UnitPatterns {

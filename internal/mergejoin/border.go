@@ -3,10 +3,16 @@ package mergejoin
 import "partminer/internal/pattern"
 
 // Border is a merge's negative border — the paper's prune set P (§4.5):
-// for every candidate the merge rejected, keyed by canonical DFS-code
-// key, the reason it cannot be frequent. The next IncMergeJoin over the
-// same tree node re-establishes that reason against the updated database
-// in a few bitset operations instead of re-deriving it through feature
+// the reason each thing the merge rejected cannot be frequent. It has two
+// kinds of key. A candidate is keyed by its canonical DFS-code key. In a
+// fold, an extension q + e rejected before it was built is keyed by its
+// extension key, q's canonical key plus "+u v le lv" for the added edge
+// (appendExtKey); one graph may have several. An extension key is a
+// deterministic function of q's key, so it means the same to every fold
+// in the process; a border that is persisted must be written under
+// canonical keys. The next IncMergeJoin over the same tree node
+// re-establishes a reason against the updated database in a few bitset
+// operations instead of re-deriving it through path lookups, feature
 // narrowing, decomposition covers, subpattern canonicalization and
 // isomorphism tests.
 //
@@ -20,15 +26,16 @@ type Border map[string]BorderEntry
 type BorderEntry struct {
 	// Blocker is the canonical key of an infrequent connected subpattern
 	// of the candidate: the one-edge-removed subpattern missing from the
-	// previous level, or the decomposition piece missing from the
-	// recovered set. The containment is structural, so the entry never
+	// previous level, the decomposition piece missing from the recovered
+	// set, or the 2-edge path through the added edge that the path
+	// filter found missing. The containment is structural, so the entry never
 	// goes stale: while Blocker is absent from the (complete) result at
 	// its size, Apriori rejects the candidate.
 	Blocker string
 	// Bound is a superset of the candidate's supporting transactions with
-	// fewer than MinSupport members: the feature narrowing, the fused
-	// piece intersection, the Apriori intersection, or the exact TIDs
-	// after counting.
+	// fewer than MinSupport members: the path filter's intersection, the
+	// feature narrowing, the fused piece intersection, the Apriori
+	// intersection, or the exact TIDs after counting.
 	Bound *pattern.TIDSet
 }
 
@@ -53,8 +60,20 @@ func (e BorderEntry) recheck(result pattern.Set, updated *pattern.TIDSet, updSid
 	return BorderEntry{Bound: gained.UnionWith(e.Bound.Minus(updated))}, true
 }
 
-// carry moves the old entries no candidate of this merge met into
-// border, so a later fold that does generate them still finds them. A
+// updatedSide bounds the supporters of an extension q + e among the
+// updated transactions, for recheck: q's updated supporters qUpd ∩ the
+// added triple's, or all of updated when q tracks no TIDs or the
+// candidate has no parent.
+func updatedSide(updated, qUpd, added *pattern.TIDSet) []*pattern.TIDSet {
+	if qUpd != nil && added != nil {
+		return []*pattern.TIDSet{qUpd, added}
+	}
+	return []*pattern.TIDSet{updated}
+}
+
+// carry moves the old entries this merge recorded nothing under into
+// border (of either kind of key), so a later fold that does generate them
+// still finds them. A
 // blocker entry carries as is while its blocker is still infrequent, and
 // is dropped once the blocker is frequent: it no longer says why the
 // candidate is. A bound entry must admit every updated transaction —

@@ -2,12 +2,15 @@ package mergejoin
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"partminer/internal/dfscode"
 	"partminer/internal/graph"
 	"partminer/internal/gspan"
+	"partminer/internal/isomorph"
 	"partminer/internal/partition"
 	"partminer/internal/pattern"
 )
@@ -188,5 +191,116 @@ func TestBorderRecheck(t *testing.T) {
 	}
 	if _, holds := entry.recheck(result, updated, []*pattern.TIDSet{updated}, 3); holds {
 		t.Error("1 unchanged + 3 updated transactions reach the threshold: no prune")
+	}
+}
+
+// extKeyGraph rebuilds the graph an extension key names: the parent's
+// canonical graph plus the added edge, to a new vertex when v is the
+// parent's vertex count.
+func extKeyGraph(t *testing.T, key string) *graph.Graph {
+	t.Helper()
+	parent, ext, ok := strings.Cut(key, "+")
+	if !ok {
+		t.Fatalf("%q is not an extension key", key)
+	}
+	var code dfscode.Code
+	for _, part := range strings.Split(strings.TrimSuffix(parent, ";"), ";") {
+		var e dfscode.EdgeCode
+		if _, err := fmt.Sscanf(part, "%d %d %d %d %d", &e.I, &e.J, &e.LI, &e.LE, &e.LJ); err != nil {
+			t.Fatalf("key %q: %v", key, err)
+		}
+		code = append(code, e)
+	}
+	var u, v, le, lv int
+	if _, err := fmt.Sscanf(ext, "%d %d %d %d", &u, &v, &le, &lv); err != nil {
+		t.Fatalf("key %q: %v", key, err)
+	}
+	g := code.Graph()
+	if v == g.VertexCount() {
+		g.AddVertex(lv)
+	}
+	if g.Labels[v] != lv {
+		t.Fatalf("key %q: vertex %d is labelled %d", key, v, g.Labels[v])
+	}
+	if err := g.AddEdge(u, v, le); err != nil {
+		t.Fatalf("key %q: %v", key, err)
+	}
+	return g
+}
+
+// TestExtensionKeyNamesItsCandidate: across random small databases, the
+// key of every extension of every frequent pattern rebuilds to the graph
+// the generator built for it (equal canonical keys). A mine records no
+// extension key; the first fold after it records one for every extension
+// its generation filters reject — its old border holds no extension key
+// to probe and carry, so these are exactly the path filter's drops — and
+// each names a candidate that is infrequent in the updated database.
+func TestExtensionKeyNamesItsCandidate(t *testing.T) {
+	const minSup, maxEdges = 3, 5
+	none := pattern.Set{}
+	var exts, foldEntries int
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db := graph.RandomDatabase(rng, 14, 7, 9, 3, 2)
+		border := make(Border)
+		set, err := MergeContext(context.Background(), db, none, none, Config{MinSupport: minSup, MaxEdges: maxEdges, Border: border})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for key := range border {
+			if strings.Contains(key, "+") {
+				t.Fatalf("seed %d: the mine recorded extension key %q", seed, key)
+			}
+		}
+
+		edges := make(pattern.Set)
+		for key, p := range set {
+			if p.Size() == 1 {
+				edges[key] = p
+			}
+		}
+		gen := &generator{triples: edgeTriples(edges), minSup: minSup}
+		for qKey, q := range set {
+			for _, ext := range gen.extensions(q.Code.Graph(), qKey, nil, nil) {
+				le, _ := ext.g.EdgeLabel(ext.u, ext.v)
+				key := string(appendExtKey(nil, qKey, ext.u, ext.v, le, ext.g.Labels[ext.v]))
+				if got, want := dfscode.MinCode(extKeyGraph(t, key)).Key(), dfscode.MinCode(ext.g).Key(); got != want {
+					t.Fatalf("seed %d: key %q rebuilds to %s, the generator built %s", seed, key, got, want)
+				}
+				exts++
+			}
+		}
+
+		next := db.Clone()
+		updated := pattern.NewTIDSet(len(db))
+		for _, tid := range rng.Perm(len(db))[:3] {
+			next[tid] = graph.RandomConnected(rng, tid, 7, 9, 3, 2)
+			updated.Add(tid)
+		}
+		var st Stats
+		foldBorder := make(Border)
+		if _, err := MergeContext(context.Background(), next, none, none, Config{MinSupport: minSup, MaxEdges: maxEdges,
+			Old: set, OldBorder: border, Updated: updated, Border: foldBorder, Stats: &st}); err != nil {
+			t.Fatal(err)
+		}
+		var recorded int64
+		for key := range foldBorder {
+			if !strings.Contains(key, "+") {
+				continue
+			}
+			recorded++
+			g := extKeyGraph(t, key)
+			if sup := isomorph.Support(next, g); sup >= minSup {
+				t.Fatalf("seed %d: extension entry %q names a candidate of support %d", seed, key, sup)
+			}
+		}
+		if recorded != st.PairPruned {
+			t.Fatalf("seed %d: the fold recorded %d extension entries for %d extensions it rejected at generation", seed, recorded, st.PairPruned)
+		}
+		foldEntries += int(recorded)
+	}
+	t.Logf("%d extension keys rebuilt, %d extension entries recounted", exts, foldEntries)
+	if exts == 0 || foldEntries == 0 {
+		t.Fatalf("%d extensions checked, %d extension entries recorded; want both > 0", exts, foldEntries)
 	}
 }

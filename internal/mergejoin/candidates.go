@@ -1,6 +1,8 @@
 package mergejoin
 
 import (
+	"strconv"
+
 	"partminer/internal/dfscode"
 	"partminer/internal/exec"
 	"partminer/internal/graph"
@@ -61,13 +63,13 @@ func edgeTriples(edges pattern.Set) tripleIndex {
 	return ti
 }
 
-// extCandidate is one extension: the grown graph, the endpoints and the
-// label of the edge that was added (in the grown graph's vertex
-// numbering), and the supporting transactions of its label triple.
+// extCandidate is one extension that passed the generation filters: the
+// grown graph, the endpoints of the edge that was added (in the grown
+// graph's vertex numbering), and the supporting transactions of its label
+// triple.
 type extCandidate struct {
 	g    *graph.Graph
 	u, v int
-	le   int
 	tids *pattern.TIDSet
 }
 
@@ -131,25 +133,23 @@ func pathTableOf(set pattern.Set) pathTable {
 }
 
 // through appends to sets the supporters of every 2-edge path {e, f} of
-// q + e, where q is g (with or without e), e joins its vertex u to v with
-// edge label le, v is labelled lv (v == g.VertexCount() for a pendant
-// edge to a new vertex), and f is any other edge of g at u or v. It stops
-// at the first path missing from the table and returns it with ok false.
+// q + e, where q is g, e joins its vertex u to a vertex v not adjacent to
+// u with edge label le, v is labelled lv (v == g.VertexCount() for a
+// pendant edge to a new vertex), and f is any edge of g at u or v. It
+// stops at the first path missing from the table and returns it with ok
+// false.
 func (pt pathTable) through(g *graph.Graph, u, v, le, lv int, sets []*pattern.TIDSet) (_ []*pattern.TIDSet, missing pathKey, ok bool) {
-	sets, missing, ok = pt.at(g, u, v, le, lv, sets)
+	sets, missing, ok = pt.at(g, u, le, lv, sets)
 	if ok && v < g.VertexCount() {
-		sets, missing, ok = pt.at(g, v, u, le, g.Labels[u], sets)
+		sets, missing, ok = pt.at(g, v, le, g.Labels[u], sets)
 	}
 	return sets, missing, ok
 }
 
-// at is through for the paths centred on c: e joins c to other, which is
+// at is through for the paths centred on c: e joins c to a vertex
 // labelled lo.
-func (pt pathTable) at(g *graph.Graph, c, other, le, lo int, sets []*pattern.TIDSet) ([]*pattern.TIDSet, pathKey, bool) {
+func (pt pathTable) at(g *graph.Graph, c, le, lo int, sets []*pattern.TIDSet) ([]*pattern.TIDSet, pathKey, bool) {
 	for _, f := range g.Adj[c] {
-		if f.To == other {
-			continue
-		}
 		k := makePathKey(g.Labels[c], le, lo, f.Label, g.Labels[f.To])
 		ts, ok := pt[k]
 		if !ok {
@@ -162,46 +162,136 @@ func (pt pathTable) at(g *graph.Graph, c, other, le, lo int, sets []*pattern.TID
 	return sets, pathKey{}, true
 }
 
-// extensions returns every graph obtained from g by adding one edge whose
-// label triple is frequent and whose TID upper bound (the supporting
-// transactions of q intersected with the triple's) reaches minSup: either
-// an edge between two existing non-adjacent vertices or a pendant edge to
-// a new vertex. qTIDs may be nil to disable the pre-filter.
+// appendExtKey appends the extension key of q + e to b: q's canonical key,
+// then "+u v le lv" — the added edge joins q's vertex u to v with edge
+// label le, v is labelled lv, and both are numbered as in q.Code.Graph(),
+// with v == q's vertex count for a pendant edge to a new vertex. '+'
+// never occurs in a DFS-code key, so the two kinds of border key cannot
+// collide. The key names q + e without canonicalising it; automorphic
+// attachment points give one graph several keys.
+func appendExtKey(b []byte, qKey string, u, v, le, lv int) []byte {
+	b = append(b, qKey...)
+	b = append(b, '+')
+	b = strconv.AppendInt(b, int64(u), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(v), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(le), 10)
+	b = append(b, ' ')
+	return strconv.AppendInt(b, int64(lv), 10)
+}
+
+// generator builds a merge's extensions, level by level, and runs the part
+// of the filter chain an extension q + e meets before its graph is
+// built. In a fold (fold set) the old border is probed first, on the
+// extension key; then, from level 2 on (paths non-nil), the two-edge path
+// filter runs. A fold records every rejection under the extension key, so
+// the next fold's probe finds it: an old entry that nothing meets is only
+// carried, widened by every updated transaction, and a chain of folds
+// that recorded nothing for what it never built would wear its border
+// away. A mine records none. st collects the current level's generation
+// counters.
+type generator struct {
+	triples tripleIndex
+	paths   pathTable
+	minSup  int
+	fold    bool
+	// result is the merge's frequent set so far, against which an old
+	// entry's blocker is rechecked; updated, oldBorder and border are the
+	// fold's Config fields.
+	result    pattern.Set
+	updated   *pattern.TIDSet
+	oldBorder Border
+	border    Border
+	// blockers memoizes the canonical keys of missing paths: a fold
+	// rejects thousands of extensions on a few hundred paths.
+	blockers map[pathKey]string
+	st       Stats
+	sets     []*pattern.TIDSet
+	key      []byte
+}
+
+// keep runs the filters on the extension of g (q's graph, canonical key
+// qKey, supporters qTIDs, qUpd of them updated) by an edge of triple t
+// from u to v, which is labelled lv, and reports whether it survives.
+func (gen *generator) keep(g *graph.Graph, qKey string, qTIDs, qUpd *pattern.TIDSet, u, v, lv int, t tripleExt) bool {
+	if gen.fold {
+		gen.key = appendExtKey(gen.key[:0], qKey, u, v, t.le, lv)
+		if e, ok := gen.oldBorder[string(gen.key)]; ok {
+			if e, holds := e.recheck(gen.result, gen.updated, updatedSide(gen.updated, qUpd, t.tids), gen.minSup); holds {
+				gen.border[string(gen.key)] = e
+				gen.st.BorderPruned++
+				gen.st.Pruned++
+				return false
+			}
+		}
+	}
+	if gen.paths == nil {
+		return true
+	}
+	sets, missing, ok := gen.paths.through(g, u, v, t.le, lv, append(gen.sets[:0], qTIDs, t.tids))
+	gen.sets = sets
+	bounded := qTIDs != nil && t.tids != nil
+	if ok && (!bounded || pattern.IntersectCountMulti(sets) >= gen.minSup) {
+		return true
+	}
+	gen.st.PairPruned++
+	if gen.fold {
+		gen.border[string(gen.key)] = gen.pathEntry(sets, missing, ok)
+	}
+	return false
+}
+
+// pathEntry is the border entry of an extension the path filter
+// rejected: the missing path as blocker, or else the narrowed
+// intersection — q's supporters ∩ the added triple's ∩ the paths' — as
+// bound.
+func (gen *generator) pathEntry(sets []*pattern.TIDSet, missing pathKey, ok bool) BorderEntry {
+	if !ok {
+		key, ok := gen.blockers[missing]
+		if !ok {
+			key = missing.code().Key()
+			gen.blockers[missing] = key
+		}
+		return BorderEntry{Blocker: key}
+	}
+	bound := sets[0].Intersect(sets[1])
+	for _, ts := range sets[2:] {
+		bound.IntersectWith(ts)
+	}
+	return BorderEntry{Bound: bound}
+}
+
+// extensions returns every graph obtained from g, the graph of pattern q
+// (canonical key qKey), by adding one edge whose label triple is frequent
+// and whose TID upper bound (q's supporting transactions qTIDs
+// intersected with the triple's) reaches minSup — either an edge between
+// two existing non-adjacent vertices or a pendant edge to a new vertex —
+// and that passes keep. qTIDs may be nil to disable the bound. Each graph
+// is built only once its extension has passed.
 //
-// With a path table (pt non-nil) an extension must also pass the
-// two-edge path filter before its graph is built: every 2-edge path
-// through the added edge must be frequent, and qTIDs ∩ the triple's TIDs
-// ∩ the paths' must still reach minSup. pruned counts the extensions it
-// drops.
-//
-// In incremental mode qUpdated is q's supporters among the updated
+// In incremental mode qUpd is q's supporters among the updated
 // transactions: a pattern that was infrequent before the update can only
 // have become frequent if it occurs in an updated graph, so extensions
 // whose upper bound misses every updated transaction are skipped
 // (previously frequent patterns are seeded separately by the caller).
-func extensions(g *graph.Graph, ti tripleIndex, pt pathTable, qTIDs *pattern.TIDSet, minSup int, qUpdated *pattern.TIDSet) (out []extCandidate, pruned int64) {
+func (gen *generator) extensions(g *graph.Graph, qKey string, qTIDs, qUpd *pattern.TIDSet) []extCandidate {
 	feasible := func(t tripleExt) bool {
 		if qTIDs == nil || t.tids == nil {
 			return true
 		}
-		if qTIDs.IntersectCount(t.tids) < minSup {
+		if qTIDs.IntersectCount(t.tids) < gen.minSup {
 			return false
 		}
-		if qUpdated != nil && qUpdated.IntersectCount(t.tids) == 0 {
-			return false
-		}
-		return true
-	}
-	var sets []*pattern.TIDSet
-	pathsFrequent := func(u, v, lv int, t tripleExt) bool {
-		var ok bool
-		sets, _, ok = pt.through(g, u, v, t.le, lv, append(sets[:0], qTIDs, t.tids))
-		if !ok || (qTIDs != nil && t.tids != nil && pattern.IntersectCountMulti(sets) < minSup) {
-			pruned++
+		if qUpd != nil && qUpd.IntersectCount(t.tids) == 0 {
 			return false
 		}
 		return true
 	}
+	kept := func(u, v, lv int, t tripleExt) bool {
+		return feasible(t) && gen.keep(g, qKey, qTIDs, qUpd, u, v, lv, t)
+	}
+	var out []extCandidate
 	n := g.VertexCount()
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
@@ -212,28 +302,28 @@ func extensions(g *graph.Graph, ti tripleIndex, pt pathTable, qTIDs *pattern.TID
 			if la > lb {
 				la, lb = lb, la
 			}
-			for _, t := range ti.connect[[2]int{la, lb}] {
-				if !feasible(t) || (pt != nil && !pathsFrequent(u, v, g.Labels[v], t)) {
+			for _, t := range gen.triples.connect[[2]int{la, lb}] {
+				if !kept(u, v, g.Labels[v], t) {
 					continue
 				}
 				ng := g.Clone()
 				ng.MustAddEdge(u, v, t.le)
-				out = append(out, extCandidate{g: ng, u: u, v: v, le: t.le, tids: t.tids})
+				out = append(out, extCandidate{g: ng, u: u, v: v, tids: t.tids})
 			}
 		}
 	}
 	for u := 0; u < n; u++ {
-		for _, t := range ti.pendant[g.Labels[u]] {
-			if !feasible(t) || (pt != nil && !pathsFrequent(u, n, t.other, t)) {
+		for _, t := range gen.triples.pendant[g.Labels[u]] {
+			if !kept(u, n, t.other, t) {
 				continue
 			}
 			ng := g.Clone()
 			nv := ng.AddVertex(t.other)
 			ng.MustAddEdge(u, nv, t.le)
-			out = append(out, extCandidate{g: ng, u: u, v: nv, le: t.le, tids: t.tids})
+			out = append(out, extCandidate{g: ng, u: u, v: nv, tids: t.tids})
 		}
 	}
-	return out, pruned
+	return out
 }
 
 // removeEdge builds g minus edge (u,v) with isolated vertices dropped,

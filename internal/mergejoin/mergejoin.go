@@ -10,16 +10,18 @@
 // paper's literal pairwise joins C1/C2/C3 are not: EXPERIMENTS.md records
 // the patterns they miss.)
 //
-// The first link of the filter chain runs before an extension q + e is
-// built: from three edges on, every 2-edge path {e, f} through the added
-// edge must be a frequent 2-edge pattern, and q's supporters ∩ e's triple's
-// ∩ the paths' must still reach the threshold. This is anti-monotonicity:
-// the result is complete at two edges by then, and every supporter of
-// q + e supports each {e, f}. An extension it drops is never
-// canonicalised and is not a candidate. A fold lets its old border see
-// every candidate first, so there the same predicate runs inside the
-// candidate check, right after the border, and its rejections become
-// border entries for the next fold.
+// The first links of the filter chain run before an extension q + e is
+// built. In a fold, the old border is probed first, on the extension's
+// key: q's canonical key plus the added edge, named without
+// canonicalising q + e. Then, from three edges on, the two-edge path
+// filter: every 2-edge path {e, f} through the added edge must be a
+// frequent 2-edge pattern, and q's supporters ∩ e's triple's ∩ the
+// paths' must still reach the threshold. This is anti-monotonicity: the
+// result is complete at two edges by then, and every supporter of q + e
+// supports each {e, f}. An extension either link drops is never built or
+// canonicalised and is not a candidate. A fold records each such drop
+// under the extension key, so the next fold's probe finds it; a mine
+// records none.
 //
 // Candidates are verified against S with exact support counting; unit
 // patterns contribute their supporting transactions as pre-verified
@@ -34,9 +36,11 @@
 //
 // Every merge also records its negative border (Border, the paper's prune
 // set P): for each rejected candidate, the infrequent subpattern or the
-// sub-threshold TID bound that rejected it. An incremental merge
-// (Config.Old/Updated/OldBorder) rejects such a candidate again from its
-// entry alone while the entry still holds against the update.
+// sub-threshold TID bound that rejected it — and, in a fold, for each
+// extension dropped at generation. An incremental merge
+// (Config.Old/Updated/OldBorder) rejects such a candidate or extension
+// again from its entry alone while the entry still holds against the
+// update.
 package mergejoin
 
 import (
@@ -70,14 +74,19 @@ type Config struct {
 	Updated *pattern.TIDSet
 	// OldBorder is the negative border the previous merge of this dataset
 	// recorded (nil when none survives, e.g. after a snapshot restore).
-	// In IncMergeJoin mode a candidate found in it and not in Old is
-	// pruned ahead of the filter chain when its entry still holds against
-	// the updated database; otherwise it is verified in full. Read-only.
+	// It holds two kinds of key (see Border). In IncMergeJoin mode an
+	// extension is probed on its extension key before it is built, and a
+	// candidate on its canonical key unless it is in Old; either is
+	// pruned when its entry still holds against the updated database,
+	// and otherwise goes on through the filter chain. Read-only.
 	OldBorder Border
 
 	// Border, when non-nil, is filled with this merge's negative border:
-	// one entry per rejected candidate, plus — in IncMergeJoin mode — the
-	// OldBorder entries no candidate met.
+	// one entry per rejected candidate under its canonical key, plus — in
+	// IncMergeJoin mode — one per extension rejected at generation under
+	// its extension key, and the OldBorder entries nothing met. Extension
+	// keys are valid only within one process: a border that is persisted
+	// must be written under canonical keys.
 	Border Border
 
 	// Index, when non-nil, is the feature index of the dataset S being
@@ -108,8 +117,12 @@ type Stats struct {
 	// UnitSeeded counts candidates that arrived from unit results with
 	// pre-verified supporters.
 	UnitSeeded int64
-	// Pruned counts candidates eliminated by Apriori pruning or the TID
-	// intersection bound, before any isomorphism test.
+	// Pruned counts rejections made before any isomorphism test:
+	// candidates eliminated by Apriori pruning or the TID intersection
+	// bound, and — in a fold — the extensions the old border rejected at
+	// generation. Those are not candidates, so in a fold Pruned may
+	// exceed Candidates; they count here because BorderPruned, which
+	// holds them, is a subset of Pruned.
 	Pruned int64
 	// TriplePruned counts candidates eliminated by intersecting their own
 	// label/triple TID bitsets (a subset of Pruned), before any
@@ -132,18 +145,18 @@ type Stats struct {
 	SigPruned int64
 	// IsoTests counts subgraph-isomorphism invocations.
 	IsoTests int64
-	// BorderPruned counts candidates eliminated because their entry in the
-	// previous merge's negative border still held (a subset of Pruned,
-	// incremental mode), ahead of every other filter.
+	// BorderPruned counts rejections because an entry in the previous
+	// merge's negative border still held (incremental mode, a subset of
+	// Pruned): extensions at generation, probed on their extension key
+	// before the path filter, and candidates in the check, probed on
+	// their canonical key ahead of every other filter.
 	BorderPruned int64
 	// PairPruned counts rejections by the two-edge path filter: a 2-edge
 	// path through the added edge is infrequent, or the parent's
 	// supporters ∩ the added triple's ∩ the paths' fall below the
-	// threshold. At generation it counts (parent, added edge) extensions
-	// dropped before their graph is built — not distinct candidates, and
-	// not part of Candidates or Pruned. In a fold, where the filter runs
-	// after the old border, it counts distinct candidates (a subset of
-	// Pruned) and each leaves a border entry.
+	// threshold. It counts (parent, added edge) extensions dropped before
+	// their graph is built — not distinct candidates, and not part of
+	// Candidates or Pruned. In a fold each leaves a border entry.
 	PairPruned int64
 	// CarriedTIDs counts supporters accepted from pre-update results
 	// without re-testing (incremental mode).
@@ -259,25 +272,19 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 	}
 	// The frequent 1-edge patterns are the extension alphabet of every
 	// level; from level 2 on, the frequent 2-edge paths filter what the
-	// alphabet extends (pathTable). A fold lets its old border see each
-	// candidate first, so there the path filter runs inside check(),
-	// after the border, instead of at generation.
-	triples := edgeTriples(cur)
-	var paths pathTable
-	borderFirst := incremental && cfg.OldBorder != nil
+	// alphabet extends (pathTable). In a fold the old border sees each
+	// extension first, on its extension key.
+	gen := &generator{triples: edgeTriples(cur), minSup: minSup, fold: incremental, result: result,
+		updated: cfg.Updated, oldBorder: cfg.OldBorder, border: cfg.Border, blockers: make(map[pathKey]string)}
 
 	for k := 1; len(cur) > 0 && (cfg.MaxEdges == 0 || k < cfg.MaxEdges); k++ {
 		if err := tick.Err(); err != nil {
 			return nil, err
 		}
 		if k == 2 {
-			paths = pathTableOf(cur)
+			gen.paths = pathTableOf(cur)
 		}
-		genPaths, checkPaths := paths, pathTable(nil)
-		if borderFirst {
-			genPaths, checkPaths = nil, paths
-		}
-		var pairPruned int64
+		gen.st = Stats{}
 		cands := make(map[string]*candidate)
 
 		// Unit patterns of size k+1 enter the pool with their unit TIDs as
@@ -299,9 +306,7 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 				qUpd = q.TIDs.Intersect(cfg.Updated)
 			}
 			qKey := q.Code.Key()
-			exts, pruned := extensions(q.Code.Graph(), triples, genPaths, q.TIDs, minSup, qUpd)
-			pairPruned += pruned
-			for _, ext := range exts {
+			for _, ext := range gen.extensions(q.Code.Graph(), qKey, q.TIDs, qUpd) {
 				addExtensionCandidate(cands, ext, qKey, q.TIDs, qUpd, tick)
 			}
 		}
@@ -325,9 +330,8 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 		if k+1 >= decompMinEdges {
 			dec = decomp.NewDecomposer(result, decomp.DefaultPieceMax)
 		}
-		lv := &level{cur: cur, result: result, minSup: minSup, cfg: cfg, dec: dec, tick: tick,
-			paths: checkPaths, pairPruned: pairPruned, blockers: make(map[pathKey]string)}
-		next, err := lv.verifyAll(cands)
+		lv := &level{cur: cur, result: result, minSup: minSup, cfg: cfg, dec: dec, tick: tick}
+		next, err := lv.verifyAll(cands, gen.st)
 		if err != nil {
 			return nil, err
 		}
@@ -347,7 +351,7 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 
 // level is the state every candidate check of one merge level shares.
 // All of it is read-only while the level verifies, except cfg.Border,
-// which verifyAll writes, and the blockers memo.
+// which verifyAll writes.
 type level struct {
 	cur    pattern.Set // the frequent k-edge patterns
 	result pattern.Set // every frequent pattern of up to k edges
@@ -355,23 +359,16 @@ type level struct {
 	cfg    Config
 	dec    *decomp.Decomposer
 	tick   *exec.Ticker
-	// paths is the two-edge path filter check() runs after the old
-	// border (nil when generation already ran it), and pairPruned the
-	// extensions generation dropped with it. blockers memoizes the
-	// canonical keys of the missing paths check() rejects on: a fold
-	// rejects thousands of candidates on a few hundred paths.
-	paths      pathTable
-	pairPruned int64
-	blockers   map[pathKey]string
 }
 
 // verifyAll checks every candidate against S and returns the frequent
-// ones. A cancellation observed through tick aborts verification and
-// returns the context error.
-func (lv *level) verifyAll(cands map[string]*candidate) (pattern.Set, error) {
+// ones; total holds what generation counted for the level. A
+// cancellation observed through tick aborts verification and returns the
+// context error.
+func (lv *level) verifyAll(cands map[string]*candidate, total Stats) (pattern.Set, error) {
 	cfg, tick := lv.cfg, lv.tick
 	out := make(pattern.Set)
-	total := Stats{Candidates: int64(len(cands)), PairPruned: lv.pairPruned}
+	total.Candidates = int64(len(cands))
 	// Per-candidate verification timing feeds the "merge.verify"
 	// histogram/span aggregation. Timed inline (no defer closures) and
 	// only with an observer attached, so the uninstrumented path stays
@@ -425,13 +422,12 @@ type candidate struct {
 	g          *graph.Graph
 	code       dfscode.Code
 	guaranteed *pattern.TIDSet // transactions known to contain the pattern
-	// parentKey/addedU/addedV/addedLabel are set for extension
-	// candidates: removing edge (addedU, addedV), labelled addedLabel,
-	// from g yields the parent pattern with canonical key parentKey,
-	// sparing one canonicalization during the Apriori check.
+	// parentKey/addedU/addedV are set for extension candidates:
+	// removing edge (addedU, addedV) from g yields the parent pattern
+	// with canonical key parentKey, sparing one canonicalization during
+	// the Apriori check.
 	parentKey      string
 	addedU, addedV int
-	addedLabel     int
 	// parentTIDs and addedTIDs are the parent's supporters and those of
 	// the added edge's label triple, set for extension candidates whose
 	// parent tracks TIDs. Every supporter of the candidate lies in both,
@@ -486,7 +482,6 @@ func addExtensionCandidate(cands map[string]*candidate, ext extCandidate, parent
 		parentKey:  parentKey,
 		addedU:     ext.u,
 		addedV:     ext.v,
-		addedLabel: ext.le,
 	}
 	if parentTIDs != nil && ext.tids != nil {
 		c.parentTIDs, c.addedTIDs, c.parentUpd = parentTIDs, ext.tids, parentUpd
@@ -507,10 +502,10 @@ func addExtensionCandidate(cands map[string]*candidate, ext extCandidate, parent
 // mode (cfg.Old/cfg.Updated set) the supporters of a previously frequent
 // pattern among unchanged transactions carry over without testing, and
 // (0) a candidate that is not previously frequent but sits in the
-// previous merge's negative border is pruned ahead of the whole chain
-// while its entry still holds; in a fold with an old border, (0′) the
-// two-edge path filter follows it (pairCheck) — elsewhere generation
-// already ran it. It returns the verified pattern, or nil and the border
+// previous merge's negative border under its canonical key is pruned
+// ahead of the whole chain while its entry still holds. (Generation
+// already probed the border on the extension key and ran the two-edge
+// path filter.) It returns the verified pattern, or nil and the border
 // entry saying why the candidate is infrequent.
 func (lv *level) check(key string, c *candidate, st *Stats) (*pattern.Pattern, BorderEntry) {
 	cur, minSup, cfg, dec, tick := lv.cur, lv.minSup, lv.cfg, lv.dec, lv.tick
@@ -518,22 +513,11 @@ func (lv *level) check(key string, c *candidate, st *Stats) (*pattern.Pattern, B
 	if cfg.Old != nil && cfg.Updated != nil {
 		old = cfg.Old[key]
 		if e, ok := cfg.OldBorder[key]; ok && old == nil {
-			updSide := []*pattern.TIDSet{cfg.Updated}
-			if c.parentUpd != nil {
-				updSide = []*pattern.TIDSet{c.parentUpd, c.addedTIDs}
-			}
-			if e, holds := e.recheck(lv.result, cfg.Updated, updSide, minSup); holds {
+			if e, holds := e.recheck(lv.result, cfg.Updated, updatedSide(cfg.Updated, c.parentUpd, c.addedTIDs), minSup); holds {
 				st.BorderPruned++
 				st.Pruned++
 				return nil, e
 			}
-		}
-	}
-	if lv.paths != nil && c.parentTIDs != nil {
-		if e, pruned := lv.pairCheck(c); pruned {
-			st.PairPruned++
-			st.Pruned++
-			return nil, e
 		}
 	}
 	ix := cfg.Index
@@ -670,29 +654,4 @@ func (lv *level) check(key string, c *candidate, st *Stats) (*pattern.Pattern, B
 		return nil, BorderEntry{Bound: tids}
 	}
 	return &pattern.Pattern{Code: c.code, Support: support, TIDs: tids}, BorderEntry{}
-}
-
-// pairCheck runs the two-edge path filter on an extension candidate
-// inside a fold. It rejects the candidate with the missing path as
-// blocker, or with the narrowed intersection — the parent's supporters ∩
-// the added triple's ∩ the paths' — as bound.
-func (lv *level) pairCheck(c *candidate) (BorderEntry, bool) {
-	var buf [8]*pattern.TIDSet
-	sets, missing, ok := lv.paths.through(c.g, c.addedU, c.addedV, c.addedLabel, c.g.Labels[c.addedV], append(buf[:0], c.parentTIDs, c.addedTIDs))
-	if !ok {
-		key, ok := lv.blockers[missing]
-		if !ok {
-			key = missing.code().Key()
-			lv.blockers[missing] = key
-		}
-		return BorderEntry{Blocker: key}, true
-	}
-	if pattern.IntersectCountMulti(sets) >= lv.minSup {
-		return BorderEntry{}, false
-	}
-	bound := sets[0].Intersect(sets[1])
-	for _, ts := range sets[2:] {
-		bound.IntersectWith(ts)
-	}
-	return BorderEntry{Bound: bound}, true
 }

@@ -172,13 +172,13 @@ func TestExtensionsGeneration(t *testing.T) {
 	}
 	add(0, 0, 0)
 	add(0, 1, 1)
-	ti := edgeTriples(set)
+	gen := &generator{triples: edgeTriples(set), minSup: 1}
 
 	g := graph.New(0)
 	g.AddVertex(0)
 	g.AddVertex(0)
 	g.MustAddEdge(0, 1, 0)
-	exts, _ := extensions(g, ti, nil, nil, 1, nil)
+	exts := gen.extensions(g, "", nil, nil)
 	// Expected: no connect candidates (only vertex pair is adjacent);
 	// pendant candidates: from each of the two vertices, (le=0, lx=0) and
 	// (le=1, lx=1) -> 4 graphs.
@@ -201,7 +201,7 @@ func TestExtensionsGeneration(t *testing.T) {
 	p2.AddVertex(0)
 	p2.MustAddEdge(0, 1, 0)
 	p2.MustAddEdge(1, 2, 0)
-	exts, _ = extensions(p2, ti, nil, nil, 1, nil)
+	exts = gen.extensions(p2, "", nil, nil)
 	closes := 0
 	for _, e := range exts {
 		if e.g.VertexCount() == 3 && e.g.EdgeCount() == 3 {
