@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke fuzz-smoke benchmark benchmark-smoke dist-example search-example parallel-example serve-smoke obs-smoke part-smoke cluster-smoke check clean
+.PHONY: all build vet test race bench-smoke fuzz-smoke benchmark benchmark-smoke dist-example search-example parallel-example spatio-example serve-smoke obs-smoke part-smoke cluster-smoke check clean
 
 all: check
 
@@ -64,6 +64,12 @@ search-example:
 parallel-example:
 	$(GO) run ./examples/parallel
 
+# spatio-example folds five chained 25 % update rounds at K = 4 and exits
+# non-zero unless every round equals a from-scratch mine: the only
+# end-to-end driver of chained folds.
+spatio-example:
+	$(GO) run ./examples/spatiotemporal
+
 # serve-smoke boots partserved on an ephemeral port, exercises every HTTP
 # endpoint with curl, and checks the answers (see scripts/serve_smoke.sh).
 serve-smoke:
@@ -95,7 +101,7 @@ cluster-smoke:
 # check runs the tests twice: without -race too, because the allocation
 # gates (TestMineAllocs, TestFoldAllocs, TestMinCodeAllocs,
 # TestAdHocFindAllocs) skip under the race detector.
-check: build vet test race bench-smoke fuzz-smoke benchmark-smoke dist-example search-example parallel-example serve-smoke obs-smoke part-smoke cluster-smoke
+check: build vet test race bench-smoke fuzz-smoke benchmark-smoke dist-example search-example parallel-example spatio-example serve-smoke obs-smoke part-smoke cluster-smoke
 
 clean:
 	$(GO) clean ./...

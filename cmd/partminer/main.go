@@ -260,16 +260,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	for _, derr := range inc.Degraded {
-		log.Warn("unit degraded", "err", derr)
-	}
 	quality = &inc.PartitionQuality
 	report(condenseSet(inc.Patterns, *condense), time.Since(start), *showAll)
 	if *savePath != "" {
 		save(*savePath, &inc.Result)
 		log.Info("saved updated result", "path", *savePath)
 	}
-	log.Info("incremental run", "graphs_updated", len(tids), "units_remined", len(inc.ReminedUnits), "k", *k)
+	log.Info("incremental run", "graphs_updated", len(tids), "k", *k)
 	fmt.Fprintf(os.Stderr, "UF (unchanged frequent):    %d\n", len(inc.UF))
 	fmt.Fprintf(os.Stderr, "FI (frequent->infrequent):  %d\n", len(inc.FI))
 	fmt.Fprintf(os.Stderr, "IF (infrequent->frequent):  %d\n", len(inc.IF))

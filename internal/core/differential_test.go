@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
-	"sort"
+	"sync/atomic"
 	"testing"
 
 	"partminer/internal/datagen"
@@ -194,8 +194,8 @@ func TestStrategyDifferentialParallel(t *testing.T) {
 }
 
 // TestUnitsMineInIndexOrder pins the unit submission order: with a
-// serial pool PartMiner mines units 0…K−1 in turn, and IncPartMiner mines
-// exactly its ReminedUnits, ascending.
+// serial pool PartMiner mines units 0…K−1 in turn. IncPartMiner mines no
+// unit, serially or in parallel.
 func TestUnitsMineInIndexOrder(t *testing.T) {
 	db := datagen.Generate(datagen.Config{D: 16, T: 8, N: 4, L: 10, I: 3, Seed: 9, Hubs: 3})
 	var calls []int
@@ -213,15 +213,20 @@ func TestUnitsMineInIndexOrder(t *testing.T) {
 	}
 	newDB := db.Clone()
 	updated := datagen.ApplyUpdates(newDB, datagen.UpdateConfig{Fraction: 0.3, Seed: 5, N: 4})
-	calls = nil
-	inc, err := IncPartMiner(newDB, updated, prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(inc.ReminedUnits) < 2 || !sort.IntsAreSorted(inc.ReminedUnits) {
-		t.Fatalf("ReminedUnits = %v; want at least two units, ascending", inc.ReminedUnits)
-	}
-	if !reflect.DeepEqual(calls, inc.ReminedUnits) {
-		t.Errorf("IncPartMiner mined units in order %v; want ReminedUnits %v", calls, inc.ReminedUnits)
+	for _, parallel := range []bool{false, true} {
+		var mined atomic.Int32
+		p := *prev
+		p.Index = prev.Index.Clone()
+		p.Options.Parallel = parallel
+		p.Options.UnitMinerIndexed = func(ctx context.Context, unit int, db graph.Database, minSup, maxEdges int) (pattern.Set, error) {
+			mined.Add(1)
+			return gspanUnit(ctx, unit, db, minSup, maxEdges)
+		}
+		if _, err := IncPartMiner(newDB, updated, &p); err != nil {
+			t.Fatal(err)
+		}
+		if n := mined.Load(); n != 0 {
+			t.Errorf("parallel=%v: IncPartMiner called the unit miner %d times; want 0", parallel, n)
+		}
 	}
 }

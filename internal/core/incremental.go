@@ -14,7 +14,7 @@ import (
 )
 
 // IncResult is the outcome of IncPartMiner: the updated frequent set plus
-// the paper's three pattern categories (§4.5) and re-mining statistics.
+// the paper's three pattern categories (§4.5).
 type IncResult struct {
 	// Result describes the post-update mining exactly as a fresh
 	// PartMiner run would (Patterns is the frequent set of the updated
@@ -24,8 +24,9 @@ type IncResult struct {
 	// after the update; FI (frequent→infrequent) patterns fell below the
 	// threshold; IF (infrequent→frequent) newly crossed it.
 	UF, FI, IF pattern.Set
-	// ReminedUnits lists the units whose partition pieces changed and
-	// were re-mined; the rest reused their previous results.
+	// ReminedUnits is always empty: a fold re-mines no unit. It stays
+	// only for the benchmark's core.inc_remined_unit_ratio rung, and goes
+	// with that rung when the benchmark next changes.
 	ReminedUnits []int
 }
 
@@ -38,18 +39,18 @@ type IncResult struct {
 // stale answer.
 //
 // The algorithm rebuilds the partition tree from prev.Tree, bisecting
-// only the updated graphs, re-mines only the units whose pieces changed
-// (updates isolated by the partitioning criteria keep this set small),
-// and replays the merge-join chain incrementally: supporters of
-// previously frequent patterns among unchanged graphs carry over without
-// isomorphism tests, and candidates and extensions the previous merges
-// rejected are pruned again from prev.Borders while their entries still
-// hold, so frequency checking concentrates on the potential IF patterns.
-// The benchmark's `mine` workload (D1kT20N20L200I5 at 4 % support, K=2,
-// 10 % of the graphs updated) times a fold as `incr_ms` against
-// `remine_ms` for mining from scratch; EXPERIMENTS.md records both. A
-// fold filters extensions before it builds them, so what it still pays
-// for is mostly re-mining the changed units.
+// only the updated graphs, and replays the merge-join chain
+// incrementally: supporters of previously frequent patterns among
+// unchanged graphs carry over without isomorphism tests, and candidates
+// and extensions the previous merges rejected are pruned again from
+// prev.Borders while their entries still hold, so frequency checking
+// concentrates on the potential IF patterns. Unlike Fig. 12 lines 3-5,
+// it re-mines no unit (the merges are complete by extension and carry
+// every unchanged supporter), so it calls no unit miner and degrades no
+// unit; each unit set is prev's minus the updated graphs' TIDs. The
+// benchmark's `mine` workload (D1kT20N20L200I5 at 4 % support, K=2, 10 %
+// of the graphs updated) times a fold as `incr_ms` against `remine_ms`
+// for mining from scratch; EXPERIMENTS.md records both.
 //
 // prev is only read, with the one exception it always had: prev.Index is
 // patched in place to describe newDB and becomes the new result's index.
@@ -60,8 +61,8 @@ func IncPartMiner(newDB graph.Database, updatedTIDs []int, prev *Result) (*IncRe
 }
 
 // IncMineContext is IncPartMiner with cooperative cancellation; like
-// MineContext, re-mining and the incremental merge-join chain observe
-// ctx and return ctx.Err() promptly once it is cancelled.
+// MineContext, the incremental merge-join chain observes ctx and returns
+// ctx.Err() promptly once it is cancelled.
 func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int, prev *Result) (*IncResult, error) {
 	if prev == nil || prev.Tree == nil {
 		return nil, fmt.Errorf("core: IncPartMiner requires a previous PartMiner result with its partition tree")
@@ -88,10 +89,10 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 		updated.Add(tid)
 	}
 
-	// The unchanged graphs' pieces, carried supporters and border bounds
-	// are all reused on the strength of updatedTIDs, so it is checked, not
-	// trusted: pointer-equal graphs (a copy-on-write database) cost
-	// nothing, the rest one structural comparison each.
+	// The unchanged graphs' pieces, unit TIDs, carried supporters and
+	// border bounds are all reused on the strength of updatedTIDs, so it
+	// is checked, not trusted: pointer-equal graphs (a copy-on-write
+	// database) cost nothing, the rest one structural comparison each.
 	for tid, g := range newDB {
 		if old := prev.Tree.Root.DB[tid]; g != old && !updated.Contains(tid) && !g.Equal(old) {
 			return nil, fmt.Errorf("core: graph %d differs from the previous run's but is not listed as updated", tid)
@@ -99,8 +100,7 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 	}
 
 	// Re-partition: unchanged graphs keep their pieces, updated graphs
-	// are bisected again, so piece comparison below isolates the changed
-	// units.
+	// are bisected again.
 	start := time.Now()
 	_, endStage := obs.Phase(ctx, o, "partition")
 	tree, err := partition.Rebuild(prev.Tree, newDB, updatedTIDs, opts.Bisector)
@@ -112,38 +112,12 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 	res.PartitionTime = time.Since(start)
 	res.PartitionQuality = tree.Quality
 
-	// Decide which units changed: a unit must be re-mined iff any updated
-	// graph's piece in it differs from the pre-update piece. (The rebuilt
-	// tree has the previous tree's shape, so the leaves pair up.)
-	newLeaves := tree.Leaves()
-	oldLeaves := prev.Tree.Leaves()
-	needRemine := make([]bool, len(newLeaves))
-	for i := range newLeaves {
-		for _, tid := range updatedTIDs {
-			if !newLeaves[i].DB[tid].Equal(oldLeaves[i].DB[tid]) {
-				needRemine[i] = true
-				break
-			}
-		}
-	}
-
-	// Re-mine changed units only (Fig. 12 lines 3-5); reuse the rest.
-	res.UnitPatterns = make([]pattern.Set, len(newLeaves))
-	res.UnitTimes = make([]time.Duration, len(newLeaves))
+	// No unit is re-mined, but the previous sets are kept minus the
+	// updated graphs: they seed the candidates the old border was written
+	// against, and with no unit sets some folds' borders prune nothing.
+	res.UnitPatterns = narrowUnits(prev.UnitPatterns, updated)
+	res.UnitTimes = make([]time.Duration, len(res.UnitPatterns))
 	res.UnitSupport = prev.UnitSupport
-	var remineIdx []int
-	for i := range newLeaves {
-		if needRemine[i] {
-			remineIdx = append(remineIdx, i)
-		} else {
-			res.UnitPatterns[i] = prev.UnitPatterns[i]
-		}
-	}
-	res.ReminedUnits = remineIdx
-
-	if err := res.mineUnits(ctx, opts, newLeaves, remineIdx); err != nil {
-		return nil, err
-	}
 
 	// IncMergeJoin chain: replay the merges with the old node sets so
 	// unchanged transactions skip frequency checks. The previous run's
@@ -186,4 +160,25 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 		}
 	}
 	return res, nil
+}
+
+// narrowUnits returns copies of units minus the updated TIDs: a surviving
+// TID names a graph no fold has changed since its unit was mined, so it
+// still holds the piece that holds the pattern. A pattern left with no
+// TID is dropped; one without TIDs pre-verifies nothing and is kept.
+func narrowUnits(units []pattern.Set, updated *pattern.TIDSet) []pattern.Set {
+	out := make([]pattern.Set, len(units))
+	for i, set := range units {
+		out[i] = make(pattern.Set, len(set))
+		for key, p := range set {
+			if p.TIDs == nil || p.TIDs.IntersectCount(updated) == 0 {
+				out[i][key] = p
+				continue
+			}
+			if tids := p.TIDs.Minus(updated); tids.Count() > 0 {
+				out[i][key] = &pattern.Pattern{Code: p.Code, Support: tids.Count(), TIDs: tids}
+			}
+		}
+	}
+	return out
 }

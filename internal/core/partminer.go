@@ -9,6 +9,9 @@
 // that any pattern frequent in the database is frequent in at least one
 // unit — and recursively combines unit results up the partition tree with
 // internal/mergejoin, checking merged candidates at support sup/2^level.
+// IncPartMiner rebuilds the tree for the updated graphs and replays the
+// merges; unlike the paper's, it mines no unit and keeps the last mine's
+// unit sets minus the updated graphs.
 //
 // Execution runs on the shared substrate of internal/exec: MineContext
 // and IncMineContext propagate context cancellation into every layer, in
@@ -116,9 +119,8 @@ func (o Options) classicMaxEdges() int {
 	return o.MaxEdges
 }
 
-// mineUnit mines unit i with the configured override, or Gaston. Both
-// the initial mine and incremental re-mines go through here so sharded
-// deployments see every unit mine with its identity attached.
+// mineUnit mines unit i with the configured override, or Gaston, so
+// sharded deployments see every unit mine with its identity attached.
 func (o Options) mineUnit(ctx context.Context, i int, db graph.Database, minSup, maxEdges int) (pattern.Set, error) {
 	if o.UnitMinerIndexed != nil {
 		return o.UnitMinerIndexed(ctx, i, db, minSup, maxEdges)
@@ -126,26 +128,24 @@ func (o Options) mineUnit(ctx context.Context, i int, db graph.Database, minSup,
 	return gaston.MineContext(ctx, db, gaston.Options{MinSupport: minSup, MaxEdges: maxEdges})
 }
 
-// mineUnits mines leaves[i] for every unit index i in idx, at the reduced
-// support ⌈sup/k⌉, into UnitPatterns[i] and UnitTimes[i]: in parallel
-// mode concurrently on a pool GOMAXPROCS wide, otherwise in order with no
-// goroutines. Each unit opens its own "unit.<i>" phase inside its task,
-// so the span it hangs off the ambient trace attributes the work to the
-// right unit even when units interleave; the run observer rides the
-// context into the unit miner, which reports its internal phases through
-// exec.ObserverFrom. A unit miner's error degrades the unit (an empty set
-// when it returned none) and is recorded in Degraded under the unit's
-// index, not its position in idx.
-func (r *Result) mineUnits(ctx context.Context, opts Options, leaves []*partition.Node, idx []int) error {
+// mineUnits mines every leaf at the reduced support ⌈sup/k⌉, into
+// UnitPatterns[i] and UnitTimes[i]: in parallel mode concurrently on a
+// pool GOMAXPROCS wide, otherwise in order with no goroutines. Each unit
+// opens its own "unit.<i>" phase inside its task, so the span it hangs
+// off the ambient trace attributes the work to the right unit even when
+// units interleave; the run observer rides the context into the unit
+// miner, which reports its internal phases through exec.ObserverFrom. A
+// unit miner's error degrades the unit (an empty set when it returned
+// none) and is recorded in Degraded under the unit's index.
+func (r *Result) mineUnits(ctx context.Context, opts Options, leaves []*partition.Node) error {
 	pool := exec.Serial()
 	if opts.Parallel {
 		pool = exec.NewPool(0)
 	}
 	o := opts.Observer
-	unitErrs := make([]error, len(idx))
+	unitErrs := make([]error, len(leaves))
 	pctx, endStage := obs.Phase(ctx, o, "units")
-	err := pool.MapCtx(pctx, len(idx), func(tctx context.Context, j int) {
-		i := idx[j]
+	err := pool.MapCtx(pctx, len(leaves), func(tctx context.Context, i int) {
 		uctx, endUnit := obs.Phase(tctx, o, fmt.Sprintf("unit.%d", i))
 		defer endUnit()
 		uctx = obs.ObserverInContext(uctx, o)
@@ -156,20 +156,20 @@ func (r *Result) mineUnits(ctx context.Context, opts Options, leaves []*partitio
 		}
 		r.UnitPatterns[i] = set
 		r.UnitTimes[i] = time.Since(t0)
-		unitErrs[j] = err
+		unitErrs[i] = err
 	})
 	endStage()
 	if err != nil {
 		return err
 	}
-	for j, uerr := range unitErrs {
+	for i, uerr := range unitErrs {
 		if uerr == nil {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		r.Degraded = append(r.Degraded, fmt.Errorf("unit %d: %w", idx[j], uerr))
+		r.Degraded = append(r.Degraded, fmt.Errorf("unit %d: %w", i, uerr))
 		exec.Count(o, "units.degraded", 1)
 	}
 	return nil
@@ -183,11 +183,13 @@ type Result struct {
 	Patterns pattern.Set
 	// Tree is the partition tree built in Phase 1.
 	Tree *partition.Tree
-	// UnitPatterns[i] is the frequent set mined in unit i at UnitSupport.
+	// UnitPatterns[i] is the frequent set mined in unit i at UnitSupport;
+	// after a fold, the last mine's set minus the TIDs folds updated.
 	UnitPatterns []pattern.Set
 	// UnitSupport is the reduced threshold the units were mined at.
 	UnitSupport int
-	// UnitTimes[i] is the wall time of mining unit i.
+	// UnitTimes[i] is the wall time of mining unit i; zero after a fold,
+	// which mines no unit.
 	UnitTimes []time.Duration
 	// PartitionTime and MergeTime cover Phase 1 and the merge-join chain.
 	PartitionTime time.Duration
@@ -204,7 +206,8 @@ type Result struct {
 	// accelerator set: the run's Patterns stay exact — the merge-join
 	// re-derives everything from the database — but slower. A cluster
 	// coordinator degrades a unit only when its own local fallback fails
-	// too (cancellation, in practice); a dead fleet is in its Err().
+	// too (cancellation, in practice); a dead fleet is in its Err(). A
+	// fold mines no unit, so it degrades none: this is empty after one.
 	Degraded []error
 	// NodeSets holds the merged frequent set of every internal partition-
 	// tree node, keyed by tree path ("" is the root, "0"/"1" its
@@ -283,12 +286,7 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (*Result,
 	res.UnitPatterns = make([]pattern.Set, len(leaves))
 	res.UnitTimes = make([]time.Duration, len(leaves))
 	res.UnitSupport = ceilDiv(opts.MinSupport, opts.K)
-
-	all := make([]int, len(leaves))
-	for i := range all {
-		all[i] = i
-	}
-	if err := res.mineUnits(ctx, opts, leaves, all); err != nil {
+	if err := res.mineUnits(ctx, opts, leaves); err != nil {
 		return nil, err
 	}
 

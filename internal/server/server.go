@@ -77,9 +77,6 @@ type ApplyResult struct {
 	// FullRemine is true when the batch was mined from scratch (graph
 	// additions change the partition shape) rather than incrementally.
 	FullRemine bool `json:"full_remine"`
-	// ReminedUnits lists the partition units re-mined incrementally;
-	// empty on a full re-mine.
-	ReminedUnits []int `json:"remined_units,omitempty"`
 	// Latency is the fold duration: staging, mining, index patch, and
 	// snapshot construction (JSON: nanoseconds).
 	Latency time.Duration `json:"latency_ns"`
@@ -235,9 +232,9 @@ func Restore(ctx context.Context, db graph.Database, res *core.Result, cfg Confi
 	own := *res
 	own.Options.Observer = s.mergedObserver(own.Options.Observer)
 	// Loaded results carry no miner function (it is not serializable),
-	// so later folds would silently drop back to local mining. Re-adopt
-	// the configured miner — including the cluster coordinator newServer
-	// wired into s.opts — for the restored options.
+	// so later full re-mines would silently drop back to local mining.
+	// Re-adopt the configured miner — including the cluster coordinator
+	// newServer wired into s.opts — for the restored options.
 	if own.Options.UnitMinerIndexed == nil {
 		own.Options.UnitMinerIndexed = s.opts.UnitMinerIndexed
 	}
@@ -502,7 +499,7 @@ func (s *Server) fold(batch []*applyReq) {
 		return
 	}
 
-	res, fullRemine, remined, err := s.mine(ctx, cur, db, updated, appended)
+	res, fullRemine, err := s.mine(ctx, cur, db, updated, appended)
 	if err != nil {
 		s.logger.Error("fold failed", "run_id", runID, "ops", batched, "err", err)
 		s.mu.Lock()
@@ -562,14 +559,13 @@ func (s *Server) fold(batch []*applyReq) {
 
 	for _, req := range accepted {
 		res := ApplyResult{
-			Epoch:        next.Epoch,
-			Ops:          len(req.ops),
-			Batched:      batched,
-			FullRemine:   fullRemine,
-			ReminedUnits: remined,
-			Latency:      latency,
-			RunID:        runID,
-			TraceID:      tracer.ID(),
+			Epoch:      next.Epoch,
+			Ops:        len(req.ops),
+			Batched:    batched,
+			FullRemine: fullRemine,
+			Latency:    latency,
+			RunID:      runID,
+			TraceID:    tracer.ID(),
 		}
 		if req.traced {
 			res.Trace = treeOf()
@@ -587,7 +583,7 @@ func (s *Server) fold(batch []*applyReq) {
 // from scratch when graphs were appended (or incremental mining cannot
 // apply). The published snapshot's index is never mutated — that is the
 // clone's whole purpose.
-func (s *Server) mine(ctx context.Context, cur *Snapshot, db graph.Database, updated map[int]bool, appended bool) (*core.Result, bool, []int, error) {
+func (s *Server) mine(ctx context.Context, cur *Snapshot, db graph.Database, updated map[int]bool, appended bool) (*core.Result, bool, error) {
 	if !appended {
 		updatedTIDs := make([]int, 0, len(updated))
 		for tid := range updated {
@@ -597,17 +593,14 @@ func (s *Server) mine(ctx context.Context, cur *Snapshot, db graph.Database, upd
 		prev.Index = cur.Index.Clone()
 		inc, err := core.IncMineContext(ctx, db, updatedTIDs, &prev)
 		if err == nil {
-			return &inc.Result, false, inc.ReminedUnits, nil
+			return &inc.Result, false, nil
 		}
 		// The incremental path can legitimately refuse (e.g. the staged
 		// database differs from the published one outside updatedTIDs);
 		// fall through to a full run rather than failing the batch.
 	}
 	res, err := core.MineContext(ctx, db, s.opts)
-	if err != nil {
-		return nil, true, nil, err
-	}
-	return res, true, nil, nil
+	return res, true, err
 }
 
 // stage validates and applies one request's ops onto the working

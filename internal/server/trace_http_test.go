@@ -7,6 +7,7 @@ package server
 // worker spans in update traces).
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -84,8 +85,9 @@ func TestHTTPTraceSurface(t *testing.T) {
 	if upd.RunID == "" || upd.TraceID == "" || upd.Trace == nil {
 		t.Fatalf("traced update lost its trace: %+v", upd)
 	}
-	if !strings.Contains(flatten(upd.Trace), "units") {
-		t.Fatalf("fold trace lacks the mine phases: %s", flatten(upd.Trace))
+	// A fold mines no unit, so its trace has no units phase.
+	if names := flatten(upd.Trace); !strings.Contains(names, "partition") || !strings.Contains(names, "merge.root") {
+		t.Fatalf("fold trace lacks the fold phases: %s", names)
 	}
 	var untraced struct {
 		RunID   string    `json:"run_id"`
@@ -155,19 +157,22 @@ func TestClusterModeTraceAndFederation(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// The traced fold's tree must include remote worker subtrees.
+	// The traced update's tree must include remote worker subtrees. An
+	// in-place fold mines no unit, so the update appends a graph: a full
+	// re-mine, which ships its units to the workers.
 	var upd struct {
-		TraceID string    `json:"trace_id"`
-		Trace   *obs.Node `json:"trace"`
+		TraceID    string    `json:"trace_id"`
+		FullRemine bool      `json:"full_remine"`
+		Trace      *obs.Node `json:"trace"`
 	}
-	post(t, ts.URL+"/v1/update?trace=1",
-		`{"ops":[{"op":"relabel_vertex","tid":0,"u":0,"label":1}]}`, http.StatusOK, &upd)
-	if upd.Trace == nil {
+	add, _ := json.Marshal(map[string][]Op{"ops": {{Kind: OpAddGraph, Graph: db[0].String()}}})
+	post(t, ts.URL+"/v1/update?trace=1", string(add), http.StatusOK, &upd)
+	if upd.Trace == nil || !upd.FullRemine {
 		t.Fatalf("traced cluster update = %+v", upd)
 	}
 	names := flatten(upd.Trace)
 	if !strings.Contains(names, "worker.srv-worker-") {
-		t.Fatalf("cluster fold trace lacks grafted worker spans: %s", names)
+		t.Fatalf("cluster re-mine trace lacks grafted worker spans: %s", names)
 	}
 	if coord.Counters().TraceGrafts == 0 {
 		t.Fatal("no remote subtrees were grafted")

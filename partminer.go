@@ -71,8 +71,8 @@ type Options = core.Options
 // timings), reusable as the baseline for MineIncremental.
 type Result = core.Result
 
-// IncResult extends Result with the UF/FI/IF classification and re-mining
-// statistics of an incremental run.
+// IncResult extends Result with the UF/FI/IF classification of an
+// incremental run.
 type IncResult = core.IncResult
 
 // Criteria is the GraphPart weight function w(V1) = λ1·avg(ufreq) −
