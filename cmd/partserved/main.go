@@ -53,7 +53,6 @@ func main() {
 	envelope := flag.Int("envelope", 0, "growth envelope: unit miners and inner merges stop at this many edges and the root merge-join alone continues to -maxedges (0 there = unbounded); 0 mines every size in the units (-k > 1)")
 	parallel := flag.Bool("parallel", false, "mine units in parallel, at most GOMAXPROCS at once")
 	criteria := flag.String("criteria", "partition3", "partitioning strategy: "+strings.Join(partition.Names(), ", "))
-	batchWindow := flag.Duration("batch-window", 20*time.Millisecond, "how long the update loop lingers to coalesce concurrent updates")
 	snapshotPath := flag.String("snapshot", "", "persist every published snapshot to this file (atomic rename)")
 	restore := flag.Bool("restore", false, "warm-start from the -snapshot file instead of mining the database argument")
 	clusterAddr := flag.String("cluster-addr", "", "coordinator RPC listen address for partworker fleets (empty = single-node)")
@@ -80,7 +79,6 @@ func main() {
 
 	cfg := server.Config{
 		Mine:          core.Options{K: *k, MaxEdges: *maxEdges, GrowthEnvelope: *envelope, Parallel: *parallel, Bisector: bis},
-		BatchWindow:   *batchWindow,
 		Logger:        log,
 		SlowThreshold: *slowThreshold,
 		SlowLogSize:   *slowLogSize,

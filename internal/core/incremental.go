@@ -35,8 +35,9 @@ type IncResult struct {
 // lists the indexes of the graphs that were modified; newDB must have the
 // same length and graph order as the database prev was mined from, and
 // every graph not listed must equal its predecessor. That is checked
-// (pointer-equal graphs for free): an unlisted change is an error, not a
-// stale answer.
+// against the per-graph fingerprints prev recorded, so a graph changed in
+// place behind a pointer prev shares is caught too: an unlisted change is
+// an error, not a stale answer.
 //
 // The algorithm rebuilds the partition tree from prev.Tree, bisecting
 // only the updated graphs, and replays the merge-join chain
@@ -52,10 +53,13 @@ type IncResult struct {
 // of the graphs updated) times a fold as `incr_ms` against `remine_ms`
 // for mining from scratch; EXPERIMENTS.md records both.
 //
-// prev is only read, with the one exception it always had: prev.Index is
-// patched in place to describe newDB and becomes the new result's index.
-// A caller that folds one prev several times passes a shallow copy with
-// a cloned index.
+// prev is only read, with two exceptions. prev.Index is patched in place
+// to describe newDB and becomes the new result's index; a caller that
+// folds one prev several times passes a shallow copy with a cloned
+// index. And prev's sub-pattern key memo (canonical key → its
+// one-edge-removed sub-keys, a pure function of the key) is shared: the
+// fold adds to it and hands it on to the new result, so a chain of folds
+// canonicalises each removal once. It is safe for concurrent use.
 func IncPartMiner(newDB graph.Database, updatedTIDs []int, prev *Result) (*IncResult, error) {
 	return IncMineContext(context.Background(), newDB, updatedTIDs, prev)
 }
@@ -91,10 +95,23 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 
 	// The unchanged graphs' pieces, unit TIDs, carried supporters and
 	// border bounds are all reused on the strength of updatedTIDs, so it
-	// is checked, not trusted: pointer-equal graphs (a copy-on-write
-	// database) cost nothing, the rest one structural comparison each.
+	// is checked, not trusted: every unlisted graph must still have the
+	// fingerprint prev recorded for it, which also catches a graph
+	// mutated in place behind a pointer prev shares. A loaded result has
+	// no fingerprints; then pointer-equal graphs pass unchecked and the
+	// rest are compared with prev's.
+	res.fingerprints = fingerprints(newDB)
 	for tid, g := range newDB {
-		if old := prev.Tree.Root.DB[tid]; g != old && !updated.Contains(tid) && !g.Equal(old) {
+		if updated.Contains(tid) {
+			continue
+		}
+		changed := false
+		if prev.fingerprints != nil {
+			changed = res.fingerprints[tid] != prev.fingerprints[tid]
+		} else if old := prev.Tree.Root.DB[tid]; g != old {
+			changed = !g.Equal(old)
+		}
+		if changed {
 			return nil, fmt.Errorf("core: graph %d differs from the previous run's but is not listed as updated", tid)
 		}
 	}
@@ -134,7 +151,11 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 	mctx, endStage := obs.Phase(ctx, o, "merge")
 	res.NodeSets = make(map[string]pattern.Set)
 	res.Borders = make(map[string]mergejoin.Border)
-	chain := &mergeChain{res: &res.Result, opts: opts, subKeys: mergejoin.NewSubKeys(), prev: prev, updated: updated}
+	res.subKeys = prev.subKeys
+	if res.subKeys == nil {
+		res.subKeys = mergejoin.NewSubKeys()
+	}
+	chain := &mergeChain{res: &res.Result, opts: opts, prev: prev, updated: updated}
 	res.Patterns, err = chain.solve(mctx, tree.Root, "")
 	endStage()
 	if err != nil {

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"partminer/internal/datagen"
 	"partminer/internal/graph"
 	"partminer/internal/gspan"
 )
@@ -253,4 +257,114 @@ func TestIncPartMinerWithDeletions(t *testing.T) {
 	if len(inc.FI) == 0 {
 		t.Log("no FI patterns under deletions on this seed (acceptable)")
 	}
+}
+
+// TestIncPartMinerRejectsInPlaceUnlistedChange: graphs updated in place,
+// behind the very pointers the previous run holds, are checked too. The
+// fold compares every unlisted graph with the fingerprint the mine
+// recorded, so under-listing such a change is an error, not a stale
+// answer. A graph that only looks unchanged (pointer-equal) is no
+// exemption.
+func TestIncPartMinerRejectsInPlaceUnlistedChange(t *testing.T) {
+	db := datagen.Generate(datagen.Config{D: 100, T: 7, N: 4, L: 10, I: 3, Seed: 4})
+	prev, err := PartMiner(db, Options{MinSupport: 10, K: 2, MaxEdges: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tids := datagen.ApplyUpdates(db, datagen.UpdateConfig{Fraction: 0.3, Kinds: allUpdateKinds, N: 4, Seed: 1})
+	if len(tids) < 2 {
+		t.Fatalf("the update round touched %d graphs; want several", len(tids))
+	}
+	_, err = IncPartMiner(db, tids[:1], prev)
+	if err == nil || !strings.Contains(err.Error(), "differs from the previous run's but is not listed") {
+		t.Fatalf("%d graphs changed in place and 1 listed gave error %v", len(tids), err)
+	}
+	// Listed in full, the same in-place change folds exactly.
+	inc, err := IncPartMiner(db, tids, prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffSets(t, 4, "in-place fold", gspan.Mine(db, gspan.Options{MinSupport: 10, MaxEdges: 3}), inc.Patterns)
+}
+
+// TestFoldsShareTheMinesSubKeyMemo: the sub-pattern key memo is a pure
+// function of the canonical key, so a mine hands it to every fold chained
+// on it. Over 40 chained folds each fold adds to the one memo the mine
+// built, and every epoch stays exact. A loaded result carries no memo;
+// its first fold starts a fresh one and is exact too.
+func TestFoldsShareTheMinesSubKeyMemo(t *testing.T) {
+	const minSup, maxEdges = 3, 4
+	db := datagen.Generate(datagen.Config{D: 60, T: 7, N: 4, L: 10, I: 3, Seed: 6})
+	res, err := PartMiner(db, Options{MinSupport: minSup, K: 2, MaxEdges: maxEdges})
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo, mined := res.subKeys, res.subKeys.Len()
+	if mined == 0 {
+		t.Fatal("the mine left an empty sub-key memo")
+	}
+	prev, cur := res, db
+	for round := 0; round < 40; round++ {
+		frac := 0.0 // one graph, and every fourth round 10 % of them
+		if round%4 == 3 {
+			frac = 0.1
+		}
+		next, tids := updateRound(cur, frac, int64(round))
+		inc, err := IncPartMiner(next, tids, prev)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if inc.subKeys != memo {
+			t.Fatalf("round %d: the fold built its own sub-key memo", round)
+		}
+		diffSets(t, round, "chained fold", gspan.Mine(next, gspan.Options{MinSupport: minSup, MaxEdges: maxEdges}), inc.Patterns)
+		prev, cur = &inc.Result, next
+	}
+	// Folds add only the keys of candidates no earlier run checked: all
+	// 40 together add fewer than the mine did (≈ +45 % here; 619 → 623
+	// over 200 chained 1 % folds on the benchmark database, whose
+	// frequent set moves less per fold).
+	if n := memo.Len(); n >= 2*mined {
+		t.Errorf("the memo grew from %d to %d entries over 40 folds", mined, n)
+	}
+
+	// Folds off one result share its memo, concurrently too.
+	var wg sync.WaitGroup
+	for seed := int64(40); seed < 44; seed++ {
+		next, tids := updateRound(cur, 0.1, seed)
+		p := *prev
+		p.Index = prev.Index.Clone()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			inc, err := IncPartMiner(next, tids, &p)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			diffSets(t, int(seed), "concurrent fold", gspan.Mine(next, gspan.Options{MinSupport: minSup, MaxEdges: maxEdges}), inc.Patterns)
+		}()
+	}
+	wg.Wait()
+
+	var buf bytes.Buffer
+	if err := SaveSnapshot(&buf, prev); err != nil {
+		t.Fatal(err)
+	}
+	backDB, back, err := LoadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.subKeys != nil || back.fingerprints != nil {
+		t.Fatal("a loaded result carries a sub-key memo or fingerprints")
+	}
+	next, tids := updateRound(backDB, 0.1, 99)
+	inc, err := IncPartMiner(next, tids, back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inc.subKeys == nil || inc.subKeys == memo || inc.subKeys.Len() == 0 {
+		t.Error("the first fold after a load did not start a fresh memo")
+	}
+	diffSets(t, 99, "fold after load", gspan.Mine(next, gspan.Options{MinSupport: minSup, MaxEdges: maxEdges}), inc.Patterns)
 }

@@ -229,6 +229,16 @@ type Result struct {
 	// Options echoes the configuration the result was produced with, so
 	// an incremental run can stay consistent with it.
 	Options Options
+
+	// fingerprints[tid] is the Fingerprint of graph tid as this run saw
+	// it, so a fold can check every unlisted graph, even one mutated in
+	// place behind a shared pointer. A loaded Result has none.
+	fingerprints []uint64
+	// subKeys is the run's sub-pattern key memo. It maps a canonical key
+	// to a pure function of that key, so every fold chained on this
+	// result reuses it; a loaded Result has none and its first fold
+	// starts a fresh one.
+	subKeys *mergejoin.SubKeys
 }
 
 // AggregateTime is the serial-mode runtime: partitioning plus the sum of
@@ -302,7 +312,8 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (*Result,
 	mctx, endStage := obs.Phase(ctx, o, "merge")
 	res.NodeSets = make(map[string]pattern.Set)
 	res.Borders = make(map[string]mergejoin.Border)
-	chain := &mergeChain{res: res, opts: opts, subKeys: mergejoin.NewSubKeys()}
+	res.subKeys = mergejoin.NewSubKeys()
+	chain := &mergeChain{res: res, opts: opts}
 	res.Patterns, err = chain.solve(mctx, tree.Root, "")
 	endStage()
 	if err != nil {
@@ -310,19 +321,18 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (*Result,
 	}
 	res.MergeTime = time.Since(t0)
 	res.Options = opts
+	res.fingerprints = fingerprints(db)
 	return res, nil
 }
 
 // mergeChain is one run's walk up the partition tree: res supplies the
-// unit results and the root's feature index and receives NodeSets,
-// Borders and MergeStats. subKeys is the run's sub-pattern key memo:
-// the same patterns recur at every node of the tree, so every merge of
-// the run shares it. prev and updated are set in incremental mode and
-// only read.
+// unit results, the root's feature index and the sub-pattern key memo
+// (the same patterns recur at every node of the tree, so every merge of
+// the run shares it) and receives NodeSets, Borders and MergeStats. prev
+// and updated are set in incremental mode and only read.
 type mergeChain struct {
 	res     *Result
 	opts    Options
-	subKeys *mergejoin.SubKeys
 	prev    *Result
 	updated *pattern.TIDSet
 }
@@ -352,7 +362,7 @@ func (m *mergeChain) solve(ctx context.Context, n *partition.Node, path string) 
 		MaxEdges:   m.opts.classicMaxEdges(),
 		Border:     border,
 		Stats:      &m.res.MergeStats,
-		SubKeys:    m.subKeys,
+		SubKeys:    m.res.subKeys,
 		Observer:   m.opts.Observer,
 	}
 	if path == "" {
@@ -386,6 +396,15 @@ func nodePathLabel(path string) string {
 		return "root"
 	}
 	return path
+}
+
+// fingerprints returns the Fingerprint of every graph of db, by TID.
+func fingerprints(db graph.Database) []uint64 {
+	fps := make([]uint64, len(db))
+	for tid, g := range db {
+		fps[tid] = g.Fingerprint()
+	}
+	return fps
 }
 
 func ceilDiv(a, b int) int {

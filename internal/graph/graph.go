@@ -275,7 +275,8 @@ func (g *Graph) Clone() *Graph {
 // Equal reports exact structural equality: same vertex count, identical
 // labels per vertex id, and identical edge sets with labels. It is an
 // identity check (vertex ids matter), not an isomorphism test; the
-// incremental miner uses it to check that unlisted graphs are unchanged.
+// incremental miner uses it to check that unlisted graphs are unchanged
+// when the previous run recorded no fingerprints.
 func (g *Graph) Equal(o *Graph) bool {
 	if g.VertexCount() != o.VertexCount() || g.EdgeCount() != o.EdgeCount() {
 		return false
@@ -293,6 +294,36 @@ func (g *Graph) Equal(o *Graph) bool {
 		}
 	}
 	return true
+}
+
+// Fingerprint digests what Equal compares — the labels per vertex id
+// and the labeled edge set, in any adjacency order — into 64 bits:
+// Equal graphs have equal fingerprints, and unequal ones collide only by
+// accident. The incremental miner records one per graph to notice
+// graphs changed in place. It reads each label and adjacency entry once
+// and allocates nothing: every vertex and every edge end adds one term,
+// the label or the edge's far end and label XORed into a per-vertex
+// pseudo-random word, so the sum ignores adjacency order.
+func (g *Graph) Fingerprint() uint64 {
+	var h uint64
+	for v, adj := range g.Adj {
+		x := uint64(v+1) * 0x9e3779b97f4a7c15
+		x ^= x >> 29
+		h += x ^ uint64(g.Labels[v])*0xbf58476d1ce4e5b9
+		for _, e := range adj {
+			h += x ^ uint64(e.To+1)*0x94d049bb133111eb ^ uint64(e.Label)*0xd6e8feb86659fd93
+		}
+	}
+	return mix64(h ^ uint64(len(g.Labels))<<32 ^ uint64(g.edges))
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // Connected reports whether the graph is connected. The empty graph is

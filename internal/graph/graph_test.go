@@ -410,3 +410,48 @@ func TestRemoveEdge(t *testing.T) {
 		t.Error("re-added edge has wrong label")
 	}
 }
+
+// TestFingerprintFollowsEqual: graphs that are Equal — whatever their
+// adjacency order, ID or update frequencies — share a fingerprint, and
+// each kind of in-place change, including two relabels that swap labels
+// or offset each other, moves it.
+func TestFingerprintFollowsEqual(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 50; i++ {
+		g := RandomConnected(rng, i, 8, 12, 3, 3)
+		c := g.Clone()
+		c.ID = 99
+		c.BumpUpdateFreq(0, 1)
+		for _, adj := range c.Adj {
+			rng.Shuffle(len(adj), func(a, b int) { adj[a], adj[b] = adj[b], adj[a] })
+		}
+		if !g.Equal(c) || g.Fingerprint() != c.Fingerprint() {
+			t.Fatalf("graph %d: an Equal copy has another fingerprint", i)
+		}
+		e := g.Adj[0][0]
+		changes := map[string]func(h *Graph){
+			"relabel vertex":  func(h *Graph) { h.Labels[1] += 3 },
+			"swap labels":     func(h *Graph) { h.Labels[0], h.Labels[1] = h.Labels[1]+5, h.Labels[0]+5 },
+			"offset relabels": func(h *Graph) { h.Labels[0] += 2; h.Labels[1] -= 2 },
+			"relabel edge":    func(h *Graph) { h.SetEdgeLabel(0, e.To, e.Label+1) },
+			"remove edge":     func(h *Graph) { h.RemoveEdge(0, e.To) },
+			"add vertex":      func(h *Graph) { h.AddVertex(0) },
+			"add edge": func(h *Graph) {
+				for v := 1; v < h.VertexCount(); v++ {
+					if !h.HasEdge(0, v) {
+						h.MustAddEdge(0, v, 0)
+						return
+					}
+				}
+				h.MustAddEdge(0, h.AddVertex(0), 0)
+			},
+		}
+		for name, change := range changes {
+			h := g.Clone()
+			change(h)
+			if h.Equal(g) || h.Fingerprint() == g.Fingerprint() {
+				t.Errorf("graph %d: %s left the fingerprint unchanged", i, name)
+			}
+		}
+	}
+}

@@ -9,10 +9,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"partminer/internal/core"
 	"partminer/internal/graph"
@@ -45,10 +47,7 @@ func fingerprint(s *Snapshot) uint64 {
 }
 
 func testConfig() Config {
-	return Config{
-		Mine:        core.Options{MinSupport: 2, K: 2, MaxEdges: 4},
-		BatchWindow: -1, // fold exactly what is queued; tests stay fast
-	}
+	return Config{Mine: core.Options{MinSupport: 2, K: 2, MaxEdges: 4}}
 }
 
 // mustStart mines db and registers cleanup.
@@ -208,6 +207,68 @@ func TestApplyRejectsAtomically(t *testing.T) {
 	// the untouched original.
 	if _, err := s.Apply(context.Background(), []Op{{Kind: OpRelabelVertex, TID: 0, U: 0, Label: 3}}); err != nil {
 		t.Fatalf("valid apply after rejects: %v", err)
+	}
+	requireFreshEqual(t, s.Snapshot(), cfg.Mine)
+}
+
+// TestGroupCommit: the writer folds what is queued when it wakes, with no
+// timer. A configured BatchWindow, even an hour, is ignored: a lone Apply
+// is folded at once, and that fold is held open in OnSwap while N more
+// Apply calls queue up; released, the loop folds all N together into the
+// next epoch.
+func TestGroupCommit(t *testing.T) {
+	const n = 5
+	cfg := testConfig()
+	cfg.BatchWindow = time.Hour
+	entered, release, quit := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	cfg.OnSwap = func(snap *Snapshot) {
+		if snap.Epoch != 2 {
+			return
+		}
+		select {
+		case entered <- struct{}{}:
+			<-release
+		case <-quit: // the test gave up: let Close drain
+		}
+	}
+	s := mustStart(t, testDB(5, 10), cfg)
+	t.Cleanup(func() { close(quit) }) // runs before mustStart's Close
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	relabel := func(tid int) []Op { return []Op{{Kind: OpRelabelVertex, TID: tid, U: 0, Label: 1}} }
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := s.Apply(ctx, relabel(0))
+		first <- err
+	}()
+	select {
+	case <-entered: // the writer is inside the fold of epoch 2
+	case <-ctx.Done():
+		t.Fatal("the writer did not fold a lone Apply: it waits for a timer")
+	}
+	queued := make(chan applyResp, n)
+	for i := 1; i <= n; i++ {
+		go func() {
+			res, err := s.Apply(ctx, relabel(i))
+			queued <- applyResp{res, err}
+		}()
+	}
+	for len(s.reqs) < n {
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		r := <-queued
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.res.Epoch != 3 || r.res.Batched != n || r.res.Ops != 1 {
+			t.Errorf("apply %d: epoch %d, batched %d, ops %d; want all %d in epoch 3", i, r.res.Epoch, r.res.Batched, r.res.Ops, n)
+		}
 	}
 	requireFreshEqual(t, s.Snapshot(), cfg.Mine)
 }

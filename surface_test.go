@@ -67,7 +67,7 @@ var surface = map[string]string{
 	"gspan.Options.MaxEdges":    "TestDifferentialSharedPrefixEmbeddings",
 
 	"server.Config.Mine":          "rung:serve_mixed TestApplyDifferential",
-	"server.Config.BatchWindow":   "rung:serve_mixed TestApplyDifferential",
+	"server.Config.BatchWindow":   "TestGroupCommit", // ignored; kept while the benchmark still sets it
 	"server.Config.MaxBatch":      "rung:serve_mixed rung:server.ops_per_fold",
 	"server.Config.QueueDepth":    "rung:serve_mixed TestConcurrentReadsDuringSwaps",
 	"server.Config.OnSwap":        "TestConcurrentReadsDuringSwaps TestCacheConsistentDuringSwaps scripts/serve_smoke.sh",
@@ -289,7 +289,7 @@ func servedFamilies(t *testing.T) (http.Handler, map[string]bool) {
 	t.Cleanup(coord.Close)
 	db := graph.RandomDatabase(rand.New(rand.NewSource(1)), 4, 5, 6, 3, 2)
 	srv, err := server.Start(context.Background(), db, server.Config{
-		Mine: core.Options{MinSupport: 2, MaxEdges: 2}, BatchWindow: -1, Cluster: coord})
+		Mine: core.Options{MinSupport: 2, MaxEdges: 2}, Cluster: coord})
 	if err != nil {
 		t.Fatal(err)
 	}
