@@ -97,21 +97,10 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 	// border bounds are all reused on the strength of updatedTIDs, so it
 	// is checked, not trusted: every unlisted graph must still have the
 	// fingerprint prev recorded for it, which also catches a graph
-	// mutated in place behind a pointer prev shares. A loaded result has
-	// no fingerprints; then pointer-equal graphs pass unchecked and the
-	// rest are compared with prev's.
+	// mutated in place behind a pointer prev shares.
 	res.fingerprints = fingerprints(newDB)
-	for tid, g := range newDB {
-		if updated.Contains(tid) {
-			continue
-		}
-		changed := false
-		if prev.fingerprints != nil {
-			changed = res.fingerprints[tid] != prev.fingerprints[tid]
-		} else if old := prev.Tree.Root.DB[tid]; g != old {
-			changed = !g.Equal(old)
-		}
-		if changed {
+	for tid, fp := range res.fingerprints {
+		if !updated.Contains(tid) && fp != prev.fingerprints[tid] {
 			return nil, fmt.Errorf("core: graph %d differs from the previous run's but is not listed as updated", tid)
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -264,34 +265,50 @@ func TestIncPartMinerWithDeletions(t *testing.T) {
 // fold compares every unlisted graph with the fingerprint the mine
 // recorded, so under-listing such a change is an error, not a stale
 // answer. A graph that only looks unchanged (pointer-equal) is no
-// exemption.
+// exemption, and a result loaded from a snapshot, whose partition tree
+// holds the very database LoadSnapshot returns, is checked the same way.
 func TestIncPartMinerRejectsInPlaceUnlistedChange(t *testing.T) {
 	db := datagen.Generate(datagen.Config{D: 100, T: 7, N: 4, L: 10, I: 3, Seed: 4})
 	prev, err := PartMiner(db, Options{MinSupport: 10, K: 2, MaxEdges: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tids := datagen.ApplyUpdates(db, datagen.UpdateConfig{Fraction: 0.3, Kinds: allUpdateKinds, N: 4, Seed: 1})
-	if len(tids) < 2 {
-		t.Fatalf("the update round touched %d graphs; want several", len(tids))
+	var buf bytes.Buffer
+	if err := SaveSnapshot(&buf, prev); err != nil {
+		t.Fatal(err)
 	}
-	_, err = IncPartMiner(db, tids[:1], prev)
-	if err == nil || !strings.Contains(err.Error(), "differs from the previous run's but is not listed") {
-		t.Fatalf("%d graphs changed in place and 1 listed gave error %v", len(tids), err)
-	}
-	// Listed in full, the same in-place change folds exactly.
-	inc, err := IncPartMiner(db, tids, prev)
+	backDB, back, err := LoadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffSets(t, 4, "in-place fold", gspan.Mine(db, gspan.Options{MinSupport: 10, MaxEdges: 3}), inc.Patterns)
+	for _, c := range []struct {
+		name string
+		db   graph.Database
+		prev *Result
+	}{{"mined", db, prev}, {"loaded", backDB, back}} {
+		tids := datagen.ApplyUpdates(c.db, datagen.UpdateConfig{Fraction: 0.3, Kinds: allUpdateKinds, N: 4, Seed: 1})
+		if len(tids) < 2 {
+			t.Fatalf("%s: the update round touched %d graphs; want several", c.name, len(tids))
+		}
+		_, err = IncPartMiner(c.db, tids[:1], c.prev)
+		if err == nil || !strings.Contains(err.Error(), "differs from the previous run's but is not listed") {
+			t.Fatalf("%s: %d graphs changed in place and 1 listed gave error %v", c.name, len(tids), err)
+		}
+		// Listed in full, the same in-place change folds exactly.
+		inc, err := IncPartMiner(c.db, tids, c.prev)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		diffSets(t, 4, c.name+" in-place fold", gspan.Mine(c.db, gspan.Options{MinSupport: 10, MaxEdges: 3}), inc.Patterns)
+	}
 }
 
 // TestFoldsShareTheMinesSubKeyMemo: the sub-pattern key memo is a pure
 // function of the canonical key, so a mine hands it to every fold chained
 // on it. Over 40 chained folds each fold adds to the one memo the mine
-// built, and every epoch stays exact. A loaded result carries no memo;
-// its first fold starts a fresh one and is exact too.
+// built, and every epoch stays exact. A loaded result carries no memo
+// (but the fingerprints of its database); its first fold starts a fresh
+// memo and is exact too.
 func TestFoldsShareTheMinesSubKeyMemo(t *testing.T) {
 	const minSup, maxEdges = 3, 4
 	db := datagen.Generate(datagen.Config{D: 60, T: 7, N: 4, L: 10, I: 3, Seed: 6})
@@ -355,8 +372,11 @@ func TestFoldsShareTheMinesSubKeyMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.subKeys != nil || back.fingerprints != nil {
-		t.Fatal("a loaded result carries a sub-key memo or fingerprints")
+	if back.subKeys != nil {
+		t.Fatal("a loaded result carries a sub-key memo")
+	}
+	if !slices.Equal(back.fingerprints, prev.fingerprints) {
+		t.Fatal("a loaded result's fingerprints differ from the saved run's")
 	}
 	next, tids := updateRound(backDB, 0.1, 99)
 	inc, err := IncPartMiner(next, tids, back)

@@ -166,6 +166,7 @@ func (s *snapshot) rebuild() (graph.Database, *Result, error) {
 	}
 	res.Tree = tree
 	res.PartitionQuality = tree.Quality
+	res.fingerprints = fingerprints(db)
 	return db, res, nil
 }
 

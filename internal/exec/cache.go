@@ -8,8 +8,9 @@ import "sync"
 // bookkeeping on a hot path, and the rest of the working set survives
 // the overflow. Stored values are shared with every Get — callers that
 // hand a value out for mutation copy it. Each owner (a query.Index per
-// snapshot, a mining run for its merge-joins) makes its own with
-// NewCache, so nothing cached outlives the state it was computed from.
+// snapshot, a mine for its merge-joins and the folds chained on it)
+// makes its own with NewCache, so nothing cached outlives the state it
+// was computed from.
 type Cache[V any] struct {
 	mu  sync.Mutex
 	max int

@@ -274,9 +274,7 @@ func (g *Graph) Clone() *Graph {
 
 // Equal reports exact structural equality: same vertex count, identical
 // labels per vertex id, and identical edge sets with labels. It is an
-// identity check (vertex ids matter), not an isomorphism test; the
-// incremental miner uses it to check that unlisted graphs are unchanged
-// when the previous run recorded no fingerprints.
+// identity check (vertex ids matter), not an isomorphism test.
 func (g *Graph) Equal(o *Graph) bool {
 	if g.VertexCount() != o.VertexCount() || g.EdgeCount() != o.EdgeCount() {
 		return false

@@ -14,11 +14,18 @@ import (
 // dominates candidate-check cost (building the removal graphs and
 // canonicalizing them), and the same patterns recur at every node of the
 // partition tree, so one mining run shares one memo across its merges
-// (Config.SubKeys).
+// (Config.SubKeys), and the folds chained on the run share it too.
 type SubKeys = exec.Cache[[]string]
 
-// maxSubKeyEntries bounds a memo.
-const maxSubKeyEntries = 1 << 20
+// maxSubKeyEntries bounds a memo. A memo lives as long as a chain of
+// folds, which in a server is until the next full re-mine, so the bound
+// is sized for that: an entry holds ≈ 270 B (key and sub-keys), so the
+// memo stays under ≈ 18 MB. The benchmark mine fills 619 entries; folds
+// whose updates move every graph they touch to unseen labels (the
+// frequent set drifts wholesale every 100 folds) add ≈ 3 a fold, so such
+// traffic reaches the bound after ≈ 20 000 folds and eviction holds it
+// there.
+const maxSubKeyEntries = 1 << 16
 
 // NewSubKeys returns an empty memo.
 func NewSubKeys() *SubKeys { return exec.NewCache[[]string](maxSubKeyEntries) }

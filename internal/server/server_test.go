@@ -255,7 +255,14 @@ func TestGroupCommit(t *testing.T) {
 		}()
 	}
 	for len(s.reqs) < n {
-		runtime.Gosched()
+		select {
+		case r := <-queued:
+			t.Fatalf("an Apply returned while the fold was held (epoch %d, error %v)", r.res.Epoch, r.err)
+		case <-ctx.Done():
+			t.Fatalf("%d of %d Apply calls queued before the deadline", len(s.reqs), n)
+		default:
+			runtime.Gosched()
+		}
 	}
 	close(release)
 	if err := <-first; err != nil {
