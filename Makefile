@@ -59,8 +59,9 @@ search-example:
 	$(GO) run ./examples/search
 
 # parallel-example mines one database serially and with Options.Parallel
-# at K = 1, 2, 4 and 6 and exits non-zero if parallel mode or K changes
-# the result: the only end-to-end driver of parallel unit mining.
+# at K = 1, 2, 4 and 6, folds a 10 % update at each K, and exits non-zero
+# if parallel mode or K changes the result or a fold differs from a
+# from-scratch mine: the only end-to-end driver of parallel unit mining.
 parallel-example:
 	$(GO) run ./examples/parallel
 

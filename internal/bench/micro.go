@@ -133,8 +133,7 @@ func BroomDB() graph.Database {
 const broomTarget = 10
 
 // BenchDecompMineDecomp runs the full PartMiner pipeline with the growth
-// envelope at 4: units and inner merges to 4 edges, then the root
-// merge-join alone up to 12, asserting a >=10-edge pattern comes out.
+// envelope at 4: units to 4 edges, then the merge-join alone up to 12, asserting a >=10-edge pattern comes out.
 // Compare with BenchDecompMineEdgeGrowth — pure edge growth on the same
 // database and target, which hits the 2-second cutoff.
 func BenchDecompMineDecomp(b *testing.B) {

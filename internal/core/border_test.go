@@ -36,7 +36,7 @@ func updateRound(db graph.Database, frac float64, seed int64) (graph.Database, [
 
 // TestBorderChainedDifferential50Seeds chains three folds — one graph,
 // 10 % and 50 % of the database updated, deletions included — on 50
-// seeded databases, for K=2 and K=4 (inner nodes carry borders too),
+// seeded databases, for K=2 and K=4 (four unit sets seed the merge),
 // serial and pooled, without and with a growth envelope of two edges, and
 // compares keys, supports and TID bitsets with gSpan after every fold.
 // The negative border must prune from the first fold on: it is recorded
@@ -111,27 +111,25 @@ func TestBorderChainedDifferential50Seeds(t *testing.T) {
 	}
 }
 
-// carriedFloor counts what an incremental merge chain cannot avoid
-// carrying: over every tree node, the pre-update supporters among
-// unchanged transactions of each pattern of at least minSize (two or
-// more: 1-edge patterns are read off the index) edges the node held
-// before and still holds. A pattern that fell out may have been pruned
-// before its supporters were carried, hence a floor.
+// carriedFloor counts what an incremental merge cannot avoid carrying:
+// the pre-update supporters among unchanged transactions of each pattern
+// of at least minSize (two or more: 1-edge patterns are read off the
+// index) edges the result held before and still holds. A pattern that
+// fell out may have been pruned before its supporters were carried,
+// hence a floor.
 func carriedFloor(prev *Result, inc *IncResult, updated *pattern.TIDSet, minSize int) int64 {
 	var n int64
-	for path, set := range inc.NodeSets {
-		for key, p := range set {
-			if old, ok := prev.NodeSets[path][key]; ok && p.Size() >= minSize {
-				n += int64(old.TIDs.AndNotCount(updated))
-			}
+	for key, p := range inc.Patterns {
+		if old, ok := prev.Patterns[key]; ok && p.Size() >= minSize {
+			n += int64(old.TIDs.AndNotCount(updated))
 		}
 	}
 	return n
 }
 
 // resultState renders everything an incremental run reads from a previous
-// result — pattern sets with TIDs, node sets, borders, unit results and
-// every node database of the tree — so two states compare with
+// result — pattern sets with TIDs, the border, unit results and every
+// leaf database of the tree — so two states compare with
 // reflect.DeepEqual.
 func resultState(res *Result) map[string]string {
 	state := make(map[string]string)
@@ -141,16 +139,11 @@ func resultState(res *Result) map[string]string {
 		}
 	}
 	addSet("patterns", res.Patterns)
-	for path, set := range res.NodeSets {
-		addSet("node "+path, set)
-	}
 	for i, set := range res.UnitPatterns {
 		addSet(fmt.Sprintf("unit %d", i), set)
 	}
-	for path, border := range res.Borders {
-		for key, e := range border {
-			state["border "+path+"/"+key] = fmt.Sprintf("%q %v", e.Blocker, e.Bound)
-		}
+	for key, e := range res.Border {
+		state["border "+key] = fmt.Sprintf("%q %v", e.Blocker, e.Bound)
 	}
 	for i, leaf := range res.Tree.Leaves() {
 		var sb strings.Builder
@@ -175,9 +168,9 @@ func withoutReasons(state map[string]string) map[string]string {
 
 // TestIncrementalLeavesPrevUntouched: one previous result may feed many
 // incremental runs (the benchmark and the server both shallow-copy it),
-// so a run must neither modify it — the old border and node sets least of
-// all — nor let it shape anything but the answer: two runs off the same
-// prev return the same patterns, TIDs and node sets and reject the same
+// so a run must neither modify it — the old border and frequent set least
+// of all — nor let it shape anything but the answer: two runs off the
+// same prev return the same patterns, TIDs and unit sets and reject the same
 // candidates. (Why a candidate was rejected may differ: which parent
 // generated it first follows map order.)
 func TestIncrementalLeavesPrevUntouched(t *testing.T) {
@@ -243,8 +236,8 @@ func TestRestoredResultFoldsWithoutBorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Borders != nil || back.Index != nil {
-		t.Fatalf("a restored result carries borders (%d) or an index", len(back.Borders))
+	if back.Border != nil || back.Index != nil {
+		t.Fatalf("a restored result carries a border (%d) or an index", len(back.Border))
 	}
 	db1, tids1 := updateRound(backDB, 0.2, 1)
 	first, err := IncPartMiner(db1, tids1, back)
@@ -255,7 +248,7 @@ func TestRestoredResultFoldsWithoutBorder(t *testing.T) {
 	if first.MergeStats.BorderPruned != 0 {
 		t.Errorf("border_pruned = %d on a fold that had no border to consult", first.MergeStats.BorderPruned)
 	}
-	if len(first.Borders[""]) == 0 {
+	if len(first.Border) == 0 {
 		t.Fatal("the first fold recorded no border")
 	}
 	db2, tids2 := updateRound(db1, 0.2, 2)
@@ -335,17 +328,15 @@ func codeOfKey(t *testing.T, key string) dfscode.Code {
 // where merge-join engages the decomposition cover, which for an
 // extension candidate is the one piece grown from its added edge on top
 // of a bound started from its parent's supporters — and holds every
-// border entry of every tree node to a brute-force count over that node's
-// database: the rejected candidate is infrequent there, a bound holds
+// border entry to a brute-force count over the database: the rejected candidate is infrequent there, a bound holds
 // every exact supporter, and a blocker is an infrequent sub-pattern of the
 // candidate. It then folds two 10 % updates in a row and holds each
-// fold's borders to the same count over the updated tree. A fold records
+// fold's border to the same count over the updated database. A fold records
 // what its generation filters reject under extension keys — with the
 // missing path as blocker or the narrowed intersection as bound — and the
 // second fold refreshes the first's extension entries through its border
 // probe, so both kinds of key and both kinds of entry are recounted. K=2
-// and K=4 (inner nodes merge at reduced thresholds), serial and parallel
-// (units only).
+// and K=4, serial and parallel (units only).
 func TestBorderEntriesSoundPastDecompSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("brute-force recount of every border entry; skipped with -short")
@@ -385,11 +376,9 @@ func TestBorderEntriesSoundPastDecompSize(t *testing.T) {
 					foldName := fmt.Sprintf("seed %d %s fold %d", seed, name, r)
 					diffSets(t, seed, foldName, wants[r], inc.Patterns)
 					foldPairPruned += inc.MergeStats.PairPruned
-					for _, border := range inc.Borders {
-						for key := range border {
-							if strings.Contains(key, "+") {
-								extEntries++
-							}
+					for key := range inc.Border {
+						if strings.Contains(key, "+") {
+							extEntries++
 						}
 					}
 					checkBordersSound(t, foldName, &inc.Result, minSup)
@@ -404,51 +393,41 @@ func TestBorderEntriesSoundPastDecompSize(t *testing.T) {
 	}
 }
 
-// checkBordersSound recounts every border entry of every tree node of res
-// by brute force over that node's database, at the node's threshold.
+// checkBordersSound recounts every border entry of res by brute force
+// over the whole database, at the run's threshold.
 func checkBordersSound(t *testing.T, name string, res *Result, minSup int) {
 	t.Helper()
-	for path, border := range res.Borders {
-		node := res.Tree.Root
-		for _, side := range path {
-			if side == '0' {
-				node = node.Left
-			} else {
-				node = node.Right
-			}
-		}
-		nodeSup := ceilDiv(minSup, 1<<uint(node.Level))
-		counted := make(map[string]*pattern.TIDSet)
-		supporters := func(key string, g *graph.Graph) *pattern.TIDSet {
-			if ts, ok := counted[key]; ok {
-				return ts
-			}
-			ts := pattern.NewTIDSet(len(node.DB))
-			for tid, tx := range node.DB {
-				if isomorph.Contains(tx, g) {
-					ts.Add(tid)
-				}
-			}
-			counted[key] = ts
+	db := res.Tree.Root.DB
+	counted := make(map[string]*pattern.TIDSet)
+	supporters := func(key string, g *graph.Graph) *pattern.TIDSet {
+		if ts, ok := counted[key]; ok {
 			return ts
 		}
-		for key, e := range border {
-			cand := codeOfKey(t, key).Graph()
-			tids := supporters(key, cand)
-			if tids.Count() >= nodeSup {
-				t.Fatalf("%s node %q: rejected %s has support %d >= %d", name, path, key, tids.Count(), nodeSup)
+		ts := pattern.NewTIDSet(len(db))
+		for tid, tx := range db {
+			if isomorph.Contains(tx, g) {
+				ts.Add(tid)
 			}
-			if e.Bound != nil && tids.AndNotCount(e.Bound) != 0 {
-				t.Fatalf("%s node %q: bound %v of %s misses supporters %v", name, path, e.Bound, key, tids)
+		}
+		counted[key] = ts
+		return ts
+	}
+	for key, e := range res.Border {
+		cand := codeOfKey(t, key).Graph()
+		tids := supporters(key, cand)
+		if tids.Count() >= minSup {
+			t.Fatalf("%s: rejected %s has support %d >= %d", name, key, tids.Count(), minSup)
+		}
+		if e.Bound != nil && tids.AndNotCount(e.Bound) != 0 {
+			t.Fatalf("%s: bound %v of %s misses supporters %v", name, e.Bound, key, tids)
+		}
+		if e.Blocker != "" {
+			piece := codeOfKey(t, e.Blocker).Graph()
+			if !isomorph.Contains(cand, piece) {
+				t.Fatalf("%s: blocker %s is not inside %s", name, e.Blocker, key)
 			}
-			if e.Blocker != "" {
-				piece := codeOfKey(t, e.Blocker).Graph()
-				if !isomorph.Contains(cand, piece) {
-					t.Fatalf("%s node %q: blocker %s is not inside %s", name, path, e.Blocker, key)
-				}
-				if n := supporters(e.Blocker, piece).Count(); n >= nodeSup {
-					t.Fatalf("%s node %q: blocker %s of %s has support %d >= %d", name, path, e.Blocker, key, n, nodeSup)
-				}
+			if n := supporters(e.Blocker, piece).Count(); n >= minSup {
+				t.Fatalf("%s: blocker %s of %s has support %d >= %d", name, e.Blocker, key, n, minSup)
 			}
 		}
 	}

@@ -40,18 +40,19 @@ type IncResult struct {
 // an error, not a stale answer.
 //
 // The algorithm rebuilds the partition tree from prev.Tree, bisecting
-// only the updated graphs, and replays the merge-join chain
-// incrementally: supporters of previously frequent patterns among
-// unchanged graphs carry over without isomorphism tests, and candidates
-// and extensions the previous merges rejected are pruned again from
-// prev.Borders while their entries still hold, so frequency checking
-// concentrates on the potential IF patterns. Unlike Fig. 12 lines 3-5,
-// it re-mines no unit (the merges are complete by extension and carry
-// every unchanged supporter), so it calls no unit miner and degrades no
-// unit; each unit set is prev's minus the updated graphs' TIDs. The
-// benchmark's `mine` workload (D1kT20N20L200I5 at 4 % support, K=2, 10 %
-// of the graphs updated) times a fold as `incr_ms` against `remine_ms`
-// for mining from scratch; EXPERIMENTS.md records both.
+// only the updated graphs, and replays the merge-join incrementally:
+// supporters of previously frequent patterns among unchanged graphs
+// carry over without isomorphism tests, and candidates and extensions the
+// previous merge rejected are pruned again from prev.Border while their
+// entries still hold, so frequency checking concentrates on the
+// potential IF patterns. A fold merges at every K, K=1 included. Unlike
+// Fig. 12 lines 3-5, it re-mines no unit (the merge is complete by
+// extension and carries every unchanged supporter), so it calls no unit
+// miner and degrades no unit; each unit set is prev's minus the updated
+// graphs' TIDs. The benchmark's `mine` workload (D1kT20N20L200I5 at
+// 4 % support, K=2, 10 % of the graphs updated) times a fold as
+// `incr_ms` against `remine_ms` for mining from scratch; EXPERIMENTS.md
+// records both.
 //
 // prev is only read, with two exceptions. prev.Index is patched in place
 // to describe newDB and becomes the new result's index; a caller that
@@ -65,7 +66,7 @@ func IncPartMiner(newDB graph.Database, updatedTIDs []int, prev *Result) (*IncRe
 }
 
 // IncMineContext is IncPartMiner with cooperative cancellation; like
-// MineContext, the incremental merge-join chain observes ctx and returns
+// MineContext, the incremental merge-join observes ctx and returns
 // ctx.Err() promptly once it is cancelled.
 func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int, prev *Result) (*IncResult, error) {
 	if prev == nil || prev.Tree == nil {
@@ -84,7 +85,7 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 	}
 
 	o := opts.Observer
-	res := &IncResult{}
+	res := &IncResult{Result: Result{Options: opts}}
 	updated := pattern.NewTIDSet(len(newDB))
 	for _, tid := range updatedTIDs {
 		if tid < 0 || tid >= len(newDB) {
@@ -125,7 +126,7 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 	res.UnitTimes = make([]time.Duration, len(res.UnitPatterns))
 	res.UnitSupport = prev.UnitSupport
 
-	// IncMergeJoin chain: replay the merges with the old node sets so
+	// IncMergeJoin: replay the merge with the old frequent set so
 	// unchanged transactions skip frequency checks. The previous run's
 	// feature index is patched in place for the updated transactions
 	// (prev adopts the post-update view too — its database reference is
@@ -138,20 +139,16 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 		return nil, err
 	}
 	mctx, endStage := obs.Phase(ctx, o, "merge")
-	res.NodeSets = make(map[string]pattern.Set)
-	res.Borders = make(map[string]mergejoin.Border)
 	res.subKeys = prev.subKeys
 	if res.subKeys == nil {
 		res.subKeys = mergejoin.NewSubKeys()
 	}
-	chain := &mergeChain{res: &res.Result, opts: opts, prev: prev, updated: updated}
-	res.Patterns, err = chain.solve(mctx, tree.Root, "")
+	res.Patterns, err = res.merge(mctx, newDB, prev, updated)
 	endStage()
 	if err != nil {
 		return nil, err
 	}
 	res.MergeTime = time.Since(t0)
-	res.Options = opts
 
 	// Classify against the pre-update results (Fig. 12 lines 13-15).
 	res.UF = make(pattern.Set)

@@ -167,39 +167,43 @@ func TestIncPartMinerLocalizedUpdateReminesFewerUnits(t *testing.T) {
 
 // TestIncPartMinerChained chains two folds on each other. A fold mines no
 // unit: its unit sets are the previous ones narrowed, so after every fold
-// no unit pattern may keep a TID of that round's updated graphs.
+// no unit pattern may keep a TID of that round's updated graphs. K=1 folds
+// too: its mine merges nothing, but a fold must, or it returns the
+// narrowed unit set.
 func TestIncPartMinerChained(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	db := graph.RandomDatabase(rng, 8, 6, 8, 3, 2)
-	opts := Options{MinSupport: 2, K: 2, MaxEdges: 4}
-	prev, err := PartMiner(db, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := db
-	var inc *IncResult
-	for round := 0; round < 2; round++ {
-		next := cur.Clone()
-		updated := applyRandomUpdates(rng, next, 0.3)
-		inc, err = IncPartMiner(next, updated, prev)
+	for _, k := range []int{2, 1} {
+		rng := rand.New(rand.NewSource(61))
+		db := graph.RandomDatabase(rng, 8, 6, 8, 3, 2)
+		opts := Options{MinSupport: 2, K: k, MaxEdges: 4}
+		prev, err := PartMiner(db, opts)
 		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
+			t.Fatal(err)
 		}
-		for i, set := range inc.UnitPatterns {
-			for _, p := range set {
-				for _, tid := range updated {
-					if p.TIDs.Contains(tid) {
-						t.Errorf("round %d: unit %d pattern %v keeps updated TID %d", round, i, p, tid)
+		cur := db
+		var inc *IncResult
+		for round := 0; round < 2; round++ {
+			next := cur.Clone()
+			updated := applyRandomUpdates(rng, next, 0.3)
+			inc, err = IncPartMiner(next, updated, prev)
+			if err != nil {
+				t.Fatalf("k=%d round %d: %v", k, round, err)
+			}
+			for i, set := range inc.UnitPatterns {
+				for _, p := range set {
+					for _, tid := range updated {
+						if p.TIDs.Contains(tid) {
+							t.Errorf("k=%d round %d: unit %d pattern %v keeps updated TID %d", k, round, i, p, tid)
+						}
 					}
 				}
 			}
+			prev = &inc.Result
+			cur = next
 		}
-		prev = &inc.Result
-		cur = next
-	}
-	want := gspan.Mine(cur, gspan.Options{MinSupport: 2, MaxEdges: 4})
-	if !inc.Patterns.Equal(want) {
-		t.Fatalf("chained incremental diff: %v", inc.Patterns.Diff(want))
+		want := gspan.Mine(cur, gspan.Options{MinSupport: 2, MaxEdges: 4})
+		if !inc.Patterns.Equal(want) {
+			t.Fatalf("k=%d: chained incremental diff: %v", k, inc.Patterns.Diff(want))
+		}
 	}
 }
 

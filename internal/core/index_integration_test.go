@@ -69,11 +69,11 @@ func TestIncPartMinerReusesIndex(t *testing.T) {
 	}
 }
 
-// TestMergeCountersAtBenchmarkConfig pins the root merge's work at the
-// benchmark's configuration (D1kT20N20L200I5, seed 7, 4 %, K=2): which
-// candidates are generated, how many survive and how many isomorphism
-// tests and signature prunes they cost do not depend on where a
-// candidate's bound or cover starts. The feature narrowing prunes only
+// TestMergeCountersAtBenchmarkConfig pins the merge-join's work at the
+// benchmark's configuration (D1kT20N20L200I5, seed 7, 4 %, K=2, and a
+// K=4 mine): which candidates are generated, how many survive and how
+// many isomorphism tests and signature prunes they cost do not depend on
+// where a candidate's bound or cover starts. The feature narrowing prunes only
 // candidates without a parent — here the unit-seeded ones — since an
 // extension candidate's bound was held to the threshold when it was
 // generated. The two-edge path filter drops extensions before they
@@ -130,6 +130,17 @@ func TestMergeCountersAtBenchmarkConfig(t *testing.T) {
 		sst.BorderPruned != 4449 || sst.CarriedTIDs != 26650 || sst.PairPruned != 0 {
 		t.Errorf("second fold: candidates %d, frequent %d, iso tests %d, sig-pruned %d, border-pruned %d, carried %d, pair-pruned %d; want 1026, 357, 4643, 5539, 4449, 26650, 0",
 			sst.Candidates, sst.Frequent, sst.IsoTests, sst.SigPruned, sst.BorderPruned, sst.CarriedTIDs, sst.PairPruned)
+	}
+	// At K=4 the one merge-join gets all four unit sets at once (3091
+	// candidates and 17407 isomorphism tests when the partition tree's
+	// inner nodes merged their children first, at ⌈sup/2⌉).
+	res4, err := PartMiner(db, Options{MinSupport: sup, K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st4 := res4.MergeStats; len(res4.Patterns) != 447 || st4.Candidates != 1184 || st4.IsoTests != 11871 {
+		t.Errorf("K=4: patterns %d, candidates %d, iso tests %d; want 447, 1184, 11871",
+			len(res4.Patterns), st4.Candidates, st4.IsoTests)
 	}
 	narrowedOut := make(map[string]bool)
 	for _, unit := range res.UnitPatterns {

@@ -7,19 +7,23 @@
 // with internal/partition. Phase 2 mines each unit with a memory-based
 // miner (Gaston by default, §4.2) at reduced support sup/k — reduced so
 // that any pattern frequent in the database is frequent in at least one
-// unit — and recursively combines unit results up the partition tree with
-// internal/mergejoin, checking merged candidates at support sup/2^level.
-// IncPartMiner rebuilds the tree for the updated graphs and replays the
-// merges; unlike the paper's, it mines no unit and keeps the last mine's
-// unit sets minus the updated graphs.
+// unit — and recovers the database's frequent set in one internal/mergejoin
+// merge-join at sup over the whole database, every unit set's TIDs taken
+// as pre-verified supporters. (The paper merges up the partition tree,
+// each inner node at sup/2^level against its own sub-database; the
+// merge-join here is complete by extension and the root holds the whole
+// database, so those inner merges would only do work the root repeats.)
+// IncPartMiner rebuilds the partition for the updated graphs and replays
+// the merge; unlike the paper's, it mines no unit and keeps the last
+// mine's unit sets minus the updated graphs.
 //
 // Execution runs on the shared substrate of internal/exec: MineContext
 // and IncMineContext propagate context cancellation into every layer, in
 // parallel mode one exec.Pool of GOMAXPROCS width mines the units
 // concurrently (the paper's parallel PartMiner, §5.1.3) while the
-// partitioning, the index build and the merge-join chain run serially,
-// and an optional exec.Observer receives the per-phase breakdown
-// (partition / per-unit / merge) the paper's §5 tables report.
+// partitioning, the index build and the merge-join run serially, and an
+// optional exec.Observer receives the per-phase breakdown (partition /
+// per-unit / merge) the paper's §5 tables report.
 package core
 
 import (
@@ -70,18 +74,17 @@ type Options struct {
 	// MaxEdges bounds pattern size; 0 means unbounded.
 	MaxEdges int
 	// GrowthEnvelope is where edge-by-edge unit mining stops: when > 0
-	// and below MaxEdges (0 there is unbounded) the unit miners and the
-	// inner-node merges stop at that size and the root merge-join alone
-	// continues to MaxEdges, extending its own levels with no unit
-	// input. Results stay exact; only the route to large patterns
-	// changes. 0, or K = 1 (no merge-join to continue), mines every size
-	// in the units.
+	// and below MaxEdges (0 there is unbounded) the unit miners stop at
+	// that size and the merge-join continues to MaxEdges, extending its
+	// own levels with no unit input. Results stay exact; only the route
+	// to large patterns changes. 0, or K = 1 (a mine has no merge-join to
+	// continue), mines every size in the units.
 	GrowthEnvelope int
 	// UnitMinerIndexed overrides the per-unit mining algorithm; default
 	// Gaston.
 	UnitMinerIndexed IndexedUnitMiner
 	// Observer, when non-nil, receives stage timings ("partition",
-	// "unit.<i>", "units", "merge", "merge.<path>") and work counters
+	// "unit.<i>", "units", "merge", "merge.root") and work counters
 	// from every layer of the run. obs.Registry is the aggregating
 	// implementation.
 	Observer exec.Observer
@@ -109,9 +112,8 @@ func (o Options) envelopeCapsUnits() bool {
 	return o.GrowthEnvelope > 0 && o.K > 1 && (o.MaxEdges == 0 || o.MaxEdges > o.GrowthEnvelope)
 }
 
-// classicMaxEdges is the size bound handed to unit miners and the
-// inner-node merges: the growth envelope when the root merge-join
-// continues beyond it, MaxEdges otherwise.
+// classicMaxEdges is the size bound handed to the unit miners: the growth
+// envelope when the merge-join continues beyond it, MaxEdges otherwise.
 func (o Options) classicMaxEdges() int {
 	if o.envelopeCapsUnits() {
 		return o.GrowthEnvelope
@@ -191,15 +193,14 @@ type Result struct {
 	// UnitTimes[i] is the wall time of mining unit i; zero after a fold,
 	// which mines no unit.
 	UnitTimes []time.Duration
-	// PartitionTime and MergeTime cover Phase 1 and the merge-join chain.
+	// PartitionTime and MergeTime cover Phase 1 and the merge-join.
 	PartitionTime time.Duration
 	MergeTime     time.Duration
 	// PartitionQuality is the quality of the Phase-1 partitioning
 	// (edge-cut ratio, replication factor, unit balance), copied from
 	// Tree.Quality so it survives persistence round-trips.
 	PartitionQuality partition.Quality
-	// MergeStats aggregates candidate/verification counters across every
-	// merge-join in the run.
+	// MergeStats holds the merge-join's candidate/verification counters.
 	MergeStats mergejoin.Stats
 	// Degraded records unit-miner failures, one error per degraded unit
 	// in unit order. A degraded unit contributed an empty (or partial)
@@ -209,20 +210,16 @@ type Result struct {
 	// too (cancellation, in practice); a dead fleet is in its Err(). A
 	// fold mines no unit, so it degrades none: this is empty after one.
 	Degraded []error
-	// NodeSets holds the merged frequent set of every internal partition-
-	// tree node, keyed by tree path ("" is the root, "0"/"1" its
-	// children, and so on). IncPartMiner reuses them to skip frequency
-	// checks on unchanged transactions.
-	NodeSets map[string]pattern.Set
-	// Borders holds, beside NodeSets and under the same keys, the negative
-	// border each merge recorded: why every candidate it rejected is
-	// infrequent. IncPartMiner consults it to prune those candidates again
-	// without redoing the work. Like Index it lives in memory only — it is
-	// neither persisted nor shipped to replicas; a loaded Result carries
-	// none and its first fold verifies every candidate in full.
-	Borders map[string]mergejoin.Border
+	// Border is the negative border the merge-join recorded: why every
+	// candidate it rejected is infrequent. IncPartMiner consults it to
+	// prune those candidates again without redoing the work, as it
+	// carries the unchanged supporters of Patterns. Like Index it lives in memory
+	// only — it is neither persisted nor shipped to replicas; a loaded
+	// Result carries none, nor does a K=1 mine (which merges nothing), and
+	// the first fold after either verifies every candidate in full.
+	Border mergejoin.Border
 	// Index is the full database's feature index, built once per run and
-	// shared by the root merge-join; IncPartMiner patches it in place for
+	// used by the merge-join; IncPartMiner patches it in place for
 	// updated transactions instead of rebuilding. It is not persisted —
 	// a loaded Result carries a nil Index and the next run rebuilds it.
 	Index *index.FeatureIndex
@@ -278,7 +275,7 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (*Result,
 	// share the verdict cache through the context.
 	ctx = dfscode.WithMemo(ctx)
 	o := opts.Observer
-	res := &Result{}
+	res := &Result{Options: opts}
 
 	// Phase 1: divide the database into k units.
 	start := time.Now()
@@ -305,102 +302,80 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (*Result,
 		return nil, err
 	}
 
-	// Phase 2b: combine results bottom-up with merge-join. The full
-	// database's feature index is built once here and drives the root
-	// merge's candidate pruning; inner nodes cover sub-databases and
-	// build their own inside MergeContext.
+	// Phase 2b: one merge-join over the whole database, with the run's
+	// feature index, recovers the frequent set from the unit sets. With
+	// K=1 the one unit was mined at sup over the whole database: its set
+	// is the answer and there is nothing to merge.
 	t0 := time.Now()
 	res.Index, err = index.BuildContext(ctx, db, o)
 	if err != nil {
 		return nil, err
 	}
 	mctx, endStage := obs.Phase(ctx, o, "merge")
-	res.NodeSets = make(map[string]pattern.Set)
-	res.Borders = make(map[string]mergejoin.Border)
 	res.subKeys = mergejoin.NewSubKeys()
-	chain := &mergeChain{res: res, opts: opts}
-	res.Patterns, err = chain.solve(mctx, tree.Root, "")
+	if opts.K == 1 {
+		res.Patterns = res.UnitPatterns[0]
+	} else {
+		res.Patterns, err = res.merge(mctx, db, nil, nil)
+	}
 	endStage()
 	if err != nil {
 		return nil, err
 	}
 	res.MergeTime = time.Since(t0)
-	res.Options = opts
 	res.fingerprints = fingerprints(db)
 	return res, nil
 }
 
-// mergeChain is one run's walk up the partition tree: res supplies the
-// unit results, the root's feature index and the sub-pattern key memo
-// (the same patterns recur at every node of the tree, so every merge of
-// the run shares it) and receives NodeSets, Borders and MergeStats. prev
-// and updated are set in incremental mode and only read.
-type mergeChain struct {
-	res     *Result
-	opts    Options
-	prev    *Result
-	updated *pattern.TIDSet
-}
-
-// solve recovers the frequent set of a partition-tree node from its
-// children (Fig. 11 lines 9-17): leaves return the unit results; internal
-// nodes merge-join their children at support ⌈sup/2^level⌉. Merged sets
-// and negative borders are recorded by tree path. In incremental mode
-// merges reuse the pre-update node sets to limit frequency checks to
-// updated transactions, and the pre-update borders to prune candidates
-// that are still provably infrequent. Every merge observes ctx.
-func (m *mergeChain) solve(ctx context.Context, n *partition.Node, path string) (pattern.Set, error) {
-	if n.IsLeaf() {
-		return m.res.UnitPatterns[n.UnitIndex], nil
-	}
-	left, err := m.solve(ctx, n.Left, path+"0")
-	if err != nil {
-		return nil, err
-	}
-	right, err := m.solve(ctx, n.Right, path+"1")
-	if err != nil {
-		return nil, err
-	}
-	border := make(mergejoin.Border)
+// merge recovers the frequent set of db, the whole database, in one
+// merge-join at MinSupport: the union of the unit sets supplies
+// pre-verified supporters, the run's feature index and sub-key memo serve
+// every level, and the border and the counters land in r. In a fold prev
+// and updated are set and only read: prev's frequent set carries the
+// supporters among unchanged transactions, and prev's border prunes the
+// candidates that are still provably infrequent.
+func (r *Result) merge(ctx context.Context, db graph.Database, prev *Result, updated *pattern.TIDSet) (pattern.Set, error) {
+	opts := r.Options
+	r.Border = make(mergejoin.Border)
 	cfg := mergejoin.Config{
-		MinSupport: ceilDiv(m.opts.MinSupport, 1<<uint(n.Level)),
-		MaxEdges:   m.opts.classicMaxEdges(),
-		Border:     border,
-		Stats:      &m.res.MergeStats,
-		SubKeys:    m.res.subKeys,
-		Observer:   m.opts.Observer,
+		MinSupport: opts.MinSupport,
+		MaxEdges:   opts.MaxEdges,
+		Index:      r.Index,
+		Border:     r.Border,
+		Stats:      &r.MergeStats,
+		SubKeys:    r.subKeys,
+		Observer:   opts.Observer,
 	}
-	if path == "" {
-		// The root node's database is the full database, so the run's
-		// shared feature index applies; inner nodes let MergeContext
-		// build one for their sub-database. The root alone is not capped
-		// at a growth envelope.
-		cfg.Index = m.res.Index
-		cfg.MaxEdges = m.opts.MaxEdges
+	if prev != nil {
+		cfg.Old, cfg.OldBorder, cfg.Updated = prev.Patterns, prev.Border, updated
 	}
-	if m.prev != nil {
-		cfg.Old = m.prev.NodeSets[path]
-		cfg.OldBorder = m.prev.Borders[path]
-		cfg.Updated = m.updated
-	}
-	nctx, endStage := obs.Phase(ctx, m.opts.Observer, "merge."+nodePathLabel(path))
-	set, err := mergejoin.MergeContext(nctx, n.DB, left, right, cfg)
-	endStage()
-	if err != nil {
-		return nil, err
-	}
-	m.res.NodeSets[path] = set
-	m.res.Borders[path] = border
-	return set, nil
+	rctx, endStage := obs.Phase(ctx, opts.Observer, "merge.root")
+	defer endStage()
+	return mergejoin.MergeContext(rctx, db, unionUnits(r.UnitPatterns), nil, cfg)
 }
 
-// nodePathLabel names a partition-tree node for stage reporting; the
-// root's empty path reads better as "root".
-func nodePathLabel(path string) string {
-	if path == "" {
-		return "root"
+// unionUnits merges the unit sets by canonical key, a pattern's TIDs the
+// union of its units' TIDs: every unit database is index-aligned with the
+// whole database, so all TIDs share one space. A pattern only one unit
+// holds is shared, not copied.
+func unionUnits(units []pattern.Set) pattern.Set {
+	if len(units) == 1 {
+		return units[0]
 	}
-	return path
+	out := make(pattern.Set, len(units[0]))
+	for _, set := range units {
+		for key, p := range set {
+			q, ok := out[key]
+			switch {
+			case !ok || q.TIDs == nil:
+				out[key] = p
+			case p.TIDs != nil:
+				tids := q.TIDs.Union(p.TIDs)
+				out[key] = &pattern.Pattern{Code: q.Code, Support: tids.Count(), TIDs: tids}
+			}
+		}
+	}
+	return out
 }
 
 // fingerprints returns the Fingerprint of every graph of db, by TID.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"partminer/internal/codec"
@@ -30,10 +29,13 @@ func (res *Result) Portable() *Result {
 }
 
 // snapshot is the payload of a snapshot frame: the database, the options
-// the result was mined with and every pattern set of the result. The
+// the result was mined with, its frequent set and its unit sets. The
 // partition tree is not stored — partitioning is deterministic, so
 // LoadSnapshot re-derives it — and neither are the negative border and
-// the feature index, which the next fold rebuilds.
+// the feature index, which the next fold rebuilds. Frames written when
+// the snapshot also held a Nodes field (per-tree-node merged sets, the
+// root's a copy of Patterns) still load: gob skips a field the type no
+// longer has.
 type snapshot struct {
 	MinSupport, K, MaxEdges, GrowthEnvelope int
 	Parallel                                bool
@@ -42,13 +44,6 @@ type snapshot struct {
 	DB                                      []codec.Graph
 	Patterns                                []codec.Pattern
 	Units                                   [][]codec.Pattern
-	Nodes                                   []nodeSet // sorted by path
-}
-
-// nodeSet is the merged set of the partition-tree node at Path.
-type nodeSet struct {
-	Path string
-	Set  []codec.Pattern
 }
 
 // SaveSnapshot writes the mined database together with its result as one
@@ -77,14 +72,6 @@ func SaveSnapshot(w io.Writer, res *Result) error {
 	}
 	for _, set := range res.UnitPatterns {
 		s.Units = append(s.Units, codec.FromSet(set))
-	}
-	paths := make([]string, 0, len(res.NodeSets))
-	for path := range res.NodeSets {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		s.Nodes = append(s.Nodes, nodeSet{Path: path, Set: codec.FromSet(res.NodeSets[path])})
 	}
 	frame, err := codec.Encode(codec.KindSnapshot, &s)
 	if err != nil {
@@ -130,7 +117,6 @@ func (s *snapshot) rebuild() (graph.Database, *Result, error) {
 	}
 	res := &Result{
 		UnitSupport: s.UnitSupport,
-		NodeSets:    make(map[string]pattern.Set, len(s.Nodes)),
 		Options: Options{MinSupport: s.MinSupport, K: s.K, MaxEdges: s.MaxEdges,
 			GrowthEnvelope: s.GrowthEnvelope, Parallel: s.Parallel, Bisector: bisector},
 	}
@@ -141,8 +127,8 @@ func (s *snapshot) rebuild() (graph.Database, *Result, error) {
 	if len(s.Units) != res.Options.K {
 		return nil, nil, fmt.Errorf("%d unit sets for K = %d", len(s.Units), res.Options.K)
 	}
-	// Every unit and node database holds one piece per graph, so all sets
-	// index TIDs the way the database does.
+	// Every unit database holds one piece per graph, so all sets index
+	// TIDs the way the database does.
 	if res.Patterns, err = codec.ToSet(s.Patterns, len(db)); err != nil {
 		return nil, nil, fmt.Errorf("patterns: %w", err)
 	}
@@ -150,14 +136,6 @@ func (s *snapshot) rebuild() (graph.Database, *Result, error) {
 	for i, ws := range s.Units {
 		if res.UnitPatterns[i], err = codec.ToSet(ws, len(db)); err != nil {
 			return nil, nil, fmt.Errorf("unit %d: %w", i, err)
-		}
-	}
-	for _, n := range s.Nodes {
-		if _, dup := res.NodeSets[n.Path]; dup {
-			return nil, nil, fmt.Errorf("node %q: duplicate", n.Path)
-		}
-		if res.NodeSets[n.Path], err = codec.ToSet(n.Set, len(db)); err != nil {
-			return nil, nil, fmt.Errorf("node %q: %w", n.Path, err)
 		}
 	}
 	tree, err := partition.DBPartition(db, res.Options.K, bisector)

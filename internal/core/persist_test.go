@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"partminer/internal/codec"
+	"partminer/internal/datagen"
 	"partminer/internal/graph"
 	"partminer/internal/gspan"
 	"partminer/internal/partition"
@@ -38,8 +39,8 @@ func sameSet(t *testing.T, what string, got, want pattern.Set) {
 }
 
 // TestSaveLoadRoundTrip: a snapshot brings back the database bit for bit,
-// update frequencies included, and every pattern, unit and node set with
-// its keys, supports and TIDs; saving one result twice, or saving what
+// update frequencies included, and the frequent set and every unit set
+// with their keys, supports and TIDs; saving one result twice, or saving what
 // was loaded, writes the same bytes.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
@@ -72,12 +73,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	for i := range res.UnitPatterns {
 		sameSet(t, "unit", back.UnitPatterns[i], res.UnitPatterns[i])
-	}
-	if len(back.NodeSets) != len(res.NodeSets) {
-		t.Fatalf("node set count %d != %d", len(back.NodeSets), len(res.NodeSets))
-	}
-	for path, set := range res.NodeSets {
-		sameSet(t, "node "+path, back.NodeSets[path], set)
 	}
 	if back.UnitSupport != res.UnitSupport {
 		t.Errorf("UnitSupport %d != %d", back.UnitSupport, res.UnitSupport)
@@ -185,8 +180,8 @@ func TestLoadErrors(t *testing.T) {
 	if err := codec.Decode(codec.KindSnapshot, saveSnapshot(t, res), &good); err != nil {
 		t.Fatal(err)
 	}
-	if len(good.Nodes) == 0 || len(good.Patterns) == 0 {
-		t.Fatal("the fixture needs node sets and patterns")
+	if len(good.Patterns) == 0 {
+		t.Fatal("the fixture needs patterns")
 	}
 	cases := []struct {
 		name, want string
@@ -195,7 +190,6 @@ func TestLoadErrors(t *testing.T) {
 		{"K far above the unit sets", "2 unit sets for K = 1099511627776", func(s *snapshot) { s.K = 1 << 40 }},
 		{"K below 1", "K must be >= 1", func(s *snapshot) { s.K = -3 }},
 		{"unknown bisector", `unknown strategy "zzz"`, func(s *snapshot) { s.Bisector = "zzz" }},
-		{"duplicate node", "duplicate", func(s *snapshot) { s.Nodes = append(s.Nodes, s.Nodes[0]) }},
 		{"TID past the database", "outside [0, 4)", func(s *snapshot) {
 			s.Units[1] = []codec.Pattern{{Code: []int{0, 1, 0, 0, 0}, Support: 1, TIDs: []int{4}}}
 		}},
@@ -294,4 +288,60 @@ func TestSnapshotCorruptionRefused(t *testing.T) {
 			t.Fatalf("a truncation to %d of %d bytes was loaded", i, len(frame))
 		}
 	}
+}
+
+// snapshotWithNodes is the snapshot payload's earlier shape: beside the
+// frequent set it also held every partition-tree node's merged set, the
+// root's a second copy of Patterns.
+type snapshotWithNodes struct {
+	MinSupport, K, MaxEdges, GrowthEnvelope int
+	Parallel                                bool
+	Bisector                                string
+	UnitSupport                             int
+	DB                                      []codec.Graph
+	Patterns                                []codec.Pattern
+	Units                                   [][]codec.Pattern
+	Nodes                                   []oldNodeSet
+}
+
+type oldNodeSet struct {
+	Path string
+	Set  []codec.Pattern
+}
+
+// TestSnapshotWithNodesFieldLoads: a frame written when the snapshot also
+// stored the node sets still loads, because gob skips the field the
+// payload no longer has, and its first fold equals gSpan.
+func TestSnapshotWithNodesFieldLoads(t *testing.T) {
+	db := datagen.Generate(datagen.Config{D: 24, T: 7, N: 4, L: 10, I: 3, Seed: 4})
+	res, err := PartMiner(db, Options{MinSupport: 3, K: 2, MaxEdges: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := saveSnapshot(t, res)
+	var s snapshot
+	if err := codec.Decode(codec.KindSnapshot, frame, &s); err != nil {
+		t.Fatal(err)
+	}
+	old := snapshotWithNodes{MinSupport: s.MinSupport, K: s.K, MaxEdges: s.MaxEdges, GrowthEnvelope: s.GrowthEnvelope,
+		Parallel: s.Parallel, Bisector: s.Bisector, UnitSupport: s.UnitSupport, DB: s.DB, Patterns: s.Patterns, Units: s.Units,
+		Nodes: []oldNodeSet{{Path: "", Set: s.Patterns}}}
+	oldFrame, err := codec.Encode(codec.KindSnapshot, &old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(oldFrame) <= len(frame) {
+		t.Fatalf("the frame with node sets has %d bytes, the one without %d", len(oldFrame), len(frame))
+	}
+	backDB, back, err := LoadSnapshot(bytes.NewReader(oldFrame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSet(t, "patterns", back.Patterns, res.Patterns)
+	newDB, tids := updateRound(backDB, 0.2, 1)
+	inc, err := IncPartMiner(newDB, tids, back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffSets(t, 4, "first fold after loading a frame with node sets", gspan.Mine(newDB, gspan.Options{MinSupport: 3, MaxEdges: 4}), inc.Patterns)
 }

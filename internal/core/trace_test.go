@@ -73,7 +73,7 @@ func TestTraceSpanTreeCoversPhases(t *testing.T) {
 			unitSum, total, ratio*100)
 	}
 
-	// The merge phase decomposes into per-node merge.<path> spans.
+	// The merge phase holds the merge-join's merge.root span.
 	merge := findChild(tree, "merge")
 	found := false
 	for _, child := range merge.Children {
@@ -83,7 +83,7 @@ func TestTraceSpanTreeCoversPhases(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("merge span has no per-node children: %+v", merge.Children)
+		t.Fatalf("merge span has no merge.root child: %+v", merge.Children)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 // SubKeys memoizes the canonical keys of a pattern's one-edge-removed
 // connected subpatterns. The mapping is a pure function of the pattern and
 // dominates candidate-check cost (building the removal graphs and
-// canonicalizing them), and the same patterns recur at every node of the
-// partition tree, so one mining run shares one memo across its merges
-// (Config.SubKeys), and the folds chained on the run share it too.
+// canonicalizing them), and the same patterns recur in every fold, so a
+// mining run's merge hands its memo on (Config.SubKeys) to the folds
+// chained on the run.
 type SubKeys = exec.Cache[[]string]
 
 // maxSubKeyEntries bounds a memo. A memo lives as long as a chain of

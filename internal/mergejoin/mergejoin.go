@@ -1,7 +1,9 @@
 // Package mergejoin implements the paper's merge-join operation (§4.3,
 // Fig. 11 Procedure MergeJoin): recovering the complete set of frequent
-// subgraphs of a dataset S from the frequent sets mined in its two
-// partitions S0 and S1, level by level on pattern size.
+// subgraphs of a dataset S, level by level on pattern size, from frequent
+// sets mined (at reduced support) in partitions of S. core hands it the
+// union of all K unit sets and merges once, at the root; the paper merges
+// two partitions at a time up the partition tree.
 //
 // Candidates are generated by extension: every frequent k-pattern of S is
 // extended by one edge whose label triple is frequent, followed by full
@@ -31,8 +33,9 @@
 //
 // Extension needs no unit input to be complete, which is what a
 // growth envelope (core.Options.GrowthEnvelope) relies on: the units stop
-// at E edges and the root merge keeps levelling past E on extension
-// candidates alone, through the same filter chain.
+// at E edges and the merge keeps levelling past E on extension
+// candidates alone, through the same filter chain. It is also why one
+// merge over S suffices however many partitions fed it.
 //
 // Every merge also records its negative border (Border, the paper's prune
 // set P): for each rejected candidate, the infrequent subpattern or the
@@ -98,7 +101,7 @@ type Config struct {
 	Index *index.FeatureIndex
 
 	// SubKeys, when non-nil, is the sub-pattern key memo this merge shares
-	// with the other merges of its mining run; nil gives the merge a
+	// with the other merges of its chain of folds; nil gives the merge a
 	// private one.
 	SubKeys *SubKeys
 
@@ -213,10 +216,11 @@ func (c Config) minSup() int {
 	return c.MinSupport
 }
 
-// MergeContext recovers the frequent subgraphs of s given the frequent
-// sets p0 and p1 mined (at reduced support) from the two partition
-// databases whose entry i is a piece of s[i]. Transaction ids in p0/p1
-// must refer to the shared index space.
+// MergeContext recovers the frequent subgraphs of s given frequent sets p0
+// and p1 mined (at reduced support) from partition databases whose entry
+// i is a piece of s[i]: two partitions, or, with p1 nil, the union of any
+// number of them. Transaction ids in p0/p1 must refer to the shared index
+// space.
 //
 // Candidate generation and verification check ctx (amortized) and abort
 // promptly once it is cancelled, returning ctx.Err(). Only a nil error

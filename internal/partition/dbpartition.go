@@ -17,10 +17,6 @@ type Node struct {
 	Left, Right *Node
 	// UnitIndex is the unit number for leaves, -1 for internal nodes.
 	UnitIndex int
-	// Level is the node's depth; the root is level 0. PartMiner mines
-	// leaves at support sup/k and checks merged results at sup/2^Level
-	// (Fig. 11).
-	Level int
 }
 
 // IsLeaf reports whether the node is a unit.
@@ -45,7 +41,7 @@ func DBPartition(db graph.Database, k int, b Bisector) (*Tree, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("partition: k must be >= 1, got %d", k)
 	}
-	root := &Node{DB: db, UnitIndex: -1, Level: 0}
+	root := &Node{DB: db, UnitIndex: -1}
 	level := []*Node{root}
 	l := 0
 	if k > 1 {
@@ -88,8 +84,8 @@ func splitDB(n *Node, b Bisector) (*Node, *Node) {
 		p0, p1 := GraphPart2(g, b)
 		d0[i], d1[i] = p0.G, p1.G
 	}
-	n.Left = &Node{DB: d0, UnitIndex: -1, Level: n.Level + 1}
-	n.Right = &Node{DB: d1, UnitIndex: -1, Level: n.Level + 1}
+	n.Left = &Node{DB: d0, UnitIndex: -1}
+	n.Right = &Node{DB: d1, UnitIndex: -1}
 	return n.Left, n.Right
 }
 
@@ -135,7 +131,7 @@ func Rebuild(prev *Tree, db graph.Database, updated []int, b Bisector) (*Tree, e
 	t := &Tree{K: prev.K}
 	var walk func(old *Node, db graph.Database) *Node
 	walk = func(old *Node, db graph.Database) *Node {
-		n := &Node{DB: db, UnitIndex: old.UnitIndex, Level: old.Level}
+		n := &Node{DB: db, UnitIndex: old.UnitIndex}
 		if old.IsLeaf() {
 			t.Units = append(t.Units, db)
 			return n

@@ -84,7 +84,7 @@ func TestRebuildRejectsBadInput(t *testing.T) {
 }
 
 func sameTree(a, b *Node) bool {
-	if a.IsLeaf() != b.IsLeaf() || a.Level != b.Level || a.UnitIndex != b.UnitIndex || !sameDB(a.DB, b.DB) {
+	if a.IsLeaf() != b.IsLeaf() || a.UnitIndex != b.UnitIndex || !sameDB(a.DB, b.DB) {
 		return false
 	}
 	return a.IsLeaf() || (sameTree(a.Left, b.Left) && sameTree(a.Right, b.Right))
