@@ -101,7 +101,7 @@ cluster-smoke:
 
 # check runs the tests twice: without -race too, because the allocation
 # gates (TestMineAllocs, TestFoldAllocs, TestMinCodeAllocs,
-# TestAdHocFindAllocs) skip under the race detector.
+# TestAdHocFindAllocs, TestReadAllocs) skip under the race detector.
 check: build vet test race bench-smoke fuzz-smoke benchmark-smoke dist-example search-example parallel-example spatio-example serve-smoke obs-smoke part-smoke cluster-smoke
 
 clean:

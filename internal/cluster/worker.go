@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -29,12 +28,14 @@ import (
 // DefaultHeartbeat is the worker heartbeat period when none is set.
 const DefaultHeartbeat = 2 * time.Second
 
-// replicaState is a loaded snapshot replica: the database, its result,
-// and a containment index, ready to answer TopK/Contains reads.
+// replicaState is a loaded snapshot replica: the database, its result
+// ranked in read order, and a containment index, ready to answer
+// TopK/Contains reads.
 type replicaState struct {
 	epoch  uint64
 	db     graph.Database
 	res    *core.Result
+	ranked []pattern.Ranked
 	search *query.Index
 }
 
@@ -228,8 +229,9 @@ func (w *Worker) storeSnapshot(args StoreSnapshotArgs, reply *StoreSnapshotReply
 	}
 	fx := index.Build(db)
 	search := query.IndexFromPatterns(db, fx, res.Patterns, query.IndexOptions{})
+	ranked := res.Patterns.Ranked()
 	w.mu.Lock()
-	w.replica = &replicaState{epoch: args.Epoch, db: db, res: res, search: search}
+	w.replica = &replicaState{epoch: args.Epoch, db: db, res: res, ranked: ranked, search: search}
 	w.mu.Unlock()
 	reply.Patterns = len(res.Patterns)
 	return nil
@@ -248,7 +250,8 @@ func (w *Worker) getReplica() (*replicaState, error) {
 // topK answers a replica pattern read in the snapshot's total order
 // (support descending, canonical key ascending — the same order the
 // coordinator's own /v1/patterns uses, so replica reads are
-// indistinguishable modulo epoch).
+// indistinguishable modulo epoch). It walks the ranking storeSnapshot
+// built and stops at k.
 func (w *Worker) topK(args TopKArgs, reply *TopKReply) error {
 	ctx, done := w.traceRPC(context.Background(), args.TraceID, "replica.topk")
 	if done != nil {
@@ -261,21 +264,10 @@ func (w *Worker) topK(args TopKArgs, reply *TopKReply) error {
 		return err
 	}
 	obs.SpanFrom(ctx).Count("patterns", int64(len(rep.res.Patterns)))
-	out := make([]PatternInfo, 0, len(rep.res.Patterns))
-	for key, p := range rep.res.Patterns {
-		if p.Size() < args.MinEdges || (args.MaxEdges > 0 && p.Size() > args.MaxEdges) {
-			continue
-		}
-		out = append(out, PatternInfo{Key: key, Support: p.Support, Size: p.Size()})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Support != out[j].Support {
-			return out[i].Support > out[j].Support
-		}
-		return out[i].Key < out[j].Key
-	})
-	if args.K > 0 && len(out) > args.K {
-		out = out[:args.K]
+	top := pattern.TopK(rep.ranked, args.K, args.MinEdges, args.MaxEdges)
+	out := make([]PatternInfo, len(top))
+	for i, r := range top {
+		out[i] = PatternInfo{Key: r.Key, Support: r.P.Support, Size: r.P.Size()}
 	}
 	reply.Epoch = rep.epoch
 	reply.Patterns = out

@@ -14,7 +14,6 @@ package dfscode
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"partminer/internal/graph"
 )
@@ -114,13 +113,27 @@ func (c Code) Key() string {
 	return string(b)
 }
 
-// String renders the code in the paper's Figure 1 notation.
+// String renders the code in the paper's Figure 1 notation,
+// "(v0,v1,2,0,3) (v1,v2,…)".
 func (c Code) String() string {
-	parts := make([]string, len(c))
+	b := make([]byte, 0, len(c)*16)
 	for i, e := range c {
-		parts[i] = fmt.Sprintf("(v%d,v%d,%d,%d,%d)", e.I, e.J, e.LI, e.LE, e.LJ)
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, "(v"...)
+		b = strconv.AppendInt(b, int64(e.I), 10)
+		b = append(b, ",v"...)
+		b = strconv.AppendInt(b, int64(e.J), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(e.LI), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(e.LE), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(e.LJ), 10)
+		b = append(b, ')')
 	}
-	return strings.Join(parts, " ")
+	return string(b)
 }
 
 // VertexCount returns the number of vertices the code spans.

@@ -1,7 +1,9 @@
 package dfscode
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -282,6 +284,25 @@ func TestCodeAccessors(t *testing.T) {
 	cl[0].LE = 99
 	if c[0].LE == 99 {
 		t.Error("Clone did not copy")
+	}
+}
+
+// TestCodeStringMatchesFmt pins String byte for byte to the fmt form
+// "(v%d,v%d,%d,%d,%d)" joined by spaces, over random codes with negative
+// and many-digit fields.
+func TestCodeStringMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	field := func() int { return rng.Intn(2001) - 1000 + rng.Intn(2)*rng.Int()/2 }
+	for n := 0; n < 500; n++ {
+		c := make(Code, rng.Intn(8))
+		parts := make([]string, len(c))
+		for i := range c {
+			c[i] = EdgeCode{I: field(), J: field(), LI: field(), LE: field(), LJ: field()}
+			parts[i] = fmt.Sprintf("(v%d,v%d,%d,%d,%d)", c[i].I, c[i].J, c[i].LI, c[i].LE, c[i].LJ)
+		}
+		if got, want := c.String(), strings.Join(parts, " "); got != want {
+			t.Fatalf("String() = %q; want %q", got, want)
+		}
 	}
 }
 

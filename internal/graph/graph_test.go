@@ -227,6 +227,19 @@ func TestReadDatabaseSkipsCommentsAndBlanks(t *testing.T) {
 	}
 }
 
+// TestReadDatabaseLongLine checks that a line longer than 64 KiB still
+// parses: the scanner starts small and grows to its 16 MiB limit.
+func TestReadDatabaseLongLine(t *testing.T) {
+	in := "t # 3\n% " + strings.Repeat("x", 100<<10) + "\nv 0 1\nv 1 2\ne 0 1 3\n"
+	db, err := ReadDatabase(strings.NewReader(in))
+	if err != nil {
+		t.Fatalf("ReadDatabase: %v", err)
+	}
+	if len(db) != 1 || db[0].ID != 3 || db[0].EdgeCount() != 1 {
+		t.Fatalf("parsed %+v; want one graph id=3 with one edge", db)
+	}
+}
+
 func TestRandomConnectedIsConnected(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -63,7 +63,9 @@ func WriteDatabase(w io.Writer, db Database) error {
 // number.
 func ReadDatabase(r io.Reader) (Database, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	// Start at bufio's 4 KiB and grow on demand: a query body is ~100
+	// bytes, and a larger first buffer is zeroed and collected per call.
+	sc.Buffer(nil, 16<<20)
 	var db Database
 	var cur *Graph
 	line := 0

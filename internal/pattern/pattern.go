@@ -5,8 +5,10 @@
 package pattern
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -82,6 +84,49 @@ func (s Set) Keys() []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// Ranked is one entry of a ranking: a pattern under its canonical key.
+type Ranked struct {
+	Key string
+	P   *Pattern
+}
+
+// Ranked returns the set in read order: support descending, canonical
+// key ascending. Keys are unique, so the order is total. It compares the
+// map keys and builds no Code.Key.
+func (s Set) Ranked() []Ranked {
+	out := make([]Ranked, 0, len(s))
+	for k, p := range s {
+		out = append(out, Ranked{Key: k, P: p})
+	}
+	slices.SortFunc(out, func(a, b Ranked) int {
+		if c := cmp.Compare(b.P.Support, a.P.Support); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Key, b.Key)
+	})
+	return out
+}
+
+// TopK returns, in a fresh slice, the first k entries of ranked with
+// minEdges to maxEdges edges (no upper bound when maxEdges <= 0); k <= 0
+// returns every qualifying entry.
+func TopK(ranked []Ranked, k, minEdges, maxEdges int) []Ranked {
+	n := len(ranked)
+	if k > 0 {
+		n = min(k, n)
+	}
+	out := make([]Ranked, 0, n)
+	for _, r := range ranked {
+		if k > 0 && len(out) == k {
+			break
+		}
+		if sz := r.P.Size(); sz >= minEdges && (maxEdges <= 0 || sz <= maxEdges) {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // Equal reports whether two sets contain the same patterns with the same

@@ -28,9 +28,9 @@ type patternJSON struct {
 	TIDs    []int `json:"tids,omitempty"`
 }
 
-func patternToJSON(p *pattern.Pattern, withTIDs bool) patternJSON {
+func patternToJSON(key string, p *pattern.Pattern, withTIDs bool) patternJSON {
 	pj := patternJSON{
-		Key:     p.Code.Key(),
+		Key:     key,
 		Code:    p.Code.String(),
 		Size:    p.Size(),
 		Support: p.Support,
@@ -149,7 +149,7 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"epoch":   snap.Epoch,
-			"pattern": patternToJSON(p, withTIDs),
+			"pattern": patternToJSON(key, p, withTIDs),
 		})
 		return
 	}
@@ -179,10 +179,10 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	if boolParam(q.Get("replica")) && s.replicaPatterns(w, r, k, minEdges, maxEdges) {
 		return
 	}
-	top := snap.TopKRange(k, minEdges, maxEdges)
+	top := snap.topK(k, minEdges, maxEdges)
 	out := make([]patternJSON, len(top))
-	for i, p := range top {
-		out[i] = patternToJSON(p, withTIDs)
+	for i, r := range top {
+		out[i] = patternToJSON(r.Key, r.P, withTIDs)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"epoch":    snap.Epoch,

@@ -11,7 +11,8 @@
 //   - A Snapshot is immutable once published. Readers load the current
 //     snapshot pointer once per request and answer entirely from it, so
 //     every response is internally consistent (one epoch), with no locks
-//     on the read path.
+//     on the read path. The one exception is the pattern ranking behind
+//     list reads, built once by the first such read (see Snapshot).
 //   - A single writer goroutine owns all mutation: it batches queued
 //     update ops, applies them to a copy-on-write database (only touched
 //     graphs are cloned; unchanged graphs are shared with the published
@@ -22,7 +23,7 @@
 package server
 
 import (
-	"sort"
+	"sync"
 	"time"
 
 	"partminer/internal/core"
@@ -36,7 +37,14 @@ import (
 // the database, its mined result, the feature index, and the
 // containment-search index, all describing the same epoch. Snapshots are
 // safe for unlimited concurrent readers; nothing reachable from one is
-// ever mutated after publication.
+// ever mutated after publication, with one exception: the ranking of
+// Res.Patterns that list reads walk. The first list read of the epoch
+// builds it under a sync.Once, which every later reader waits on and
+// which orders the build before their reads, so no reader sees it half
+// built. It is derived from Res alone, so every reader sees the same
+// ranking whoever built it. The writer never builds it, so a fold does
+// not pay for it, and a Snapshot written as a literal needs nothing more.
+// A Snapshot must not be copied after its first list read.
 type Snapshot struct {
 	// Epoch numbers published snapshots from 1 (the initial mine); every
 	// folded update batch increments it by exactly one.
@@ -56,6 +64,9 @@ type Snapshot struct {
 	Search *query.Index
 	// Created is the publication time.
 	Created time.Time
+
+	rankOnce sync.Once
+	ranked   []pattern.Ranked // Res.Patterns.Ranked(), built by rankOnce
 }
 
 // PatternCount returns the number of frequent patterns at this epoch.
@@ -67,29 +78,26 @@ func (s *Snapshot) Pattern(key string) *pattern.Pattern {
 	return s.Res.Patterns[key]
 }
 
-// TopKRange returns the k most frequent patterns with minEdges to
-// maxEdges edges (no upper bound when maxEdges <= 0), ordered by support
-// descending with canonical-key ties ascending (a total, deterministic
-// order). k <= 0 returns every qualifying pattern. With a growth
-// envelope configured, ?min_edges= past it selects exactly the patterns
-// the root merge-join mined alone.
+// TopKRange returns, in a fresh slice, the k most frequent patterns with
+// minEdges to maxEdges edges (no upper bound when maxEdges <= 0), ordered
+// by support descending with canonical-key ties ascending (a total,
+// deterministic order). k <= 0 returns every qualifying pattern. With a
+// growth envelope configured, ?min_edges= past it selects exactly the
+// patterns the root merge-join mined alone. It walks the epoch's ranking
+// and stops at k: the set is sorted once per epoch, not once per read.
 func (s *Snapshot) TopKRange(k, minEdges, maxEdges int) []*pattern.Pattern {
-	out := make([]*pattern.Pattern, 0, len(s.Res.Patterns))
-	for _, p := range s.Res.Patterns {
-		if p.Size() >= minEdges && (maxEdges <= 0 || p.Size() <= maxEdges) {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Support != out[j].Support {
-			return out[i].Support > out[j].Support
-		}
-		return out[i].Code.Key() < out[j].Code.Key()
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
+	top := s.topK(k, minEdges, maxEdges)
+	out := make([]*pattern.Pattern, len(top))
+	for i, r := range top {
+		out[i] = r.P
 	}
 	return out
+}
+
+// topK is TopKRange with each pattern's canonical key.
+func (s *Snapshot) topK(k, minEdges, maxEdges int) []pattern.Ranked {
+	s.rankOnce.Do(func() { s.ranked = s.Res.Patterns.Ranked() })
+	return pattern.TopK(s.ranked, k, minEdges, maxEdges)
 }
 
 // Contains returns the ids of every database graph containing q at this
