@@ -100,8 +100,9 @@ cluster-smoke:
 	./scripts/cluster_smoke.sh
 
 # check runs the tests twice: without -race too, because the allocation
-# gates (TestMineAllocs, TestFoldAllocs, TestMinCodeAllocs,
-# TestAdHocFindAllocs, TestReadAllocs) skip under the race detector.
+# gates (TestMineAllocs, TestFoldAllocs with its 10 % and one-graph fold
+# arms, TestMinCodeAllocs, TestAdHocFindAllocs, TestReadAllocs) skip under
+# the race detector.
 check: build vet test race bench-smoke fuzz-smoke benchmark-smoke dist-example search-example parallel-example spatio-example serve-smoke obs-smoke part-smoke cluster-smoke
 
 clean:

@@ -286,7 +286,7 @@ func (w *Worker) contains(args ContainsArgs, reply *ContainsReply) error {
 	if err != nil {
 		return err
 	}
-	qdb, err := graph.ReadDatabase(bytes.NewReader(args.QueryText))
+	qdb, err := graph.ParseDatabase(string(args.QueryText))
 	if err != nil || len(qdb) != 1 {
 		return fmt.Errorf("cluster: contains wants exactly one query graph")
 	}

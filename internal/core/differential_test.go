@@ -156,8 +156,8 @@ func TestDecompCancellation(t *testing.T) {
 }
 
 // TestEnvelopeOptionEdges: -maxedges 0 is unbounded, so an envelope below
-// it still caps the units; K=1 has no merge-join to continue, so the one
-// unit mines every size.
+// it still caps the units; at K=1 the one unit is mined at sup, uncapped,
+// and mines every size.
 func TestEnvelopeOptionEdges(t *testing.T) {
 	db := datagen.Generate(datagen.Config{D: 14, T: 7, N: 4, L: 10, I: 3, Seed: 4})
 	want := gspan.Mine(db, gspan.Options{MinSupport: 4})

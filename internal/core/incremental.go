@@ -40,12 +40,16 @@ type IncResult struct {
 // an error, not a stale answer.
 //
 // The algorithm rebuilds the partition tree from prev.Tree, bisecting
-// only the updated graphs, and replays the merge-join incrementally:
-// supporters of previously frequent patterns among unchanged graphs
-// carry over without isomorphism tests, and candidates and extensions the
-// previous merge rejected are pruned again from prev.Border while their
-// entries still hold, so frequency checking concentrates on the
-// potential IF patterns. A fold merges at every K, K=1 included. Unlike
+// only the updated graphs, and replays the merge-join incrementally. An
+// old pattern that no updated graph held and none can hold now (one
+// lacks some edge triple of it, per the patched index) is unchanged: the
+// new result keeps prev's *Pattern by pointer, without a check. Other
+// old patterns carry their supporters among unchanged graphs over
+// without isomorphism tests; no extension is generated from a pattern no
+// updated graph supports; and candidates and extensions the previous
+// merge rejected are pruned again from prev.Border while their entries
+// still hold, so frequency checking concentrates on the potential IF
+// patterns. A fold merges at every K, K=1 included. Unlike
 // Fig. 12 lines 3-5, it re-mines no unit (the merge is complete by
 // extension and carries every unchanged supporter), so it calls no unit
 // miner and degrades no unit; each unit set is prev's minus the updated
@@ -54,10 +58,11 @@ type IncResult struct {
 // `incr_ms` against `remine_ms` for mining from scratch; EXPERIMENTS.md
 // records both.
 //
-// prev is only read, with two exceptions. prev.Index is patched in place
+// prev is only read, with two exceptions. prev.Index is updated in place
 // to describe newDB and becomes the new result's index; a caller that
-// folds one prev several times passes a shallow copy with a cloned
-// index. And prev's sub-pattern key memo (canonical key → its
+// folds one prev several times passes a shallow copy with a cloned index
+// (cheap: a clone shares every TID set, and Update replaces what it
+// touches). And prev's sub-pattern key memo (canonical key → its
 // one-edge-removed sub-keys, a pure function of the key) is shared: the
 // fold adds to it and hands it on to the new result, so a chain of folds
 // canonicalises each removal once. It is safe for concurrent use.
@@ -128,7 +133,7 @@ func IncMineContext(ctx context.Context, newDB graph.Database, updatedTIDs []int
 
 	// IncMergeJoin: replay the merge with the old frequent set so
 	// unchanged transactions skip frequency checks. The previous run's
-	// feature index is patched in place for the updated transactions
+	// feature index is updated in place for the updated transactions
 	// (prev adopts the post-update view too — its database reference is
 	// stale either way); a loaded result without one rebuilds fresh.
 	t0 := time.Now()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -168,8 +169,9 @@ func TestIncPartMinerLocalizedUpdateReminesFewerUnits(t *testing.T) {
 // TestIncPartMinerChained chains two folds on each other. A fold mines no
 // unit: its unit sets are the previous ones narrowed, so after every fold
 // no unit pattern may keep a TID of that round's updated graphs. K=1 folds
-// too: its mine merges nothing, but a fold must, or it returns the
-// narrowed unit set.
+// too, and merges, or it returns the narrowed unit set. A K=1 mine merges
+// as well, so the first fold prunes by the border the mine recorded, at
+// every K.
 func TestIncPartMinerChained(t *testing.T) {
 	for _, k := range []int{2, 1} {
 		rng := rand.New(rand.NewSource(61))
@@ -187,6 +189,9 @@ func TestIncPartMinerChained(t *testing.T) {
 			inc, err = IncPartMiner(next, updated, prev)
 			if err != nil {
 				t.Fatalf("k=%d round %d: %v", k, round, err)
+			}
+			if round == 0 && inc.MergeStats.BorderPruned == 0 {
+				t.Errorf("k=%d: the first fold pruned nothing by the mine's border", k)
 			}
 			for i, set := range inc.UnitPatterns {
 				for _, p := range set {
@@ -391,4 +396,68 @@ func TestFoldsShareTheMinesSubKeyMemo(t *testing.T) {
 		t.Error("the first fold after a load did not start a fresh memo")
 	}
 	diffSets(t, 99, "fold after load", gspan.Mine(next, gspan.Options{MinSupport: minSup, MaxEdges: maxEdges}), inc.Patterns)
+}
+
+// TestOneGraphFoldsShareUnchanged chains ten one-graph folds on each of
+// twelve seeded databases, cycling through every update kind — a relabel
+// to a label the database has and one to a label it has never seen, an
+// edge added, a vertex added with its edge, an edge removed — with a
+// snapshot round trip halfway, so one fold runs off a loaded result (no
+// border, no index, no sub-key memo). Every fold must equal gSpan in
+// keys, supports and TIDs. A fold keeps an old pattern by pointer only
+// when no updated graph can hold it, so every result pattern that is
+// prev's own must miss the updated graph; and sharing must happen.
+func TestOneGraphFoldsShareUnchanged(t *testing.T) {
+	const minSup, maxEdges, rounds = 3, 4, 10
+	updates := []datagen.UpdateConfig{
+		{Kinds: []datagen.UpdateKind{datagen.Relabel}, NewLabelProb: -1},
+		{Kinds: []datagen.UpdateKind{datagen.AddEdge}, NewLabelProb: -1},
+		{Kinds: []datagen.UpdateKind{datagen.AddVertex}, NewLabelProb: -1},
+		{Kinds: []datagen.UpdateKind{datagen.RemoveEdge}},
+		{Kinds: []datagen.UpdateKind{datagen.Relabel}, NewLabelProb: 1},
+	}
+	var shared int64
+	for seed := 0; seed < 12; seed++ {
+		db := datagen.Generate(datagen.Config{D: 20, T: 7, N: 4, L: 10, I: 3, Seed: int64(seed)})
+		prev, err := PartMiner(db, Options{MinSupport: minSup, K: 2, MaxEdges: maxEdges})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur := db
+		rng := rand.New(rand.NewSource(int64(seed)))
+		for r := 0; r < rounds; r++ {
+			if r == rounds/2 {
+				var buf bytes.Buffer
+				if err := SaveSnapshot(&buf, prev); err != nil {
+					t.Fatal(err)
+				}
+				if cur, prev, err = LoadSnapshot(&buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			next := cur.Clone()
+			tid := rng.Intn(len(next))
+			cfg := updates[r%len(updates)]
+			cfg.Fraction, cfg.N, cfg.Seed = 1, 4, int64(seed*rounds+r)
+			if len(datagen.ApplyUpdates(next[tid:tid+1], cfg)) == 0 {
+				continue
+			}
+			inc, err := IncPartMiner(next, []int{tid}, prev)
+			if err != nil {
+				t.Fatalf("seed %d round %d: %v", seed, r, err)
+			}
+			name := fmt.Sprintf("round %d (%v, tid %d)", r, cfg.Kinds[0], tid)
+			diffSets(t, seed, name, gspan.Mine(next, gspan.Options{MinSupport: minSup, MaxEdges: maxEdges}), inc.Patterns)
+			for key, p := range inc.Patterns {
+				if prev.Patterns[key] == p && p.TIDs.Contains(tid) {
+					t.Errorf("seed %d %s: %s is prev's pattern but its TIDs hold the updated graph", seed, name, p.Code)
+				}
+			}
+			shared += inc.MergeStats.Shared
+			prev, cur = &inc.Result, next
+		}
+	}
+	if shared == 0 {
+		t.Error("no fold shared an unchanged pattern")
+	}
 }

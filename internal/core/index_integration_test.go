@@ -90,6 +90,7 @@ func TestIncPartMinerReusesIndex(t *testing.T) {
 // second 10 % fold, chained on the first, is pinned as well: its border
 // probe meets the extension entries the first fold recorded, and every
 // extension the path filter would drop is rejected by one of them first.
+// A one-graph fold, the service's kind, pins what a fold shares.
 func TestMergeCountersAtBenchmarkConfig(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mines the 1000-graph benchmark database; skipped with -short")
@@ -111,13 +112,7 @@ func TestMergeCountersAtBenchmarkConfig(t *testing.T) {
 		t.Helper()
 		updated := prev.Tree.Root.DB.Clone()
 		tids := datagen.ApplyUpdates(updated, datagen.UpdateConfig{Fraction: 0.1, Seed: seed})
-		p := *prev
-		p.Index = prev.Index.Clone()
-		inc, err := IncPartMiner(updated, tids, &p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return inc
+		return foldOn(t, prev, updated, tids)
 	}
 	inc := fold(res, 7)
 	fst := inc.MergeStats
@@ -131,6 +126,19 @@ func TestMergeCountersAtBenchmarkConfig(t *testing.T) {
 		t.Errorf("second fold: candidates %d, frequent %d, iso tests %d, sig-pruned %d, border-pruned %d, carried %d, pair-pruned %d; want 1026, 357, 4643, 5539, 4449, 26650, 0",
 			sst.Candidates, sst.Frequent, sst.IsoTests, sst.SigPruned, sst.BorderPruned, sst.CarriedTIDs, sst.PairPruned)
 	}
+	// One graph updated (tid 137, two update operations), as the service
+	// folds: 319 of the 357 multi-edge patterns are shared and carry
+	// their supporters, so 231 candidates reach the check (550 when every
+	// old pattern was re-seeded and re-checked); the isomorphism tests,
+	// the border prunes and the carried TIDs do not move.
+	updated := res.Tree.Root.DB.Clone()
+	datagen.ApplyUpdates(updated[137:138], datagen.UpdateConfig{Fraction: 1, Seed: 7})
+	if ost := foldOn(t, res, updated, []int{137}).MergeStats; ost.Candidates != 231 || ost.Shared != 319 ||
+		ost.IsoTests != 38 || ost.BorderPruned != 183 || ost.CarriedTIDs != 30317 {
+		t.Errorf("one-graph fold: candidates %d, shared %d, iso tests %d, border-pruned %d, carried %d; want 231, 319, 38, 183, 30317",
+			ost.Candidates, ost.Shared, ost.IsoTests, ost.BorderPruned, ost.CarriedTIDs)
+	}
+
 	// At K=4 the one merge-join gets all four unit sets at once (3091
 	// candidates and 17407 isomorphism tests when the partition tree's
 	// inner nodes merged their children first, at ⌈sup/2⌉).
@@ -153,4 +161,18 @@ func TestMergeCountersAtBenchmarkConfig(t *testing.T) {
 	if st.TriplePruned != int64(len(narrowedOut)) || st.TriplePruned == 0 {
 		t.Errorf("triple_pruned = %d; the feature narrowing rejects %d unit patterns", st.TriplePruned, len(narrowedOut))
 	}
+}
+
+// foldOn folds updated (prev's database with the graphs tids changed) on
+// a shallow copy of prev with a cloned index, so prev can be folded
+// again.
+func foldOn(t *testing.T, prev *Result, updated graph.Database, tids []int) *IncResult {
+	t.Helper()
+	p := *prev
+	p.Index = prev.Index.Clone()
+	inc, err := IncPartMiner(updated, tids, &p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inc
 }

@@ -9,7 +9,9 @@
 // that any pattern frequent in the database is frequent in at least one
 // unit — and recovers the database's frequent set in one internal/mergejoin
 // merge-join at sup over the whole database, every unit set's TIDs taken
-// as pre-verified supporters. (The paper merges up the partition tree,
+// as pre-verified supporters; at K=1 the merge only re-verifies the one
+// unit's set, for the negative border a fold prunes by (the paper's k=1
+// is plain in-memory mining). (The paper merges up the partition tree,
 // each inner node at sup/2^level against its own sub-database; the
 // merge-join here is complete by extension and the root holds the whole
 // database, so those inner merges would only do work the root repeats.)
@@ -61,8 +63,11 @@ type Options struct {
 	// MinSupport is the absolute minimum support in the full database.
 	// Values below 1 are treated as 1.
 	MinSupport int
-	// K is the number of units (Fig. 6); it defaults to 2. K=1 degrades
-	// to plain in-memory mining of the whole database.
+	// K is the number of units (Fig. 6); it defaults to 2. At K=1 the
+	// one unit is the whole database, mined at MinSupport, and the
+	// merge-join only re-verifies its set, every supporter taken as
+	// pre-verified, to record the negative border and the sub-key memo
+	// the folds chained on the result use.
 	K int
 	// Bisector selects the partitioning criteria; default Partition3
 	// (isolate updated vertices and minimize connectivity).
@@ -77,8 +82,9 @@ type Options struct {
 	// and below MaxEdges (0 there is unbounded) the unit miners stop at
 	// that size and the merge-join continues to MaxEdges, extending its
 	// own levels with no unit input. Results stay exact; only the route
-	// to large patterns changes. 0, or K = 1 (a mine has no merge-join to
-	// continue), mines every size in the units.
+	// to large patterns changes. 0, or K = 1 (whose one unit, mined at
+	// MinSupport, needs no reduced-support cap), mines every size in the
+	// units.
 	GrowthEnvelope int
 	// UnitMinerIndexed overrides the per-unit mining algorithm; default
 	// Gaston.
@@ -215,11 +221,11 @@ type Result struct {
 	// prune those candidates again without redoing the work, as it
 	// carries the unchanged supporters of Patterns. Like Index it lives in memory
 	// only — it is neither persisted nor shipped to replicas; a loaded
-	// Result carries none, nor does a K=1 mine (which merges nothing), and
-	// the first fold after either verifies every candidate in full.
+	// Result carries none, and the first fold after a load verifies every
+	// candidate in full. Every mine, K=1 included, records one.
 	Border mergejoin.Border
 	// Index is the full database's feature index, built once per run and
-	// used by the merge-join; IncPartMiner patches it in place for
+	// used by the merge-join; IncPartMiner updates it in place for
 	// updated transactions instead of rebuilding. It is not persisted —
 	// a loaded Result carries a nil Index and the next run rebuilds it.
 	Index *index.FeatureIndex
@@ -303,9 +309,11 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (*Result,
 	}
 
 	// Phase 2b: one merge-join over the whole database, with the run's
-	// feature index, recovers the frequent set from the unit sets. With
-	// K=1 the one unit was mined at sup over the whole database: its set
-	// is the answer and there is nothing to merge.
+	// feature index, recovers the frequent set from the unit sets. At K=1
+	// the one unit was mined at sup over the whole database, so every
+	// pattern arrives with all its supporters pre-verified; the merge
+	// still runs, for the negative border and the sub-key memo the first
+	// fold prunes and narrows by.
 	t0 := time.Now()
 	res.Index, err = index.BuildContext(ctx, db, o)
 	if err != nil {
@@ -313,11 +321,7 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (*Result,
 	}
 	mctx, endStage := obs.Phase(ctx, o, "merge")
 	res.subKeys = mergejoin.NewSubKeys()
-	if opts.K == 1 {
-		res.Patterns = res.UnitPatterns[0]
-	} else {
-		res.Patterns, err = res.merge(mctx, db, nil, nil)
-	}
+	res.Patterns, err = res.merge(mctx, db, nil, nil)
 	endStage()
 	if err != nil {
 		return nil, err
@@ -336,7 +340,11 @@ func MineContext(ctx context.Context, db graph.Database, opts Options) (*Result,
 // candidates that are still provably infrequent.
 func (r *Result) merge(ctx context.Context, db graph.Database, prev *Result, updated *pattern.TIDSet) (pattern.Set, error) {
 	opts := r.Options
-	r.Border = make(mergejoin.Border)
+	if prev != nil {
+		r.Border = make(mergejoin.Border, len(prev.Border))
+	} else {
+		r.Border = make(mergejoin.Border)
+	}
 	cfg := mergejoin.Config{
 		MinSupport: opts.MinSupport,
 		MaxEdges:   opts.MaxEdges,

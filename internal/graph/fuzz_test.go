@@ -6,7 +6,9 @@ import (
 )
 
 // FuzzReadDatabase checks that the text parser never panics on arbitrary
-// input and that everything it accepts round-trips stably.
+// input, that the stream and in-memory entries (ReadDatabase,
+// ParseDatabase) accept the same inputs with the same graphs or errors,
+// and that everything accepted round-trips stably.
 func FuzzReadDatabase(f *testing.F) {
 	f.Add("t # 0\nv 0 1\nv 1 2\ne 0 1 3\n")
 	f.Add("t # 1\nv 0 5 2.5\n")
@@ -15,8 +17,20 @@ func FuzzReadDatabase(f *testing.F) {
 	f.Add("garbage")
 	f.Fuzz(func(t *testing.T, data string) {
 		db, err := ReadDatabase(strings.NewReader(data))
+		parsed, perr := ParseDatabase(data)
+		if (err == nil) != (perr == nil) || err != nil && err.Error() != perr.Error() {
+			t.Fatalf("ReadDatabase error %v, ParseDatabase error %v", err, perr)
+		}
 		if err != nil {
 			return // rejected input is fine; panics are not
+		}
+		if len(parsed) != len(db) {
+			t.Fatalf("ReadDatabase read %d graphs, ParseDatabase %d", len(db), len(parsed))
+		}
+		for i := range db {
+			if !parsed[i].Equal(db[i]) || parsed[i].ID != db[i].ID {
+				t.Fatalf("graph %d: ReadDatabase and ParseDatabase disagree", i)
+			}
 		}
 		var sb strings.Builder
 		if err := WriteDatabase(&sb, db); err != nil {

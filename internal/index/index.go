@@ -25,12 +25,15 @@
 //
 // The index is built in one pass over the database and is immutable
 // afterwards except through Update, which recomputes only the entries of
-// updated transactions — the incremental miner's path.
+// updated transactions — the incremental miner's path — and replaces
+// every set it touches rather than patching it, so a Clone shares all
+// the rest.
 package index
 
 import (
 	"cmp"
 	"context"
+	"maps"
 	"slices"
 	"sort"
 
@@ -253,8 +256,8 @@ func postingsOf(g *graph.Graph, sig *signature) txPostings {
 
 // FeatureIndex is the per-database feature index. Build it once per
 // database (per mining run); it is safe for concurrent readers after
-// construction. Update re-points it at a modified database in place and
-// must not race with readers.
+// construction. Update re-points it at a modified database and must not
+// race with its readers; a Clone's readers are unaffected.
 type FeatureIndex struct {
 	db graph.Database
 
@@ -300,7 +303,7 @@ func BuildContext(ctx context.Context, db graph.Database, o exec.Observer) (*Fea
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ix.add(tid)
+		ix.add(tid, nil)
 	}
 	exec.Count(o, "index.triples", int64(len(ix.tripleTIDs)))
 	return ix, nil
@@ -308,28 +311,44 @@ func BuildContext(ctx context.Context, db graph.Database, o exec.Observer) (*Fea
 
 // add computes transaction tid's signature and posting lists and merges
 // its labels and triples into the database-wide inverted structures.
-func (ix *FeatureIndex) add(tid int) {
+// made is nil while the index is being built, when every set is the
+// builder's to patch; Update passes the sets it has copied so far (see
+// own).
+func (ix *FeatureIndex) add(tid int, made map[*pattern.TIDSet]bool) {
 	g := ix.db[tid]
 	ix.sigs[tid] = sigOf(g)
 	sig := &ix.sigs[tid]
 	ix.posts[tid] = postingsOf(g, sig)
 	for _, lc := range sig.labels {
-		ts, ok := ix.labelTIDs[lc.label]
-		if !ok {
-			ts = pattern.NewTIDSet(len(ix.db))
-			ix.labelTIDs[lc.label] = ts
-		}
-		ts.Add(tid)
+		own(ix.labelTIDs, lc.label, len(ix.db), made).Add(tid)
 		ix.labelFreq[lc.label] += lc.n
 	}
 	for _, tc := range sig.triples {
-		ts, ok := ix.tripleTIDs[tc.t]
-		if !ok {
-			ts = pattern.NewTIDSet(len(ix.db))
-			ix.tripleTIDs[tc.t] = ts
-		}
-		ts.Add(tid)
+		own(ix.tripleTIDs, tc.t, len(ix.db), made).Add(tid)
 	}
+}
+
+// own returns m[k] in a form the caller may patch, creating it empty
+// (sized for n transactions) when absent. A published set is never
+// patched: unless made is nil (the index is still being built) or made
+// holds the set (this Update already copied it), own puts a copy in its
+// place and records it in made, so each touched set is copied once per
+// call.
+func own[K comparable](m map[K]*pattern.TIDSet, k K, n int, made map[*pattern.TIDSet]bool) *pattern.TIDSet {
+	ts := m[k]
+	switch {
+	case ts == nil:
+		ts = pattern.NewTIDSet(n)
+	case made == nil || made[ts]:
+		return ts
+	default:
+		ts = ts.Clone()
+	}
+	m[k] = ts
+	if made != nil {
+		made[ts] = true
+	}
+	return ts
 }
 
 // FrequentEdges returns the 1-edge patterns with support >= minSup,
@@ -429,43 +448,42 @@ func (ix *FeatureIndex) Verify(p *graph.Graph, cand, known *pattern.TIDSet, tick
 	return out, st
 }
 
+// TripleTIDs returns the transactions holding an edge with triple t, nil
+// when none does. The set is the index's own: it is never patched (see
+// Update), and the caller must not patch it either.
+func (ix *FeatureIndex) TripleTIDs(t Triple) *pattern.TIDSet { return ix.tripleTIDs[t] }
+
 // Clone returns an independently updatable copy of the index: Update on
 // the clone never mutates the original, so a reader holding the original
 // (e.g. a published server snapshot) stays consistent while a writer
 // patches the clone — the RCU pattern internal/server builds on.
 //
-// The copy is as shallow as Update's mutation granularity allows:
-// TID bitsets and the bookkeeping maps are deep-copied (Update patches
-// them bit by bit), while signatures and posting lists are shared —
-// Update replaces those wholesale per transaction, never in place.
+// Nothing the two share is ever patched in place: Update replaces each
+// TID bitset, signature and posting list it touches, so Clone copies
+// only the maps of pointers, the label counts and the per-transaction
+// slices, and shares every set and per-transaction entry.
 func (ix *FeatureIndex) Clone() *FeatureIndex {
-	c := &FeatureIndex{
+	return &FeatureIndex{
 		db:         append(graph.Database(nil), ix.db...),
-		labelTIDs:  make(map[int]*pattern.TIDSet, len(ix.labelTIDs)),
-		tripleTIDs: make(map[Triple]*pattern.TIDSet, len(ix.tripleTIDs)),
+		labelTIDs:  maps.Clone(ix.labelTIDs),
+		tripleTIDs: maps.Clone(ix.tripleTIDs),
 		sigs:       append([]signature(nil), ix.sigs...),
 		posts:      append([]txPostings(nil), ix.posts...),
-		labelFreq:  make(map[int]int, len(ix.labelFreq)),
+		labelFreq:  maps.Clone(ix.labelFreq),
 	}
-	for l, ts := range ix.labelTIDs {
-		c.labelTIDs[l] = ts.Clone()
-	}
-	for t, ts := range ix.tripleTIDs {
-		c.tripleTIDs[t] = ts.Clone()
-	}
-	for l, n := range ix.labelFreq {
-		c.labelFreq[l] = n
-	}
-	return c
 }
 
 // Update re-indexes the transactions listed in updated against newDB
 // (same length and transaction order as the indexed database; only the
 // listed graphs may differ). Everything about unchanged transactions is
-// reused; the inverted maps are patched in place, and a triple no
-// transaction has any more leaves them.
-// Update must not race with concurrent readers.
+// reused. The TID bitsets are immutable once built: each label or
+// triple set the update touches is replaced by a patched copy, made once
+// per call, and a triple no transaction has any more leaves the map. A
+// set read before the call, by this index's readers or a clone's, keeps
+// its old members.
+// Update must not race with concurrent readers of this index.
 func (ix *FeatureIndex) Update(newDB graph.Database, updated []int) {
+	made := make(map[*pattern.TIDSet]bool)
 	// Retire the updated transactions' old contributions.
 	retired := make(map[Triple]bool)
 	for _, tid := range updated {
@@ -475,14 +493,14 @@ func (ix *FeatureIndex) Update(newDB graph.Database, updated []int) {
 			if ix.labelFreq[lc.label] <= 0 {
 				delete(ix.labelFreq, lc.label)
 			}
-			if ts := ix.labelTIDs[lc.label]; ts != nil {
-				ts.Remove(tid)
+			if ix.labelTIDs[lc.label] != nil {
+				own(ix.labelTIDs, lc.label, len(ix.db), made).Remove(tid)
 			}
 		}
 		for _, tc := range old.triples {
 			retired[tc.t] = true
-			if ts := ix.tripleTIDs[tc.t]; ts != nil {
-				ts.Remove(tid)
+			if ix.tripleTIDs[tc.t] != nil {
+				own(ix.tripleTIDs, tc.t, len(ix.db), made).Remove(tid)
 			}
 		}
 	}
@@ -491,7 +509,7 @@ func (ix *FeatureIndex) Update(newDB graph.Database, updated []int) {
 	// bits from the new graphs.
 	ix.db = newDB
 	for _, tid := range updated {
-		ix.add(tid)
+		ix.add(tid, made)
 	}
 	for t := range retired {
 		if ix.tripleTIDs[t].Count() == 0 {

@@ -3,6 +3,7 @@ package index
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"partminer/internal/exec"
@@ -447,4 +448,76 @@ func TestCloneIsolatesUpdate(t *testing.T) {
 			t.Fatalf("label %d: original freq changed to %d, want %d", label, ix.labelFreq[label], n)
 		}
 	}
+}
+
+// TestCloneUpdateIsolation: the TID bitsets are immutable once built and
+// a Clone shares them, so an Update on either side — the original or the
+// clone — must leave every answer of the other side as it was:
+// CandidateTIDs, FrequentEdges and Verify alike. The updates relabel to
+// labels the database has never held and add triples, so sets are
+// created, emptied and dropped as well as patched.
+func TestCloneUpdateIsolation(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	db := graph.RandomDatabase(rng, 24, 9, 13, 3, 2)
+	pats := make([]*graph.Graph, 40)
+	for i := range pats {
+		pats[i] = graph.RandomConnected(rng, 5000+i, 2+rng.Intn(3), 1+rng.Intn(4), 5, 3)
+	}
+	type answers struct {
+		cand, verified []*pattern.TIDSet
+		edges          map[string]string
+	}
+	answer := func(ix *FeatureIndex) answers {
+		var a answers
+		for _, p := range pats {
+			a.cand = append(a.cand, ix.CandidateTIDs(p))
+			a.verified = append(a.verified, supporters(ix, p))
+		}
+		a.edges = make(map[string]string)
+		for key, p := range ix.FrequentEdges(1) {
+			a.edges[key] = p.TIDs.String()
+		}
+		return a
+	}
+	same := func(t *testing.T, side string, got, want answers) {
+		t.Helper()
+		for i := range pats {
+			if !got.cand[i].Equal(want.cand[i]) || !got.verified[i].Equal(want.verified[i]) {
+				t.Fatalf("%s: pattern %d: candidates %v, supporters %v; before the other side's update %v, %v",
+					side, i, got.cand[i], got.verified[i], want.cand[i], want.verified[i])
+			}
+		}
+		if !reflect.DeepEqual(got.edges, want.edges) {
+			t.Fatalf("%s: frequent edges changed by the other side's update", side)
+		}
+	}
+	update := func(ix *FeatureIndex, seed int64) {
+		r := rand.New(rand.NewSource(seed))
+		newDB := append(graph.Database(nil), ix.db...)
+		var updated []int
+		for tid := int(seed % 3); tid < len(newDB); tid += 3 {
+			g := newDB[tid].Clone()
+			g.Labels[r.Intn(g.VertexCount())] = 3 + r.Intn(2) // labels db never held
+			if u, v := r.Intn(g.VertexCount()), r.Intn(g.VertexCount()); u != v && !g.HasEdge(u, v) {
+				g.MustAddEdge(u, v, 2)
+			}
+			newDB[tid] = g
+			updated = append(updated, tid)
+		}
+		ix.Update(newDB, updated)
+	}
+
+	ix := Build(db)
+	before := answer(ix)
+	clone := ix.Clone()
+	update(clone, 1)
+	same(t, "original after the clone's update", answer(ix), before)
+	if reflect.DeepEqual(answer(clone).edges, before.edges) {
+		t.Fatal("the clone's update changed none of its frequent edges")
+	}
+
+	ix = Build(db)
+	clone = ix.Clone()
+	update(ix, 2)
+	same(t, "clone after the original's update", answer(clone), before)
 }

@@ -37,6 +37,15 @@
 // candidates alone, through the same filter chain. It is also why one
 // merge over S suffices however many partitions fed it.
 //
+// A fold (Config.Old/Updated) does only the work its updated graphs can
+// change. At each level an old pattern whose old supporters miss every
+// updated graph, and whose edge triples no updated graph holds all of in
+// the patched index, is unchanged: the result keeps its *Pattern by
+// pointer (Stats.Shared), and it is no candidate. No extension is
+// generated from a pattern no updated graph supports, since none could
+// newly become frequent. The other old patterns are re-checked, their
+// unchanged supporters carried over untested.
+//
 // Every merge also records its negative border (Border, the paper's prune
 // set P): for each rejected candidate, the infrequent subpattern or the
 // sub-threshold TID bound that rejected it — and, in a fold, for each
@@ -161,8 +170,15 @@ type Stats struct {
 	// their graph is built — not distinct candidates, and not part of
 	// Candidates or Pruned. In a fold each leaves a border entry.
 	PairPruned int64
+	// Shared counts old frequent patterns a fold kept by pointer
+	// (incremental mode): no updated graph supported one before, and
+	// none holds all of its edge triples now, so it is unchanged. They
+	// are no candidates and count in neither Candidates nor Frequent.
+	Shared int64
 	// CarriedTIDs counts supporters accepted from pre-update results
-	// without re-testing (incremental mode).
+	// without re-testing (incremental mode): the unchanged supporters of
+	// every re-verified old pattern, and all supporters of every shared
+	// one.
 	CarriedTIDs int64
 	// Frequent counts candidates that passed verification.
 	Frequent int64
@@ -183,6 +199,7 @@ func (s *Stats) Counters() map[string]int64 {
 		"merge.pair_pruned":   s.PairPruned,
 		"merge.sig_pruned":    s.SigPruned,
 		"merge.iso_tests":     s.IsoTests,
+		"merge.shared":        s.Shared,
 		"merge.carried_tids":  s.CarriedTIDs,
 		"merge.frequent":      s.Frequent,
 	}
@@ -198,6 +215,7 @@ func (s *Stats) add(o *Stats) {
 	s.PairPruned += o.PairPruned
 	s.SigPruned += o.SigPruned
 	s.IsoTests += o.IsoTests
+	s.Shared += o.Shared
 	s.CarriedTIDs += o.CarriedTIDs
 	s.Frequent += o.Frequent
 }
@@ -238,7 +256,7 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 	}
 	tick := exec.NewTicker(ctx)
 	minSup := cfg.minSup()
-	result := make(pattern.Set)
+	result := make(pattern.Set, len(cfg.Old))
 	incremental := cfg.Old != nil && cfg.Updated != nil
 	if cfg.Border == nil {
 		cfg.Border = make(Border)
@@ -257,8 +275,8 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 		cfg.Index = ix
 	}
 
-	by0, by1, byOld := p0.BySize(), p1.BySize(), cfg.Old.BySize()
-	sized := func(by [][]*pattern.Pattern, k int) []*pattern.Pattern {
+	by0, by1, byOld := bySize(p0), bySize(p1), bySize(cfg.Old)
+	sized := func(by [][]keyed, k int) []keyed {
 		if k < len(by) {
 			return by[k]
 		}
@@ -280,6 +298,7 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 	// extension first, on its extension key.
 	gen := &generator{triples: edgeTriples(cur), minSup: minSup, fold: incremental, result: result,
 		updated: cfg.Updated, oldBorder: cfg.OldBorder, border: cfg.Border, blockers: make(map[pathKey]string)}
+	shr := &sharer{ix: cfg.Index, updated: cfg.Updated}
 
 	for k := 1; len(cur) > 0 && (cfg.MaxEdges == 0 || k < cfg.MaxEdges); k++ {
 		if err := tick.Err(); err != nil {
@@ -291,35 +310,56 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 		gen.st = Stats{}
 		cands := make(map[string]*candidate)
 
+		// In a fold, an old pattern that no updated graph held before or
+		// can hold now is unchanged: it joins the level as it is, by
+		// pointer, and is no candidate.
+		var shared pattern.Set
+		if incremental {
+			shared = make(pattern.Set)
+			for _, o := range sized(byOld, k+1) {
+				if shr.unchanged(o.p) {
+					shared[o.key] = o.p
+					gen.st.Shared++
+					gen.st.CarriedTIDs += int64(o.p.Support)
+				}
+			}
+		}
+
 		// Unit patterns of size k+1 enter the pool with their unit TIDs as
 		// pre-verified supporters (Fig. 11 line 8: Pᵏ(S0) ∪ Pᵏ(S1) join
 		// the merged level directly).
-		for _, p := range sized(by0, k+1) {
-			addUnitCandidate(cands, p, len(s))
+		for _, u := range sized(by0, k+1) {
+			addUnitCandidate(cands, shared, u, len(s))
 		}
-		for _, p := range sized(by1, k+1) {
-			addUnitCandidate(cands, p, len(s))
+		for _, u := range sized(by1, k+1) {
+			addUnitCandidate(cands, shared, u, len(s))
 		}
 
-		for _, q := range cur {
+		for qKey, q := range cur {
 			if tick.Hit() {
 				break
 			}
 			var qUpd *pattern.TIDSet
 			if incremental && q.TIDs != nil {
+				// A parent no updated graph supports has no feasible
+				// extension in a fold (see extensions).
+				if q.TIDs.IntersectCount(cfg.Updated) == 0 {
+					continue
+				}
 				qUpd = q.TIDs.Intersect(cfg.Updated)
 			}
-			qKey := q.Code.Key()
 			for _, ext := range gen.extensions(q.Code.Graph(), qKey, q.TIDs, qUpd) {
-				addExtensionCandidate(cands, ext, qKey, q.TIDs, qUpd, tick)
+				addExtensionCandidate(cands, shared, ext, qKey, q.TIDs, qUpd, tick)
 			}
 		}
 		if incremental {
 			// The updated-overlap filter above only finds patterns that
 			// could newly become frequent; previously frequent patterns
 			// are re-verified through the cheap carry-over path.
-			for _, p := range sized(byOld, k+1) {
-				seedOldCandidate(cands, p)
+			for _, o := range sized(byOld, k+1) {
+				if shared[o.key] == nil {
+					seedOldCandidate(cands, o)
+				}
 			}
 		}
 
@@ -338,6 +378,9 @@ func MergeContext(ctx context.Context, s graph.Database, p0, p1 pattern.Set, cfg
 		next, err := lv.verifyAll(cands, gen.st)
 		if err != nil {
 			return nil, err
+		}
+		for key, p := range shared {
+			next[key] = p
 		}
 		for key, p := range next {
 			result[key] = p
@@ -445,8 +488,60 @@ type candidate struct {
 	parentUpd *pattern.TIDSet
 }
 
-func addUnitCandidate(cands map[string]*candidate, p *pattern.Pattern, n int) {
-	key := p.Code.Key()
+// keyed is a pattern under its canonical key.
+type keyed struct {
+	key string
+	p   *pattern.Pattern
+}
+
+// bySize groups set by edge count, each pattern with its map key:
+// result[k] holds the k-edge patterns in map order (the candidate pool
+// is a map, so nothing reads the order).
+func bySize(set pattern.Set) [][]keyed {
+	var out [][]keyed
+	for key, p := range set {
+		for len(out) <= p.Size() {
+			out = append(out, nil)
+		}
+		out[p.Size()] = append(out[p.Size()], keyed{key, p})
+	}
+	return out
+}
+
+// sharer decides, in a fold, which old frequent patterns are unchanged:
+// those whose old supporters miss every updated graph and whose edge
+// triples no updated graph holds all of, per the patched index. An
+// unchanged graph neither gains nor loses a pattern, and an updated graph
+// can only contain one if it holds every one of its triples, so such a
+// pattern's old TIDs are its new ones.
+type sharer struct {
+	ix      *index.FeatureIndex
+	updated *pattern.TIDSet
+	sets    []*pattern.TIDSet // scratch: updated, then one set per edge
+}
+
+func (sh *sharer) unchanged(p *pattern.Pattern) bool {
+	if p.TIDs == nil || p.TIDs.IntersectCount(sh.updated) > 0 {
+		return false
+	}
+	sh.sets = append(sh.sets[:0], sh.updated)
+	for _, e := range p.Code {
+		ts := sh.ix.TripleTIDs(index.MakeTriple(e.LI, e.LE, e.LJ))
+		if ts == nil {
+			return true // no graph holds the triple any more
+		}
+		sh.sets = append(sh.sets, ts)
+	}
+	return pattern.IntersectCountMulti(sh.sets) == 0
+}
+
+// addUnitCandidate enters a unit pattern into the pool, its unit TIDs
+// pre-verified, unless the fold shares its key.
+func addUnitCandidate(cands map[string]*candidate, shared pattern.Set, u keyed, n int) {
+	key, p := u.key, u.p
+	if shared[key] != nil {
+		return
+	}
 	c, ok := cands[key]
 	if !ok {
 		c = &candidate{g: p.Code.Graph(), code: p.Code.Clone(), guaranteed: pattern.NewTIDSet(n)}
@@ -459,8 +554,8 @@ func addUnitCandidate(cands map[string]*candidate, p *pattern.Pattern, n int) {
 
 // seedOldCandidate enters a previously frequent pattern into the candidate
 // pool so the incremental check can carry its unchanged supporters over.
-func seedOldCandidate(cands map[string]*candidate, p *pattern.Pattern) {
-	key := p.Code.Key()
+func seedOldCandidate(cands map[string]*candidate, o keyed) {
+	key, p := o.key, o.p
 	if _, ok := cands[key]; ok {
 		return
 	}
@@ -473,10 +568,10 @@ func seedOldCandidate(cands map[string]*candidate, p *pattern.Pattern) {
 // endpoints travel with the candidate to cheapen its check. The candidate
 // keeps ext's own vertex numbering (an isomorphic relabeling of the
 // canonical form).
-func addExtensionCandidate(cands map[string]*candidate, ext extCandidate, parentKey string, parentTIDs, parentUpd *pattern.TIDSet, tick *exec.Ticker) {
+func addExtensionCandidate(cands map[string]*candidate, shared pattern.Set, ext extCandidate, parentKey string, parentTIDs, parentUpd *pattern.TIDSet, tick *exec.Ticker) {
 	code := dfscode.MinCodeTick(ext.g, tick)
 	key := code.Key()
-	if _, ok := cands[key]; ok {
+	if _, ok := cands[key]; ok || shared[key] != nil {
 		return // first arrival wins; extension candidates carry no TIDs
 	}
 	c := &candidate{

@@ -408,7 +408,7 @@ func queryGraphs(r *http.Request) ([]*graph.Graph, bool, error) {
 	}
 	var gs []*graph.Graph
 	for i, text := range texts {
-		parsed, err := graph.ReadDatabase(strings.NewReader(text))
+		parsed, err := graph.ParseDatabase(text)
 		if err != nil {
 			return nil, false, fmt.Errorf("bad query graph %d: %w", i, err)
 		}

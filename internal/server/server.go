@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -617,7 +616,7 @@ func (s *Server) stage(db *graph.Database, updated map[int]bool, appended *bool,
 		return g, nil
 	}
 	parse := func(text string) (*graph.Graph, error) {
-		gs, err := graph.ReadDatabase(strings.NewReader(text))
+		gs, err := graph.ParseDatabase(text)
 		if err != nil {
 			return nil, err
 		}

@@ -123,6 +123,10 @@ curl -sSf "$URL/v1/stats" >"$WORK/stats.json"
 [ "$(jget "$WORK/stats.json" epoch)" = "2" ] || die "stats epoch: $(cat "$WORK/stats.json")"
 [ "$(jget "$WORK/stats.json" batches)" = "1" ] || die "stats batches: $(cat "$WORK/stats.json")"
 grep -q 'merge\.' "$WORK/stats.json" || die "stats has no merge counters"
+# The in-place relabel above changed one graph of 60, so the fold keeps
+# by pointer every old pattern that graph neither held nor can hold.
+shared="$(jget "$WORK/stats.json" 'merge\.shared')"
+[ -n "$shared" ] && [ "$shared" -gt 0 ] || die "the one-graph fold shared no unchanged pattern: merge.shared=$shared"
 grep -q '"stages"' "$WORK/stats.json" || die "stats has no exec stage breakdown"
 grep -q '"uptime_seconds"' "$WORK/stats.json" || die "stats has no uptime"
 grep -q '"queries_total"' "$WORK/stats.json" || die "stats has no query counter"
